@@ -257,6 +257,7 @@ def cmd_continue(args) -> int:
     summary = {
         "t_star": branch.t_star,
         "n_folds": len(branch.folds),
+        "fold_refined": [f.refined for f in branch.folds],
         "n_samples": len(branch.samples),
         "termination": branch.termination,
         "manifest": _manifest("continue", {"problem": args.problem}),

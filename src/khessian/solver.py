@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .conformal import wgauge_rhs_amplitude, wgauge_rhs_exponent
 from .radial import RadialAB, sigma_k_radial, sigma_k_radial_gradients
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 _EXP_CLIP = 700.0
+_EPS = float(np.finfo(float).eps)
+# Backward error, in units of eps, above which a bordered solve is refined once.
+_REFINE_ULPS = 8.0
 
 
 class SolverError(RuntimeError):
@@ -834,28 +838,73 @@ def _dF_dt(system, rhs, w, t):
     return Ft
 
 
-def _bordered_matrix(system, J_banded, Ft, bottom):
-    """Dense bordered matrix [[J, Ft], [bottom]].
+def _band_matvec(band, kl, ku, x):
+    """A @ x for A stored in solve_banded layout, A[i, j] = band[ku + i - j, j]."""
+    n = len(x)
+    y = band[ku] * x
+    for d in range(1, min(ku, n - 1) + 1):
+        y[:-d] += band[ku - d, d:] * x[d:]
+    for d in range(1, min(kl, n - 1) + 1):
+        y[d:] += band[ku + d, :-d] * x[:-d]
+    return y
 
-    The plain Jacobian is singular exactly at folds, so the continuation
-    linear algebra always goes through this regular bordered form.
+
+def _bordered_solve(band, kl, ku, col, row, corner, f, g):
+    """Solve [[A, col], [row, corner]] [x; y] = [f; g] for a banded A in O(n).
+
+    A is given in solve_banded layout with kl sub- and ku super-diagonals and
+    factored once by LAPACK banded LU.  The border is removed by mixed block
+    elimination (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993; Govaerts,
+    Numerical Methods for Bifurcations of Dynamical Equilibria, ch. 3), which
+    stays accurate where A is nearly singular, as the continuation Jacobian is
+    at a fold, provided the bordered matrix is regular.  An exactly zero pivot
+    raises SolverError.  One step of iterative refinement follows unless the
+    normwise backward error of the first solution is already at rounding level.
     """
-    N = system.N
-    A = np.zeros((N + 1, N + 1))
-    A[:N, :N] = system.dense_jacobian(J_banded)
-    A[:N, N] = Ft
-    A[N, :] = bottom
-    return A
+    n = band.shape[1]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl:] = band
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    v = dgbtrs(lu, kl, ku, row, piv, trans=1)[0]
+    w = dgbtrs(lu, kl, ku, col, piv)[0]
+    schur_v = corner - v.dot(col)
+    schur_w = corner - row.dot(w)
+    if info != 0 or schur_v == 0.0 or schur_w == 0.0:
+        raise SolverError("singular bordered system")
+
+    def eliminate(f, g):
+        y1 = (g - v.dot(f)) / schur_v
+        x = dgbtrs(lu, kl, ku, f - y1 * col, piv)[0]
+        y2 = (g - row.dot(x) - corner * y1) / schur_w
+        return x - y2 * w, y1 + y2
+
+    x, y = eliminate(f, g)
+    r_top = f - _band_matvec(band, kl, ku, x) - y * col
+    r_bot = g - row.dot(x) - corner * y
+    resid = math.sqrt(r_top.dot(r_top) + r_bot * r_bot)
+    if not math.isfinite(resid):
+        raise SolverError("bordered solve is not finite")
+    # Backward error |r| / (|M| |z| + |rhs|), |M| in the Frobenius norm (Rigal & Gaches).
+    norm_m = math.sqrt(np.vdot(band, band) + col.dot(col) + row.dot(row) + corner * corner)
+    size = norm_m * math.sqrt(x.dot(x) + y * y) + math.sqrt(f.dot(f) + g * g)
+    if resid > _REFINE_ULPS * _EPS * size:
+        dx, dy = eliminate(r_top, r_bot)
+        x, y = x + dx, y + dy
+    return x, float(y)
 
 
 def _tangent(system, rhs, w, t, prev=None):
     _, J = system.residual_jacobian(w, _FrozenT(rhs, t))
     Ft = _dF_dt(system, rhs, w, t)
-    bottom = prev if prev is not None else np.r_[np.zeros(system.N), 1.0]
-    A = _bordered_matrix(system, J, Ft, bottom)
-    rhs_vec = np.r_[np.zeros(system.N), 1.0]
-    tau = np.linalg.solve(A, rhs_vec)
-    tau /= np.linalg.norm(tau)
+    if prev is None:
+        row, corner = np.zeros(system.N), 1.0
+    else:
+        row, corner = prev[:-1], float(prev[-1])
+    x, y = _bordered_solve(J, 1, 1, Ft, row, corner, np.zeros(system.N), 1.0)
+    scale = 1.0 / math.sqrt(x.dot(x) + y * y)
+    tau = np.empty(system.N + 1)
+    tau[:-1] = x * scale
+    tau[-1] = y * scale
     if prev is not None and float(tau @ prev) < 0.0:
         tau = -tau
     elif prev is None and tau[-1] < 0.0:
@@ -867,82 +916,103 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
     """Pseudo-arclength corrector: solve F(w, t) = 0 under tau . (z - z_pred) = 0."""
     w = w_pred.copy()
     t = float(t_pred)
-    tau_w, tau_t = tau[:-1], tau[-1]
-    for it in range(max_iter):
-        frozen = _FrozenT(rhs, t)
-        F, J = system.residual_jacobian(w, frozen)
-        g = float(tau_w @ (w - w_pred) + tau_t * (t - t_pred))
-        norm = float(np.abs(F).max())
-        if norm <= config.tol and abs(g) <= config.tol:
-            if system.admissible(w, strict=True):
-                return w, t, it
-            raise SolverError("corrector left the admissible cone")
-        A = _bordered_matrix(system, J, _dF_dt(system, rhs, w, t), tau)
-        try:
-            step = np.linalg.solve(A, -np.r_[F, g])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular bordered system in corrector") from exc
-        w = w + step[:-1]
-        t = t + float(step[-1])
+    tau_w, tau_t = tau[:-1], float(tau[-1])
+    # A rejected prediction can overflow the stencil; the non-finite residual
+    # or step it leaves raises SolverError below instead of a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iter):
+            F, J = system.residual_jacobian(w, _FrozenT(rhs, t))
+            norm = float(np.abs(F).max())
+            if not math.isfinite(norm):
+                raise SolverError("corrector residual is not finite")
+            g = float(tau_w @ (w - w_pred) + tau_t * (t - t_pred))
+            if norm <= config.tol and abs(g) <= config.tol:
+                if system.admissible(w, strict=True):
+                    return w, t, it
+                raise SolverError("corrector left the admissible cone")
+            dw, dt = _bordered_solve(J, 1, 1, _dF_dt(system, rhs, w, t), tau_w, tau_t, -F, -g)
+            w = w + dw
+            t = t + dt
     raise SolverError("corrector did not converge")
 
 
-def _refine_fold(system, rhs, w, t, phi0, config):
-    """Newton on the extended fold system [F; J phi; c.phi - 1] = 0.
+def _dJphi_dw(system, frozen, w, J, phi, eps):
+    """Tridiagonal d(J phi)/dw by a 3-colour Curtis-Powell-Reid difference.
 
-    Second-derivative blocks are approximated by finite differences on the
-    analytic tridiagonal Jacobian.
+    Row i of J depends on w[i-1 : i+2] only, so nodes i, i+3, i+6, ... can be
+    perturbed together: three assemblies recover every column.  J is the
+    Jacobian at w; the result is in the same solve_banded layout.
+    """
+    N = system.N
+    base = _band_matvec(J, 1, 1, phi)
+    H = np.zeros((3, N))
+    rows = np.arange(N)
+    for colour in range(min(3, N)):
+        wp = w.copy()
+        wp[colour::3] += eps
+        _, Jp = system.residual_jacobian(wp, frozen)
+        diff = (_band_matvec(Jp, 1, 1, phi) - base) / eps
+        # The perturbed column of row i is the j in {i-1, i, i+1} with j = colour mod 3.
+        off = (colour - rows + 1) % 3 - 1
+        cols = rows + off
+        ok = (cols >= 0) & (cols < N)
+        H[1 - off[ok], cols[ok]] = diff[ok]
+    return H
+
+
+def _refine_fold(system, rhs, w, t, phi0, config):
+    """Newton on the Moore-Spence extended fold system [F; J phi; c.phi - 1] = 0.
+
+    Interleaving the unknowns as (w_0, phi_0, w_1, phi_1, ...) makes the
+    (2N+1) Newton matrix a band (kl = 3, ku = 2) bordered by the t column and
+    the c row, so an iteration costs five assemblies and one O(N) solve.
+
+    |G| cannot fall below the rounding floor of the stencil, about
+    eps |w| max|dsigma/da| / h^2 = eps |w| max|J_ii| / 2.  Refinement succeeds
+    once |G| is within a small multiple of that floor (or of a fixed bound
+    where the floor is lower), or once a Newton step stops halving |G| that
+    close to it.
     """
     N = system.N
     c = phi0 / np.linalg.norm(phi0)
-    y = np.r_[w, t, phi0 / max(float(c @ phi0), 1e-300)]
-
-    def blocks(yv):
-        wv, tv, ph = yv[:N], float(yv[N]), yv[N + 1:]
-        frozen = _FrozenT(rhs, tv)
-        F, Jb = system.residual_jacobian(wv, frozen)
-        J = system.dense_jacobian(Jb)
-        Ft = np.zeros(N)
-        if system.kind == "sphere":
-            Ft[0] = -float(np.atleast_1d(rhs.dphi_dt(system.r, wv, tv))[0])
-        else:
-            idx = (np.arange(1, N - 1) if system.kind == "annulus"
-                   else np.arange(0, N - 1))
-            Ft[idx] = -np.asarray(rhs.dphi_dt(system.r[idx], wv[idx], tv), dtype=float)
-        return F, J, Ft, ph
-
+    w, t = np.asarray(w, dtype=float), float(t)
+    ph = phi0 / max(float(c @ phi0), 1e-300)
+    G = np.empty(2 * N + 1)
+    band = np.zeros((6, 2 * N))
+    col = np.empty(2 * N)
+    row = np.zeros(2 * N)
+    row[1::2] = c
+    prev = math.inf
     for _ in range(30):
-        wv, tv, ph = y[:N], float(y[N]), y[N + 1:]
-        F, J, Ft, _ = blocks(y)
-        G = np.r_[F, J @ ph, c @ ph - 1.0]
-        scale = max(1.0, float(np.abs(F).max()))
-        if float(np.abs(G).max()) <= 1e-12 * scale + 1e-13:
-            return wv, tv, ph, True
-        eps = 1e-7 * max(1.0, float(np.abs(wv).max()))
-        dJph_dw = np.empty((N, N))
-        for j in range(N):
-            wp = wv.copy()
-            wp[j] += eps
-            _, Jp = system.residual_jacobian(wp, _FrozenT(rhs, tv))
-            dJph_dw[:, j] = (system.dense_jacobian(Jp) @ ph - J @ ph) / eps
-        te = 1e-7 * max(1.0, abs(tv))
-        _, Jt = system.residual_jacobian(wv, _FrozenT(rhs, tv + te))
-        dJph_dt = (system.dense_jacobian(Jt) @ ph - J @ ph) / te
-        M = np.zeros((2 * N + 1, 2 * N + 1))
-        M[:N, :N] = J
-        M[:N, N] = Ft
-        M[N:2 * N, :N] = dJph_dw
-        M[N:2 * N, N] = dJph_dt
-        M[N:2 * N, N + 1:] = J
-        M[2 * N, N + 1:] = c
-        try:
-            dy = np.linalg.solve(M, -G)
-        except np.linalg.LinAlgError:
-            return wv, tv, ph, False
-        y = y + dy
-        if not system.admissible(y[:N], strict=True):
-            return wv, tv, ph, False
-    return y[:N], float(y[N]), y[N + 1:], False
+        frozen = _FrozenT(rhs, t)
+        F, J = system.residual_jacobian(w, frozen)
+        Jph = _band_matvec(J, 1, 1, ph)
+        G[:-1:2] = F
+        G[1:-1:2] = Jph
+        G[-1] = c @ ph - 1.0
+        gnorm = float(np.abs(G).max())
+        wmax = float(np.abs(w).max())
+        tol = max(1e-12 * max(1.0, float(np.abs(F).max())) + 1e-13,
+                  4.0 * _EPS * wmax * float(np.abs(J[1]).max()))
+        if gnorm <= tol or (gnorm > 0.5 * prev and gnorm <= 100.0 * tol):
+            return w, t, ph, True
+        prev = gnorm
+        eps = 1e-7 * max(1.0, wmax)
+        te = 1e-7 * max(1.0, abs(t))
+        _, Jt = system.residual_jacobian(w, _FrozenT(rhs, t + te))
+        # Row 2i holds F_i and row 2i+1 (J phi)_i: J sits in band rows 0, 2, 4
+        # under both the w and the phi columns, d(J phi)/dw in rows 1, 3, 5.
+        band[0::2, 0::2] = J
+        band[0::2, 1::2] = J
+        band[1::2, 0::2] = _dJphi_dw(system, frozen, w, J, ph, eps)
+        col[0::2] = _dF_dt(system, rhs, w, t)
+        col[1::2] = (_band_matvec(Jt, 1, 1, ph) - Jph) / te
+        dz, dt = _bordered_solve(band, 3, 2, col, row, 0.0, -G[:-1], -G[-1])
+        w_new = w + dz[0::2]
+        if not system.admissible(w_new, strict=True):
+            return w, t, ph, False
+        w, t, ph = w_new, t + dt, ph + dz[1::2]
+    return w, t, ph, False
 
 
 def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branch:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,7 @@ class TestContinueCommand:
         assert code == 0
         summary = json.loads((tmp_path / "branch_summary.json").read_text())
         assert summary["t_star"] == pytest.approx(3.0 / 32.0, abs=1e-8)
+        assert summary["fold_refined"] == [True]
         lines = (tmp_path / "branch_branch.csv").read_text().splitlines()
         assert lines[0] == "t,delta_t,v_at_probe,newton_iters,fold_flag"
         flags = [float(l.split(",")[4]) for l in lines[1:]]
@@ -210,6 +212,25 @@ class TestContinueCommand:
               "--out-prefix", str(tmp_path / "two")])
         assert (tmp_path / "one_branch.csv").read_bytes() == \
             (tmp_path / "two_branch.csv").read_bytes()
+
+    def test_annulus_fold_refined_without_warnings(self, tmp_path, capsys):
+        w = lambda r: 1.6 * math.sqrt(r)
+        spec = {"n": 3, "k": 2, "p": 4.0,
+                "domain": {"type": "annulus", "r0": 0.5, "r1": 2.0, "bc": [w(0.5), w(2.0)]},
+                "rhs": {"f_const": 1.0}, "solver": {"N": 192},
+                "continuation": {"delta0": 1.0, "step": 0.02, "t_start": 1e-3,
+                                 "t_max": 50.0, "after_fold_frac": 0.7}}
+        path = tmp_path / "annulus.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["continue", "--problem", str(path),
+                         "--out-prefix", str(tmp_path / "annulus")])
+        assert code == 0
+        assert not [c for c in caught if issubclass(c.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "annulus_summary.json").read_text())
+        assert summary["n_folds"] == 1 and summary["fold_refined"] == [True]
 
     def test_wrong_regime_exits_3(self, tmp_path, capsys):
         spec = {"n": 3, "k": 2, "p": 1.0,

@@ -394,6 +394,122 @@ class TestAnnulusContinuation:
                            branch.folds[0].w_star.copy(), config)
 
 
+
+def annulus_fold_branch(N):
+    """(3,2,4) annulus branch through its fold, and its problem."""
+    problem = RadialProblem(CONE32, Annulus(0.5, 2.0, W_STAR(0.5), W_STAR(2.0)),
+                            p=4.0, f=1.0)
+    config = SolverConfig(N=N, delta0=1.0, ds0=0.02, t_start=1e-3, t_max=50.0,
+                          after_fold_frac=0.7)
+    return continuation_supercritical(problem, config), problem
+
+
+def dense_band(band, kl, ku, n):
+    """Dense matrix of a band stored in solve_banded layout."""
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            A[i, j] = band[ku + i - j, j]
+    return A
+
+
+def dense_bordered_solve(band, kl, ku, col, row, corner, f, g):
+    n = band.shape[1]
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = dense_band(band, kl, ku, n)
+    M[:n, n] = col
+    M[n, :n] = row
+    M[n, n] = corner
+    z = np.linalg.solve(M, np.append(f, g))
+    return z[:n], float(z[n])
+
+
+class TestBorderedBanded:
+    def check(self, band, kl, ku, col, row, corner, f, g):
+        from khessian.solver import _bordered_solve
+        x, y = _bordered_solve(band, kl, ku, col, row, corner, f, g)
+        xr, yr = dense_bordered_solve(band, kl, ku, col, row, corner, f, g)
+        got, want = np.append(x, y), np.append(xr, yr)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("kl,ku", [(1, 1), (3, 2)])
+    def test_random_systems(self, n, kl, ku):
+        rng = np.random.default_rng([n, kl, ku])
+        for _ in range(5):
+            band = rng.normal(size=(kl + ku + 1, n))
+            self.check(band, kl, ku, rng.normal(size=n), rng.normal(size=n),
+                       float(rng.normal()), rng.normal(size=n), float(rng.normal()))
+
+    def test_fold_state_of_annulus_branch(self):
+        from khessian.solver import _dF_dt, _FrozenT
+        branch, problem = annulus_fold_branch(48)
+        fold = branch.folds[0]
+        system = RadialSystem(problem, 48)
+        rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
+        _, J = system.residual_jacobian(fold.w_star, _FrozenT(rhs, fold.t_star))
+        _, s, vt = np.linalg.svd(system.dense_jacobian(J))
+        assert s[-1] <= 1e-6 * s[0]          # J is near-singular at the fold
+        rng = np.random.default_rng(3)
+        Ft = _dF_dt(system, rhs, fold.w_star, fold.t_star)
+        for row, corner in ((vt[-1], 0.0), (vt[-1] + 0.1 * rng.normal(size=48), 0.3)):
+            self.check(J, 1, 1, Ft, row, corner, rng.normal(size=48), 1.0)
+
+
+class TestFoldRefinement:
+    @pytest.mark.parametrize("kind", ["annulus", "ball"])
+    def test_coloured_dJphi_dw_matches_columnwise(self, kind):
+        from khessian.solver import _dJphi_dw, _FrozenT
+        N = 20
+        if kind == "annulus":
+            problem = RadialProblem(CONE32, Annulus(0.5, 2.0, W_STAR(0.5), W_STAR(2.0)),
+                                    p=4.0, f=1.0)
+        else:
+            problem = RadialProblem(CONE32, Ball(1.0, 0.5), p=4.0, f=1.0)
+        system = RadialSystem(problem, N)
+        rhs = _FrozenT(ContinuationRHS(CONE32, 4.0, 1.0, 1.0), 0.006)
+        rng = np.random.default_rng(5)
+        w = W_STAR(system.r) + 0.01 * rng.normal(size=N)
+        phi = rng.normal(size=N)
+        eps = 1e-7
+        _, J = system.residual_jacobian(w, rhs)
+        H = system.dense_jacobian(_dJphi_dw(system, rhs, w, J, phi, eps))
+        want = np.empty((N, N))
+        base = system.dense_jacobian(J) @ phi
+        for j in range(N):
+            wp = w.copy()
+            wp[j] += eps
+            _, Jp = system.residual_jacobian(wp, rhs)
+            want[:, j] = (system.dense_jacobian(Jp) @ phi - base) / eps
+        assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N", [96, 192])
+    def test_refined_at_rounding_floor(self, N):
+        from khessian.radial import sigma_k_radial_gradients
+        from khessian.solver import _FrozenT
+        branch, problem = annulus_fold_branch(N)
+        assert [f.refined for f in branch.folds] == [True]
+        fold = branch.folds[0]
+        system = RadialSystem(problem, N)
+        rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
+        F = system.residual(fold.w_star, _FrozenT(rhs, fold.t_star))
+        sa, _ = sigma_k_radial_gradients(system.ab(fold.w_star), CONE32)
+        floor = (np.finfo(float).eps * np.abs(fold.w_star).max()
+                 * np.abs(sa).max() / system.h**2)
+        assert np.abs(F).max() <= 8.0 * floor
+        assert all(s.t <= fold.t_star for s in branch.samples)
+
+    def test_branch_matches_dense_bordered_reference(self, monkeypatch):
+        from khessian import solver
+        branch, _ = annulus_fold_branch(96)
+        monkeypatch.setattr(solver, "_bordered_solve", dense_bordered_solve)
+        reference, _ = annulus_fold_branch(96)
+        t = np.array([s.t for s in branch.samples])
+        t_ref = np.array([s.t for s in reference.samples])
+        assert t.shape == t_ref.shape
+        assert np.abs(t - t_ref).max() <= 1e-12 * np.abs(t_ref).max()
+        assert branch.t_star == pytest.approx(reference.t_star, rel=1e-12)
+
 class TestGeneralRHS:
     def test_reproduces_power_continuation(self):
         problem = RadialProblem(CONE32, SphereConstant(), p=4.0, f=1.0)
