@@ -15,6 +15,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, interpolate, optimize
@@ -318,6 +319,115 @@ class HarnackEstimate:
     c_est: float
     pair: tuple
     alpha: float
+    pairs_scored: int = 0
+
+
+_LEAF = 8             # nodes per leaf block of the Harnack search
+_BATCH = 1 << 18      # pair ratios evaluated per batch of leaf blocks
+_SLACK = 1.0 + 1e-9   # covers the few ulps by which pow may break monotonicity
+
+
+def _pair_ratios(xa, xb, fa, fb, alpha: float, sep: float) -> np.ndarray:
+    """|fa - fb| / |xa - xb|^alpha, -inf where |xa - xb| <= sep (broadcasting)."""
+    diff = xa - xb
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    num = np.abs(fa - fb)
+    mask = dist > sep
+    return np.where(mask, num / np.where(mask, dist, 1.0) ** alpha, -np.inf)
+
+
+def _leaf_blocks(coords: np.ndarray):
+    """Leaf blocks of a balanced tree of median splits along the widest axis.
+
+    Every level splits each segment of nodes at its middle position, until no
+    leaf holds more than _LEAF nodes; leaf j of depth D belongs to node
+    j >> (D - t) of depth t.  Returns the node indices of each leaf as an
+    (L, S) array, the leaf sizes and D.  Short leaves repeat their first
+    node: the repeats add only copies of existing pairs, so neither the
+    maximum nor its pair changes.
+    """
+    m = len(coords)
+    depth = math.ceil(math.log2(m / _LEAF)) if m > _LEAF else 0
+    order = np.arange(m)
+    edges = np.array([0, m])
+    for _ in range(depth):
+        sizes = np.diff(edges)
+        pts = coords[order]
+        spread = np.maximum.reduceat(pts, edges[:-1]) - np.minimum.reduceat(pts, edges[:-1])
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        key = pts[np.arange(m), np.argmax(spread, axis=1)[seg]]
+        order = order[np.lexsort((key, seg))]
+        split = np.empty(2 * len(edges) - 1, dtype=int)
+        split[0::2] = edges
+        split[1::2] = edges[:-1] + sizes // 2
+        edges = split
+    sizes = np.diff(edges)
+    slot = np.arange(sizes.max())
+    return order[edges[:-1, None] + np.where(slot < sizes[:, None], slot, 0)], sizes, depth
+
+
+class _Blocks(NamedTuple):
+    """Tree nodes of one level: bounding boxes, log chi ranges, smallest node
+    index, and the nodes of largest and smallest log chi."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    fmin: np.ndarray
+    fmax: np.ndarray
+    first: np.ndarray
+    imax: np.ndarray
+    imin: np.ndarray
+
+    def parents(self) -> "_Blocks":
+        a, b = _Blocks(*(v[0::2] for v in self)), _Blocks(*(v[1::2] for v in self))
+        return _Blocks(np.minimum(a.lo, b.lo), np.maximum(a.hi, b.hi),
+                       np.minimum(a.fmin, b.fmin), np.maximum(a.fmax, b.fmax),
+                       np.minimum(a.first, b.first), np.where(a.fmax >= b.fmax, a.imax, b.imax),
+                       np.where(a.fmin <= b.fmin, a.imin, b.imin))
+
+    def bounds(self, a, b, alpha: float, sep: float) -> np.ndarray:
+        """Upper bound on every ratio between the nodes of blocks a and b.
+
+        The numerator is bounded by the log chi ranges, the distance from
+        below by the box gap (or sep) when alpha > 0 and from above by the
+        farthest box corners otherwise.  Each step is monotone in rounded
+        arithmetic, and _SLACK absorbs the rounding of the power.
+        """
+        num = np.maximum(self.fmax[a] - self.fmin[b], self.fmax[b] - self.fmin[a])
+        if alpha > 0.0:
+            gap = np.maximum(np.maximum(self.lo[a] - self.hi[b], self.lo[b] - self.hi[a]), 0.0)
+            den = np.maximum(np.sqrt((gap**2).sum(axis=-1)), sep)
+        else:
+            far = np.maximum(self.hi[a] - self.lo[b], self.hi[b] - self.lo[a])
+            den = np.sqrt((far**2).sum(axis=-1))
+        bound = np.full(num.shape, np.inf)
+        pos = den > 0.0
+        bound[pos] = num[pos] / den[pos] ** alpha * _SLACK
+        bound[num == 0.0] = 0.0
+        return bound
+
+
+class _Best:
+    """Largest ratio so far and its pair (i < j), the smallest (i, j) among ties."""
+
+    def __init__(self):
+        self.value, self.pair = -np.inf, (0, 0)
+
+    def offer(self, ratios, i, j):
+        top = ratios.max(initial=-np.inf)
+        if top == -np.inf or top < self.value:
+            return
+        hit = ratios == top
+        i, j = np.broadcast_to(i, hit.shape)[hit], np.broadcast_to(j, hit.shape)[hit]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        first = int(lo.min())
+        pair = (first, int(hi[lo == first].min()))
+        if top > self.value or pair < self.pair:
+            self.value, self.pair = float(top), pair
+
+    def may_hold(self, bound, first):
+        """Block pairs that can still raise the maximum or win its tie-break."""
+        return (bound > self.value) | ((bound == self.value) & (first <= self.pair[0]))
 
 
 def harnack_ratio(coords, chi, cone: ConeParams, min_sep: float = 0.0) -> HarnackEstimate:
@@ -325,33 +435,77 @@ def harnack_ratio(coords, chi, cone: ConeParams, min_sep: float = 0.0) -> Harnac
 
     alpha = 2 - n/k.  Pairs closer than min_sep are skipped (short distances
     amplify finite-difference noise through the sublinear exponent).  The
-    estimate is invariant under global scaling chi -> c * chi.  Pair
-    enumeration runs in row blocks, so large grids stay within memory.
+    estimate is invariant under global scaling chi -> c * chi.  Among pairs
+    attaining the maximum, pair is the one with the smallest first index,
+    then the smallest second index.
+
+    The search is exact and pruned, a dual-tree branch and bound in the
+    manner of Gray & Moore (NIPS 2000).  Recursive median splits along the
+    widest axis cut the nodes into leaf blocks; every tree node carries its
+    bounding box and its range of log chi.  Block pairs are refined level by
+    level and dropped once their bound, range / max(box gap, min_sep)^alpha,
+    falls below the best ratio found so far, which the extreme nodes of each
+    block pair keep up to date.  The surviving leaf block pairs are scored in
+    decreasing bound order with the all-pairs expression, so c_est and pair
+    are those of a scan over all m^2 pairs.  pairs_scored counts the
+    unordered pairs of the scored leaf blocks, out of m(m-1)/2.
     """
     coords = np.asarray(coords, dtype=float)
     chi = np.asarray(chi, dtype=float)
-    if np.any(chi <= 0.0):
-        raise ValueError("chi must be positive")
     if coords.ndim == 1:
         coords = coords[:, None]
+    if coords.ndim != 2 or chi.ndim != 1 or len(coords) != len(chi):
+        raise ValueError(f"coords and chi must describe the same nodes: coords has shape "
+                         f"{coords.shape}, chi has shape {chi.shape}")
+    if not np.all(np.isfinite(chi)):
+        raise ValueError("chi must be finite")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coords must be finite")
+    if np.any(chi <= 0.0):
+        raise ValueError("chi must be positive")
+    if math.isnan(min_sep):
+        raise ValueError("min_sep must not be NaN")
     alpha = cone.alpha
+    best = _Best()
+    if len(chi) == 0:
+        return HarnackEstimate(best.value, best.pair, alpha)
     logchi = np.log(chi)
-    m = len(logchi)
-    block = max(1, int(4e6) // max(m, 1))
-    best, best_pair = -np.inf, (0, 0)
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        num = np.abs(logchi[start:stop, None] - logchi[None, :])
-        mask = dist > max(min_sep, 0.0)
-        ratios = np.where(mask, num / np.where(mask, dist, 1.0) ** alpha, -np.inf)
-        flat = int(np.argmax(ratios))
-        i, j = divmod(flat, m)
-        if ratios[i, j] > best:
-            best = float(ratios[i, j])
-            best_pair = (start + i, j)
-    return HarnackEstimate(best, best_pair, alpha)
+    sep = max(min_sep, 0.0)
+    idx, sizes, depth = _leaf_blocks(coords)
+    x, f = coords[idx], logchi[idx]
+    rows = np.arange(len(idx))
+    levels = [_Blocks(x.min(axis=1), x.max(axis=1), f.min(axis=1), f.max(axis=1), idx.min(axis=1),
+                      idx[rows, f.argmax(axis=1)], idx[rows, f.argmin(axis=1)])]
+    for _ in range(depth):
+        levels.append(levels[-1].parents())
+    a = b = np.zeros(1, dtype=int)
+    for t, blocks in enumerate(reversed(levels)):
+        if t:
+            ca = (2 * a[:, None] + [0, 0, 1, 1]).ravel()
+            cb = (2 * b[:, None] + [0, 1, 0, 1]).ravel()
+            a, b = ca[ca <= cb], cb[ca <= cb]
+        for u, v in ((blocks.imax[a], blocks.imin[b]), (blocks.imax[b], blocks.imin[a])):
+            best.offer(_pair_ratios(coords[u], coords[v], logchi[u], logchi[v], alpha, sep), u, v)
+        bound = blocks.bounds(a, b, alpha, sep)
+        keep = best.may_hold(bound, np.minimum(blocks.first[a], blocks.first[b]))
+        a, b, bound = a[keep], b[keep], bound[keep]
+    rank = np.argsort(-bound, kind="stable")
+    a, b, bound = a[rank], b[rank], bound[rank]
+    first = np.minimum(levels[0].first[a], levels[0].first[b])
+    step = max(1, _BATCH // idx.shape[1] ** 2)
+    scored = 0
+    for start in range(0, len(a), step):
+        if bound[start] < best.value:
+            break
+        part = slice(start, start + step)
+        keep = best.may_hold(bound[part], first[part])
+        pa, pb = a[part][keep], b[part][keep]
+        best.offer(_pair_ratios(x[pa][:, :, None, :], x[pb][:, None, :, :],
+                                f[pa][:, :, None], f[pb][:, None, :], alpha, sep),
+                   idx[pa][:, :, None], idx[pb][:, None, :])
+        na, nb = sizes[pa], sizes[pb]
+        scored += int(np.where(pa == pb, na * (na - 1) // 2, na * nb).sum())
+    return HarnackEstimate(best.value, best.pair, alpha, scored)
 
 
 def harnack_from_w_profile(p: RadialProfile, min_sep: float = 0.0) -> HarnackEstimate:

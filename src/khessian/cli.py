@@ -301,6 +301,7 @@ def cmd_harnack(args) -> int:
         "alpha": est.alpha,
         "pair": list(est.pair),
         "pair_radii": [float(profile.r[est.pair[0]]), float(profile.r[est.pair[1]])],
+        "pairs_scored": est.pairs_scored,
         "manifest": _manifest("harnack", vars(args)),
     }
     text = json.dumps(payload, indent=2, sort_keys=True, default=float)

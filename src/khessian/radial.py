@@ -98,8 +98,11 @@ class RadialProfile:
     def from_samples(cls, r, w, n: int, k: int, dw=None, d2w=None) -> "RadialProfile":
         r = np.asarray(r, dtype=float)
         w = np.asarray(w, dtype=float)
-        if r.ndim != 1 or r.shape != w.shape:
-            raise ValueError("r and w must be matching 1-d arrays")
+        if r.ndim != 1 or r.shape != w.shape or len(r) == 0:
+            raise ValueError("r and w must be matching non-empty 1-d arrays")
+        for name, v in (("r", r), ("w", w), ("dw", dw), ("d2w", d2w)):
+            if v is not None and not np.all(np.isfinite(v)):
+                raise ValueError(f"profile samples {name} must be finite")
         if r[0] <= 0.0 or np.any(np.diff(r) <= 0.0):
             raise ValueError("grid must be positive and strictly increasing")
         analytic = dw is not None and d2w is not None

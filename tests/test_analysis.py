@@ -254,6 +254,140 @@ class TestHarnack:
         assert est.c_est == pytest.approx(2 * c / (1 - theta), rel=0.03)
 
 
+
+def all_pairs_harnack(coords, chi, cone, min_sep=0.0):
+    """Reference scan over all m^2 ordered pairs in row blocks (the package's
+    former implementation): the first maximal pair in row-major order."""
+    coords = np.asarray(coords, dtype=float)
+    chi = np.asarray(chi, dtype=float)
+    if coords.ndim == 1:
+        coords = coords[:, None]
+    alpha = cone.alpha
+    logchi = np.log(chi)
+    m = len(logchi)
+    block = max(1, int(4e6) // max(m, 1))
+    best, best_pair = -np.inf, (0, 0)
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        diff = coords[start:stop, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        num = np.abs(logchi[start:stop, None] - logchi[None, :])
+        mask = dist > max(min_sep, 0.0)
+        ratios = np.where(mask, num / np.where(mask, dist, 1.0) ** alpha, -np.inf)
+        flat = int(np.argmax(ratios))
+        i, j = divmod(flat, m)
+        if ratios[i, j] > best:
+            best = float(ratios[i, j])
+            best_pair = (start + i, j)
+    return best, best_pair
+
+
+def lattice(shape, h):
+    axes = [-1.0 + h * np.arange(s) for s in shape]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+
+
+def sine_field(x, seed):
+    """log chi = sum_j c_j sin(omega_j . x + phi_j), smooth with interior extrema."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.2, 0.5, 3)
+    omega = rng.uniform(0.5, 2.0, (3, x.shape[1]))
+    phase = rng.uniform(0.0, 2.0 * math.pi, 3)
+    return (c * np.sin(x @ omega.T + phase)).sum(axis=1)
+
+
+CONE53 = ConeParams(5, 3)   # alpha = 1/3
+EXACT_CASES = [(cone, sep) for cone in (CONE32, CONE53) for sep in (0.0, 2.0)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestHarnackSearch:
+    """The pruned search returns the all-pairs c_est and pair bit for bit."""
+
+    @staticmethod
+    def check(coords, logchi, cone, min_sep):
+        chi = 2.5 * np.exp(logchi)
+        est = harnack_ratio(coords, chi, cone, min_sep)
+        want = all_pairs_harnack(coords, chi, cone, min_sep)
+        assert (est.c_est, est.pair) == want
+        m = len(chi)
+        assert 0 <= est.pairs_scored <= m * (m - 1) // 2
+        return est
+
+    @pytest.mark.parametrize("cone, sep", EXACT_CASES)
+    @pytest.mark.parametrize("sort", [True, False])
+    def test_random_1d(self, cone, sep, sort):
+        rng = np.random.default_rng(11)
+        r = rng.uniform(0.01, 2.0, 700)
+        if sort:
+            r = np.sort(r)
+        logchi = -2.0 * (1.5 * np.sqrt(r) + 0.05 * np.sin(7.0 * r)) + 0.01 * rng.normal(size=700)
+        self.check(r, logchi, cone, sep * 2.0 / 700)
+
+    @pytest.mark.parametrize("cone, sep", EXACT_CASES)
+    @pytest.mark.parametrize("shape", [(23, 31), (6, 6, 6), (10, 10, 10)])
+    def test_random_lattice(self, cone, sep, shape):
+        h = 2.0 / (shape[0] - 1)
+        x = lattice(shape, h)
+        rng = np.random.default_rng(len(x))
+        self.check(x, sine_field(x, len(x)) + 0.02 * rng.normal(size=len(x)), cone, sep * h)
+
+    @pytest.mark.parametrize("cone, sep", [(CONE32, 2.0), (CONE53, 0.0)])
+    def test_benchmark_size_field(self, cone, sep):
+        h = 2.0 / 15
+        x = lattice((16, 16, 16), h)
+        self.check(x, sine_field(x, 3), cone, sep * h)
+
+    @pytest.mark.parametrize("cone, sep", EXACT_CASES)
+    @pytest.mark.parametrize("field", ["constant", "linear", "radial"])
+    def test_ties(self, cone, sep, field):
+        h = 2.0 / 9
+        x = lattice((10, 10, 10), h)
+        logchi = {"constant": np.zeros(len(x)),
+                  "linear": 0.8 * x[:, 0],
+                  "radial": np.sqrt((x**2).sum(axis=1))}[field]
+        self.check(x, logchi, cone, sep * h)
+
+    @pytest.mark.parametrize("cone", [ConeParams(3, 1), ConeParams(4, 2), ConeParams(3, 3)])
+    def test_other_exponents(self, cone):
+        # alpha = -1, 0 and 1 bound the distance from the far box corners or the gap.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(300, 2))
+        x[150:] = x[:150]   # repeated points: distinct nodes at distance 0
+        self.check(x, rng.normal(size=300), cone, 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_every_pair_masked(self, m):
+        est = harnack_ratio(np.arange(m, dtype=float), np.arange(1.0, m + 1.0), CONE32,
+                            min_sep=5.0)
+        assert est.c_est == -np.inf and est.pair == (0, 0) and est.pairs_scored <= 1
+        assert all_pairs_harnack(np.arange(m, dtype=float), np.arange(1.0, m + 1.0), CONE32,
+                                 min_sep=5.0) == (-np.inf, (0, 0))
+
+    def test_prunes_at_32_cubed(self):
+        h = 2.0 / 31
+        x = lattice((32, 32, 32), h)
+        for cone in (CONE32, CONE53):
+            est = harnack_ratio(x, np.exp(sine_field(x, 1)), cone, 2.0 * h)
+            assert est.pairs_scored < 0.05 * len(x) ** 2 / 2
+
+    @pytest.mark.parametrize("coords, chi, match", [
+        ([0.1, 0.2, 0.3], [1.0, np.nan, 2.0], "chi must be finite"),
+        ([0.1, 0.2, 0.3], [1.0, np.inf, 2.0], "chi must be finite"),
+        ([0.1, np.nan, 0.3], [1.0, 1.5, 2.0], "coords must be finite"),
+        ([[0.1, 0.0], [0.2, -np.inf]], [1.0, 2.0], "coords must be finite"),
+        ([0.1, 0.2, 0.3], [1.0, 2.0], "same nodes"),
+        ([[0.1, 0.2, 0.3]], [1.0, 2.0, 3.0], "same nodes"),
+    ])
+    def test_rejects_undefined_input(self, coords, chi, match):
+        with pytest.raises(ValueError, match=match):
+            harnack_ratio(np.array(coords), np.array(chi), CONE32)
+
+    def test_rejects_nan_min_sep(self):
+        with pytest.raises(ValueError, match="min_sep"):
+            harnack_ratio(np.array([0.1, 0.2]), np.array([1.0, 2.0]), CONE32, min_sep=np.nan)
+
+
 class TestVolume:
     def test_euclidean_constant(self):
         s = np.linspace(0.1, 1.0, 10)

@@ -272,6 +272,19 @@ class TestHarnackCommand:
         assert main(["harnack", "--profile", str(path), "--n", "3", "--k", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["c_est"] == pytest.approx(2 * c / (1 - theta), rel=0.03)
+        assert 0 < payload["pairs_scored"] <= len(r) * (len(r) - 1) // 2
+
+    @pytest.mark.parametrize("command", ["harnack", "classify"])
+    @pytest.mark.parametrize("column", ["r", "w"])
+    def test_nan_profile_exits_3(self, tmp_path, capsys, command, column):
+        r = np.geomspace(1e-3, 1.0, 40)
+        rows = {"r": r, "w": 0.5 * np.sqrt(r)}
+        rows[column][17] = np.nan
+        path = tmp_path / "nan.csv"
+        lines = [f"{a:.17g},{b:.17g}\n" for a, b in zip(rows["r"], rows["w"])]
+        path.write_text("r,w\n" + "".join(lines))
+        assert main([command, "--profile", str(path), "--n", "3", "--k", "2"]) == 3
+        assert f"{column} must be finite" in capsys.readouterr().err
 
 
 class TestVolumeCommand:

@@ -362,6 +362,22 @@ class TestGridFieldIO:
         assert np.allclose(g.origin, [-0.5, -0.5])
 
 
+class TestProfileSamples:
+    @pytest.mark.parametrize("name", ["r", "w", "dw", "d2w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, bad):
+        r = np.geomspace(0.01, 1.0, 25)
+        samples = {"r": r, "w": np.sqrt(r), "dw": 0.5 / np.sqrt(r), "d2w": -0.25 * r**-1.5}
+        samples[name][4] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RadialProfile.from_samples(samples["r"], samples["w"], 3, 2,
+                                       dw=samples["dw"], d2w=samples["d2w"])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            RadialProfile.from_samples(np.array([]), np.array([]), 3, 2)
+
+
 class TestProfileIO:
     def test_roundtrip_analytic(self, tmp_path):
         p = holder_profile(np.geomspace(0.01, 1.0, 25), 0.5)
