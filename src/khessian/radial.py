@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,14 +294,16 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim not in (2, 3):
             raise ValueError("grid fields must be 2- or 3-dimensional")
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
+            raise ValueError("spacing must be positive and finite")
         if self.origin is None:
             # Center the box on the coordinate origin by default.
             self.origin = -0.5 * self.spacing * (np.array(self.values.shape) - 1.0)
         self.origin = np.asarray(self.origin, dtype=float)
         if self.origin.shape != (self.values.ndim,):
             raise ValueError("origin length must match field dimension")
+        if not np.isfinite(self.origin).all():
+            raise ValueError("origin must be finite")
 
     @property
     def dims(self) -> int:
@@ -328,29 +331,58 @@ class GridField:
             fh.write("shape " + " ".join(str(s) for s in self.values.shape) + "\n")
             fh.write(f"spacing {self.spacing:.16e}\n")
             fh.write("origin " + " ".join(f"{x:.16e}" for x in self.origin) + "\n")
-            for row in self.values.reshape(self.values.shape[0], -1):
-                fh.write(" ".join(f"{x:.16e}" for x in row) + "\n")
+            np.savetxt(fh, self.values.reshape(self.values.shape[0], -1),
+                       fmt="%.16e", delimiter=" ")
 
     @classmethod
     def load_raw(cls, path) -> "GridField":
+        """Read a grid file: `dims`, `shape`, `spacing` and optional `origin`
+        header lines, then the values in row-major order.
+
+        Raises ValueError naming the fault: a missing or malformed header
+        line, `dims` disagreeing with `shape`, a value count other than the
+        product of `shape`, or the first non-finite value (data row and
+        column, both 1-based).
+        """
         with open(path) as fh:
             header = {}
             pos = fh.tell()
             for _ in range(4):
-                line = fh.readline()
-                key, *rest = line.split()
-                if key in ("dims", "shape", "spacing", "origin"):
-                    header[key] = rest
+                words = fh.readline().split()
+                if words and words[0] in ("dims", "shape", "spacing", "origin"):
+                    header[words[0]] = words[1:]
                     pos = fh.tell()
                 else:
                     fh.seek(pos)
                     break
-            data = np.loadtxt(fh).ravel()
-        shape = tuple(int(s) for s in header["shape"])
-        origin = None
-        if "origin" in header:
-            origin = np.array([float(x) for x in header["origin"]])
-        return cls(float(header["spacing"][0]), data.reshape(shape), origin)
+            with warnings.catch_warnings():
+                # An empty data section is reported below by the value count.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, ndmin=2)
+        for key in ("dims", "shape", "spacing"):
+            if key not in header:
+                raise ValueError(f"grid file {path}: missing header line '{key}'")
+        try:
+            (dims,) = map(int, header["dims"])
+            shape = tuple(map(int, header["shape"]))
+            (spacing,) = map(float, header["spacing"])
+            origin = np.array(header["origin"], dtype=float) if "origin" in header else None
+        except ValueError:
+            raise ValueError(f"grid file {path}: malformed header "
+                             + "; ".join(" ".join([k, *v]) for k, v in header.items())) from None
+        if dims != len(shape):
+            raise ValueError(f"grid file {path}: dims {dims} but shape has {len(shape)} entries")
+        if min(shape, default=0) < 1:
+            raise ValueError(f"grid file {path}: shape entries must be positive")
+        if data.size != math.prod(shape):
+            raise ValueError(f"grid file {path}: {data.size} values, "
+                             f"shape {' '.join(map(str, shape))} needs {math.prod(shape)}")
+        finite = np.isfinite(data)
+        if not finite.all():
+            row, col = divmod(int(np.argmin(finite)), data.shape[1])
+            raise ValueError(f"grid file {path}: non-finite value {data[row, col]} "
+                             f"in data row {row + 1}, column {col + 1}")
+        return cls(spacing, data.reshape(shape), origin)
 
 
 @dataclass
@@ -382,6 +414,13 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
     semi-continuous fields; the result is non-decreasing in r by
     construction.  Radii must not exceed the distance from the center to the
     box boundary.
+
+    Each node is binned into the first requested ball that contains it; the
+    per-bin maximum and the least distance of a node attaining it, followed
+    by a running maximum over the bins (ties keep the earlier bin), give
+    wtilde and r_attained without sorting the nodes.  When no node lies
+    within radii[0], the balls up to the first nonempty one report the node
+    nearest the center.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (f.dims,):
@@ -402,19 +441,28 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
         raise ValueError(
             f"radius {radii[-1]:.4g} exceeds distance {r_boundary:.4g} to the box boundary")
 
-    dist = np.sqrt(((f.node_coordinates() - center) ** 2).sum(axis=1))
-    order = np.argsort(dist, kind="stable")
-    dist_sorted = dist[order]
-    vals_sorted = f.values.ravel()[order]
-    running_max = np.maximum.accumulate(vals_sorted)
-    # Distance at which each running maximum was attained.
-    arg_running = np.arange(len(vals_sorted))
-    improved = np.r_[True, vals_sorted[1:] > running_max[:-1]]
-    last_improve = np.maximum.accumulate(np.where(improved, arg_running, -1))
-    attained_dist = dist_sorted[last_improve]
-    # Always include at least the node closest to the center.
-    idx = np.maximum(np.searchsorted(dist_sorted, radii, side="right") - 1, 0)
-    return EnvelopeProfile(radii, running_max[idx], attained_dist[idx], {
+    # The node distances of node_coordinates(), summed over an open mesh.
+    dist = np.sqrt(sum(np.ix_(*[(x - c) ** 2 for x, c in zip(f.axes(), center)]))).ravel()
+    vals = f.values.ravel()
+    # Each node joins the first ball that contains it; bin len(radii) holds
+    # the nodes outside every ball.
+    bins = np.searchsorted(radii, dist, side="left")
+    bin_max = np.full(len(radii), -np.inf)
+    bin_dist = np.full(len(radii), np.inf)
+    nearest = int(np.argmin(dist))
+    if bins[nearest] > 0:
+        # No node lies within radii[0]: the first balls use the node nearest the center.
+        bin_max[0], bin_dist[0] = vals[nearest], dist[nearest]
+    inside = bins < len(radii)
+    bins, dist, vals = bins[inside], dist[inside], vals[inside]
+    np.maximum.at(bin_max, bins, vals)
+    top = vals == bin_max[bins]
+    np.minimum.at(bin_dist, bins[top], dist[top])
+    running_max = np.maximum.accumulate(bin_max)
+    # Ties keep the earlier bin, whose attaining node lies closer to the center.
+    improved = np.r_[True, bin_max[1:] > running_max[:-1]]
+    first = np.maximum.accumulate(np.where(improved, np.arange(len(radii)), 0))
+    return EnvelopeProfile(radii, running_max, bin_dist[first], {
         "center": center.tolist(),
         "shape": list(f.values.shape),
         "spacing": f.spacing,
@@ -475,16 +523,22 @@ def save_profile_csv(p: RadialProfile, path):
 
 
 def load_profile_csv(path, n: int, k: int) -> RadialProfile:
+    """Read a profile CSV with columns r, w and optionally both dw and d2w.
+
+    A non-finite or unparsable value raises ValueError naming its column and
+    1-based data row.
+    """
     with open(path) as fh:
         text = fh.read()
     rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
     names = rows.dtype.names
-    r = np.atleast_1d(rows["r"])
-    w = np.atleast_1d(rows["w"])
-    dw = d2w = None
-    if "dw" in names and "d2w" in names:
-        dw = np.atleast_1d(rows["dw"])
-        d2w = np.atleast_1d(rows["d2w"])
-        if np.any(~np.isfinite(dw)) or np.any(~np.isfinite(d2w)):
-            dw = d2w = None
-    return RadialProfile.from_samples(r, w, n, k, dw=dw, d2w=d2w)
+    columns = ("r", "w", "dw", "d2w") if "dw" in names and "d2w" in names else ("r", "w")
+    samples = {}
+    for name in columns:
+        samples[name] = np.atleast_1d(rows[name])
+        bad = np.flatnonzero(~np.isfinite(samples[name]))
+        if len(bad):
+            raise ValueError(f"profile {path}: column {name} must be finite, "
+                             f"data row {bad[0] + 1} is {samples[name][bad[0]]}")
+    return RadialProfile.from_samples(samples["r"], samples["w"], n, k,
+                                      dw=samples.get("dw"), d2w=samples.get("d2w"))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from khessian.analysis import (
     annulus_volume,
     end_count,
+    field_gradient,
+    field_hessian,
     fit_volume_expansion,
     harnack_from_w_profile,
     harnack_ratio,
@@ -18,6 +21,7 @@ from khessian.analysis import (
     pucci_min,
     sphere_area,
     u_field_admissible_mask,
+    u_field_sigma,
     volume_ratio,
 )
 from khessian.radial import GridField, RadialProfile
@@ -146,6 +150,117 @@ class TestMollify:
             mollify(f, 0.1)   # below two grid cells
         with pytest.raises(ValueError):
             mollify(f, 0.45)  # consumes the whole box
+
+
+def shifted_mollify(f, eps):
+    """Reference mollifier (the package's former implementation): one
+    full-array shifted add per lattice offset of the bump kernel."""
+    m = int(math.floor(eps / f.spacing + 1e-12))
+    offsets, weights = [], []
+    for off in itertools.product(range(-m, m + 1), repeat=f.dims):
+        s = math.sqrt(sum(o * o for o in off)) * f.spacing / eps
+        if s <= 1.0:
+            offsets.append(off)
+            weights.append((1.0 - s * s) ** 4)
+    weights = np.array(weights) / np.sum(weights)
+    out = np.zeros(tuple(s - 2 * m for s in f.values.shape))
+    for off, wgt in zip(offsets, weights):
+        sl = tuple(slice(m + o, s - m + o) for o, s in zip(off, f.values.shape))
+        out += wgt * f.values[sl]
+    return out
+
+
+def u_gauge_matrices(f):
+    """Stacked (..., d, d) u-gauge matrices D^2 u - |Du|^2/(2u) I at interior nodes."""
+    grads, inner = field_gradient(f)
+    H = field_hessian(f)
+    u = f.values[inner]
+    g2 = sum(g * g for g in grads)
+    d = f.dims
+    M = np.empty(u.shape + (d, d))
+    for i in range(d):
+        for j in range(i, d):
+            entry = H[(i, j)] - (g2 / (2.0 * u) if i == j else 0.0)
+            M[..., i, j] = M[..., j, i] = entry
+    return M
+
+
+def stacked_sigma(M, j):
+    """Reference sigma_j (the package's former implementation): trace,
+    (tr^2 - |M|_F^2)/2 and np.linalg.det of the stacked matrices."""
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    if j == 1:
+        return tr
+    if j == 2:
+        return 0.5 * (tr**2 - (M * M).sum(axis=(-2, -1)))
+    return np.linalg.det(M)
+
+
+def eig_sigma(M, j):
+    """sigma_j as the elementary symmetric polynomial of np.linalg.eigvalsh."""
+    lam = np.linalg.eigvalsh(M)
+    return sum(np.prod(lam[..., list(c)], axis=-1)
+               for c in itertools.combinations(range(M.shape[-1]), j))
+
+
+def random_u_field(seed, shape=(11, 12, 13), h=0.1):
+    """Positive field with a paraboloid trend and random node noise, so that
+    every sigma_j takes both signs."""
+    rng = np.random.default_rng(seed)
+    f = GridField(h, np.zeros(shape))
+    r2 = (f.node_coordinates() ** 2).sum(axis=1).reshape(shape)
+    f.values = 1.0 + rng.uniform(0.2, 1.0) * r2 + rng.uniform(0.0, 0.02, shape)
+    return f
+
+
+@pytest.mark.filterwarnings("error")
+class TestGridFieldExactness:
+    """The grouped mollifier and the entrywise sigma_j agree with the former
+    shifted-add and stacked-matrix implementations."""
+
+    @pytest.mark.parametrize("shape", [(23, 19), (15, 14, 16)])
+    @pytest.mark.parametrize("cells", [2.0, 2.5, 4.0])
+    def test_mollify_matches_shifted_adds(self, shape, cells):
+        rng = np.random.default_rng(len(shape) * 10 + int(2 * cells))
+        h = 0.05
+        f = GridField(h, rng.normal(size=shape) + 3.0)
+        got = mollify(f, cells * h)
+        want = shifted_mollify(f, cells * h)
+        m = int(math.floor(cells + 1e-12))
+        assert got.values.shape == want.shape
+        assert np.array_equal(got.origin, f.origin + m * h)
+        assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [(20, 20, 20), (30, 27)])
+    @pytest.mark.parametrize("c", [7.123456789, -0.3, 1e200, 6.02e-23])
+    def test_mollify_moves_constants_by_a_few_ulp(self, shape, c):
+        h = 2.0 / 127
+        f = GridField(h, np.full(shape, c))
+        for eps in (2.0 * h, 2.5 * h, 4.0 * h):
+            moved = np.abs(mollify(f, eps).values - c).max()
+            assert moved <= 4.0 * np.finfo(float).eps * abs(c)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sigma_matches_stacked_matrix(self, seed, k):
+        f = random_u_field(seed)
+        cone = ConeParams(3, k)
+        sigmas, inner = u_field_sigma(f, cone)
+        assert inner == (slice(1, -1),) * 3
+        M = u_gauge_matrices(f)
+        assert len(sigmas) == k
+        for j, got in enumerate(sigmas, start=1):
+            for want in (stacked_sigma(M, j), eig_sigma(M, j)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for strict in (False, True):
+            want_ok = np.ones(M.shape[:-2], dtype=bool)
+            for j in range(1, k + 1):
+                s = stacked_sigma(M, j)
+                want_ok &= s > 0.0 if strict else s >= 0.0
+            ok, _ = u_field_admissible_mask(f, cone, strict=strict)
+            assert np.array_equal(ok, want_ok)
+            if k > 1:
+                assert 0 < ok.sum() < ok.size
 
 
 class TestPointwiseMax:

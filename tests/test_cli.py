@@ -258,6 +258,37 @@ class TestEnvelopeCommand:
         assert lines[0] == "r,wtilde,r_attained"
         assert "0 violation(s)" in capsys.readouterr().out
 
+    GRID_HEADER = "dims 2\nshape 3 4\nspacing 0.5\n"
+    GRID_ROWS = ["1 2 3 4", "5 6 7 8", "9 10 11 12"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, named", [
+        ("dims 2\nshape 3 4\n" + "\n".join(GRID_ROWS), "missing header line 'spacing'"),
+        ("shape 3 4\nspacing 0.5\n" + "\n".join(GRID_ROWS), "missing header line 'dims'"),
+        ("dims 3\nshape 3 4\nspacing 0.5\n" + "\n".join(GRID_ROWS),
+         "dims 3 but shape has 2 entries"),
+        (GRID_HEADER + "\n".join(GRID_ROWS[:2]), "8 values, shape 3 4 needs 12"),
+        (GRID_HEADER, "0 values, shape 3 4 needs 12"),
+        (GRID_HEADER + "\n".join(GRID_ROWS + ["13 14 15 16"]), "16 values, shape 3 4 needs 12"),
+        (GRID_HEADER + "1 2 3 4\n5 nan 7 8\n9 10 11 12",
+         "non-finite value nan in data row 2, column 2"),
+        (GRID_HEADER + "1 2 3 4\n5 6 7 8\n9 10 11 -inf",
+         "non-finite value -inf in data row 3, column 4"),
+        ("dims 2\nshape 3 four\nspacing 0.5\n" + "\n".join(GRID_ROWS), "malformed header"),
+        ("dims 2\nshape 0 4\nspacing 0.5\n", "shape entries must be positive"),
+        ("dims 2\nshape 3 4\nspacing inf\n" + "\n".join(GRID_ROWS),
+         "spacing must be positive and finite"),
+    ], ids=["no-spacing", "no-dims", "dims-vs-shape", "short", "empty", "long", "nan", "inf",
+            "bad-shape", "zero-shape", "inf-spacing"])
+    def test_malformed_grid_exits_3(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.grid"
+        path.write_text(text + "\n")
+        code = main(["envelope", "--grid", str(path), "--center", "0,0",
+                     "--out", str(tmp_path / "env.csv")])
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "env.csv").exists()
+
 
 class TestHarnackCommand:
     def test_analytic_family(self, tmp_path, capsys):
@@ -285,6 +316,18 @@ class TestHarnackCommand:
         path.write_text("r,w\n" + "".join(lines))
         assert main([command, "--profile", str(path), "--n", "3", "--k", "2"]) == 3
         assert f"{column} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["harnack", "classify"])
+    @pytest.mark.parametrize("column", ["dw", "d2w"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "x"])
+    def test_bad_derivative_exits_3(self, fundamental_csv, capsys, command, column, bad):
+        lines = fundamental_csv.read_text().splitlines()
+        cells = lines[18].split(",")
+        cells[lines[0].split(",").index(column)] = bad
+        lines[18] = ",".join(cells)
+        fundamental_csv.write_text("\n".join(lines) + "\n")
+        assert main([command, "--profile", str(fundamental_csv), "--n", "3", "--k", "2"]) == 3
+        assert f"column {column} must be finite, data row 18" in capsys.readouterr().err
 
 
 class TestVolumeCommand:

@@ -333,6 +333,99 @@ class TestEnvelope:
         assert "b" in kinds
 
 
+def sorted_envelope(f, center, radii):
+    """Reference envelope (the package's former implementation): a stable
+    argsort of all node distances and a running maximum along it."""
+    dist = np.sqrt(((f.node_coordinates() - center) ** 2).sum(axis=1))
+    order = np.argsort(dist, kind="stable")
+    dist_sorted = dist[order]
+    vals_sorted = f.values.ravel()[order]
+    running_max = np.maximum.accumulate(vals_sorted)
+    improved = np.r_[True, vals_sorted[1:] > running_max[:-1]]
+    last_improve = np.maximum.accumulate(np.where(improved, np.arange(len(vals_sorted)), -1))
+    idx = np.maximum(np.searchsorted(dist_sorted, radii, side="right") - 1, 0)
+    return running_max[idx], dist_sorted[last_improve][idx]
+
+
+ENVELOPE_FIELDS = ["constant", "random", "rounded", "bumps"]
+
+
+def envelope_field(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    f = GridField(0.05, np.zeros(shape))
+    if kind == "constant":
+        f.values = np.full(shape, 0.7)
+    elif kind == "random":
+        f.values = rng.normal(size=shape)
+    elif kind == "rounded":
+        # Few distinct values: many ties inside and across balls.
+        f.values = np.round(rng.normal(size=shape), 1)
+    else:
+        coords = f.node_coordinates()
+        centers = rng.uniform(-0.3, 0.3, size=(2, len(shape)))
+        f.values = bump_field(coords, centers, [0.5, 0.4], [0.0, 0.1]).reshape(shape)
+    return f
+
+
+@pytest.mark.filterwarnings("error")
+class TestEnvelopeExactness:
+    """The binned envelope equals the former sorted running maximum bit for bit."""
+
+    @pytest.mark.parametrize("kind", ENVELOPE_FIELDS)
+    @pytest.mark.parametrize("shape, center", [
+        ((40, 37), (0.0, 0.0)),            # off-node along axis 0
+        ((41, 41), (0.0, 0.0)),            # node center
+        ((41, 41), (0.0123, -0.0311)),
+        ((16, 19, 20), (0.0, 0.0, 0.0)),   # off-node along two axes
+        ((17, 17, 17), (0.0, 0.0, 0.0)),   # node center
+        ((17, 17, 17), (0.021, -0.013, 0.04)),
+    ])
+    def test_matches_sorted_running_max(self, kind, shape, center):
+        f = envelope_field(kind, shape, seed=len(shape) + shape[0])
+        center = np.asarray(center)
+        dist = np.sqrt(((f.node_coordinates() - center) ** 2).sum(axis=1))
+        lattice = np.unique(dist)
+        env = radial_envelope(f, center)
+        r_max = env.r[-1]
+        lattice = lattice[lattice <= r_max]
+        radii_cases = [
+            env.r,
+            lattice[1:],                                  # radii equal to node distances
+            lattice[::3][1:],
+            np.r_[0.25 * lattice[lattice > 0][0], np.linspace(0.05, r_max, 7)],
+            np.linspace(0.3 * r_max, r_max, 5),           # first radius holds many nodes
+            np.array([0.5 * lattice[lattice > 0][0]]),    # shorter than any positive distance
+        ]
+        for radii in radii_cases:
+            env = radial_envelope(f, center, radii=radii)
+            wtilde, r_attained = sorted_envelope(f, center, radii)
+            assert np.array_equal(env.wtilde, wtilde)
+            assert np.array_equal(env.r_attained, r_attained)
+
+    @pytest.mark.parametrize("kind", ENVELOPE_FIELDS)
+    def test_first_radius_shorter_than_nearest_node(self, kind):
+        # The center sits between nodes, so no node lies within radii[0].
+        f = envelope_field(kind, (24, 24), seed=5)
+        center = np.array([0.011, 0.007])
+        radii = np.r_[0.001, 0.002, np.linspace(0.05, 0.5, 10)]
+        env = radial_envelope(f, center, radii=radii)
+        wtilde, r_attained = sorted_envelope(f, center, radii)
+        assert np.array_equal(env.wtilde, wtilde)
+        assert np.array_equal(env.r_attained, r_attained)
+        assert env.r_attained[0] > radii[0]
+
+
+def line_by_line_save(f, path):
+    """Reference grid writer (the package's former implementation)."""
+    with open(path, "w") as fh:
+        fh.write(f"dims {f.dims}\n")
+        fh.write("shape " + " ".join(str(s) for s in f.values.shape) + "\n")
+        fh.write(f"spacing {f.spacing:.16e}\n")
+        fh.write("origin " + " ".join(f"{x:.16e}" for x in f.origin) + "\n")
+        for row in f.values.reshape(f.values.shape[0], -1):
+            fh.write(" ".join(f"{x:.16e}" for x in row) + "\n")
+
+
 class TestGridFieldIO:
     def test_raw_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -351,6 +444,21 @@ class TestGridFieldIO:
         g = GridField.load_raw(path)
         assert g.values.shape == (3, 3, 3)
         assert np.array_equal(g.values, f.values)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(9, 7), (1, 1), (5, 4, 3), (2, 1, 6)])
+    def test_writer_bytes_unchanged(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [1e300, -1e-300, 5e-324, -0.0, 0.0, 2.2250738585072014e-308,
+                   -1.7976931348623157e308, np.pi]
+        values.ravel()[:len(special)] = special[:values.size]
+        f = GridField(0.1234567, values, origin=-rng.uniform(0.0, 1.0, len(shape)))
+        f.save_raw(tmp_path / "new.grid")
+        line_by_line_save(f, tmp_path / "old.grid")
+        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
+        g = GridField.load_raw(tmp_path / "new.grid")
+        assert np.array_equal(g.values, f.values) and np.array_equal(g.origin, f.origin)
 
     def test_minimal_header_without_origin(self, tmp_path):
         # origin line is optional; the box then centers on the origin
