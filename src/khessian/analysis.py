@@ -122,7 +122,7 @@ def _bump_offsets(dims: int, spacing: float, eps: float):
     offsets, weights = [], []
     for off in itertools.product(range(-m, m + 1), repeat=dims):
         s = math.sqrt(sum(o * o for o in off)) * spacing / eps
-        if s <= 1.0:
+        if s < 1.0:
             offsets.append(off)
             weights.append((1.0 - s * s) ** 4)
     w = np.array(weights)

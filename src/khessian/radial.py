@@ -282,6 +282,29 @@ def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
 # Cartesian grid fields and the radial envelope
 # ---------------------------------------------------------------------------
 
+def _data_fault(lines):
+    """The first value or row of grid data lines that np.loadtxt cannot read,
+    or None if Python's float reads them all (rows counted as loadtxt counts
+    them: blank and comment lines skipped)."""
+    expected = None
+    row = 0
+    for line in lines:
+        words = line.split("#", 1)[0].split()
+        if not words:
+            continue
+        row += 1
+        for col, word in enumerate(words, start=1):
+            try:
+                float(word)
+            except ValueError:
+                return f"unparsable value {word!r} in data row {row}, column {col}"
+        if expected is None:
+            expected = len(words)
+        elif len(words) != expected:
+            return f"data row {row} has {len(words)} values, expected {expected}"
+    return None
+
+
 @dataclass
 class GridField:
     """Scalar samples on a uniform Cartesian box (2 or 3 dimensions)."""
@@ -340,9 +363,10 @@ class GridField:
         header lines, then the values in row-major order.
 
         Raises ValueError naming the fault: a missing or malformed header
-        line, `dims` disagreeing with `shape`, a value count other than the
-        product of `shape`, or the first non-finite value (data row and
-        column, both 1-based).
+        line, an unparsable value or a data row of the wrong length, `dims`
+        disagreeing with `shape`, a value count other than the product of
+        `shape`, or the first non-finite value (data rows and columns are
+        1-based).
         """
         with open(path) as fh:
             header = {}
@@ -358,7 +382,11 @@ class GridField:
             with warnings.catch_warnings():
                 # An empty data section is reported below by the value count.
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, ndmin=2)
+                try:
+                    data = np.loadtxt(fh, ndmin=2)
+                except ValueError as exc:
+                    fh.seek(pos)
+                    raise ValueError(f"grid file {path}: {_data_fault(fh) or exc}") from None
         for key in ("dims", "shape", "spacing"):
             if key not in header:
                 raise ValueError(f"grid file {path}: missing header line '{key}'")

@@ -735,7 +735,13 @@ def solve_eigenvalue(problem: RadialProblem, config: SolverConfig,
     limit a -> 0, and returns the solution normalized by inf w = 0.  The
     normalized output is seed-independent (solutions are closed under
     additive constants).
+
+    The scheme defines an eigenvalue only on the sphere reduction; any other
+    domain raises ValueError.
     """
+    if not isinstance(problem.domain, SphereConstant):
+        raise ValueError("the p = k eigenvalue problem is defined only on the sphere "
+                         f"reduction (sphere_constant), not on {type(problem.domain).__name__}")
     n, k = problem.cone.n, problem.cone.k
     if a_sequence is None:
         a_sequence = [2.0**-j for j in range(1, 9)]
@@ -761,9 +767,7 @@ def solve_eigenvalue(problem: RadialProblem, config: SolverConfig,
                            _c * np.asarray(_f(r), dtype=float), 0.0)
     else:
         rhs_check = ExpRHS(theta * wgauge_rhs_amplitude(float(problem.f), n, k), 0.0)
-    res = system.residual(w0, rhs_check)
-    inner = res[:-1] if system.kind == "ball" else (res[1:-1] if system.kind == "annulus" else res)
-    residual_check = float(np.abs(inner).max())
+    residual_check = float(np.abs(system.residual(w0, rhs_check)).max())
     return EigenResult(theta, w0, system.r, thetas, list(aa), residual_check)
 
 

@@ -9,7 +9,6 @@ callers that need slack pass an explicit margin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,27 +75,31 @@ def _as_vector(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ValueError("eigenvalue input must be one-dimensional")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ValueError("eigenvalue entries must be finite")
     return lam
 
 
-def sigma_all(lam, kmax: int) -> np.ndarray:
-    """Return [sigma_0, ..., sigma_kmax] by the stable one-pass recurrence.
+def _sigmas(xs: list, kmax: int) -> list:
+    """[sigma_0, ..., sigma_kmax] of the Python floats xs (kmax >= 0).
 
     Uses e_j(x_1..x_m) = e_j(x_1..x_{m-1}) + x_m e_{j-1}(x_1..x_{m-1}),
     updating in place from the top index down.
     """
-    lam = _as_vector(lam)
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    e = np.zeros(kmax + 1)
-    e[0] = 1.0
-    for x in lam:
-        top = min(kmax, len(lam))
+    e = [1.0] + [0.0] * kmax
+    top = min(kmax, len(xs))
+    for x in xs:
         for j in range(top, 0, -1):
             e[j] += x * e[j - 1]
     return e
+
+
+def sigma_all(lam, kmax: int) -> np.ndarray:
+    """Return [sigma_0, ..., sigma_kmax] by the stable one-pass recurrence."""
+    lam = _as_vector(lam)
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    return np.array(_sigmas(lam.tolist(), kmax))
 
 
 def sigma(lam, j: int) -> float:
@@ -104,7 +107,7 @@ def sigma(lam, j: int) -> float:
     lam = _as_vector(lam)
     if not 0 <= j <= len(lam):
         raise ValueError(f"sigma order j={j} out of range for {len(lam)} eigenvalues")
-    return float(sigma_all(lam, j)[j])
+    return _sigmas(lam.tolist(), j)[j]
 
 
 def sigma_gradient(lam, k: int) -> np.ndarray:
@@ -113,10 +116,8 @@ def sigma_gradient(lam, k: int) -> np.ndarray:
     n = len(lam)
     if not 1 <= k <= n:
         raise ValueError(f"gradient order k={k} out of range for n={n}")
-    grad = np.empty(n)
-    for i in range(n):
-        grad[i] = sigma(np.delete(lam, i), k - 1)
-    return grad
+    xs = lam.tolist()
+    return np.array([_sigmas(xs[:i] + xs[i + 1:], k - 1)[k - 1] for i in range(n)])
 
 
 def in_gamma_k(lam, k: int, margin: float = 0.0) -> bool:
@@ -126,8 +127,7 @@ def in_gamma_k(lam, k: int, margin: float = 0.0) -> bool:
         raise ValueError("cone membership needs at least two eigenvalues")
     if not 1 <= k <= len(lam):
         raise ValueError(f"cone order k={k} out of range for n={len(lam)}")
-    e = sigma_all(lam, k)
-    return bool(np.all(e[1:] > margin))
+    return all(s > margin for s in _sigmas(lam.tolist(), k)[1:])
 
 
 def in_gamma_k_closure(lam, k: int, margin: float = 0.0) -> bool:
@@ -137,8 +137,7 @@ def in_gamma_k_closure(lam, k: int, margin: float = 0.0) -> bool:
         raise ValueError("cone membership needs at least two eigenvalues")
     if not 1 <= k <= len(lam):
         raise ValueError(f"cone order k={k} out of range for n={len(lam)}")
-    e = sigma_all(lam, k)
-    return bool(np.all(e[1:] >= -margin))
+    return all(s >= -margin for s in _sigmas(lam.tolist(), k)[1:])
 
 
 def in_sigma_delta(lam, delta: float) -> bool:
@@ -146,7 +145,7 @@ def in_sigma_delta(lam, delta: float) -> bool:
     lam = _as_vector(lam)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return bool(np.all(lam > -delta * lam.sum()))
+    return bool((lam > -delta * lam.sum()).all())
 
 
 def _require_symmetric(S) -> np.ndarray:
@@ -155,7 +154,7 @@ def _require_symmetric(S) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if S.shape[0] > MAX_MATRIX_DIM:
         raise ValueError(f"matrices larger than {MAX_MATRIX_DIM}x{MAX_MATRIX_DIM} are unsupported")
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(S).max()))
     if np.abs(S - S.T).max() > 1e-10 * scale:
@@ -163,43 +162,18 @@ def _require_symmetric(S) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def sym_eigenvalues(S, sweeps: int = 30) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+def sym_eigenvalues(S) -> np.ndarray:
+    """Eigenvalues of a small symmetric matrix, in ascending order.
 
-    Deterministic and dependency-free; accurate for the n <= 16 matrices this
-    package works with.  Returned in ascending order.
+    Computed by LAPACK `syevd` through `np.linalg.eigvalsh` after the
+    symmetry, size and finiteness checks; diagonal input gives its sorted
+    diagonal exactly.
     """
-    A = _require_symmetric(S).copy()
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy()
-    fro = max(np.sqrt((A * A).sum()), 1e-300)
-    for _ in range(sweeps):
-        off = np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum())
-        if off <= 1e-15 * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-    return np.sort(A.diagonal())
+    return np.linalg.eigvalsh(_require_symmetric(S))
 
 
 def sigma_of_matrix(S, k: int) -> float:
     """sigma_k of the eigenvalues of a symmetric matrix (sum of principal k-minors)."""
-    S = _require_symmetric(S)
     return sigma(sym_eigenvalues(S), k)
 
 

@@ -124,6 +124,19 @@ class TestSolveCommand:
         csv_lines = (tmp_path / "eig_solution.csv").read_text().splitlines()
         assert csv_lines[0] == "r,w,v,residual"
 
+    @pytest.mark.parametrize("domain", [
+        {"type": "ball", "r1": 1.0, "bc": 0.0},
+        {"type": "annulus", "r0": 0.5, "r1": 1.0, "bc": [0.0, 0.0]},
+    ], ids=["ball", "annulus"])
+    def test_eigenvalue_off_the_sphere_exits_3(self, tmp_path, capsys, domain):
+        spec = {"n": 3, "k": 2, "p": 2.0, "domain": domain, "solver": {"N": 128}}
+        path = tmp_path / "eigen.json"
+        path.write_text(json.dumps(spec))
+        code = main(["solve", "--problem", str(path), "--out-prefix", str(tmp_path / "eig")])
+        assert code == 3
+        assert "defined only on the sphere reduction" in capsys.readouterr().err
+        assert not (tmp_path / "eig_summary.json").exists()
+
     def test_supercritical_regime(self, tmp_path, capsys):
         spec = {"n": 3, "k": 2, "p": 4.0,
                 "domain": {"type": "sphere_constant"},
@@ -278,8 +291,12 @@ class TestEnvelopeCommand:
         ("dims 2\nshape 0 4\nspacing 0.5\n", "shape entries must be positive"),
         ("dims 2\nshape 3 4\nspacing inf\n" + "\n".join(GRID_ROWS),
          "spacing must be positive and finite"),
+        (GRID_HEADER + "1 2 3 4\n5 abc 7 8\n9 10 11 12",
+         "unparsable value 'abc' in data row 2, column 2"),
+        (GRID_HEADER + "# comment\n1 2 3 4\n\n5 6 7\n9 10 11 12",
+         "data row 2 has 3 values, expected 4"),
     ], ids=["no-spacing", "no-dims", "dims-vs-shape", "short", "empty", "long", "nan", "inf",
-            "bad-shape", "zero-shape", "inf-spacing"])
+            "bad-shape", "zero-shape", "inf-spacing", "unparsable", "ragged"])
     def test_malformed_grid_exits_3(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.grid"
         path.write_text(text + "\n")
@@ -369,11 +386,15 @@ class TestVolumeCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.filterwarnings("error")
     def test_passes_with_table(self, capsys):
         assert main(["verify", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "all checks passed" in out
+        lines = out.splitlines()
+        assert len(lines) == 15 and all(ln.startswith("[PASS] ") for ln in lines[:-1])
+        assert lines[-1] == "all checks passed"
 
 
 def test_unknown_command_exits_3(capsys):

@@ -256,6 +256,13 @@ class TestEigenvalue:
             assert np.abs(base.w - again.w).max() <= 1e-8
             assert base.theta == pytest.approx(again.theta, rel=1e-8)
 
+    @pytest.mark.parametrize("domain", [Ball(1.0, 0.0), Annulus(0.5, 1.0, 0.0, 0.0)],
+                             ids=["ball", "annulus"])
+    def test_rejects_domains_off_the_sphere(self, domain):
+        problem = RadialProblem(CONE32, domain, p=2.0, f=1.0)
+        with pytest.raises(ValueError, match="defined only on the sphere reduction"):
+            solve_eigenvalue(problem, SolverConfig(N=64))
+
 
 class TestContinuation:
     def fold_branch(self, delta0=1.0, **kw):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,3 +276,187 @@ def test_sigma_all_one_pass_consistency():
     e = sigma_all(lam, 7)
     for j in range(8):
         assert e[j] == pytest.approx(sigma(lam, j), rel=1e-14, abs=1e-14)
+
+
+def array_sigma_all(lam, kmax):
+    """Reference recurrence (the package's former sigma_all): the same top-down
+    update on a numpy array indexed element by element.  Overflow is silenced
+    here; the package gives the same inf and nan without a warning."""
+    lam = np.asarray(lam, dtype=float)
+    e = np.zeros(kmax + 1)
+    e[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in lam:
+            top = min(kmax, len(lam))
+            for j in range(top, 0, -1):
+                e[j] += x * e[j - 1]
+    return e
+
+
+def jacobi_eigenvalues(S, sweeps=30):
+    """Reference eigensolver (the package's former sym_eigenvalues): cyclic
+    Jacobi rotations on the symmetrized matrix, ascending."""
+    A = 0.5 * (np.asarray(S, dtype=float) + np.asarray(S, dtype=float).T)
+    n = A.shape[0]
+    if n == 1:
+        return A.diagonal().copy()
+    fro = max(np.sqrt((A * A).sum()), 1e-300)
+    for _ in range(sweeps):
+        off = np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum())
+        if off <= 1e-15 * fro:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= 1e-18 * fro:
+                    continue
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                rp, rq = A[p, :].copy(), A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp, cq = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                A[p, q] = A[q, p] = 0.0
+    return np.sort(A.diagonal())
+
+
+def random_vectors(seed, count=60):
+    """Random eigenvalue vectors for n = 1..9: unit scale, whole vectors scaled
+    by 1e200 or 1e-200, and entries spread over 1e-200..1e200."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 10):
+        for i in range(count):
+            lam = rng.normal(size=n)
+            mode = i % 4
+            if mode == 1:
+                lam *= 1e200
+            elif mode == 2:
+                lam *= 1e-200
+            elif mode == 3:
+                lam *= 10.0 ** rng.uniform(-200.0, 200.0, size=n)
+            yield lam
+
+
+def boundary_vectors():
+    """Vectors with some sigma_j exactly 0: the cone boundary."""
+    yield np.zeros(4)
+    yield np.array([1.0, 1.0, -0.5])          # sigma_2 = 0
+    yield np.array([2.0, 0.0, 3.0, 1.0])      # sigma_4 = 0
+    yield np.array([1.0, -1.0])               # sigma_1 = 0
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        yield rng.integers(-2, 3, size=n).astype(float)
+
+
+@pytest.mark.filterwarnings("error")
+class TestAgainstFormerKernels:
+    """sigma_all, sigma and the cone tests equal the former numpy-array
+    recurrence bit for bit; sym_eigenvalues agrees with the former Jacobi."""
+
+    def test_sigma_all_bit_identical(self):
+        for lam in random_vectors(20):
+            n = len(lam)
+            for kmax in (0, n, n + 3):
+                assert np.array_equal(sigma_all(lam, kmax), array_sigma_all(lam, kmax),
+                                      equal_nan=True)
+
+    def test_sigma_bit_identical(self):
+        for lam in random_vectors(21, count=20):
+            for j in range(len(lam) + 1):
+                got, want = sigma(lam, j), array_sigma_all(lam, j)[j]
+                assert type(got) is float
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_sigma_gradient_bit_identical(self):
+        for lam in random_vectors(22, count=20):
+            n = len(lam)
+            for k in range(1, n + 1):
+                want = [array_sigma_all(np.delete(lam, i), k - 1)[k - 1] for i in range(n)]
+                assert np.array_equal(sigma_gradient(lam, k), want, equal_nan=True)
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-12, 0.1, -0.1])
+    def test_cone_membership_unchanged(self, margin):
+        vectors = itertools.chain(boundary_vectors(),
+                                  (v for v in random_vectors(23, count=12) if len(v) >= 2))
+        seen_boundary = 0
+        for lam in vectors:
+            for k in range(1, len(lam) + 1):
+                e = array_sigma_all(lam, k)[1:]
+                seen_boundary += bool(np.any(e == 0.0))
+                assert in_gamma_k(lam, k, margin) is bool(np.all(e > margin))
+                assert in_gamma_k_closure(lam, k, margin) is bool(np.all(e >= -margin))
+                if margin == 0.0:
+                    assert in_gamma_k(lam, k) is bool(np.all(e > 0.0))
+                    assert in_gamma_k_closure(lam, k) is bool(np.all(e >= 0.0))
+        assert seen_boundary > 100
+
+    def test_eigenvalues_match_jacobi(self):
+        rng = np.random.default_rng(24)
+        for n in range(1, 17):
+            for scale in (1e-3, 1.0, 1e3):
+                S = scale * rng.normal(size=(n, n))
+                S = 0.5 * (S + S.T)
+                got = sym_eigenvalues(S)
+                assert got.shape == (n,)
+                assert np.all(np.diff(got) >= 0.0)
+                tol = 1e-12 * max(1.0, float(np.abs(S).max()))
+                assert np.abs(got - jacobi_eigenvalues(S)).max() <= tol
+
+    def test_diagonal_gives_sorted_diagonal(self):
+        rng = np.random.default_rng(25)
+        for n in range(1, 17):
+            for _ in range(20):
+                d = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0, size=n)
+                d[rng.random(n) < 0.2] = 0.0
+                want = np.sort(d)
+                assert np.array_equal(jacobi_eigenvalues(np.diag(d)), want)
+                assert np.array_equal(sym_eigenvalues(np.diag(d)), want)
+
+    def test_arrow_matrices(self):
+        # A diagonal entry whose border entry is 0 is an exact eigenvalue.  The
+        # former Jacobi kept every such entry exactly; LAPACK keeps those ahead
+        # of the coupled tail, and stays within the tolerance elsewhere.
+        rng = np.random.default_rng(26)
+        for n in range(2, 17):
+            for _ in range(8):
+                d = rng.normal(size=n)
+                c = rng.normal(size=n - 1)
+                S = np.diag(d)
+                S[:-1, -1] = S[-1, :-1] = c
+                tol = 1e-12 * max(1.0, float(np.abs(S).max()))
+                assert np.abs(sym_eigenvalues(S) - jacobi_eigenvalues(S)).max() <= tol
+                head = int(rng.integers(0, n))
+                c[:head] = 0.0
+                S[:-1, -1] = S[-1, :-1] = c
+                got, want = sym_eigenvalues(S), jacobi_eigenvalues(S)
+                assert np.abs(got - want).max() <= tol
+                for x in d[:head]:
+                    assert x in want and x in got
+
+    @pytest.mark.parametrize("call, bad, message", [
+        (lambda v: sigma_all(v, 1), np.ones((2, 2)), "eigenvalue input must be one-dimensional"),
+        (lambda v: sigma(v, 1), [1.0, np.nan], "eigenvalue entries must be finite"),
+        (lambda v: sigma_gradient(v, 1), [[1.0]], "eigenvalue input must be one-dimensional"),
+        (lambda v: in_gamma_k(v, 1), [1.0, np.inf], "eigenvalue entries must be finite"),
+        (lambda v: in_gamma_k_closure(v, 1), 1.0, "eigenvalue input must be one-dimensional"),
+        (lambda v: in_sigma_delta(v, 0.1), [-np.inf, 1.0], "eigenvalue entries must be finite"),
+        (lambda v: sigma_all(v, -1), [1.0], "kmax must be nonnegative"),
+        (lambda v: sigma(v, 3), [1.0, 2.0], "sigma order j=3 out of range for 2 eigenvalues"),
+        (lambda v: in_gamma_k(v, 1), [1.0], "cone membership needs at least two eigenvalues"),
+        (lambda v: in_gamma_k_closure(v, 3), [1.0, 2.0], "cone order k=3 out of range for n=2"),
+        (sym_eigenvalues, np.ones((2, 3)), "expected a square matrix"),
+        (sym_eigenvalues, np.ones(3), "expected a square matrix"),
+        (sym_eigenvalues, np.eye(17), "matrices larger than 16x16 are unsupported"),
+        (sym_eigenvalues, np.diag([1.0, np.nan]), "matrix entries must be finite"),
+        (sym_eigenvalues, np.array([[1.0, 2.0], [0.0, 1.0]]), "matrix is not symmetric"),
+        (lambda S: sigma_of_matrix(S, 1), np.array([[1.0, 1e-9], [0.0, 1.0]]),
+         "matrix is not symmetric"),
+    ])
+    def test_validation_errors_unchanged(self, call, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
