@@ -195,6 +195,7 @@ def cmd_solve(args) -> int:
             summary["newton_iterations"] = sol.newton.iterations
             summary["residual"] = sol.newton.residual
             summary["terminal_order"] = _terminal_order(sol.newton.residual_history)
+            summary["floor_limited"] = sol.newton.floor_limited
         elif p == k:
             eig = solver.solve_eigenvalue(problem, config)
             w = eig.w

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 
 from .conformal import wgauge_rhs_amplitude, wgauge_rhs_exponent
 from .radial import RadialAB, sigma_k_radial, sigma_k_radial_gradients
@@ -60,6 +60,8 @@ _EXP_CLIP = 700.0
 _EPS = float(np.finfo(float).eps)
 # Backward error, in units of eps, above which a bordered solve is refined once.
 _REFINE_ULPS = 8.0
+# A Newton correction within this many ulps of the iterate changes nothing.
+_STEP_ULPS = 8.0
 
 
 class SolverError(RuntimeError):
@@ -605,10 +607,53 @@ class NewtonResult:
     residual_history: list
     iterations: int
     converged: bool
+    # True when the solve stopped on the Newton step or the rounding floor
+    # instead of the residual tolerance.
+    floor_limited: bool = False
 
     @property
     def residual(self) -> float:
         return self.residual_history[-1]
+
+
+def _rounding_floor(w, J) -> float:
+    """Rounding floor of a residual with tridiagonal Jacobian J at the iterate w.
+
+    The stencil loses about eps |w| to cancellation in each difference, which
+    the residual carries with the weight of its diagonal: eps |w| max|J_ii|.
+    """
+    return 4.0 * _EPS * float(np.abs(w).max()) * float(np.abs(J[1]).max())
+
+
+def _stop(w, norm=math.inf, tol=0.0, J=None, step=math.inf, t=0.0, dt=0.0):
+    """Stopping rule of every Newton-type loop (after C. T. Kelley, Solving
+    Nonlinear Equations with Newton's Method, SIAM 2003).
+
+    Returns "tol" when the residual sup norm is within tol, "floor" when it is
+    within the rounding floor of the stencil (J given), "step" when the Newton
+    correction sup norm, and |dt| in the corrector, are within a few ulps of
+    |w| and |t|, and None when the loop must go on.  A "floor" or "step" stop
+    is floor-limited: this grid cannot resolve a residual below tol.
+    """
+    if norm <= tol:
+        return "tol"
+    if J is not None and norm <= _rounding_floor(w, J):
+        return "floor"
+    if (step <= _STEP_ULPS * _EPS * max(1.0, float(np.abs(w).max()))
+            and abs(dt) <= _STEP_ULPS * _EPS * max(1.0, abs(t))):
+        return "step"
+    return None
+
+
+def _newton_failure(system, rhs, w, history, step, what):
+    """SolverError for a Newton solve that no stopping rule accepts."""
+    _, J = system.residual_jacobian(w, rhs)
+    floor = _rounding_floor(w, J)
+    return SolverError(
+        f"Newton {what}: residual {history[-1]:.3e}, rounding floor {floor:.3e}, "
+        f"last Newton step {step:.3e}",
+        history=history,
+        diagnostics={"w_best": w.copy(), "floor": floor, "step": step})
 
 
 def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> NewtonResult:
@@ -618,6 +663,11 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
     sigma^{1/k} - phi^{1/k}; convergence is declared on the plain residual
     sigma - phi in the sup norm.  Trial iterates must be strictly admissible
     and decrease the root-form norm, with step halving otherwise.
+
+    The solve stops (see _stop) on the residual, on a Newton step within a
+    few ulps of |w|, or when the full step does not decrease a root-form norm
+    that is already within its rounding floor.  The last two take the full
+    step when it is admissible and are flagged floor_limited.
     """
     w = np.asarray(w0, dtype=float).copy()
     if not system.admissible(w, strict=True):
@@ -626,26 +676,32 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
     gnorm = float(np.abs(G).max())
     norm = float(np.abs(system.residual(w, rhs)).max())
     history = [norm]
-    for it in range(config.max_iter):
+    for _ in range(config.max_iter):
         if norm <= config.tol:
-            return NewtonResult(w, history, it, True)
+            return NewtonResult(w, history, len(history) - 1, True)
         step = system.solve_linear(J, -G)
+        snorm = float(np.abs(step).max())
+        at_floor = _stop(w, step=snorm) is not None
         s = 1.0
-        while True:
+        while not at_floor:
             trial = w + s * step
-            if system.admissible(trial, strict=True):
-                Gt = system.root_residual(trial, rhs)
-                tnorm = float(np.abs(Gt).max())
-                if tnorm < gnorm:
-                    break
+            if (system.admissible(trial, strict=True)
+                    and float(np.abs(system.root_residual(trial, rhs)).max()) < gnorm):
+                break
+            # A full step that does not decrease a root-form norm already at
+            # its rounding floor is taken: no damped step would do better.
+            if s == 1.0 and _stop(w, gnorm, J=J):
+                at_floor = True
+                break
             s *= 0.5
             if s < config.min_damping:
-                raise SolverError(
-                    "Newton stalled: no admissible decreasing step "
-                    "(consider a better initialization)",
-                    history=history,
-                    diagnostics={"w_best": w.copy()},
-                )
+                raise _newton_failure(system, rhs, w, history, snorm,
+                                      "stalled: no admissible decreasing step")
+        if at_floor:
+            if system.admissible(w + step, strict=True):
+                w = w + step
+                history.append(float(np.abs(system.residual(w, rhs)).max()))
+            return NewtonResult(w, history, len(history) - 1, True, floor_limited=True)
         w = trial
         G, J = system.root_residual_jacobian(w, rhs)
         gnorm = float(np.abs(G).max())
@@ -653,8 +709,8 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
         history.append(norm)
     if norm <= config.tol:
         return NewtonResult(w, history, config.max_iter, True)
-    raise SolverError(f"Newton did not converge: residual {norm:.3e}",
-                      history=history, diagnostics={"w_best": w.copy()})
+    raise _newton_failure(system, rhs, w, history, snorm,
+                          f"did not converge in {config.max_iter} iterations")
 
 
 def newton_solve(problem: RadialProblem, rhs, config: SolverConfig,
@@ -862,25 +918,29 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     Numerical Methods for Bifurcations of Dynamical Equilibria, ch. 3), which
     stays accurate where A is nearly singular, as the continuation Jacobian is
     at a fold, provided the bordered matrix is regular.  An exactly zero pivot
-    raises SolverError.  One step of iterative refinement follows unless the
-    normwise backward error of the first solution is already at rounding level.
+    is deflated instead (_deflated_elimination).  One step of iterative
+    refinement follows unless the normwise backward error of the first
+    solution is already at rounding level.
     """
     n = band.shape[1]
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:] = band
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-    v = dgbtrs(lu, kl, ku, row, piv, trans=1)[0]
-    w = dgbtrs(lu, kl, ku, col, piv)[0]
-    schur_v = corner - v.dot(col)
-    schur_w = corner - row.dot(w)
-    if info != 0 or schur_v == 0.0 or schur_w == 0.0:
-        raise SolverError("singular bordered system")
+    if info != 0:
+        eliminate = _deflated_elimination(lu, piv, kl, ku, info - 1, col, row, corner)
+    else:
+        v = dgbtrs(lu, kl, ku, row, piv, trans=1)[0]
+        w = dgbtrs(lu, kl, ku, col, piv)[0]
+        schur_v = corner - v.dot(col)
+        schur_w = corner - row.dot(w)
+        if schur_v == 0.0 or schur_w == 0.0:
+            raise SolverError("singular bordered system")
 
-    def eliminate(f, g):
-        y1 = (g - v.dot(f)) / schur_v
-        x = dgbtrs(lu, kl, ku, f - y1 * col, piv)[0]
-        y2 = (g - row.dot(x) - corner * y1) / schur_w
-        return x - y2 * w, y1 + y2
+        def eliminate(f, g):
+            y1 = (g - v.dot(f)) / schur_v
+            x = dgbtrs(lu, kl, ku, f - y1 * col, piv)[0]
+            y2 = (g - row.dot(x) - corner * y1) / schur_w
+            return x - y2 * w, y1 + y2
 
     x, y = eliminate(f, g)
     r_top = f - _band_matvec(band, kl, ku, x) - y * col
@@ -895,6 +955,38 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
         dx, dy = eliminate(r_top, r_bot)
         x, y = x + dx, y + dy
     return x, float(y)
+
+
+def _deflated_elimination(lu, piv, kl, ku, j, col, row, corner):
+    """Block elimination for a band LU, A = P L U, with an exactly zero pivot U_jj.
+
+    Deflation: the pivot is replaced by tau = max|U| (1 if U vanishes), which
+    factors the regular Ah = P L Uh = A + tau P L e_j e_j^T.  With z = x_j as
+    an extra unknown, A x = Ah x - tau P L e_j z, and Ah^-1 P L e_j = Uh^-1 e_j
+    needs only a triangular band solve.  So x = Ah^-1 (f - col y) + z xe with
+    xe = tau Uh^-1 e_j, and a 2x2 system in (z, y) closes the bordered one.
+    It is regular when the bordered matrix is.  More than one zero pivot is
+    not deflated and raises SolverError.
+    """
+    diag = lu[kl + ku]                   # U's diagonal in the dgbtrf layout
+    if np.count_nonzero(diag == 0.0) > 1:
+        raise SolverError("singular bordered system")
+    tau = float(np.abs(lu[:kl + ku + 1]).max()) or 1.0
+    lu[kl + ku, j] = tau
+    e = np.zeros(lu.shape[1])
+    e[j] = tau
+    xe = dtbtrs(lu[:kl + ku + 1], e)[0]
+    xb = dgbtrs(lu, kl, ku, col, piv)[0]
+    schur = np.array([[1.0 - xe[j], xb[j]], [row.dot(xe), corner - row.dot(xb)]])
+    if np.linalg.det(schur) == 0.0:
+        raise SolverError("singular bordered system")
+
+    def eliminate(f, g):
+        xf = dgbtrs(lu, kl, ku, f, piv)[0]
+        z, y = np.linalg.solve(schur, [xf[j], g - row.dot(xf)])
+        return xf - y * xb + z * xe, y
+
+    return eliminate
 
 
 def _tangent(system, rhs, w, t, prev=None):
@@ -917,10 +1009,17 @@ def _tangent(system, rhs, w, t, prev=None):
 
 
 def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
-    """Pseudo-arclength corrector: solve F(w, t) = 0 under tau . (z - z_pred) = 0."""
+    """Pseudo-arclength corrector: solve F(w, t) = 0 under tau . (z - z_pred) = 0.
+
+    Stops by _stop with the arclength equation within tol.  The prediction is
+    rejected as soon as the residual stops decreasing (P. Deuflhard, Newton
+    Methods for Nonlinear Problems, Springer 2004): a corrector that does not
+    contract from its first steps does not converge within max_iter.
+    """
     w = w_pred.copy()
     t = float(t_pred)
     tau_w, tau_t = tau[:-1], float(tau[-1])
+    prev = math.inf
     # A rejected prediction can overflow the stencil; the non-finite residual
     # or step it leaves raises SolverError below instead of a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -930,14 +1029,25 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
             if not math.isfinite(norm):
                 raise SolverError("corrector residual is not finite")
             g = float(tau_w @ (w - w_pred) + tau_t * (t - t_pred))
-            if norm <= config.tol and abs(g) <= config.tol:
-                if system.admissible(w, strict=True):
-                    return w, t, it
-                raise SolverError("corrector left the admissible cone")
+            # The floor is consulted only once the residual stops decreasing.
+            if abs(g) <= config.tol and _stop(w, norm, config.tol, J if norm >= prev else None):
+                break
+            if norm >= prev:
+                raise SolverError(f"corrector stopped contracting at iteration {it}: "
+                                  f"residual {norm:.3e} >= {prev:.3e}")
+            prev = norm
             dw, dt = _bordered_solve(J, 1, 1, _dF_dt(system, rhs, w, t), tau_w, tau_t, -F, -g)
+            step_stop = _stop(w, step=float(np.abs(dw).max()), t=t, dt=dt)
             w = w + dw
             t = t + dt
-    raise SolverError("corrector did not converge")
+            if step_stop:
+                it += 1
+                break
+        else:
+            raise SolverError(f"corrector did not converge in {max_iter} iterations")
+    if not system.admissible(w, strict=True):
+        raise SolverError("corrector left the admissible cone")
+    return w, t, it
 
 
 def _dJphi_dw(system, frozen, w, J, phi, eps):
@@ -973,9 +1083,10 @@ def _refine_fold(system, rhs, w, t, phi0, config):
 
     |G| cannot fall below the rounding floor of the stencil, about
     eps |w| max|dsigma/da| / h^2 = eps |w| max|J_ii| / 2.  Refinement succeeds
-    once |G| is within a small multiple of that floor (or of a fixed bound
-    where the floor is lower), or once a Newton step stops halving |G| that
-    close to it.
+    by _stop, with a fixed bound as the tolerance: |G| within that bound or a
+    small multiple of the floor, or a Newton step within a few ulps of w and
+    t.  It also succeeds once a Newton step stops halving |G| close to the
+    larger of the bound and the floor.
     """
     N = system.N
     c = phi0 / np.linalg.norm(phi0)
@@ -995,13 +1106,12 @@ def _refine_fold(system, rhs, w, t, phi0, config):
         G[1:-1:2] = Jph
         G[-1] = c @ ph - 1.0
         gnorm = float(np.abs(G).max())
-        wmax = float(np.abs(w).max())
-        tol = max(1e-12 * max(1.0, float(np.abs(F).max())) + 1e-13,
-                  4.0 * _EPS * wmax * float(np.abs(J[1]).max()))
-        if gnorm <= tol or (gnorm > 0.5 * prev and gnorm <= 100.0 * tol):
+        bound = 1e-12 * max(1.0, float(np.abs(F).max())) + 1e-13
+        if _stop(w, gnorm, bound, J) or (
+                gnorm > 0.5 * prev and gnorm <= 100.0 * max(bound, _rounding_floor(w, J))):
             return w, t, ph, True
         prev = gnorm
-        eps = 1e-7 * max(1.0, wmax)
+        eps = 1e-7 * max(1.0, float(np.abs(w).max()))
         te = 1e-7 * max(1.0, abs(t))
         _, Jt = system.residual_jacobian(w, _FrozenT(rhs, t + te))
         # Row 2i holds F_i and row 2i+1 (J phi)_i: J sits in band rows 0, 2, 4
@@ -1012,10 +1122,14 @@ def _refine_fold(system, rhs, w, t, phi0, config):
         col[0::2] = _dF_dt(system, rhs, w, t)
         col[1::2] = (_band_matvec(Jt, 1, 1, ph) - Jph) / te
         dz, dt = _bordered_solve(band, 3, 2, col, row, 0.0, -G[:-1], -G[-1])
-        w_new = w + dz[0::2]
+        dw = dz[0::2]
+        w_new = w + dw
         if not system.admissible(w_new, strict=True):
             return w, t, ph, False
+        step_stop = _stop(w, step=float(np.abs(dw).max()), t=t, dt=dt)
         w, t, ph = w_new, t + dt, ph + dz[1::2]
+        if step_stop:
+            return w, t, ph, True
     return w, t, ph, False
 
 

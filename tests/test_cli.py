@@ -156,18 +156,22 @@ class TestSolveCommand:
                         math.sqrt(A / 2), 10.0, xtol=1e-15)
         assert v == pytest.approx(oracle, abs=1e-8)
 
-    def test_annulus_subcritical(self, tmp_path, capsys):
+    @staticmethod
+    def annulus_spec(**solver_keys):
+        """Manufactured p < k annulus problem with w = 1.6 sqrt(r)."""
         w0, w1 = 1.6 * math.sqrt(0.5), 1.6 * math.sqrt(2.0)
         r_tab = np.linspace(0.5, 2.0, 400)
         a = -0.4 * r_tab**-1.5 + 0.5 * (0.8 * r_tab**-0.5) ** 2
         b = 0.8 * r_tab**-0.5 / r_tab - 0.5 * (0.8 * r_tab**-0.5) ** 2
         f_tab = (b**2 + 2 * a * b) * np.exp(-0.75 * 1.6 * np.sqrt(r_tab)) / 4.0
-        spec = {"n": 3, "k": 2, "p": 0.5,
+        return {"n": 3, "k": 2, "p": 0.5,
                 "domain": {"type": "annulus", "r0": 0.5, "r1": 2.0, "bc": [w0, w1]},
                 "rhs": {"f_table": [[float(x), float(y)] for x, y in zip(r_tab, f_tab)]},
-                "solver": {"N": 64}}
+                "solver": dict(N=64, **solver_keys)}
+
+    def test_annulus_subcritical(self, tmp_path, capsys):
         path = tmp_path / "annulus.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(self.annulus_spec()))
         code = main(["solve", "--problem", str(path),
                      "--out-prefix", str(tmp_path / "ann")])
         assert code == 0
@@ -177,6 +181,22 @@ class TestSolveCommand:
         r = np.array([float(x.split(",")[0]) for x in rows])
         w = np.array([float(x.split(",")[1]) for x in rows])
         assert np.abs(w - 1.6 * np.sqrt(r)).max() <= 1e-3
+
+    def test_summary_reports_floor_limited(self, tmp_path, capsys):
+        path = tmp_path / "annulus.json"
+        path.write_text(json.dumps(self.annulus_spec()))
+        assert main(["solve", "--problem", str(path), "--out-prefix", str(tmp_path / "a")]) == 0
+        summary = json.loads((tmp_path / "a_summary.json").read_text())
+        assert summary["floor_limited"] is False
+        assert summary["residual"] <= 1e-10
+
+    def test_unconverged_solve_names_floor_and_step(self, tmp_path, capsys):
+        path = tmp_path / "annulus.json"
+        path.write_text(json.dumps(self.annulus_spec(max_iter=2)))
+        assert main(["solve", "--problem", str(path), "--out-prefix", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failed: Newton did not converge in 2 iterations: residual ")
+        assert "rounding floor" in err and "last Newton step" in err
 
 
 class TestBallSolve:
@@ -244,6 +264,19 @@ class TestContinueCommand:
         assert "RuntimeWarning" not in capsys.readouterr().err
         summary = json.loads((tmp_path / "annulus_summary.json").read_text())
         assert summary["n_folds"] == 1 and summary["fold_refined"] == [True]
+
+    def test_failed_start_solve_names_floor_and_step(self, tmp_path, capsys):
+        w = lambda r: 1.6 * math.sqrt(r)
+        spec = {"n": 3, "k": 2, "p": 4.0,
+                "domain": {"type": "annulus", "r0": 0.5, "r1": 2.0, "bc": [w(0.5), w(2.0)]},
+                "rhs": {"f_const": 1.0}, "solver": {"N": 48, "max_iter": 1},
+                "continuation": {"t_start": 1e-3}}
+        path = tmp_path / "annulus.json"
+        path.write_text(json.dumps(spec))
+        assert main(["continue", "--problem", str(path), "--out-prefix", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("continuation failed: Newton did not converge in 1 iterations: ")
+        assert "rounding floor" in err and "last Newton step" in err
 
     def test_wrong_regime_exits_3(self, tmp_path, capsys):
         spec = {"n": 3, "k": 2, "p": 1.0,

@@ -165,6 +165,22 @@ class TestNewton:
         r = np.linspace(0.5, 2.0, N)
         assert np.abs(w - 2 * np.log(r)).max() <= 5e-3
 
+    def test_extremal_annulus_fails_with_its_reason(self):
+        # The discrete solution of the extremal-oscillation annulus sits on the
+        # cone boundary: the residual stays far above the rounding floor and
+        # the Newton step far above an ulp, so no stopping rule accepts it.
+        dom = Annulus(0.5, 2.0, 2 * math.log(0.5), 2 * math.log(2.0))
+        problem = RadialProblem(CONE32, dom, p=0.0, f=None)
+        with pytest.raises(SolverError) as err:
+            newton_solve(problem, ExpRHS(0.0, 0.0), SolverConfig(N=128, max_iter=60))
+        message = str(err.value)
+        assert message.startswith("Newton did not converge in 60 iterations: residual ")
+        assert "rounding floor" in message and "last Newton step" in message
+        diag = err.value.diagnostics
+        assert err.value.history[-1] > 1e6 * diag["floor"]
+        assert diag["step"] > 1e-8
+        assert "consider a better initialization" not in message
+
     def test_inadmissible_start_raises(self):
         problem = manufactured_problem()
         with pytest.raises(AdmissibilityError):
@@ -448,6 +464,33 @@ class TestBorderedBanded:
             self.check(band, kl, ku, rng.normal(size=n), rng.normal(size=n),
                        float(rng.normal()), rng.normal(size=n), float(rng.normal()))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("kl,ku", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("corner", [0.0, 0.7])
+    def test_zero_pivot_is_deflated(self, n, kl, ku, corner):
+        # A = diag(0, 1, ..., 1) is singular, the border e_0 makes it regular.
+        band = np.zeros((kl + ku + 1, n))
+        band[ku] = 1.0
+        band[ku, 0] = 0.0
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        rng = np.random.default_rng([n, kl, ku])
+        self.check(band, kl, ku, e0, e0, corner, rng.normal(size=n), float(rng.normal()))
+
+    def test_zero_column_inside_the_band(self):
+        rng = np.random.default_rng(9)
+        band = rng.normal(size=(3, 40))
+        band[:, 17] = 0.0
+        self.check(band, 1, 1, rng.normal(size=40), rng.normal(size=40), 0.3,
+                   rng.normal(size=40), 1.0)
+
+    def test_two_zero_pivots_are_singular(self):
+        from khessian.solver import _bordered_solve
+        band = np.zeros((3, 6))
+        band[1, 2:] = 1.0
+        with pytest.raises(SolverError, match="singular bordered system"):
+            _bordered_solve(band, 1, 1, np.ones(6), np.ones(6), 0.0, np.ones(6), 1.0)
+
     def test_fold_state_of_annulus_branch(self):
         from khessian.solver import _dF_dt, _FrozenT
         branch, problem = annulus_fold_branch(48)
@@ -516,6 +559,110 @@ class TestFoldRefinement:
         assert t.shape == t_ref.shape
         assert np.abs(t - t_ref).max() <= 1e-12 * np.abs(t_ref).max()
         assert branch.t_star == pytest.approx(reference.t_star, rel=1e-12)
+
+class TestRoundingFloorStop:
+    """Newton, the corrector and fold refinement stop at the rounding floor."""
+
+    @staticmethod
+    def manufactured(domain):
+        if domain == "annulus":
+            return manufactured_problem(), manufactured_rhs(1.0), W_STAR
+        wb = lambda r: 0.4 * r**2 + 0.1 * r**4
+        dwb = lambda r: 0.8 * r + 0.4 * r**3
+        d2wb = lambda r: 0.8 + 1.2 * r**2
+
+        def fb(r):
+            r = np.asarray(r, dtype=float)
+            a = d2wb(r) + 0.5 * dwb(r) ** 2
+            b = dwb(r) / r - 0.5 * dwb(r) ** 2
+            return (b**2 + 2 * a * b) * np.exp(-wb(r))
+
+        return RadialProblem(CONE32, Ball(1.0, wb(1.0)), p=0.0, f=None), ExpRHS(fb, 1.0), wb
+
+    @pytest.mark.parametrize("domain", ["annulus", "ball"])
+    def test_manufactured_second_order_up_to_8192(self, domain):
+        problem, rhs, exact = self.manufactured(domain)
+        errs = []
+        for N in (512, 1024, 2048, 4096, 8192):
+            res = newton_solve(problem, rhs, SolverConfig(N=N))
+            assert res.converged
+            if res.residual > 1e-10:
+                assert res.floor_limited
+            errs.append(np.abs(res.w - exact(RadialSystem(problem, N).r)).max())
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert all(1.9 <= q <= 2.1 for q in orders), orders
+
+    def test_coarse_solve_is_not_floor_limited(self):
+        res = newton_solve(manufactured_problem(), manufactured_rhs(1.0), SolverConfig(N=64))
+        assert res.converged and not res.floor_limited and res.residual <= 1e-10
+
+    def test_continuation_starts_and_refines_on_fine_grids(self):
+        t_star = []
+        for N in (768, 1536, 3072):
+            branch, _ = annulus_fold_branch(N)
+            assert [f.refined for f in branch.folds] == [True]
+            assert branch.termination == "fold crossed"
+            t_star.append(branch.t_star)
+        gaps = [a - b for a, b in zip(t_star, t_star[1:])]
+        assert all(g > 0.0 for g in gaps)
+        assert gaps[1] < gaps[0]
+
+    def test_coarse_branches_unchanged(self, monkeypatch):
+        # t* and corrector iterations of the annulus fold problem at the
+        # sizes where every corrector reaches the residual tolerance.
+        from khessian import solver
+        iters = []
+        corrector = solver._corrector
+
+        def counted(*args, **kwargs):
+            out = corrector(*args, **kwargs)
+            iters.append(out[2])
+            return out
+
+        monkeypatch.setattr(solver, "_corrector", counted)
+        want = {96: ("0.007103164721554383", 112), 192: ("0.0069900207462747915", 120),
+                384: ("0.00693640262942685", 150)}
+        for N, (t_star, n_iters) in want.items():
+            iters.clear()
+            branch, _ = annulus_fold_branch(N)
+            assert repr(branch.t_star) == t_star
+            assert sum(iters) == n_iters
+
+    def test_diverging_prediction_rejected_early(self, monkeypatch):
+        from khessian import solver
+        branch, problem = annulus_fold_branch(96)
+        system = RadialSystem(problem, 96)
+        rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
+        s = branch.samples[5]
+        tau = solver._tangent(system, rhs, s.w, s.t)
+        assemblies = []
+        assemble_once = RadialSystem.residual_jacobian
+
+        def counted(self, *args, **kwargs):
+            assemblies.append(1)
+            return assemble_once(self, *args, **kwargs)
+
+        monkeypatch.setattr(RadialSystem, "residual_jacobian", counted)
+        ds = 1.0
+        with pytest.raises(SolverError, match="stopped contracting"):
+            solver._corrector(system, rhs, s.w + ds * tau[:-1], s.t + ds * tau[-1], tau,
+                              SolverConfig(N=96))
+        assert len(assemblies) <= 3
+
+    def test_stall_above_the_fold_reports_floor_and_step(self):
+        from khessian.solver import _damped_newton, _FrozenT
+        branch, problem = annulus_fold_branch(48)
+        system = RadialSystem(problem, 48)
+        rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
+        with pytest.raises(SolverError) as err:
+            _damped_newton(system, _FrozenT(rhs, 1.05 * branch.t_star),
+                           branch.folds[0].w_star.copy(), SolverConfig(N=48))
+        assert str(err.value).startswith("Newton stalled: no admissible decreasing step: ")
+        diag = err.value.diagnostics
+        assert err.value.history[-1] > 1e6 * diag["floor"] > 0.0
+        assert diag["step"] > 1.0
+        assert diag["w_best"].shape == (48,)
+
 
 class TestGeneralRHS:
     def test_reproduces_power_continuation(self):
