@@ -111,36 +111,71 @@ def cmd_classify(args) -> int:
 # solve / continue
 # ---------------------------------------------------------------------------
 
-def _load_problem(path):
-    problem, config, _ = _load_problem_spec(path)
-    return problem, config
+# Keys a problem file may hold, by section; every one of them is read.
+_PROBLEM_KEYS = {
+    "": {"n", "k", "p", "domain", "rhs", "solver", "continuation"},
+    "rhs": {"f_table", "f_const"},
+    "solver": {"N", "tol", "max_iter"},
+    "continuation": {"delta0", "step", "min_step", "t_start", "t_max", "after_fold_frac"},
+}
+_DOMAIN_KEYS = {
+    "annulus": {"type", "r0", "r1", "bc"},
+    "ball": {"type", "r1", "bc"},
+    "sphere_constant": {"type"},
+}
 
 
 def _load_problem_spec(path):
     with open(path) as fh:
         spec = json.load(fh)
-    cone = ConeParams(int(spec["n"]), int(spec["k"]))
-    dom_spec = spec["domain"]
-    kind = dom_spec["type"].lower()
+
+    def dotted(name, key):
+        return f"{name}.{key}" if name else key
+
+    def section(obj, name, allowed=None):
+        """obj, once it is a JSON object holding only keys in allowed (if given)."""
+        if not isinstance(obj, dict):
+            where = f"key {name!r}" if name else "top level"
+            raise ValueError(f"problem file {path}: {where} must be a JSON object")
+        for key in obj:
+            if allowed is not None and key not in allowed:
+                raise ValueError(f"problem file {path}: unknown key {dotted(name, key)!r}")
+        return obj
+
+    def need(obj, name, key):
+        if key not in obj:
+            raise ValueError(f"problem file {path}: missing key {dotted(name, key)!r}")
+        return obj[key]
+
+    section(spec, "", _PROBLEM_KEYS[""])
+    cone = ConeParams(int(need(spec, "", "n")), int(need(spec, "", "k")))
+    p = float(need(spec, "", "p"))
+    dom_spec = section(need(spec, "", "domain"), "domain")
+    kind = str(need(dom_spec, "domain", "type")).lower()
+    if kind not in _DOMAIN_KEYS:
+        raise ValueError(f"unknown domain type {kind!r}")
+    section(dom_spec, "domain", _DOMAIN_KEYS[kind])
     if kind == "annulus":
-        bc = dom_spec["bc"]
-        domain = solver.Annulus(float(dom_spec["r0"]), float(dom_spec["r1"]),
+        bc = need(dom_spec, "domain", "bc")
+        domain = solver.Annulus(float(need(dom_spec, "domain", "r0")),
+                                float(need(dom_spec, "domain", "r1")),
                                 float(bc[0]), float(bc[1]))
     elif kind == "ball":
-        domain = solver.Ball(float(dom_spec["r1"]), float(dom_spec["bc"]))
-    elif kind == "sphere_constant":
-        domain = solver.SphereConstant()
+        domain = solver.Ball(float(need(dom_spec, "domain", "r1")),
+                             float(need(dom_spec, "domain", "bc")))
     else:
-        raise ValueError(f"unknown domain type {kind!r}")
-    rhs_spec = spec.get("rhs", {})
+        domain = solver.SphereConstant()
+    rhs_spec = section(spec.get("rhs", {}), "rhs", _PROBLEM_KEYS["rhs"])
     if "f_table" in rhs_spec:
+        if "f_const" in rhs_spec:
+            raise ValueError(f"problem file {path}: give 'rhs.f_table' or 'rhs.f_const', not both")
         table = np.asarray(rhs_spec["f_table"], dtype=float)
         f = lambda r: np.interp(np.asarray(r, dtype=float), table[:, 0], table[:, 1])
     else:
         f = float(rhs_spec.get("f_const", 1.0))
-    problem = solver.RadialProblem(cone, domain, float(spec["p"]), f)
-    sconf = spec.get("solver", {})
-    cconf = spec.get("continuation", {})
+    problem = solver.RadialProblem(cone, domain, p, f)
+    sconf = section(spec.get("solver", {}), "solver", _PROBLEM_KEYS["solver"])
+    cconf = section(spec.get("continuation", {}), "continuation", _PROBLEM_KEYS["continuation"])
     config = solver.SolverConfig(
         N=int(sconf.get("N", 129)),
         tol=float(sconf.get("tol", 1e-10)),
@@ -237,7 +272,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    problem, config = _load_problem(args.problem)
+    problem, config, _ = _load_problem_spec(args.problem)
     if problem.p <= problem.cone.k:
         print("continuation requires p > k", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -363,6 +398,21 @@ def cmd_volume(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# Draws per batch of the Gamma_k in Sigma_delta check; about half lie in Gamma_k.
+_CONE_BATCH = 4096
+
+
+def _cone_rows(lam, k, delta):
+    """Row-wise (in Gamma_k, in Sigma_delta) of the (m, n) array lam, with
+    one order k and one delta per row: the tests of `symfunc.in_gamma_k` and
+    `symfunc.in_sigma_delta`, applied to every row at once."""
+    n = lam.shape[1]
+    e = symfunc.sigma_rows(lam, n)[:, 1:]
+    gamma = ((e > 0) | (np.arange(1, n + 1) > k[:, None])).all(axis=1)
+    sigma_delta = (lam > -delta[:, None] * lam.sum(axis=1, keepdims=True)).all(axis=1)
+    return gamma, sigma_delta
+
+
 def _verify_checks(seed: int):
     """Deterministic identity/property suite; yields (name, passed, detail)."""
     rng = np.random.default_rng(seed)
@@ -391,18 +441,30 @@ def _verify_checks(seed: int):
         worst = max(worst, np.abs(grad - oracle).max())
     yield "sigma gradient vs deletion oracle", worst <= 1e-12, f"max diff {worst:.2e}"
 
-    # 3. cone embedding Gamma_k in Sigma_delta
+    # 3. cone embedding Gamma_k in Sigma_delta: the first 10000 draws that lie
+    # in Gamma_k, drawn and tested in batches (n in 3..6, k in 2..n,
+    # lambda = N(0, 1)^n + U(0, 1.5))
+    delta = np.zeros((7, 7))
+    for n in range(3, 7):
+        for k in range(2, n + 1):
+            delta[n, k] = ConeParams(n, k).delta_gv
     bad = 0
     count = 0
     while count < 10000:
-        n = int(rng.integers(3, 7))
-        k = int(rng.integers(2, n + 1))
-        lam = rng.normal(size=n) + rng.uniform(0, 1.5)
-        if not symfunc.in_gamma_k(lam, k):
-            continue
-        count += 1
-        if not symfunc.in_sigma_delta(lam, ConeParams(n, k).delta_gv):
-            bad += 1
+        ns = rng.integers(3, 7, size=_CONE_BATCH)
+        ks = rng.integers(2, ns + 1)
+        lams = rng.normal(size=(_CONE_BATCH, 6)) + rng.uniform(0, 1.5, size=(_CONE_BATCH, 1))
+        in_gamma = np.zeros(_CONE_BATCH, dtype=bool)
+        outside = np.zeros(_CONE_BATCH, dtype=bool)
+        for n in range(3, 7):
+            rows = np.flatnonzero(ns == n)
+            k = ks[rows]
+            gamma, sigma_delta = _cone_rows(lams[rows, :n], k, delta[n, k])
+            in_gamma[rows] = gamma
+            outside[rows] = gamma & ~sigma_delta
+        first = np.flatnonzero(in_gamma)[:10000 - count]
+        count += len(first)
+        bad += int(outside[first].sum())
     yield "Gamma_k in Sigma_delta embedding", bad == 0, f"{bad} failures / 10000"
 
     # 4. orthogonal invariance of sigma_of_matrix

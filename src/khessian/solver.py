@@ -533,13 +533,6 @@ class RadialSystem:
             return rhs_vec / J[1, 0]
         return solve_banded((1, 1), J, rhs_vec)
 
-    def dense_jacobian(self, J):
-        A = np.zeros((self.N, self.N))
-        A[np.arange(self.N), np.arange(self.N)] = J[1]
-        A[np.arange(self.N - 1), np.arange(1, self.N)] = J[0, 1:]
-        A[np.arange(1, self.N), np.arange(self.N - 1)] = J[2, :-1]
-        return A
-
     # -- initial iterates ----------------------------------------------------
 
     def initial_guess(self):

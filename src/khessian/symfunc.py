@@ -17,6 +17,7 @@ __all__ = [
     "ConeParams",
     "sigma",
     "sigma_all",
+    "sigma_rows",
     "sigma_gradient",
     "in_gamma_k",
     "in_gamma_k_closure",
@@ -100,6 +101,27 @@ def sigma_all(lam, kmax: int) -> np.ndarray:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     return np.array(_sigmas(lam.tolist(), kmax))
+
+
+def sigma_rows(lams, kmax: int) -> np.ndarray:
+    """Row-wise [sigma_0, ..., sigma_kmax] of an (m, n) array, shape (m, kmax+1).
+
+    The columns go through the same recurrence as `sigma_all`, so each row is
+    bit-identical to `sigma_all(row, kmax)`; overflow gives the same inf and
+    nan without a warning.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2:
+        raise ValueError("eigenvalue rows must be a two-dimensional array")
+    if not np.isfinite(lams).all():
+        raise ValueError("eigenvalue entries must be finite")
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    out = np.empty((lams.shape[0], kmax + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, e in enumerate(_sigmas(list(lams.T), kmax)):
+            out[:, j] = e
+    return out
 
 
 def sigma(lam, j: int) -> float:

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from khessian import cli
 from khessian.cli import main
 from khessian.radial import RadialProfile, geometric_grid, save_profile_csv
+from khessian.symfunc import ConeParams, in_gamma_k, in_sigma_delta, sigma_rows
 
 
 @pytest.fixture
@@ -428,6 +430,173 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert len(lines) == 15 and all(ln.startswith("[PASS] ") for ln in lines[:-1])
         assert lines[-1] == "all checks passed"
+
+
+def sphere_spec():
+    """The scalar (3, 2, 4) sphere problem; both `solve` and `continue` take it."""
+    return {"n": 3, "k": 2, "p": 4.0,
+            "domain": {"type": "sphere_constant"},
+            "rhs": {"f_const": 1.0},
+            "solver": {"N": 1},
+            "continuation": {"step": 0.05, "t_start": 0.005}}
+
+
+def run_problem(tmp_path, command, spec):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    return main([command, "--problem", str(path), "--out-prefix", str(tmp_path / "out")]), path
+
+
+@pytest.mark.filterwarnings("error")
+class TestProblemLoader:
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("key", ["n", "k", "p", "domain", "domain.type"])
+    def test_missing_key_is_named(self, tmp_path, capsys, command, key):
+        spec = sphere_spec()
+        section, _, name = key.rpartition(".")
+        del (spec[section] if section else spec)[name]
+        code, path = run_problem(tmp_path, command, spec)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: problem file {path}: missing key {key!r}\n"
+        assert not (tmp_path / "out_summary.json").exists()
+
+    @pytest.mark.parametrize("domain, key", [
+        ({"type": "annulus", "r1": 2.0, "bc": [0.0, 0.0]}, "domain.r0"),
+        ({"type": "annulus", "r0": 0.5, "r1": 2.0}, "domain.bc"),
+        ({"type": "ball", "bc": 0.0}, "domain.r1"),
+    ])
+    def test_missing_domain_key_is_named(self, tmp_path, capsys, domain, key):
+        spec = dict(sphere_spec(), domain=domain)
+        assert run_problem(tmp_path, "solve", spec)[0] == 3
+        assert capsys.readouterr().err.endswith(f"missing key {key!r}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("section, key", [
+        ("", "tolerance"),
+        ("solver", "tolerance"),
+        ("solver", "maxiter"),
+        ("continuation", "ds_max"),
+        ("rhs", "f"),
+        ("domain", "r1"),
+    ])
+    def test_unknown_key_is_rejected(self, tmp_path, capsys, command, section, key):
+        spec = sphere_spec()
+        (spec[section] if section else spec)[key] = 1e-3
+        code, path = run_problem(tmp_path, command, spec)
+        assert code == 3
+        dotted = f"{section}.{key}" if section else key
+        err = capsys.readouterr().err
+        assert err == f"error: problem file {path}: unknown key {dotted!r}\n"
+        assert not (tmp_path / "out_summary.json").exists()
+
+    def test_key_of_another_domain_is_rejected(self, tmp_path, capsys):
+        spec = dict(sphere_spec(), domain={"type": "ball", "r0": 0.5, "r1": 1.0, "bc": 0.0})
+        assert run_problem(tmp_path, "solve", spec)[0] == 3
+        assert capsys.readouterr().err.endswith("unknown key 'domain.r0'\n")
+
+    def test_both_rhs_forms_are_rejected(self, tmp_path, capsys):
+        spec = dict(sphere_spec(), rhs={"f_const": 1.0, "f_table": [[0.0, 1.0], [1.0, 1.0]]})
+        assert run_problem(tmp_path, "solve", spec)[0] == 3
+        assert "give 'rhs.f_table' or 'rhs.f_const', not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["domain", "rhs", "solver", "continuation"])
+    def test_section_must_be_an_object(self, tmp_path, capsys, section):
+        spec = dict(sphere_spec(), **{section: [1.0]})
+        assert run_problem(tmp_path, "continue", spec)[0] == 3
+        assert capsys.readouterr().err.endswith(f"key {section!r} must be a JSON object\n")
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        assert run_problem(tmp_path, "solve", [sphere_spec()])[0] == 3
+        assert capsys.readouterr().err.endswith("top level must be a JSON object\n")
+
+    def test_every_read_key_is_accepted(self, tmp_path, capsys):
+        spec = sphere_spec()
+        spec["solver"] = {"N": 1, "tol": 1e-10, "max_iter": 50}
+        spec["continuation"] = {"delta0": 1.0, "step": 0.05, "min_step": 1e-12,
+                                "t_start": 0.005, "t_max": 10.0, "after_fold_frac": 0.6}
+        assert run_problem(tmp_path, "continue", spec)[0] == 0
+        assert run_problem(tmp_path, "solve", dict(spec, p=1.0))[0] == 0
+
+
+def former_cone_check(rng, samples=10000):
+    """The former check 3 of `verify`, kept as an oracle: one draw at a time
+    (n in 3..6, k in 2..n, lambda = N(0, 1)^n + U(0, 1.5)) through
+    `in_gamma_k`, and `in_sigma_delta` with a fresh ConeParams per sample.
+    Returns the number of Gamma_k samples outside Sigma_delta."""
+    bad = 0
+    count = 0
+    while count < samples:
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(2, n + 1))
+        lam = rng.normal(size=n) + rng.uniform(0, 1.5)
+        if not in_gamma_k(lam, k):
+            continue
+        count += 1
+        if not in_sigma_delta(lam, ConeParams(n, k).delta_gv):
+            bad += 1
+    return bad
+
+
+def verify_lines(seed):
+    return [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
+            for name, ok, detail in cli._verify_checks(seed)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestBatchedConeCheck:
+    """Check 3 of `verify` (Gamma_k in Sigma_delta) draws and tests its
+    samples in batches; it must test what the former scalar loop tested."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 11, 13])
+    def test_verify_passes_at_other_seeds(self, capsys, seed):
+        assert main(["verify", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 15 and lines[-1] == "all checks passed"
+        assert lines[2] == "[PASS] Gamma_k in Sigma_delta embedding: 0 failures / 10000"
+
+    def test_cone_rows_match_the_scalar_tests(self):
+        # Unit-scale rows, and integer rows in -2..2: those have exact zero
+        # sigma_j (the Gamma_k boundary) and, for the dyadic deltas, entries
+        # equal to -delta sigma_1 (the Sigma_delta boundary).
+        rng = np.random.default_rng(40)
+        deltas = [0.0, 0.125, 0.25, 0.5, 1.0 / 6.0, 0.6]
+        rows = zero_sigma = on_sigma_delta = 0
+        for n in range(2, 8):
+            for integer in (False, True):
+                m = 2000
+                if integer:
+                    lam = rng.integers(-2, 3, size=(m, n)).astype(float)
+                else:
+                    lam = rng.normal(size=(m, n)) + rng.uniform(0, 1.5, size=(m, 1))
+                k = rng.integers(1, n + 1, size=m)
+                delta = np.array(deltas)[rng.integers(0, len(deltas), size=m)]
+                gamma, sigma_delta = cli._cone_rows(lam, k, delta)
+                assert gamma.dtype == bool and sigma_delta.dtype == bool
+                assert gamma.tolist() == [in_gamma_k(x, int(j)) for x, j in zip(lam, k)]
+                assert sigma_delta.tolist() == [in_sigma_delta(x, d) for x, d in zip(lam, delta)]
+                rows += m
+                e = sigma_rows(lam, n)[:, 1:]
+                zero_sigma += int(((e == 0.0) & (np.arange(1, n + 1) <= k[:, None])).any(axis=1).sum())
+                edge = lam == -delta[:, None] * lam.sum(axis=1, keepdims=True)
+                on_sigma_delta += int(edge.any(axis=1).sum())
+        assert rows >= 20000
+        assert zero_sigma > 100 and on_sigma_delta > 100
+
+    def test_former_check_passes(self):
+        assert former_cone_check(np.random.default_rng(7)) == 0
+
+    def test_same_failure_rate_as_the_former_check(self, monkeypatch):
+        # With delta halved, about 5 % of Gamma_k samples leave Sigma_delta;
+        # the batched and the former check must see the same rate.
+        half = ConeParams.delta_gv.fget
+        monkeypatch.setattr(ConeParams, "delta_gv", property(lambda c: 0.5 * half(c)))
+        line = verify_lines(3)[2]
+        assert line.startswith("[FAIL] Gamma_k in Sigma_delta embedding: ")
+        batched = int(line.split(": ")[1].split(" failures")[0])
+        former = former_cone_check(np.random.default_rng(3))
+        assert 300 <= batched <= 700 and 300 <= former <= 700
+        assert abs(batched - former) <= 5 * math.sqrt(batched + former)
 
 
 def test_unknown_command_exits_3(capsys):

@@ -15,6 +15,7 @@ from khessian.symfunc import (
     sigma_all,
     sigma_gradient,
     sigma_of_matrix,
+    sigma_rows,
     sym_eigenvalues,
 )
 
@@ -460,3 +461,61 @@ class TestAgainstFormerKernels:
     def test_validation_errors_unchanged(self, call, bad, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(bad)
+
+
+def random_blocks(seed, rows=40):
+    """(rows, n) blocks for n = 1..9 in the four modes of `random_vectors`:
+    unit scale, scaled by 1e200 or 1e-200, and entries spread over
+    1e-200..1e200."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 10):
+        for mode in range(4):
+            lams = rng.normal(size=(rows, n))
+            if mode == 1:
+                lams *= 1e200
+            elif mode == 2:
+                lams *= 1e-200
+            elif mode == 3:
+                lams *= 10.0 ** rng.uniform(-200.0, 200.0, size=(rows, n))
+            yield lams
+
+
+@pytest.mark.filterwarnings("error")
+class TestSigmaRows:
+    """sigma_rows runs the sigma_all recurrence on columns: every row equals
+    sigma_all of that row bit for bit, inf and nan included."""
+
+    def test_rows_bit_identical_to_sigma_all(self):
+        seen_nonfinite = 0
+        for lams in random_blocks(30):
+            n = lams.shape[1]
+            for kmax in (0, n, n + 3):
+                got = sigma_rows(lams, kmax)
+                assert got.shape == (len(lams), kmax + 1)
+                for row, want in zip(got, (sigma_all(lam, kmax) for lam in lams)):
+                    assert np.array_equal(row, want, equal_nan=True)
+                seen_nonfinite += int((~np.isfinite(got)).any())
+        assert seen_nonfinite > 0
+
+    def test_zero_rows_and_zero_columns(self):
+        assert sigma_rows(np.zeros((0, 4)), 2).shape == (0, 3)
+        assert np.array_equal(sigma_rows(np.zeros((2, 0)), 2), [[1.0, 0.0, 0.0]] * 2)
+
+    def test_list_input(self):
+        assert np.array_equal(sigma_rows([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 3),
+                              [[1.0, 6.0, 11.0, 6.0], [1.0, 3.0, 3.0, 1.0]])
+
+    @pytest.mark.parametrize("bad, kmax, message", [
+        (np.ones(3), 1, "eigenvalue rows must be a two-dimensional array"),
+        (np.ones((2, 2, 2)), 1, "eigenvalue rows must be a two-dimensional array"),
+        (np.array([[1.0, np.nan]]), 1, "eigenvalue entries must be finite"),
+        (np.array([[1.0, 2.0], [np.inf, 0.0]]), 1, "eigenvalue entries must be finite"),
+        (np.ones((2, 3)), -1, "kmax must be nonnegative"),
+    ])
+    def test_validation_errors(self, bad, kmax, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sigma_rows(bad, kmax)
+
+    def test_sigma_all_still_rejects_rows(self):
+        with pytest.raises(ValueError, match="eigenvalue input must be one-dimensional"):
+            sigma_all(np.ones((2, 2)), 1)
