@@ -108,6 +108,87 @@ def cmd_classify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# JSON input files
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+# Exact types: json.load gives True as a bool, which isinstance counts as an int.
+_NUMBER_TYPES = (int, float)
+
+
+def _is_finite(value) -> bool:
+    """A JSON number that a float holds: not NaN, infinite or out of range."""
+    return type(value) in _NUMBER_TYPES and abs(value) <= sys.float_info.max
+
+
+def _pair(value):
+    if type(value) is list and len(value) == 2 and all(map(_is_finite, value)):
+        return [float(x) for x in value]
+    return None
+
+
+def _table(value):
+    if type(value) is list and value and all(
+            type(row) is list and len(row) == 2 and type(row[0]) in _NUMBER_TYPES
+            and type(row[1]) in _NUMBER_TYPES for row in value):
+        table = np.asarray(value, dtype=float)
+        if np.isfinite(table).all():
+            return table
+    return None
+
+
+# Kinds of value a key may hold: a description, and a parser that returns the
+# value converted, or None when it is not of the kind.
+_KINDS = {
+    "object": ("a JSON object", lambda v: v if type(v) is dict else None),
+    "string": ("a string", lambda v: v if type(v) is str else None),
+    "number": ("a finite number", lambda v: float(v) if _is_finite(v) else None),
+    "integer": ("an integer", lambda v: v if type(v) is int else None),
+    "pair": ("a list of two finite numbers", _pair),
+    "table": ("a non-empty list of [r, f] pairs of finite numbers", _table),
+}
+
+
+class _JSONInput:
+    """One JSON input file, read strictly.  Every error names the file and
+    the dotted path of the key at fault, such as 'domain.bc' or 'solver.N'."""
+
+    def __init__(self, what: str, path):
+        self.where = f"{what} {path}"
+        with open(path) as fh:
+            self.spec = json.load(fh)
+
+    def fail(self, message: str):
+        raise ValueError(f"{self.where}: {message}")
+
+    @staticmethod
+    def dotted(name: str, key: str) -> str:
+        return f"{name}.{key}" if name else key
+
+    def section(self, obj, name: str, allowed=None):
+        """obj, once it is a JSON object holding only keys in allowed (if given)."""
+        if not isinstance(obj, dict):
+            self.fail(f"key {name!r} must be a JSON object" if name
+                      else "top level must be a JSON object")
+        for key in obj:
+            if allowed is not None and key not in allowed:
+                self.fail(f"unknown key {self.dotted(name, key)!r}")
+        return obj
+
+    def get(self, obj, name: str, key: str, kind: str, default=_REQUIRED):
+        """obj[key] checked and converted as kind; default when the key is absent."""
+        if key not in obj:
+            if default is _REQUIRED:
+                self.fail(f"missing key {self.dotted(name, key)!r}")
+            return default
+        description, parse = _KINDS[kind]
+        value = parse(obj[key])
+        if value is None:
+            self.fail(f"key {self.dotted(name, key)!r} must be {description}")
+        return value
+
+
+# ---------------------------------------------------------------------------
 # solve / continue
 # ---------------------------------------------------------------------------
 
@@ -126,66 +207,50 @@ _DOMAIN_KEYS = {
 
 
 def _load_problem_spec(path):
-    with open(path) as fh:
-        spec = json.load(fh)
-
-    def dotted(name, key):
-        return f"{name}.{key}" if name else key
-
-    def section(obj, name, allowed=None):
-        """obj, once it is a JSON object holding only keys in allowed (if given)."""
-        if not isinstance(obj, dict):
-            where = f"key {name!r}" if name else "top level"
-            raise ValueError(f"problem file {path}: {where} must be a JSON object")
-        for key in obj:
-            if allowed is not None and key not in allowed:
-                raise ValueError(f"problem file {path}: unknown key {dotted(name, key)!r}")
-        return obj
-
-    def need(obj, name, key):
-        if key not in obj:
-            raise ValueError(f"problem file {path}: missing key {dotted(name, key)!r}")
-        return obj[key]
-
-    section(spec, "", _PROBLEM_KEYS[""])
-    cone = ConeParams(int(need(spec, "", "n")), int(need(spec, "", "k")))
-    p = float(need(spec, "", "p"))
-    dom_spec = section(need(spec, "", "domain"), "domain")
-    kind = str(need(dom_spec, "domain", "type")).lower()
+    src = _JSONInput("problem file", path)
+    spec = src.section(src.spec, "", _PROBLEM_KEYS[""])
+    get = src.get
+    cone = ConeParams(get(spec, "", "n", "integer"), get(spec, "", "k", "integer"))
+    p = get(spec, "", "p", "number")
+    dom_spec = get(spec, "", "domain", "object")
+    kind = get(dom_spec, "domain", "type", "string").lower()
     if kind not in _DOMAIN_KEYS:
-        raise ValueError(f"unknown domain type {kind!r}")
-    section(dom_spec, "domain", _DOMAIN_KEYS[kind])
+        src.fail(f"unknown domain type {kind!r}")
+    src.section(dom_spec, "domain", _DOMAIN_KEYS[kind])
     if kind == "annulus":
-        bc = need(dom_spec, "domain", "bc")
-        domain = solver.Annulus(float(need(dom_spec, "domain", "r0")),
-                                float(need(dom_spec, "domain", "r1")),
-                                float(bc[0]), float(bc[1]))
+        domain = solver.Annulus(get(dom_spec, "domain", "r0", "number"),
+                                get(dom_spec, "domain", "r1", "number"),
+                                *get(dom_spec, "domain", "bc", "pair"))
     elif kind == "ball":
-        domain = solver.Ball(float(need(dom_spec, "domain", "r1")),
-                             float(need(dom_spec, "domain", "bc")))
+        domain = solver.Ball(get(dom_spec, "domain", "r1", "number"),
+                             get(dom_spec, "domain", "bc", "number"))
     else:
         domain = solver.SphereConstant()
-    rhs_spec = section(spec.get("rhs", {}), "rhs", _PROBLEM_KEYS["rhs"])
+    rhs_spec = src.section(get(spec, "", "rhs", "object", {}), "rhs", _PROBLEM_KEYS["rhs"])
     if "f_table" in rhs_spec:
         if "f_const" in rhs_spec:
-            raise ValueError(f"problem file {path}: give 'rhs.f_table' or 'rhs.f_const', not both")
-        table = np.asarray(rhs_spec["f_table"], dtype=float)
+            src.fail("give 'rhs.f_table' or 'rhs.f_const', not both")
+        table = get(rhs_spec, "rhs", "f_table", "table")
         f = lambda r: np.interp(np.asarray(r, dtype=float), table[:, 0], table[:, 1])
     else:
-        f = float(rhs_spec.get("f_const", 1.0))
+        f = get(rhs_spec, "rhs", "f_const", "number", 1.0)
     problem = solver.RadialProblem(cone, domain, p, f)
-    sconf = section(spec.get("solver", {}), "solver", _PROBLEM_KEYS["solver"])
-    cconf = section(spec.get("continuation", {}), "continuation", _PROBLEM_KEYS["continuation"])
+    sconf = src.section(get(spec, "", "solver", "object", {}), "solver", _PROBLEM_KEYS["solver"])
+    cconf = src.section(get(spec, "", "continuation", "object", {}), "continuation",
+                        _PROBLEM_KEYS["continuation"])
+    # A null t_start asks for the default start, as an absent one does.
+    t_start = None if cconf.get("t_start") is None else get(cconf, "continuation", "t_start",
+                                                             "number")
     config = solver.SolverConfig(
-        N=int(sconf.get("N", 129)),
-        tol=float(sconf.get("tol", 1e-10)),
-        max_iter=int(sconf.get("max_iter", 50)),
-        delta0=float(cconf.get("delta0", 1.0)),
-        ds0=float(cconf.get("step", 0.05)),
-        ds_min=float(cconf.get("min_step", 1e-12)),
-        t_start=cconf.get("t_start"),
-        t_max=float(cconf.get("t_max", 10.0)),
-        after_fold_frac=float(cconf.get("after_fold_frac", 0.7)),
+        N=get(sconf, "solver", "N", "integer", 129),
+        tol=get(sconf, "solver", "tol", "number", 1e-10),
+        max_iter=get(sconf, "solver", "max_iter", "integer", 50),
+        delta0=get(cconf, "continuation", "delta0", "number", 1.0),
+        ds0=get(cconf, "continuation", "step", "number", 0.05),
+        ds_min=get(cconf, "continuation", "min_step", "number", 1e-12),
+        t_start=t_start,
+        t_max=get(cconf, "continuation", "t_max", "number", 10.0),
+        after_fold_frac=get(cconf, "continuation", "after_fold_frac", "number", 0.7),
     )
     return problem, config, spec
 
@@ -348,32 +413,39 @@ def cmd_harnack(args) -> int:
     return EXIT_OK
 
 
-def _metric_from_spec(spec):
-    kind = spec["kind"].lower()
+# Keys of every metric file, and the extra keys of each metric kind.
+_METRIC_KEYS = {"kind", "n", "mode", "s_min", "s_max", "num", "rho_ref"}
+_METRIC_EXTRA_KEYS = {"sphere_stereographic": set(), "euclidean": set(),
+                      "fundamental_log": set(), "truncated_log": {"K"}}
+
+
+def _load_metric_spec(path):
+    """(n, w(t), mode, radii, rho_ref) of a metric file for `volume`, read strictly."""
+    src = _JSONInput("metric file", path)
+    spec = src.section(src.spec, "")
+    kind = src.get(spec, "", "kind", "string").lower()
+    if kind not in _METRIC_EXTRA_KEYS:
+        src.fail(f"unknown metric kind {kind!r}")
+    src.section(spec, "", _METRIC_KEYS | _METRIC_EXTRA_KEYS[kind])
     if kind == "sphere_stereographic":
-        return lambda t: math.log((1.0 + t * t) / 2.0)
-    if kind == "euclidean":
-        return lambda t: 0.0
-    if kind == "fundamental_log":
-        return lambda t: 2.0 * math.log(t)
-    if kind == "truncated_log":
-        K = float(spec.get("K", 2.0))
-        return lambda t: max(2.0 * math.log(t), -K) if t > 0 else -K
-    raise ValueError(f"unknown metric kind {kind!r}")
+        w = lambda t: math.log((1.0 + t * t) / 2.0)
+    elif kind == "euclidean":
+        w = lambda t: 0.0
+    elif kind == "fundamental_log":
+        w = lambda t: 2.0 * math.log(t)
+    else:
+        K = src.get(spec, "", "K", "number", 2.0)
+        w = lambda t: max(2.0 * math.log(t), -K) if t > 0 else -K
+    s = np.linspace(src.get(spec, "", "s_min", "number", 0.05),
+                    src.get(spec, "", "s_max", "number", 0.5),
+                    src.get(spec, "", "num", "integer", 25))
+    return (src.get(spec, "", "n", "integer", 3), w, src.get(spec, "", "mode", "string", "origin"),
+            s, src.get(spec, "", "rho_ref", "number", 1.0))
 
 
 def cmd_volume(args) -> int:
-    with open(args.metric) as fh:
-        spec = json.load(fh)
-    n = int(spec.get("n", 3))
-    w = _metric_from_spec(spec)
-    mode = spec.get("mode", "origin")
-    s_lo = float(spec.get("s_min", 0.05))
-    s_hi = float(spec.get("s_max", 0.5))
-    count = int(spec.get("num", 25))
-    s = np.linspace(s_lo, s_hi, count)
-    curve = analysis.volume_ratio(w, n, s, mode=mode,
-                                  rho_ref=float(spec.get("rho_ref", 1.0)))
+    n, w, mode, s, rho_ref = _load_metric_spec(args.metric)
+    curve = analysis.volume_ratio(w, n, s, mode=mode, rho_ref=rho_ref)
     _write_csv(args.out, ["r", "Q"], [curve.r, curve.Q])
     q0, c2 = analysis.fit_volume_expansion(curve)
     ends = analysis.end_count(curve)

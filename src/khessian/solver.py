@@ -156,26 +156,37 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 def _exp(x):
-    return np.exp(np.clip(x, -_EXP_CLIP, _EXP_CLIP))
+    # minimum/maximum give np.clip's bits, finite or NaN, at less dispatch cost.
+    return np.exp(np.minimum(np.maximum(x, -_EXP_CLIP), _EXP_CLIP))
+
+
+def _fv(f, r):
+    """Values of a scalar or callable amplitude f at the nodes r."""
+    if callable(f):
+        return np.asarray(f(r), dtype=float)
+    return float(f)
 
 
 class ExpRHS:
-    """phi(r, w) = f(r) * exp(a * w)."""
+    """phi(r, w) = f(r) * exp(a * w).
+
+    Every RHS has evaluate(), which returns phi, dphi/dw and dphi/dt from one
+    evaluation of its exponentials; phi() and dphi_dw() are views of it.
+    """
 
     def __init__(self, f, a: float):
         self.f = f
         self.a = a
 
-    def _fv(self, r):
-        if callable(self.f):
-            return np.asarray(self.f(r), dtype=float)
-        return float(self.f)
+    def evaluate(self, r, w):
+        phi = _fv(self.f, r) * _exp(self.a * w)
+        return phi, self.a * phi, 0.0
 
     def phi(self, r, w):
-        return self._fv(r) * _exp(self.a * w)
+        return self.evaluate(r, w)[0]
 
     def dphi_dw(self, r, w):
-        return self.a * self.phi(r, w)
+        return self.evaluate(r, w)[1]
 
 
 def vpower_rhs(f, n: int, k: int, p: float) -> ExpRHS:
@@ -188,13 +199,13 @@ def vpower_rhs(f, n: int, k: int, p: float) -> ExpRHS:
 
 
 def _smoothstep5(x):
-    x = np.clip(x, 0.0, 1.0)
+    # Scalar clip to [0, 1]; np.clip's bits, -0.0 and NaN included, without its dispatch.
+    x = 0.0 if x < 0.0 else min(x, 1.0)
     return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
 
 
 def _smoothstep5_d(x):
-    inside = (x > 0.0) & (x < 1.0)
-    return np.where(inside, 30.0 * x**2 * (1.0 - x) ** 2, 0.0)
+    return 30.0 * x**2 * (1.0 - x) ** 2 if 0.0 < x < 1.0 else 0.0
 
 
 class ContinuationRHS:
@@ -220,30 +231,24 @@ class ContinuationRHS:
     def ddelta_dt(self, t: float) -> float:
         return (1.0 - self.delta0) * float(_smoothstep5_d(t - 1.0))
 
-    def _fv(self, r):
-        if callable(self.f):
-            return np.asarray(self.f(r), dtype=float)
-        return float(self.f)
-
-    def _terms(self, r, w):
+    def evaluate(self, r, w, t):
         k, p, b = self.cone.k, self.p, self.beta
         e_delta = _exp(k * b * w)
-        e_power = _exp((k - p) * b * w)
-        return e_delta, self._fv(r) * e_power
+        e_power = _fv(self.f, r) * _exp((k - p) * b * w)
+        delta = self.delta(t)
+        scale = t * self.conv
+        return (scale * (delta * e_delta + e_power),
+                scale * (k * b * delta * e_delta + (k - p) * b * e_power),
+                self.conv * (delta * e_delta + e_power + t * self.ddelta_dt(t) * e_delta))
 
     def phi(self, r, w, t):
-        e_delta, e_power = self._terms(r, w)
-        return t * self.conv * (self.delta(t) * e_delta + e_power)
+        return self.evaluate(r, w, t)[0]
 
     def dphi_dw(self, r, w, t):
-        k, p, b = self.cone.k, self.p, self.beta
-        e_delta, e_power = self._terms(r, w)
-        return t * self.conv * (k * b * self.delta(t) * e_delta + (k - p) * b * e_power)
+        return self.evaluate(r, w, t)[1]
 
     def dphi_dt(self, r, w, t):
-        e_delta, e_power = self._terms(r, w)
-        return self.conv * (self.delta(t) * e_delta + e_power
-                            + t * self.ddelta_dt(t) * e_delta)
+        return self.evaluate(r, w, t)[2]
 
 
 class GeneralVRHS:
@@ -257,22 +262,23 @@ class GeneralVRHS:
         self.conv = wgauge_rhs_amplitude(1.0, cone.n, cone.k)
         self.beta = 0.5 * (cone.n - 2)
 
-    def phi(self, r, w, t):
-        k, b = self.cone.k, self.beta
-        v = _exp(-b * w)
-        return t * self.conv * _exp(k * b * w) * self.phi_v(r, v)
-
-    def dphi_dw(self, r, w, t):
+    def evaluate(self, r, w, t):
         k, b = self.cone.k, self.beta
         v = _exp(-b * w)
         base = _exp(k * b * w)
-        return t * self.conv * base * (k * b * self.phi_v(r, v)
-                                       - b * v * self.dphi_v_dv(r, v))
+        pv = self.phi_v(r, v)
+        scale = t * self.conv * base
+        return (scale * pv, scale * (k * b * pv - b * v * self.dphi_v_dv(r, v)),
+                self.conv * base * pv)
+
+    def phi(self, r, w, t):
+        return self.evaluate(r, w, t)[0]
+
+    def dphi_dw(self, r, w, t):
+        return self.evaluate(r, w, t)[1]
 
     def dphi_dt(self, r, w, t):
-        k, b = self.cone.k, self.beta
-        v = _exp(-b * w)
-        return self.conv * _exp(k * b * w) * self.phi_v(r, v)
+        return self.evaluate(r, w, t)[2]
 
 
 def validate_growth(phi_v, k: int, growth_class: str, v_lo: float = 1e-3,
@@ -308,11 +314,8 @@ class _FrozenT:
         self.rhs = rhs
         self.t = t
 
-    def phi(self, r, w):
-        return self.rhs.phi(r, w, self.t)
-
-    def dphi_dw(self, r, w):
-        return self.rhs.dphi_dw(r, w, self.t)
+    def evaluate(self, r, w):
+        return self.rhs.evaluate(r, w, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -347,38 +350,39 @@ class RadialSystem:
             self.r = (np.arange(N) + 0.5) * self.h
         else:
             raise ValueError(f"unknown domain {dom!r}")
+        # Equation rows: the annulus has Dirichlet rows at both ends, the ball
+        # at r1 only, and the sphere's one row is its equation.
+        self.rows = {"sphere": slice(0, 1), "annulus": slice(1, self.N - 1),
+                     "ball": slice(0, self.N - 1)}[self.kind]
+        self.r_eq = self.r[self.rows]
 
     # -- finite differences ------------------------------------------------
 
-    def _derivatives(self, w):
-        """(w', w'') at equation nodes together with the equation-node index."""
-        if self.kind == "sphere":
-            return np.zeros(1), np.zeros(1), np.array([0])
-        h = self.h
+    def _stencil(self, w):
+        """(w', w'', (a, b)) at the equation rows self.rows of a grid domain.
+
+        Central differences; the ball's ghost node at -h/2 mirrors node 0,
+        which encodes w'(0) = 0.  a = w'' + w'^2/2 and b = w'/r - w'^2/2.
+        """
         if self.kind == "annulus":
-            idx = np.arange(1, self.N - 1)
-            d1 = (w[idx + 1] - w[idx - 1]) / (2 * h)
-            d2 = (w[idx + 1] - 2 * w[idx] + w[idx - 1]) / h**2
-            return d1, d2, idx
-        # ball: interior rows 0..N-2; the ghost at -h/2 mirrors node 0
-        idx = np.arange(0, self.N - 1)
-        wm = np.r_[w[0], w[:-2]]          # w_{i-1} with ghost substitution at i = 0
-        d1 = (w[idx + 1] - wm) / (2 * h)
-        d2 = (w[idx + 1] - 2 * w[idx] + wm) / h**2
-        return d1, d2, idx
+            wm, wc, wp = w[:-2], w[1:-1], w[2:]
+        else:
+            wm, wc, wp = np.concatenate((w[:1], w[:-2])), w[:-1], w[1:]
+        d1 = (wp - wm) / (2 * self.h)
+        d2 = (wp - 2 * wc + wm) / self.h**2
+        half_sq = 0.5 * d1**2
+        return d1, d2, RadialAB(d2 + half_sq, d1 / self.r_eq - half_sq)
 
     def ab(self, w) -> RadialAB:
         if self.kind == "sphere":
             # W = A_{g0} = (1/2) I for every constant factor on the round sphere.
             return RadialAB(np.array([0.5]), np.array([0.5]))
-        d1, d2, idx = self._derivatives(w)
-        r = self.r[idx]
-        return RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
+        return self._stencil(w)[2]
 
     def admissible(self, w, strict: bool = True, tol: float = 0.0) -> bool:
         if self.kind == "sphere":
             return True
-        ab = self.ab(w)
+        ab = self._stencil(w)[2]
         combo = ab.a + self.cone.theta * ab.b
         if strict:
             return bool(np.all(ab.b > tol) and np.all(combo > tol))
@@ -389,9 +393,8 @@ class RadialSystem:
         a finite-difference-aware margin."""
         if self.kind == "sphere":
             return
-        d1, d2, idx = self._derivatives(w)
-        r = self.r[idx]
-        ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
+        d1, _, ab = self._stencil(w)
+        r = self.r_eq
         margin = 10.0 * self.h**2 * np.maximum(1.0, d1**2) * (1.0 + 1.0 / r**2)
         combo = ab.a + self.cone.theta * ab.b
         bad = np.minimum(ab.b + margin, combo + margin)
@@ -400,27 +403,76 @@ class RadialSystem:
             raise AdmissibilityError(
                 f"iterate leaves the admissible cone at r={r[worst]:.6g} "
                 f"(b={ab.b[worst]:.3e}, a+theta*b={combo[worst]:.3e})",
-                node=int(idx[worst]),
+                node=self.rows.start + worst,
                 values=(float(ab.b[worst]), float(combo[worst])),
             )
 
     # -- residual and Jacobian ----------------------------------------------
 
-    def residual(self, w, rhs):
+    def _assemble(self, w, rhs, root=False, jac=False):
+        """One evaluation of the stencil and of the RHS at the iterate w.
+
+        Returns the plain residual F = sigma_k - phi; the root form
+        G = sigma^{1/k} - phi^{1/k} when root is set (None otherwise); the
+        tridiagonal Jacobian of that form in solve_banded layout (upper,
+        diagonal, lower) when jac is set (None otherwise); and dphi/dt at
+        the equation rows.  Boundary rows are w - data in both forms.
+        """
+        k, rows, N = self.cone.k, self.rows, self.N
+        phi, phi_w, phi_t = rhs.evaluate(self.r_eq, w[rows])
+        F = np.empty(N)
+        G = J = None
         if self.kind == "sphere":
-            return np.array([self.sigma_const - float(rhs.phi(self.r, w)[0])])
-        F = np.empty(self.N)
-        d1, d2, idx = self._derivatives(w)
-        r = self.r[idx]
-        ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
-        F[idx] = sigma_k_radial(ab, self.cone) - rhs.phi(r, w[idx])
+            # Python scalar powers: numpy's vector pow may differ by an ulp.
+            phi0, phi_w0 = float(phi[0]), float(phi_w[0])
+            F[0] = self.sigma_const - phi0
+            if root:
+                G = np.array([self.sigma_const ** (1.0 / k) - max(phi0, 0.0) ** (1.0 / k)])
+                phi_w0 = (1.0 / k) * max(phi0, 1e-300) ** (1.0 / k - 1.0) * phi_w0
+            if jac:
+                J = np.zeros((3, 1))
+                J[1, 0] = -phi_w0
+            return F, G, J, phi_t
+        d1, _, ab = self._stencil(w)
+        sig = sigma_k_radial(ab, self.cone)
+        F[rows] = sig - phi
         dom = self.problem.domain
+        F[-1] = w[-1] - dom.w1
         if self.kind == "annulus":
             F[0] = w[0] - dom.w0
-            F[-1] = w[-1] - dom.w1
+        if root:
+            G = F.copy()
+            G[rows] = np.maximum(sig, 0.0) ** (1.0 / k) - np.maximum(phi, 0.0) ** (1.0 / k)
+        if jac:
+            sa, sb = sigma_k_radial_gradients(ab, self.cone)
+            if root:
+                # Chain rule on the 1/k powers.
+                scale = (1.0 / k) * np.maximum(sig, 1e-300) ** (1.0 / k - 1.0)
+                sa, sb = scale * sa, scale * sb
+                phi_w = (1.0 / k) * np.maximum(phi, 1e-300) ** (1.0 / k - 1.0) * phi_w
+            J = self._jacobian(d1, sa, sb, phi_w)
+        return F, G, J, phi_t
+
+    def _jacobian(self, d1, sa, sb, phi_w):
+        """Tridiagonal Jacobian from dsigma/da, dsigma/db and dphi/dw at the rows."""
+        h, rows, N = self.h, self.rows, self.N
+        bcoef = sb * (1.0 / self.r_eq - d1)
+        J = np.zeros((3, N))
+        J[1, rows] = -2.0 * sa / h**2 - phi_w
+        J[0, rows.start + 1:rows.stop + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
+        sub = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
+        if self.kind == "ball":
+            # Fold the ghost coefficient of row 0 into its diagonal.
+            J[1, 0] += sub[0]
+            sub = sub[1:]
         else:
-            F[-1] = w[-1] - dom.w1
-        return F
+            J[1, 0] = 1.0
+        J[2, :N - 2] = sub
+        J[1, -1] = 1.0
+        return J
+
+    def residual(self, w, rhs):
+        return self._assemble(w, rhs)[0]
 
     def root_residual(self, w, rhs):
         """Residual in the concave root form sigma^{1/k} - phi^{1/k}.
@@ -429,104 +481,25 @@ class RadialSystem:
         k-th root stays well scaled as iterates approach the cone boundary,
         which keeps damped Newton from stalling on degenerate problems.
         """
-        if self.kind == "sphere":
-            k = self.cone.k
-            phi = max(float(rhs.phi(self.r, w)[0]), 0.0)
-            return np.array([self.sigma_const ** (1.0 / k) - phi ** (1.0 / k)])
-        k = self.cone.k
-        G = np.empty(self.N)
-        d1, d2, idx = self._derivatives(w)
-        r = self.r[idx]
-        ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
-        sig = np.maximum(sigma_k_radial(ab, self.cone), 0.0)
-        phi = np.maximum(np.asarray(rhs.phi(r, w[idx]), dtype=float), 0.0)
-        G[idx] = sig ** (1.0 / k) - phi ** (1.0 / k)
-        dom = self.problem.domain
-        if self.kind == "annulus":
-            G[0] = w[0] - dom.w0
-            G[-1] = w[-1] - dom.w1
-        else:
-            G[-1] = w[-1] - dom.w1
-        return G
+        return self._assemble(w, rhs, root=True)[1]
 
     def root_residual_jacobian(self, w, rhs):
-        """Root-form residual and its tridiagonal Jacobian (chain rule on 1/k powers)."""
-        k = self.cone.k
-        if self.kind == "sphere":
-            G = self.root_residual(w, rhs)
-            phi = max(float(rhs.phi(self.r, w)[0]), 1e-300)
-            dphi = float(rhs.dphi_dw(self.r, w)[0])
-            J = np.zeros((3, 1))
-            J[1, 0] = -(1.0 / k) * phi ** (1.0 / k - 1.0) * dphi
-            return G, J
-        h = self.h
-        G = self.root_residual(w, rhs)
-        J = np.zeros((3, self.N))
-        d1, d2, idx = self._derivatives(w)
-        r = self.r[idx]
-        ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
-        sig = np.maximum(sigma_k_radial(ab, self.cone), 1e-300)
-        sa, sb = sigma_k_radial_gradients(ab, self.cone)
-        scale = (1.0 / k) * sig ** (1.0 / k - 1.0)
-        sa = scale * sa
-        sb = scale * sb
-        phi = np.maximum(np.asarray(rhs.phi(r, w[idx]), dtype=float), 1e-300)
-        phi_w = (1.0 / k) * phi ** (1.0 / k - 1.0) * np.asarray(
-            rhs.dphi_dw(r, w[idx]), dtype=float)
-        bcoef = sb * (1.0 / r - d1)
-        if self.kind == "annulus":
-            J[1, idx] = -2.0 * sa / h**2 - phi_w
-            J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
-            J[2, idx - 1] = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
-            J[1, 0] = 1.0
-            J[1, -1] = 1.0
-            J[0, 1] = 0.0
-            J[2, -2] = 0.0
-        else:
-            J[1, idx] = -2.0 * sa / h**2 - phi_w
-            J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
-            sub = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
-            J[1, 0] += sub[0]
-            J[2, idx[1:] - 1] = sub[1:]
-            J[1, -1] = 1.0
-            J[2, -2] = 0.0
-        return G, J
+        """Root-form residual, its Jacobian and the plain residual, from one evaluation."""
+        F, G, J, _ = self._assemble(w, rhs, root=True, jac=True)
+        return G, J, F
 
-    def residual_jacobian(self, w, rhs, check_cone: bool = False):
+    def residual_jacobian(self, w, rhs, check_cone: bool = False, t=None):
+        """Residual and Jacobian.  With t, rhs is a t-dependent RHS taken at t,
+        and dF/dt, from the same evaluation, is returned third."""
         if check_cone:
             self._cone_guard(w)
-        if self.kind == "sphere":
-            F = self.residual(w, rhs)
-            J = np.zeros((3, 1))
-            J[1, 0] = -float(rhs.dphi_dw(self.r, w)[0])
+        if t is None:
+            F, _, J, _ = self._assemble(w, rhs, jac=True)
             return F, J
-        h = self.h
-        F = self.residual(w, rhs)
-        J = np.zeros((3, self.N))        # solve_banded layout: upper, diag, lower
-        d1, d2, idx = self._derivatives(w)
-        r = self.r[idx]
-        ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
-        sa, sb = sigma_k_radial_gradients(ab, self.cone)
-        phi_w = rhs.dphi_dw(r, w[idx])
-        bcoef = sb * (1.0 / r - d1)
-        if self.kind == "annulus":
-            J[1, idx] = -2.0 * sa / h**2 - phi_w
-            J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
-            J[2, idx - 1] = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
-            J[1, 0] = 1.0
-            J[1, -1] = 1.0
-            J[0, 1] = 0.0
-            J[2, -2] = 0.0
-        else:
-            J[1, idx] = -2.0 * sa / h**2 - phi_w
-            J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
-            sub = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
-            # Fold the ghost coefficient of row 0 into its diagonal.
-            J[1, 0] += sub[0]
-            J[2, idx[1:] - 1] = sub[1:]
-            J[1, -1] = 1.0
-            J[2, -2] = 0.0
-        return F, J
+        F, _, J, phi_t = self._assemble(w, _FrozenT(rhs, t), jac=True)
+        Ft = np.zeros(self.N)
+        Ft[self.rows] = -phi_t
+        return F, J, Ft
 
     def solve_linear(self, J, rhs_vec):
         if self.N == 1:
@@ -548,7 +521,7 @@ class RadialSystem:
             scale = math.exp(min(max(np.mean(lin), -50.0), 50.0))
             for j in range(-2, 12):
                 c = scale * 2.0**j / dom.r1**2
-                candidates.append(np.log(np.exp(np.clip(lin, -_EXP_CLIP, _EXP_CLIP)) + c * r**2))
+                candidates.append(np.log(_exp(lin) + c * r**2))
             c0 = 1.6 * dom.r1 ** (theta - 1.0)
             ref = (c0 / (1.0 - theta)) * r ** (1.0 - theta)
             ref += 0.5 * (dom.w0 + dom.w1) - ref.mean()
@@ -665,9 +638,9 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
     w = np.asarray(w0, dtype=float).copy()
     if not system.admissible(w, strict=True):
         raise AdmissibilityError("initial iterate is not strictly admissible")
-    G, J = system.root_residual_jacobian(w, rhs)
+    G, J, F = system.root_residual_jacobian(w, rhs)
     gnorm = float(np.abs(G).max())
-    norm = float(np.abs(system.residual(w, rhs)).max())
+    norm = float(np.abs(F).max())
     history = [norm]
     for _ in range(config.max_iter):
         if norm <= config.tol:
@@ -678,9 +651,11 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
         s = 1.0
         while not at_floor:
             trial = w + s * step
-            if (system.admissible(trial, strict=True)
-                    and float(np.abs(system.root_residual(trial, rhs)).max()) < gnorm):
-                break
+            if system.admissible(trial, strict=True):
+                # An accepted trial's evaluation serves the next iteration.
+                accepted = system.root_residual_jacobian(trial, rhs)
+                if float(np.abs(accepted[0]).max()) < gnorm:
+                    break
             # A full step that does not decrease a root-form norm already at
             # its rounding floor is taken: no damped step would do better.
             if s == 1.0 and _stop(w, gnorm, J=J):
@@ -696,9 +671,9 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
                 history.append(float(np.abs(system.residual(w, rhs)).max()))
             return NewtonResult(w, history, len(history) - 1, True, floor_limited=True)
         w = trial
-        G, J = system.root_residual_jacobian(w, rhs)
+        G, J, F = accepted
         gnorm = float(np.abs(G).max())
-        norm = float(np.abs(system.residual(w, rhs)).max())
+        norm = float(np.abs(F).max())
         history.append(norm)
     if norm <= config.tol:
         return NewtonResult(w, history, config.max_iter, True)
@@ -745,13 +720,8 @@ def solve_subcritical(problem: RadialProblem, config: SolverConfig,
         raise ValueError("f must be positive on the domain")
     seed = np.asarray(w0, dtype=float) if w0 is not None else system.initial_guess()
     result = _damped_newton(system, rhs, seed, config)
-    ab = system.ab(seed)
-    sig = sigma_k_radial(ab, problem.cone)
-    idx = slice(1, -1) if system.kind == "annulus" else slice(0, system.N - 1)
-    if system.kind == "sphere":
-        idx = slice(0, 1)
-    phi_seed = rhs.phi(system.r[idx] if system.kind != "sphere" else system.r,
-                       seed[idx] if system.kind != "sphere" else seed)
+    sig = sigma_k_radial(system.ab(seed), problem.cone)
+    phi_seed = rhs.phi(system.r_eq, seed[system.rows])
     with np.errstate(divide="ignore"):
         ratios = np.log(np.maximum(sig, 1e-300) / np.maximum(phi_seed, 1e-300))
     c = float(np.abs(ratios).max()) / a + 1.0
@@ -879,18 +849,6 @@ def _v_probe(system: RadialSystem, w, beta: float) -> float:
     return float(np.exp(-beta * w[mid]))
 
 
-def _dF_dt(system, rhs, w, t):
-    """Derivative of the residual with respect to the continuation parameter."""
-    Ft = np.zeros(system.N)
-    if system.kind == "sphere":
-        Ft[0] = -float(np.atleast_1d(rhs.dphi_dt(system.r, w, t))[0])
-    else:
-        idx = (np.arange(1, system.N - 1) if system.kind == "annulus"
-               else np.arange(0, system.N - 1))
-        Ft[idx] = -np.asarray(rhs.dphi_dt(system.r[idx], w[idx], t), dtype=float)
-    return Ft
-
-
 def _band_matvec(band, kl, ku, x):
     """A @ x for A stored in solve_banded layout, A[i, j] = band[ku + i - j, j]."""
     n = len(x)
@@ -982,9 +940,11 @@ def _deflated_elimination(lu, piv, kl, ku, j, col, row, corner):
     return eliminate
 
 
-def _tangent(system, rhs, w, t, prev=None):
-    _, J = system.residual_jacobian(w, _FrozenT(rhs, t))
-    Ft = _dF_dt(system, rhs, w, t)
+def _tangent(system, rhs, w, t, prev=None, jac_t=None):
+    """Unit tangent of the branch at (w, t), oriented along prev (or with
+    increasing t when prev is None).  jac_t is the (J, dF/dt) pair already
+    assembled at (w, t), if the caller has it."""
+    J, Ft = jac_t if jac_t is not None else system.residual_jacobian(w, rhs, t=t)[1:]
     if prev is None:
         row, corner = np.zeros(system.N), 1.0
     else:
@@ -1008,6 +968,10 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
     rejected as soon as the residual stops decreasing (P. Deuflhard, Newton
     Methods for Nonlinear Problems, Springer 2004): a corrector that does not
     contract from its first steps does not converge within max_iter.
+
+    Returns (w, t, iterations, jac_t).  jac_t is the (J, dF/dt) pair of the
+    last assembly when the loop stopped on the residual, which is then at
+    the returned (w, t), and None after a stop on the step.
     """
     w = w_pred.copy()
     t = float(t_pred)
@@ -1017,30 +981,32 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
     # or step it leaves raises SolverError below instead of a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(max_iter):
-            F, J = system.residual_jacobian(w, _FrozenT(rhs, t))
+            F, J, Ft = system.residual_jacobian(w, rhs, t=t)
             norm = float(np.abs(F).max())
             if not math.isfinite(norm):
                 raise SolverError("corrector residual is not finite")
             g = float(tau_w @ (w - w_pred) + tau_t * (t - t_pred))
             # The floor is consulted only once the residual stops decreasing.
             if abs(g) <= config.tol and _stop(w, norm, config.tol, J if norm >= prev else None):
+                jac_t = (J, Ft)
                 break
             if norm >= prev:
                 raise SolverError(f"corrector stopped contracting at iteration {it}: "
                                   f"residual {norm:.3e} >= {prev:.3e}")
             prev = norm
-            dw, dt = _bordered_solve(J, 1, 1, _dF_dt(system, rhs, w, t), tau_w, tau_t, -F, -g)
+            dw, dt = _bordered_solve(J, 1, 1, Ft, tau_w, tau_t, -F, -g)
             step_stop = _stop(w, step=float(np.abs(dw).max()), t=t, dt=dt)
             w = w + dw
             t = t + dt
             if step_stop:
                 it += 1
+                jac_t = None
                 break
         else:
             raise SolverError(f"corrector did not converge in {max_iter} iterations")
     if not system.admissible(w, strict=True):
         raise SolverError("corrector left the admissible cone")
-    return w, t, it
+    return w, t, it, jac_t
 
 
 def _dJphi_dw(system, frozen, w, J, phi, eps):
@@ -1092,8 +1058,7 @@ def _refine_fold(system, rhs, w, t, phi0, config):
     row[1::2] = c
     prev = math.inf
     for _ in range(30):
-        frozen = _FrozenT(rhs, t)
-        F, J = system.residual_jacobian(w, frozen)
+        F, J, Ft = system.residual_jacobian(w, rhs, t=t)
         Jph = _band_matvec(J, 1, 1, ph)
         G[:-1:2] = F
         G[1:-1:2] = Jph
@@ -1106,13 +1071,13 @@ def _refine_fold(system, rhs, w, t, phi0, config):
         prev = gnorm
         eps = 1e-7 * max(1.0, float(np.abs(w).max()))
         te = 1e-7 * max(1.0, abs(t))
-        _, Jt = system.residual_jacobian(w, _FrozenT(rhs, t + te))
+        _, Jt, _ = system.residual_jacobian(w, rhs, t=t + te)
         # Row 2i holds F_i and row 2i+1 (J phi)_i: J sits in band rows 0, 2, 4
         # under both the w and the phi columns, d(J phi)/dw in rows 1, 3, 5.
         band[0::2, 0::2] = J
         band[0::2, 1::2] = J
-        band[1::2, 0::2] = _dJphi_dw(system, frozen, w, J, ph, eps)
-        col[0::2] = _dF_dt(system, rhs, w, t)
+        band[1::2, 0::2] = _dJphi_dw(system, _FrozenT(rhs, t), w, J, ph, eps)
+        col[0::2] = Ft
         col[1::2] = (_band_matvec(Jt, 1, 1, ph) - Jph) / te
         dz, dt = _bordered_solve(band, 3, 2, col, row, 0.0, -G[:-1], -G[-1])
         dw = dz[0::2]
@@ -1163,14 +1128,14 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
         pred_w = w + ds * tau[:-1]
         pred_t = t + ds * tau[-1]
         try:
-            w_new, t_new, iters = _corrector(system, rhs, pred_w, pred_t, tau, config)
+            w_new, t_new, iters, jac_t = _corrector(system, rhs, pred_w, pred_t, tau, config)
         except SolverError:
             ds *= 0.5
             if ds < config.ds_min:
                 termination = "step underflow"
                 break
             continue
-        tau_new = _tangent(system, rhs, w_new, t_new, prev=tau)
+        tau_new = _tangent(system, rhs, w_new, t_new, prev=tau, jac_t=jac_t)
 
         if tau[-1] > 0.0 and tau_new[-1] < 0.0 and not crossed_fold:
             # Fold crossed between (w, t) and (w_new, t_new); bisect in arclength.
@@ -1181,11 +1146,11 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
                 gap *= 0.5
                 wa, ta, taua = a_state
                 try:
-                    wm, tm, _ = _corrector(system, rhs, wa + gap * taua[:-1],
-                                           ta + gap * taua[-1], taua, config)
+                    wm, tm, _, jac_t = _corrector(system, rhs, wa + gap * taua[:-1],
+                                                  ta + gap * taua[-1], taua, config)
                 except SolverError:
                     break
-                taum = _tangent(system, rhs, wm, tm, prev=taua)
+                taum = _tangent(system, rhs, wm, tm, prev=taua, jac_t=jac_t)
                 if taum[-1] > 0.0:
                     a_state = (wm, tm, taum)
                 else:

@@ -420,6 +420,52 @@ class TestVolumeCommand:
         assert payload["end_count"] == 1
 
 
+@pytest.mark.filterwarnings("error")
+class TestMetricLoader:
+    SPHERE = {"kind": "sphere_stereographic", "n": 3, "s_min": 0.05, "s_max": 0.5, "num": 20}
+
+    def run(self, tmp_path, spec):
+        mpath = tmp_path / "metric.json"
+        mpath.write_text(json.dumps(spec))
+        out = tmp_path / "vol.csv"
+        code = main(["volume", "--metric", str(mpath), "--out", str(out)])
+        assert not out.exists() or code == 0
+        return code, mpath
+
+    @pytest.mark.parametrize("change, message", [
+        ({"s_mn": 0.2}, "unknown key 's_mn'"),
+        ({"K": 2.0}, "unknown key 'K'"),
+        ({"kind": "hyperbolic"}, "unknown metric kind 'hyperbolic'"),
+        ({"kind": 3}, "key 'kind' must be a string"),
+        ({"num": "25"}, "key 'num' must be an integer"),
+        ({"n": True}, "key 'n' must be an integer"),
+        ({"s_min": None}, "key 's_min' must be a finite number"),
+        ({"rho_ref": float("inf")}, "key 'rho_ref' must be a finite number"),
+        ({"mode": 1}, "key 'mode' must be a string"),
+    ])
+    def test_malformed_metric_is_named(self, tmp_path, capsys, change, message):
+        code, mpath = self.run(tmp_path, dict(self.SPHERE, **change))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: metric file {mpath}: {message}\n"
+
+    def test_missing_kind_is_named(self, tmp_path, capsys):
+        spec = dict(self.SPHERE)
+        del spec["kind"]
+        code, mpath = self.run(tmp_path, spec)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: metric file {mpath}: missing key 'kind'\n"
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        assert self.run(tmp_path, [self.SPHERE])[0] == 3
+        assert capsys.readouterr().err.endswith("top level must be a JSON object\n")
+
+    def test_every_read_key_is_accepted(self, tmp_path, capsys):
+        spec = dict(self.SPHERE, mode="origin", rho_ref=1.0)
+        assert self.run(tmp_path, spec)[0] == 0
+        spec = {"kind": "truncated_log", "K": 2.0, "n": 3, "s_min": 0.6, "s_max": 3.0, "num": 15}
+        assert self.run(tmp_path, spec)[0] == 0
+
+
 class TestVerifyCommand:
     @pytest.mark.filterwarnings("error")
     def test_passes_with_table(self, capsys):
@@ -509,6 +555,63 @@ class TestProblemLoader:
     def test_top_level_must_be_an_object(self, tmp_path, capsys):
         assert run_problem(tmp_path, "solve", [sphere_spec()])[0] == 3
         assert capsys.readouterr().err.endswith("top level must be a JSON object\n")
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("key, value, description", [
+        ("domain.bc", 1.0, "a list of two finite numbers"),
+        ("domain.bc", [1.0], "a list of two finite numbers"),
+        ("domain.bc", [1.0, "2.0"], "a list of two finite numbers"),
+        ("domain.bc", [1.0, True], "a list of two finite numbers"),
+        ("domain.r0", None, "a finite number"),
+        ("domain.r1", float("inf"), "a finite number"),
+        ("domain.r1", 10**400, "a finite number"),
+        ("domain.type", 5, "a string"),
+        ("solver.N", "96", "an integer"),
+        ("solver.N", True, "an integer"),
+        ("solver.N", 96.0, "an integer"),
+        ("solver.tol", "1e-10", "a finite number"),
+        ("continuation.t_max", float("nan"), "a finite number"),
+        ("continuation.t_start", "0.001", "a finite number"),
+        ("n", "3", "an integer"),
+        ("p", None, "a finite number"),
+        ("rhs.f_const", [1.0], "a finite number"),
+        ("rhs.f_table", [1.0, 2.0], "a non-empty list of [r, f] pairs of finite numbers"),
+        ("rhs.f_table", [], "a non-empty list of [r, f] pairs of finite numbers"),
+        ("rhs.f_table", [[0.0, 1.0], [1.0, float("nan")]],
+         "a non-empty list of [r, f] pairs of finite numbers"),
+        ("rhs.f_table", [[0.0, 1.0], [1.0, False]],
+         "a non-empty list of [r, f] pairs of finite numbers"),
+    ])
+    def test_value_of_wrong_type_is_named(self, tmp_path, capsys, command, key, value,
+                                          description):
+        spec = dict(sphere_spec(), domain={"type": "annulus", "r0": 0.5, "r1": 2.0,
+                                           "bc": [1.1, 2.2]}, solver={"N": 48})
+        if key == "rhs.f_table":
+            spec["rhs"] = {}
+        section, _, name = key.rpartition(".")
+        (spec[section] if section else spec)[name] = value
+        code, path = run_problem(tmp_path, command, spec)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: problem file {path}: key {key!r} must be {description}\n"
+        assert not (tmp_path / "out_summary.json").exists()
+
+    def test_unknown_domain_type_names_the_file(self, tmp_path, capsys):
+        spec = dict(sphere_spec(), domain={"type": "torus"})
+        code, path = run_problem(tmp_path, "solve", spec)
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: problem file {path}: "
+                                           "unknown domain type 'torus'\n")
+
+    def test_null_t_start_takes_the_default(self, tmp_path, capsys):
+        # The default start is t = 0.01.
+        spec = sphere_spec()
+        outputs = []
+        for t_start in (None, 0.01):
+            spec["continuation"]["t_start"] = t_start
+            assert run_problem(tmp_path, "continue", spec)[0] == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_every_read_key_is_accepted(self, tmp_path, capsys):
         spec = sphere_spec()

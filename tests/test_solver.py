@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from khessian.solver import (
     validate_growth,
     vpower_rhs,
 )
+from khessian.radial import RadialAB, sigma_k_radial, sigma_k_radial_gradients
 from khessian.symfunc import ConeParams, sigma_of_matrix
 
 CONE32 = ConeParams(3, 2)
@@ -84,6 +86,9 @@ class TestAssemble:
 
             def dphi_dw(self_, r, wv):
                 return np.zeros_like(np.asarray(r, dtype=float))
+
+            def evaluate(self_, r, wv):
+                return self_.phi(r, wv), self_.dphi_dw(r, wv), 0.0
 
         F, _ = system.residual_jacobian(w, FDManufactured())
         assert np.abs(F).max() <= 1e-13
@@ -501,16 +506,14 @@ class TestBorderedBanded:
             _bordered_solve(band, 1, 1, np.ones(6), np.ones(6), 0.0, np.ones(6), 1.0)
 
     def test_fold_state_of_annulus_branch(self):
-        from khessian.solver import _dF_dt, _FrozenT
         branch, problem = annulus_fold_branch(48)
         fold = branch.folds[0]
         system = RadialSystem(problem, 48)
         rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
-        _, J = system.residual_jacobian(fold.w_star, _FrozenT(rhs, fold.t_star))
+        _, J, Ft = system.residual_jacobian(fold.w_star, rhs, t=fold.t_star)
         _, s, vt = np.linalg.svd(dense_jacobian(system, J))
         assert s[-1] <= 1e-6 * s[0]          # J is near-singular at the fold
         rng = np.random.default_rng(3)
-        Ft = _dF_dt(system, rhs, fold.w_star, fold.t_star)
         for row, corner in ((vt[-1], 0.0), (vt[-1] + 0.1 * rng.normal(size=48), 0.3)):
             self.check(J, 1, 1, Ft, row, corner, rng.normal(size=48), 1.0)
 
@@ -568,6 +571,411 @@ class TestFoldRefinement:
         assert t.shape == t_ref.shape
         assert np.abs(t - t_ref).max() <= 1e-12 * np.abs(t_ref).max()
         assert branch.t_star == pytest.approx(reference.t_star, rel=1e-12)
+
+# ---------------------------------------------------------------------------
+# Oracles: the assembly and RHS code that the fused evaluation replaced, kept
+# verbatim apart from `self` becoming `system`.  The fused code must give the
+# same bits.
+# ---------------------------------------------------------------------------
+
+def former_exp(x):
+    return np.exp(np.clip(x, -700.0, 700.0))
+
+
+def former_smoothstep5(x):
+    x = np.clip(x, 0.0, 1.0)
+    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
+
+
+def former_smoothstep5_d(x):
+    inside = (x > 0.0) & (x < 1.0)
+    return np.where(inside, 30.0 * x**2 * (1.0 - x) ** 2, 0.0)
+
+
+def former_fv(f, r):
+    if callable(f):
+        return np.asarray(f(r), dtype=float)
+    return float(f)
+
+
+class FormerExpRHS:
+    def __init__(self, f, a):
+        self.f, self.a = f, a
+
+    def phi(self, r, w):
+        return former_fv(self.f, r) * former_exp(self.a * w)
+
+    def dphi_dw(self, r, w):
+        return self.a * self.phi(r, w)
+
+
+class FormerContinuationRHS:
+    def __init__(self, rhs):
+        self.cone, self.p, self.f, self.delta0 = rhs.cone, rhs.p, rhs.f, rhs.delta0
+        self.conv, self.beta = rhs.conv, rhs.beta
+
+    def delta(self, t):
+        return self.delta0 + (1.0 - self.delta0) * float(former_smoothstep5(t - 1.0))
+
+    def ddelta_dt(self, t):
+        return (1.0 - self.delta0) * float(former_smoothstep5_d(t - 1.0))
+
+    def _terms(self, r, w):
+        k, p, b = self.cone.k, self.p, self.beta
+        e_delta = former_exp(k * b * w)
+        e_power = former_exp((k - p) * b * w)
+        return e_delta, former_fv(self.f, r) * e_power
+
+    def phi(self, r, w, t):
+        e_delta, e_power = self._terms(r, w)
+        return t * self.conv * (self.delta(t) * e_delta + e_power)
+
+    def dphi_dw(self, r, w, t):
+        k, p, b = self.cone.k, self.p, self.beta
+        e_delta, e_power = self._terms(r, w)
+        return t * self.conv * (k * b * self.delta(t) * e_delta + (k - p) * b * e_power)
+
+    def dphi_dt(self, r, w, t):
+        e_delta, e_power = self._terms(r, w)
+        return self.conv * (self.delta(t) * e_delta + e_power
+                            + t * self.ddelta_dt(t) * e_delta)
+
+
+class FormerGeneralVRHS:
+    def __init__(self, rhs):
+        self.cone, self.phi_v, self.dphi_v_dv = rhs.cone, rhs.phi_v, rhs.dphi_v_dv
+        self.conv, self.beta = rhs.conv, rhs.beta
+
+    def phi(self, r, w, t):
+        k, b = self.cone.k, self.beta
+        v = former_exp(-b * w)
+        return t * self.conv * former_exp(k * b * w) * self.phi_v(r, v)
+
+    def dphi_dw(self, r, w, t):
+        k, b = self.cone.k, self.beta
+        v = former_exp(-b * w)
+        base = former_exp(k * b * w)
+        return t * self.conv * base * (k * b * self.phi_v(r, v)
+                                       - b * v * self.dphi_v_dv(r, v))
+
+    def dphi_dt(self, r, w, t):
+        k, b = self.cone.k, self.beta
+        v = former_exp(-b * w)
+        return self.conv * former_exp(k * b * w) * self.phi_v(r, v)
+
+
+class FormerFrozenT:
+    def __init__(self, rhs, t):
+        self.rhs, self.t = rhs, t
+
+    def phi(self, r, w):
+        return self.rhs.phi(r, w, self.t)
+
+    def dphi_dw(self, r, w):
+        return self.rhs.dphi_dw(r, w, self.t)
+
+
+def former_derivatives(system, w):
+    if system.kind == "sphere":
+        return np.zeros(1), np.zeros(1), np.array([0])
+    h = system.h
+    if system.kind == "annulus":
+        idx = np.arange(1, system.N - 1)
+        d1 = (w[idx + 1] - w[idx - 1]) / (2 * h)
+        d2 = (w[idx + 1] - 2 * w[idx] + w[idx - 1]) / h**2
+        return d1, d2, idx
+    idx = np.arange(0, system.N - 1)
+    wm = np.r_[w[0], w[:-2]]
+    d1 = (w[idx + 1] - wm) / (2 * h)
+    d2 = (w[idx + 1] - 2 * w[idx] + wm) / h**2
+    return d1, d2, idx
+
+
+def former_ab(system, w):
+    d1, d2, idx = former_derivatives(system, w)
+    r = system.r[idx]
+    return RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
+
+
+def former_residual(system, w, rhs):
+    if system.kind == "sphere":
+        return np.array([system.sigma_const - float(rhs.phi(system.r, w)[0])])
+    F = np.empty(system.N)
+    d1, d2, idx = former_derivatives(system, w)
+    r = system.r[idx]
+    ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
+    F[idx] = sigma_k_radial(ab, system.cone) - rhs.phi(r, w[idx])
+    dom = system.problem.domain
+    if system.kind == "annulus":
+        F[0] = w[0] - dom.w0
+        F[-1] = w[-1] - dom.w1
+    else:
+        F[-1] = w[-1] - dom.w1
+    return F
+
+
+def former_root_residual(system, w, rhs):
+    if system.kind == "sphere":
+        k = system.cone.k
+        phi = max(float(rhs.phi(system.r, w)[0]), 0.0)
+        return np.array([system.sigma_const ** (1.0 / k) - phi ** (1.0 / k)])
+    k = system.cone.k
+    G = np.empty(system.N)
+    d1, d2, idx = former_derivatives(system, w)
+    r = system.r[idx]
+    ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
+    sig = np.maximum(sigma_k_radial(ab, system.cone), 0.0)
+    phi = np.maximum(np.asarray(rhs.phi(r, w[idx]), dtype=float), 0.0)
+    G[idx] = sig ** (1.0 / k) - phi ** (1.0 / k)
+    dom = system.problem.domain
+    if system.kind == "annulus":
+        G[0] = w[0] - dom.w0
+        G[-1] = w[-1] - dom.w1
+    else:
+        G[-1] = w[-1] - dom.w1
+    return G
+
+
+def former_root_residual_jacobian(system, w, rhs):
+    k = system.cone.k
+    if system.kind == "sphere":
+        G = former_root_residual(system, w, rhs)
+        phi = max(float(rhs.phi(system.r, w)[0]), 1e-300)
+        dphi = float(rhs.dphi_dw(system.r, w)[0])
+        J = np.zeros((3, 1))
+        J[1, 0] = -(1.0 / k) * phi ** (1.0 / k - 1.0) * dphi
+        return G, J
+    h = system.h
+    G = former_root_residual(system, w, rhs)
+    J = np.zeros((3, system.N))
+    d1, d2, idx = former_derivatives(system, w)
+    r = system.r[idx]
+    ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
+    sig = np.maximum(sigma_k_radial(ab, system.cone), 1e-300)
+    sa, sb = sigma_k_radial_gradients(ab, system.cone)
+    scale = (1.0 / k) * sig ** (1.0 / k - 1.0)
+    sa = scale * sa
+    sb = scale * sb
+    phi = np.maximum(np.asarray(rhs.phi(r, w[idx]), dtype=float), 1e-300)
+    phi_w = (1.0 / k) * phi ** (1.0 / k - 1.0) * np.asarray(
+        rhs.dphi_dw(r, w[idx]), dtype=float)
+    bcoef = sb * (1.0 / r - d1)
+    if system.kind == "annulus":
+        J[1, idx] = -2.0 * sa / h**2 - phi_w
+        J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
+        J[2, idx - 1] = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
+        J[1, 0] = 1.0
+        J[1, -1] = 1.0
+        J[0, 1] = 0.0
+        J[2, -2] = 0.0
+    else:
+        J[1, idx] = -2.0 * sa / h**2 - phi_w
+        J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
+        sub = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
+        J[1, 0] += sub[0]
+        J[2, idx[1:] - 1] = sub[1:]
+        J[1, -1] = 1.0
+        J[2, -2] = 0.0
+    return G, J
+
+
+def former_residual_jacobian(system, w, rhs):
+    if system.kind == "sphere":
+        F = former_residual(system, w, rhs)
+        J = np.zeros((3, 1))
+        J[1, 0] = -float(rhs.dphi_dw(system.r, w)[0])
+        return F, J
+    h = system.h
+    F = former_residual(system, w, rhs)
+    J = np.zeros((3, system.N))
+    d1, d2, idx = former_derivatives(system, w)
+    r = system.r[idx]
+    ab = RadialAB(d2 + 0.5 * d1**2, d1 / r - 0.5 * d1**2)
+    sa, sb = sigma_k_radial_gradients(ab, system.cone)
+    phi_w = rhs.dphi_dw(r, w[idx])
+    bcoef = sb * (1.0 / r - d1)
+    if system.kind == "annulus":
+        J[1, idx] = -2.0 * sa / h**2 - phi_w
+        J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
+        J[2, idx - 1] = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
+        J[1, 0] = 1.0
+        J[1, -1] = 1.0
+        J[0, 1] = 0.0
+        J[2, -2] = 0.0
+    else:
+        J[1, idx] = -2.0 * sa / h**2 - phi_w
+        J[0, idx + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
+        sub = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
+        J[1, 0] += sub[0]
+        J[2, idx[1:] - 1] = sub[1:]
+        J[1, -1] = 1.0
+        J[2, -2] = 0.0
+    return F, J
+
+
+def former_dF_dt(system, rhs, w, t):
+    Ft = np.zeros(system.N)
+    if system.kind == "sphere":
+        Ft[0] = -float(np.atleast_1d(rhs.dphi_dt(system.r, w, t))[0])
+    else:
+        idx = (np.arange(1, system.N - 1) if system.kind == "annulus"
+               else np.arange(0, system.N - 1))
+        Ft[idx] = -np.asarray(rhs.dphi_dt(system.r[idx], w[idx], t), dtype=float)
+    return Ft
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), np.flatnonzero(
+        got.view(np.int64) != want.view(np.int64))
+
+
+def oracle_case(domain, rhs_kind, state):
+    """(system, w, fused RHS, former RHS, t) for one oracle comparison; t is
+    None for an RHS without a continuation parameter.
+
+    States: "interior" is strictly admissible; "cone_edge" has b > 0 on some
+    nodes and b < 0 on others (a perturbed annulus w = 2 log r, on which b
+    vanishes, and the ball past r = 1/sqrt(c) for w = c r^2); "clip" puts
+    every exponent past +-700.  The sphere has no stencil: its states are
+    w = 0.3, -3 and 800.
+    """
+    if domain == "annulus":
+        dom, N = Annulus(0.5, 2.0, W_STAR(0.5), W_STAR(2.0)), 24
+    elif domain == "ball":
+        dom, N = Ball(1.0, 0.5), 24
+    else:
+        dom, N = SphereConstant(), 1
+    system = RadialSystem(RadialProblem(CONE32, dom, p=4.0, f=1.0), N)
+    r = system.r
+    noise = 0.01 * np.random.default_rng([len(domain), len(rhs_kind), len(state)]).normal(size=N)
+    if domain == "sphere":
+        w = np.array({"interior": 0.3, "cone_edge": -3.0, "clip": 800.0}[state])[None]
+    elif state == "interior":
+        w = (W_STAR(r) if domain == "annulus" else 0.4 * r**2 + 0.1 * r**4) + noise
+    elif state == "cone_edge":
+        w = 2.0 * np.log(r) + 0.05 * (r - 1.25) ** 2 if domain == "annulus" else 1.25 * r**2
+    else:
+        w = W_STAR(r) + 800.0 * np.where(np.arange(N) % 2, 1.0, -1.0)
+    t = 1.4                    # inside the smoothstep bridge of delta_t
+    f = lambda x: 1.0 + np.asarray(x, dtype=float) ** 2
+    if rhs_kind == "exp":
+        return system, w, ExpRHS(1.3, 1.0), FormerExpRHS(1.3, 1.0), None
+    if rhs_kind == "exp_callable":
+        return system, w, ExpRHS(f, 0.5), FormerExpRHS(f, 0.5), None
+    if rhs_kind == "continuation":
+        rhs = ContinuationRHS(CONE32, 4.0, f, delta0=0.3)
+        return system, w, rhs, FormerContinuationRHS(rhs), t
+    rhs = GeneralVRHS(CONE32, lambda x, v: 1.0 + v**4, lambda x, v: 4.0 * v**3)
+    return system, w, rhs, FormerGeneralVRHS(rhs), t
+
+
+class TestFusedAssemblyOracle:
+    """One evaluation of the stencil and the RHS gives the former bits."""
+
+    @pytest.mark.parametrize("state", ["interior", "cone_edge", "clip"])
+    @pytest.mark.parametrize("rhs_kind", ["exp", "exp_callable", "continuation", "general"])
+    @pytest.mark.parametrize("domain", ["annulus", "ball", "sphere"])
+    def test_bit_identical_to_former_assembly(self, domain, rhs_kind, state):
+        from khessian.solver import _FrozenT
+        system, w, rhs, former, t = oracle_case(domain, rhs_kind, state)
+        plain, former_plain = (rhs, former) if t is None else (_FrozenT(rhs, t),
+                                                               FormerFrozenT(former, t))
+        with np.errstate(all="ignore"):
+            want_F, want_J = former_residual_jacobian(system, w, former_plain)
+            want_G, want_JG = former_root_residual_jacobian(system, w, former_plain)
+            assert_same_bits(former_residual(system, w, former_plain), want_F)
+            assert_same_bits(former_root_residual(system, w, former_plain), want_G)
+            F, J = system.residual_jacobian(w, plain)
+            G, JG, FG = system.root_residual_jacobian(w, plain)
+            assert_same_bits(system.residual(w, plain), want_F)
+            assert_same_bits(system.root_residual(w, plain), want_G)
+            for got, want in ((F, want_F), (J, want_J), (G, want_G), (JG, want_JG),
+                              (FG, want_F)):
+                assert_same_bits(got, want)
+            if t is not None:
+                Ft_want = former_dF_dt(system, former, w, t)
+                F, J, Ft = system.residual_jacobian(w, rhs, t=t)
+                for got, want in ((F, want_F), (J, want_J), (Ft, Ft_want)):
+                    assert_same_bits(got, want)
+                for view in ("phi", "dphi_dw", "dphi_dt"):
+                    assert_same_bits(getattr(rhs, view)(system.r_eq, w[system.rows], t),
+                                     getattr(former, view)(system.r_eq, w[system.rows], t))
+            if domain == "sphere":
+                return
+            ab, want_ab = system.ab(w), former_ab(system, w)
+            assert_same_bits(ab.a, want_ab.a)
+            assert_same_bits(ab.b, want_ab.b)
+        if state == "cone_edge":
+            assert np.min(ab.b) < 0.0 < np.max(ab.b)
+
+    def test_exp_bits_match_clip(self):
+        from khessian.solver import _exp
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[-np.inf, -1e308, -800.0, -700.0, -0.0, 0.0, 700.0, 800.0,
+                             1e308, np.inf, np.nan], rng.normal(scale=600.0, size=4000)])
+        with np.errstate(over="ignore"):
+            assert_same_bits(_exp(x), former_exp(x))
+            for v in (-800.0, 3.5, np.nan):
+                assert_same_bits(_exp(v), former_exp(v))
+
+    def test_smoothstep_bits_match_former(self):
+        from khessian.solver import _smoothstep5, _smoothstep5_d
+        xs = np.random.default_rng(12).uniform(-0.5, 1.5, 2000)
+        for x in [-1.0, -0.0, 0.0, 0.3, 0.999, 1.0, 2.0, np.nan, *xs]:
+            assert_same_bits(_smoothstep5(x), former_smoothstep5(x))
+            assert_same_bits(_smoothstep5_d(x), former_smoothstep5_d(x))
+
+
+def count_assemblies(monkeypatch):
+    """Counter of calls of the four assembly methods of RadialSystem."""
+    calls = Counter()
+    for name in ("residual", "root_residual", "residual_jacobian", "root_residual_jacobian"):
+        method = getattr(RadialSystem, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(RadialSystem, name, counted)
+    return calls
+
+
+class TestAssemblyCounts:
+    def test_accepted_newton_step_does_not_call_residual(self, monkeypatch):
+        calls = count_assemblies(monkeypatch)
+        res = newton_solve(manufactured_problem(), manufactured_rhs(1.0), SolverConfig(N=64))
+        assert res.converged and not res.floor_limited and res.iterations >= 3
+        # Every step is accepted undamped: one evaluation per iterate.
+        assert calls == {"root_residual_jacobian": res.iterations + 1}
+
+    def test_tangent_reuses_the_corrector_assembly(self, monkeypatch):
+        from khessian import solver
+        branch, problem = annulus_fold_branch(96)
+        system = RadialSystem(problem, 96)
+        rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
+        s = branch.samples[5]
+        tau = solver._tangent(system, rhs, s.w, s.t)
+        ds = 0.02
+        w, t, iters, jac_t = solver._corrector(system, rhs, s.w + ds * tau[:-1],
+                                               s.t + ds * tau[-1], tau, SolverConfig(N=96))
+        assert iters >= 1 and jac_t is not None
+        fresh = solver._tangent(system, rhs, w, t, prev=tau)
+        calls = count_assemblies(monkeypatch)
+        reused = solver._tangent(system, rhs, w, t, prev=tau, jac_t=jac_t)
+        assert not calls
+        assert_same_bits(reused, fresh)
+
+    def test_annulus_continuation_assembles_less(self, monkeypatch):
+        # The former code made 262 outermost assembly calls for this branch
+        # (507 with the residual each Jacobian assembled inside itself).
+        calls = count_assemblies(monkeypatch)
+        branch, _ = annulus_fold_branch(96)
+        assert repr(branch.t_star) == "0.007103164721554383"
+        assert sum(calls.values()) < 262
+        assert calls["residual"] == calls["root_residual"] == 0
+
 
 class TestRoundingFloorStop:
     """Newton, the corrector and fold refinement stop at the rounding floor."""
@@ -746,7 +1154,8 @@ class TestGaugeConsistency:
                                 p=p_exp, f=fv)
         sol = solve_subcritical(problem, SolverConfig(N=128))
         system = RadialSystem(problem, 128)
-        d1, d2, idx = system._derivatives(sol.w)
+        d1, d2, _ = system._stencil(sol.w)
+        idx = np.arange(system.N)[system.rows]
         bg = Background.flat(3)
         worst = 0.0
         for i in range(0, len(idx), 9):
