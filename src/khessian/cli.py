@@ -231,18 +231,26 @@ def _load_problem_spec(path):
         if "f_const" in rhs_spec:
             src.fail("give 'rhs.f_table' or 'rhs.f_const', not both")
         table = get(rhs_spec, "rhs", "f_table", "table")
+        # np.interp needs increasing abscissae and silently misreads others.
+        if not np.all(np.diff(table[:, 0]) > 0.0):
+            src.fail("key 'rhs.f_table' must have a strictly increasing r column")
         f = lambda r: np.interp(np.asarray(r, dtype=float), table[:, 0], table[:, 1])
     else:
         f = get(rhs_spec, "rhs", "f_const", "number", 1.0)
     problem = solver.RadialProblem(cone, domain, p, f)
     sconf = src.section(get(spec, "", "solver", "object", {}), "solver", _PROBLEM_KEYS["solver"])
+    N = get(sconf, "solver", "N", "integer", 129)
+    try:
+        solver.RadialSystem(problem, N)
+    except ValueError as exc:
+        src.fail(f"key 'solver.N': {exc}")
     cconf = src.section(get(spec, "", "continuation", "object", {}), "continuation",
                         _PROBLEM_KEYS["continuation"])
     # A null t_start asks for the default start, as an absent one does.
     t_start = None if cconf.get("t_start") is None else get(cconf, "continuation", "t_start",
                                                              "number")
     config = solver.SolverConfig(
-        N=get(sconf, "solver", "N", "integer", 129),
+        N=N,
         tol=get(sconf, "solver", "tol", "number", 1e-10),
         max_iter=get(sconf, "solver", "max_iter", "integer", 50),
         delta0=get(cconf, "continuation", "delta0", "number", 1.0),
@@ -253,12 +261,6 @@ def _load_problem_spec(path):
         after_fold_frac=get(cconf, "continuation", "after_fold_frac", "number", 0.7),
     )
     return problem, config, spec
-
-
-def _solution_csv(path, problem, config, w, system, rhs):
-    res = system.residual(w, rhs)
-    v = np.exp(-0.5 * (problem.cone.n - 2) * w)
-    _write_csv(path, ["r", "w", "v", "residual"], [system.r, w, v, res])
 
 
 def _terminal_order(history):
@@ -290,25 +292,19 @@ def cmd_solve(args) -> int:
         if p < k:
             sol = solver.solve_subcritical(problem, config)
             w = sol.w
-            rhs = solver.vpower_rhs(problem.f, n, k, p)
+            residual = system.residual(w, solver.vpower_rhs(problem.f, n, k, p))
             summary["regime"] = "subcritical"
             summary["newton_iterations"] = sol.newton.iterations
             summary["residual"] = sol.newton.residual
             summary["terminal_order"] = _terminal_order(sol.newton.residual_history)
             summary["floor_limited"] = sol.newton.floor_limited
         elif p == k:
-            eig = solver.solve_eigenvalue(problem, config)
+            eig = solver.solve_eigenvalue(problem)
             w = eig.w
-            conv = eig.theta * conformal.wgauge_rhs_amplitude(1.0, n, k)
-            if callable(problem.f):
-                rhs = solver.ExpRHS(
-                    lambda r, _f=problem.f, _c=conv: _c * np.asarray(_f(r), dtype=float),
-                    0.0)
-            else:
-                rhs = solver.ExpRHS(conv * float(problem.f), 0.0)
+            # One node on the sphere: its residual is residual_check.
+            residual = [eig.residual_check]
             summary["regime"] = "eigenvalue"
             summary["theta"] = eig.theta
-            summary["theta_sequence"] = eig.theta_sequence
             summary["residual"] = eig.residual_check
         else:
             branch = solver.continuation_supercritical(problem, config)
@@ -318,8 +314,8 @@ def cmd_solve(args) -> int:
                 return EXIT_NO_CONVERGENCE
             beta = 0.5 * (n - 2)
             w = max(sols, key=lambda ww: float(np.exp(-beta * ww).max()))
-            rhs = solver._FrozenT(
-                solver.ContinuationRHS(problem.cone, p, problem.f, config.delta0), 1.0)
+            rhs = solver.ContinuationRHS(problem.cone, p, problem.f, config.delta0)
+            residual = system.residual_jacobian(w, rhs, t=1.0)[0]
             summary["regime"] = "supercritical"
             summary["t_star"] = branch.t_star
             summary["solutions_at_t1"] = len(sols)
@@ -329,7 +325,8 @@ def cmd_solve(args) -> int:
     except solver.SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    _solution_csv(args.out_prefix + "_solution.csv", problem, config, w, system, rhs)
+    _write_csv(args.out_prefix + "_solution.csv", ["r", "w", "v", "residual"],
+               [system.r, w, np.exp(-0.5 * (n - 2) * w), residual])
     _write_json(args.out_prefix + "_summary.json", summary)
     print(json.dumps({k: v for k, v in summary.items() if k != "manifest"},
                      sort_keys=True, default=float))
@@ -645,12 +642,12 @@ def _verify_checks(seed: int):
 
     # 12. scalar solver: eigenvalue and fold
     prob = solver.RadialProblem(ConeParams(3, 2), solver.SphereConstant(), p=2.0, f=1.0)
-    eig = solver.solve_eigenvalue(prob, solver.SolverConfig(N=1))
+    eig = solver.solve_eigenvalue(prob)
     prob4 = solver.RadialProblem(ConeParams(3, 2), solver.SphereConstant(), p=4.0, f=1.0)
     br = solver.continuation_supercritical(
         prob4, solver.SolverConfig(N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6))
-    ok = abs(eig.theta - 3 / 16) <= 1e-4 and br.t_star is not None \
-        and abs(br.t_star - 3 / 32) <= 1e-8
+    ok = abs(eig.theta - 3 / 16) <= 4 * np.finfo(float).eps * (3 / 16) \
+        and br.t_star is not None and abs(br.t_star - 3 / 32) <= 1e-8
     yield "scalar eigenvalue and fold", ok, (
         f"theta err {abs(eig.theta - 3/16):.2e}, "
         f"t* err {abs((br.t_star or 0) - 3/32):.2e}")

@@ -8,8 +8,8 @@ sigma_k(lambda(W)) = f (2/(n-2))^k e^{a w} with a = (n-2)(k-p)/2.
 
 Three regimes:
   * p < k  (a > 0): cone-guarded damped Newton; the solution is unique.
-  * p = k: the vanishing-exponent scheme; solve for a decreasing sequence of
-    exponents, track theta_a = exp(a * inf w_a), extrapolate a -> 0.
+  * p = k: an eigenvalue problem, defined on the sphere reduction only, where
+    W = (1/2) I for every constant factor gives theta in closed form.
   * p > k: pseudo-arclength continuation of sigma_k(lambda(V)) = t(delta_t
     + f v^p); the branch folds at t*, with two solutions below, one at, and
     none above the fold.
@@ -322,6 +322,15 @@ class _FrozenT:
 # Discrete system
 # ---------------------------------------------------------------------------
 
+def _check_grid_size(N: int, least: int, domain: str) -> int:
+    """N, once it is at least the least grid size of the domain: the annulus
+    needs one equation row between its Dirichlet rows, the ball one besides
+    its Dirichlet row at r1, and the sphere its one node."""
+    if N < least:
+        raise ValueError(f"{domain} grid needs N >= {least}, got N = {N}")
+    return N
+
+
 class RadialSystem:
     """Finite-difference system for one radial problem on a fixed grid."""
 
@@ -331,6 +340,7 @@ class RadialSystem:
         dom = problem.domain
         if isinstance(dom, SphereConstant):
             self.kind = "sphere"
+            _check_grid_size(N, 1, "the sphere")
             self.N = 1
             self.r = np.array([1.0])      # placeholder; the RHS ignores r
             self.h = 0.0
@@ -338,12 +348,12 @@ class RadialSystem:
             self.sigma_const = math.comb(self.cone.n, self.cone.k) * 0.5**self.cone.k
         elif isinstance(dom, Annulus):
             self.kind = "annulus"
-            self.N = N
+            self.N = _check_grid_size(N, 3, "an annulus")
             self.r = np.linspace(dom.r0, dom.r1, N)
             self.h = self.r[1] - self.r[0]
         elif isinstance(dom, Ball):
             self.kind = "ball"
-            self.N = N
+            self.N = _check_grid_size(N, 2, "a ball")
             # Staggered half-cell grid keeps every node off the origin while the
             # mirrored ghost value encodes the symmetry condition w'(0) = 0.
             self.h = dom.r1 / (N - 0.5)
@@ -738,56 +748,31 @@ def solve_subcritical(problem: RadialProblem, config: SolverConfig,
 @dataclass
 class EigenResult:
     theta: float
-    w: np.ndarray              # normalized: inf w = 0
+    w: np.ndarray              # w = 0; every constant factor is a solution
     r: np.ndarray
-    theta_sequence: list
-    a_sequence: list
-    residual_check: float
+    residual_check: float      # sup norm of the residual at w with theta f
 
 
-def solve_eigenvalue(problem: RadialProblem, config: SolverConfig,
-                     a_sequence=None, w0=None) -> EigenResult:
-    """Eigenvalue of sigma_k(lambda(V)) = theta f v^k by the vanishing-exponent scheme.
+def solve_eigenvalue(problem: RadialProblem) -> EigenResult:
+    """Eigenvalue theta of sigma_k(lambda(V)) = theta f v^k on the sphere reduction.
 
-    Solves the family sigma_k(lambda(W)) = f~ e^{a w} for a decreasing
-    sequence of exponents, tracks theta_a = exp(a inf w_a), extrapolates the
-    limit a -> 0, and returns the solution normalized by inf w = 0.  The
-    normalized output is seed-independent (solutions are closed under
-    additive constants).
-
-    The scheme defines an eigenvalue only on the sphere reduction; any other
-    domain raises ValueError.
+    W = (1/2) I for every constant factor on the round sphere, so theta =
+    C(n,k) 2^-k / ((2/(n-2))^k f), with f at the sphere's one node, and every
+    constant w solves: w = 0 is returned.  Any other domain, and an f that
+    is not positive and finite, raise ValueError.
     """
     if not isinstance(problem.domain, SphereConstant):
         raise ValueError("the p = k eigenvalue problem is defined only on the sphere "
                          f"reduction (sphere_constant), not on {type(problem.domain).__name__}")
     n, k = problem.cone.n, problem.cone.k
-    if a_sequence is None:
-        a_sequence = [2.0**-j for j in range(1, 9)]
-    system = RadialSystem(problem, config.N)
-    w = np.asarray(w0, dtype=float).copy() if w0 is not None else system.initial_guess()
-    thetas = []
-    for a in a_sequence:
-        result = _damped_newton(system, vpower_rhs(problem.f, n, k, k - 2.0 * a / (n - 2)),
-                                w, config)
-        w = result.w
-        thetas.append(math.exp(a * float(w.min())))
-    logt = np.log(thetas)
-    aa = np.asarray(a_sequence, dtype=float)
-    use = min(4, len(aa))
-    coeffs = np.polyfit(aa[-use:], logt[-use:], min(2, use - 1))
-    theta = float(np.exp(coeffs[-1]))
-    if not np.isfinite(theta) or abs(math.log(max(thetas[-1], 1e-300)) - math.log(theta)) > 0.5:
-        raise SolverError("theta sequence did not converge",
-                          diagnostics={"theta_sequence": thetas, "a_sequence": list(aa)})
-    w0 = w - w.min()
-    if callable(problem.f):
-        rhs_check = ExpRHS(lambda r, _f=problem.f, _c=theta * wgauge_rhs_amplitude(1.0, n, k):
-                           _c * np.asarray(_f(r), dtype=float), 0.0)
-    else:
-        rhs_check = ExpRHS(theta * wgauge_rhs_amplitude(float(problem.f), n, k), 0.0)
-    residual_check = float(np.abs(system.residual(w0, rhs_check)).max())
-    return EigenResult(theta, w0, system.r, thetas, list(aa), residual_check)
+    system = RadialSystem(problem, 1)
+    f = float(problem.f_values(system.r)[0])
+    if not (math.isfinite(f) and f > 0.0):
+        raise ValueError(f"f must be positive and finite on the sphere, not {f!r}")
+    theta = system.sigma_const / wgauge_rhs_amplitude(f, n, k)
+    w = np.zeros(1)
+    residual_check = float(np.abs(system.residual(w, vpower_rhs(theta * f, n, k, k))).max())
+    return EigenResult(theta, w, system.r, residual_check)
 
 
 # ---------------------------------------------------------------------------

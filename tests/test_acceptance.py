@@ -185,19 +185,19 @@ def test_criterion_07_manufactured_solve():
 
 
 # ---------------------------------------------------------------------------
-# 8. eigenvalue theta on the sphere reduction, within 1%
+# 8. eigenvalue theta on the sphere reduction, within one ulp
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_eigenvalue_theta():
     p32 = solver.RadialProblem(ConeParams(3, 2), solver.SphereConstant(), p=2.0, f=1.0)
     p43 = solver.RadialProblem(ConeParams(4, 3), solver.SphereConstant(), p=3.0, f=1.0)
-    t32 = solver.solve_eigenvalue(p32, solver.SolverConfig(N=1)).theta
-    t43 = solver.solve_eigenvalue(p43, solver.SolverConfig(N=1)).theta
-    e32 = abs(t32 - 3 / 16) / (3 / 16)
-    e43 = abs(t43 - 0.5) / 0.5
-    ok = e32 <= 0.01 and e43 <= 0.01
+    t32 = solver.solve_eigenvalue(p32).theta
+    t43 = solver.solve_eigenvalue(p43).theta
+    e32 = abs(t32 - 3 / 16) / math.ulp(3 / 16)
+    e43 = abs(t43 - 0.5) / math.ulp(0.5)
+    ok = e32 <= 1 and e43 <= 1
     report(8, "eigenvalue theta", ok,
-           f"theta(3,2) = {t32:.6f} (err {e32:.2e}), theta(4,3) = {t43:.6f} (err {e43:.2e})")
+           f"theta(3,2) = {t32!r} ({e32:g} ulp), theta(4,3) = {t43!r} ({e43:g} ulp)")
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,28 @@ class TestSolveCommand:
         assert code == 0
         summary = json.loads((tmp_path / "eig_summary.json").read_text())
         assert summary["regime"] == "eigenvalue"
-        assert summary["theta"] == pytest.approx(3.0 / 16.0, rel=0.01)
+        assert abs(summary["theta"] - 3.0 / 16.0) <= math.ulp(3.0 / 16.0)
+        assert summary["residual"] == 0.0
+        assert "theta_sequence" not in summary
         assert summary["manifest"]["tool_version"]
         csv_lines = (tmp_path / "eig_solution.csv").read_text().splitlines()
         assert csv_lines[0] == "r,w,v,residual"
+        assert [float(x) for x in csv_lines[1].split(",")] == [1.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("rhs", [
+        {"f_const": 0.0},
+        {"f_const": -1.0},
+        {"f_table": [[0.0, 1.0], [1.0, -1.0], [2.0, 1.0]]},
+    ], ids=["zero", "negative", "table_negative_at_1"])
+    def test_eigenvalue_with_f_not_positive_exits_3(self, tmp_path, capsys, rhs):
+        spec = {"n": 3, "k": 2, "p": 2.0, "domain": {"type": "sphere_constant"},
+                "rhs": rhs, "solver": {"N": 1}}
+        path = tmp_path / "eigen.json"
+        path.write_text(json.dumps(spec))
+        code = main(["solve", "--problem", str(path), "--out-prefix", str(tmp_path / "eig")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: f must be positive")
+        assert not (tmp_path / "eig_summary.json").exists()
 
     @pytest.mark.parametrize("domain", [
         {"type": "ball", "r1": 1.0, "bc": 0.0},
@@ -487,6 +505,10 @@ def sphere_spec():
             "continuation": {"step": 0.05, "t_start": 0.005}}
 
 
+ANNULUS = {"type": "annulus", "r0": 0.5, "r1": 2.0, "bc": [1.1, 2.2]}
+BALL = {"type": "ball", "r1": 1.0, "bc": 0.5}
+
+
 def run_problem(tmp_path, command, spec):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(spec))
@@ -594,6 +616,43 @@ class TestProblemLoader:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"error: problem file {path}: key {key!r} must be {description}\n"
+        assert not (tmp_path / "out_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("domain, N, message", [
+        (ANNULUS, 0, "an annulus grid needs N >= 3, got N = 0"),
+        (ANNULUS, 1, "an annulus grid needs N >= 3, got N = 1"),
+        (ANNULUS, 2, "an annulus grid needs N >= 3, got N = 2"),
+        (BALL, 0, "a ball grid needs N >= 2, got N = 0"),
+        (BALL, 1, "a ball grid needs N >= 2, got N = 1"),
+        ({"type": "sphere_constant"}, 0, "the sphere grid needs N >= 1, got N = 0"),
+    ], ids=["annulus0", "annulus1", "annulus2", "ball0", "ball1", "sphere0"])
+    def test_grid_too_small_is_named(self, tmp_path, capsys, command, domain, N, message):
+        spec = dict(sphere_spec(), domain=domain, solver={"N": N})
+        code, path = run_problem(tmp_path, command, spec)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: problem file {path}: key 'solver.N': {message}\n"
+        assert not (tmp_path / "out_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    def test_ball_with_two_nodes_has_one_equation_row(self, tmp_path, capsys, command):
+        spec = dict(sphere_spec(), domain=BALL, solver={"N": 2})
+        assert run_problem(tmp_path, command, spec)[0] == 0
+        summary = json.loads((tmp_path / "out_summary.json").read_text())
+        assert summary["t_star"] > 0.0
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("r", [[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                             ids=["decreasing", "repeated", "unordered"])
+    def test_f_table_r_column_must_increase(self, tmp_path, capsys, command, r):
+        spec = dict(sphere_spec(), domain=BALL, solver={"N": 32},
+                    rhs={"f_table": [[x, 1.0] for x in r]})
+        code, path = run_problem(tmp_path, command, dict(spec, p=0.5))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: problem file {path}: key 'rhs.f_table' must have a strictly "
+                       "increasing r column\n")
         assert not (tmp_path / "out_summary.json").exists()
 
     def test_unknown_domain_type_names_the_file(self, tmp_path, capsys):

@@ -254,44 +254,126 @@ class TestSubcritical:
             solve_subcritical(problem, SolverConfig(N=1))
 
 
+def former_solve_eigenvalue(problem, config, a_sequence=None, w0=None):
+    """The former vanishing-exponent scheme of `solve_eigenvalue`, kept as an
+    oracle: damped-Newton solves of sigma_k(lambda(W)) = f~ e^{a w} for a
+    decreasing sequence of exponents, theta_a = exp(a inf w_a) extrapolated
+    to a -> 0 by a polynomial fit.  Returns (theta, w normalized by inf w = 0,
+    theta sequence, residual check)."""
+    from khessian.solver import _damped_newton
+
+    n, k = problem.cone.n, problem.cone.k
+    if a_sequence is None:
+        a_sequence = [2.0**-j for j in range(1, 9)]
+    system = RadialSystem(problem, config.N)
+    w = np.asarray(w0, dtype=float).copy() if w0 is not None else system.initial_guess()
+    thetas = []
+    for a in a_sequence:
+        result = _damped_newton(system, vpower_rhs(problem.f, n, k, k - 2.0 * a / (n - 2)),
+                                w, config)
+        w = result.w
+        thetas.append(math.exp(a * float(w.min())))
+    logt = np.log(thetas)
+    aa = np.asarray(a_sequence, dtype=float)
+    use = min(4, len(aa))
+    coeffs = np.polyfit(aa[-use:], logt[-use:], min(2, use - 1))
+    theta = float(np.exp(coeffs[-1]))
+    if not np.isfinite(theta) or abs(math.log(max(thetas[-1], 1e-300)) - math.log(theta)) > 0.5:
+        raise SolverError("theta sequence did not converge",
+                          diagnostics={"theta_sequence": thetas, "a_sequence": list(aa)})
+    w0 = w - w.min()
+    if callable(problem.f):
+        rhs_check = ExpRHS(lambda r, _f=problem.f, _c=theta * wgauge_rhs_amplitude(1.0, n, k):
+                           _c * np.asarray(_f(r), dtype=float), 0.0)
+    else:
+        rhs_check = ExpRHS(theta * wgauge_rhs_amplitude(float(problem.f), n, k), 0.0)
+    residual_check = float(np.abs(system.residual(w0, rhs_check)).max())
+    return theta, w0, thetas, residual_check
+
+
+# Every supercritical (n, k), k > n/2, with n <= 8.
+SUPERCRITICAL = [(n, k) for n in range(3, 9) for k in range(n // 2 + 1, n + 1)]
+
+
+def closed_form_theta(n, k, f):
+    return math.comb(n, k) * 2.0**-k / ((2 / (n - 2)) ** k * f)
+
+
 class TestEigenvalue:
     def test_theta_n3k2(self):
         problem = RadialProblem(CONE32, SphereConstant(), p=2.0, f=1.0)
-        eig = solve_eigenvalue(problem, SolverConfig(N=1))
-        assert eig.theta == pytest.approx(3.0 / 16.0, rel=0.01)
-        assert eig.residual_check <= 1e-10
-        assert eig.w.min() == 0.0
+        eig = solve_eigenvalue(problem)
+        assert eig.theta == 3.0 / 16.0
+        assert eig.residual_check == 0.0
+        assert eig.w.tolist() == [0.0]
 
     def test_theta_n4k3(self):
         problem = RadialProblem(ConeParams(4, 3), SphereConstant(), p=3.0, f=1.0)
-        eig = solve_eigenvalue(problem, SolverConfig(N=1))
-        assert eig.theta == pytest.approx(0.5, rel=0.01)
+        assert abs(solve_eigenvalue(problem).theta - 0.5) <= math.ulp(0.5)
+
+    @pytest.mark.parametrize("n, k", SUPERCRITICAL)
+    def test_closed_form_within_one_ulp(self, n, k):
+        for f in (0.5, 1.0, 1.9, 0.37, 2.6):
+            eig = solve_eigenvalue(RadialProblem(ConeParams(n, k), SphereConstant(), p=k, f=f))
+            want = closed_form_theta(n, k, f)
+            assert abs(eig.theta - want) <= math.ulp(want)
+            # sigma_k((1/2) I) - theta f (2/(n-2))^k, a few roundings of sigma
+            sigma = math.comb(n, k) * 0.5**k
+            assert eig.residual_check <= 4 * np.finfo(float).eps * sigma
+
+    @pytest.mark.parametrize("n, k", SUPERCRITICAL)
+    def test_agrees_with_the_former_scheme(self, n, k):
+        # The former scheme stops its Newton solves at a residual of tol in
+        # sigma - theta f~, which moves theta by up to theta tol / sigma.  50
+        # of these 54 cases agree within 3e-11 relative; (7, 7) at f = 1,
+        # where sigma = 2^-7, differs most, by 1.5e-9.
+        tol = SolverConfig().tol
+        sigma = math.comb(n, k) * 0.5**k
+        for f in (0.5, 1.0, 1.9):
+            problem = RadialProblem(ConeParams(n, k), SphereConstant(), p=k, f=f)
+            theta = solve_eigenvalue(problem).theta
+            former, _, _, _ = former_solve_eigenvalue(problem, SolverConfig(N=1))
+            assert abs(theta - former) <= theta * tol / sigma
 
     def test_scaling_law(self):
-        # doubling f halves theta
-        p1 = RadialProblem(CONE32, SphereConstant(), p=2.0, f=1.0)
-        p2 = RadialProblem(CONE32, SphereConstant(), p=2.0, f=2.0)
-        t1 = solve_eigenvalue(p1, SolverConfig(N=1)).theta
-        t2 = solve_eigenvalue(p2, SolverConfig(N=1)).theta
-        assert t2 == pytest.approx(0.5 * t1, rel=1e-8)
+        # doubling f halves theta, exactly: both steps are by a power of two
+        p1 = RadialProblem(CONE32, SphereConstant(), p=2.0, f=1.3)
+        p2 = RadialProblem(CONE32, SphereConstant(), p=2.0, f=2.6)
+        assert solve_eigenvalue(p2).theta == 0.5 * solve_eigenvalue(p1).theta
+
+    def test_f_is_read_at_the_sphere_node(self):
+        # A callable f (an f_table in the CLI) is taken at the one node r = 1.
+        table = lambda r: np.interp(r, [0.0, 1.0, 2.0], [5.0, 1.3, 0.1])
+        const = solve_eigenvalue(RadialProblem(CONE32, SphereConstant(), p=2.0, f=1.3))
+        tabled = solve_eigenvalue(RadialProblem(CONE32, SphereConstant(), p=2.0, f=table))
+        assert tabled.theta == const.theta
+        assert tabled.residual_check == const.residual_check
+
+    @pytest.mark.parametrize("f", [0.0, -1.0, math.nan, math.inf,
+                                   lambda r: np.interp(r, [0.0, 2.0], [1.0, -1.0])],
+                             ids=["zero", "negative", "nan", "inf", "table_negative_at_1"])
+    def test_rejects_f_not_positive_and_finite(self, f):
+        problem = RadialProblem(CONE32, SphereConstant(), p=2.0, f=f)
+        with pytest.raises(ValueError, match="f must be positive"):
+            solve_eigenvalue(problem)
 
     def test_shift_invariance_of_normalized_solution(self):
         # solutions are closed under additive constants: shifted seeds give
-        # the same normalized output
+        # the same normalized output of the former scheme
         problem = RadialProblem(CONE32, SphereConstant(), p=2.0, f=1.0)
         config = SolverConfig(N=1)
-        base = solve_eigenvalue(problem, config)
+        base_theta, base_w, _, _ = former_solve_eigenvalue(problem, config)
         for shift in (2.0, -2.0):
-            again = solve_eigenvalue(problem, config, w0=np.array([shift]))
-            assert np.abs(base.w - again.w).max() <= 1e-8
-            assert base.theta == pytest.approx(again.theta, rel=1e-8)
+            theta, w, _, _ = former_solve_eigenvalue(problem, config, w0=np.array([shift]))
+            assert np.abs(base_w - w).max() <= 1e-8
+            assert base_theta == pytest.approx(theta, rel=1e-8)
 
     @pytest.mark.parametrize("domain", [Ball(1.0, 0.0), Annulus(0.5, 1.0, 0.0, 0.0)],
                              ids=["ball", "annulus"])
     def test_rejects_domains_off_the_sphere(self, domain):
         problem = RadialProblem(CONE32, domain, p=2.0, f=1.0)
         with pytest.raises(ValueError, match="defined only on the sphere reduction"):
-            solve_eigenvalue(problem, SolverConfig(N=64))
+            solve_eigenvalue(problem)
 
 
 class TestContinuation:
