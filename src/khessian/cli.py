@@ -149,6 +149,14 @@ _KINDS = {
 }
 
 
+# Ranges a value may be required to lie in: a description and a test.
+_POSITIVE = ("positive", lambda v: v > 0.0)
+
+
+def _at_least(least):
+    return (f"at least {least}", lambda v: v >= least)
+
+
 class _JSONInput:
     """One JSON input file, read strictly.  Every error names the file and
     the dotted path of the key at fault, such as 'domain.bc' or 'solver.N'."""
@@ -175,16 +183,20 @@ class _JSONInput:
                 self.fail(f"unknown key {self.dotted(name, key)!r}")
         return obj
 
-    def get(self, obj, name: str, key: str, kind: str, default=_REQUIRED):
-        """obj[key] checked and converted as kind; default when the key is absent."""
-        if key not in obj:
-            if default is _REQUIRED:
-                self.fail(f"missing key {self.dotted(name, key)!r}")
-            return default
-        description, parse = _KINDS[kind]
-        value = parse(obj[key])
-        if value is None:
-            self.fail(f"key {self.dotted(name, key)!r} must be {description}")
+    def get(self, obj, name: str, key: str, kind: str, default=_REQUIRED, within=None):
+        """obj[key] checked and converted as kind; default when the key is absent.
+        within, a (description, test) pair, is the range the value must lie in."""
+        if key in obj:
+            description, parse = _KINDS[kind]
+            value = parse(obj[key])
+            if value is None:
+                self.fail(f"key {self.dotted(name, key)!r} must be {description}")
+        elif default is _REQUIRED:
+            self.fail(f"missing key {self.dotted(name, key)!r}")
+        else:
+            value = default
+        if within is not None and not within[1](value):
+            self.fail(f"key {self.dotted(name, key)!r} must be {within[0]}, got {value!r}")
         return value
 
 
@@ -248,13 +260,13 @@ def _load_problem_spec(path):
                         _PROBLEM_KEYS["continuation"])
     # A null t_start asks for the default start, as an absent one does.
     t_start = None if cconf.get("t_start") is None else get(cconf, "continuation", "t_start",
-                                                             "number")
+                                                             "number", within=_POSITIVE)
     config = solver.SolverConfig(
         N=N,
-        tol=get(sconf, "solver", "tol", "number", 1e-10),
-        max_iter=get(sconf, "solver", "max_iter", "integer", 50),
+        tol=get(sconf, "solver", "tol", "number", 1e-10, _POSITIVE),
+        max_iter=get(sconf, "solver", "max_iter", "integer", 50, _at_least(1)),
         delta0=get(cconf, "continuation", "delta0", "number", 1.0),
-        ds0=get(cconf, "continuation", "step", "number", 0.05),
+        ds0=get(cconf, "continuation", "step", "number", 0.05, _POSITIVE),
         ds_min=get(cconf, "continuation", "min_step", "number", 1e-12),
         t_start=t_start,
         t_max=get(cconf, "continuation", "t_max", "number", 10.0),
@@ -433,11 +445,14 @@ def _load_metric_spec(path):
     else:
         K = src.get(spec, "", "K", "number", 2.0)
         w = lambda t: max(2.0 * math.log(t), -K) if t > 0 else -K
-    s = np.linspace(src.get(spec, "", "s_min", "number", 0.05),
-                    src.get(spec, "", "s_max", "number", 0.5),
-                    src.get(spec, "", "num", "integer", 25))
-    return (src.get(spec, "", "n", "integer", 3), w, src.get(spec, "", "mode", "string", "origin"),
-            s, src.get(spec, "", "rho_ref", "number", 1.0))
+    n = src.get(spec, "", "n", "integer", 3, _at_least(3))
+    mode = src.get(spec, "", "mode", "string", "origin",
+                   ("'origin' or 'end'", lambda v: v in ("origin", "end")))
+    s_min = src.get(spec, "", "s_min", "number", 0.05, _POSITIVE)
+    s_max = src.get(spec, "", "s_max", "number", 0.5,
+                    (f"greater than s_min = {s_min!r}", lambda v: v > s_min))
+    s = np.linspace(s_min, s_max, src.get(spec, "", "num", "integer", 25, _at_least(3)))
+    return n, w, mode, s, src.get(spec, "", "rho_ref", "number", 1.0, _POSITIVE)
 
 
 def cmd_volume(args) -> int:

@@ -392,7 +392,10 @@ class RadialSystem:
     def admissible(self, w, strict: bool = True, tol: float = 0.0) -> bool:
         if self.kind == "sphere":
             return True
-        ab = self._stencil(w)[2]
+        return self._in_cone(self._stencil(w)[2], strict, tol)
+
+    def _in_cone(self, ab, strict: bool = True, tol: float = 0.0) -> bool:
+        """Cone membership of the (a, b) of one stencil evaluation."""
         combo = ab.a + self.cone.theta * ab.b
         if strict:
             return bool(np.all(ab.b > tol) and np.all(combo > tol))
@@ -425,8 +428,9 @@ class RadialSystem:
         Returns the plain residual F = sigma_k - phi; the root form
         G = sigma^{1/k} - phi^{1/k} when root is set (None otherwise); the
         tridiagonal Jacobian of that form in solve_banded layout (upper,
-        diagonal, lower) when jac is set (None otherwise); and dphi/dt at
-        the equation rows.  Boundary rows are w - data in both forms.
+        diagonal, lower) when jac is set (None otherwise); dphi/dt at the
+        equation rows; and the stencil's (a, b).  Boundary rows are w - data
+        in both forms.
         """
         k, rows, N = self.cone.k, self.rows, self.N
         phi, phi_w, phi_t = rhs.evaluate(self.r_eq, w[rows])
@@ -442,7 +446,7 @@ class RadialSystem:
             if jac:
                 J = np.zeros((3, 1))
                 J[1, 0] = -phi_w0
-            return F, G, J, phi_t
+            return F, G, J, phi_t, self.ab(w)
         d1, _, ab = self._stencil(w)
         sig = sigma_k_radial(ab, self.cone)
         F[rows] = sig - phi
@@ -461,7 +465,7 @@ class RadialSystem:
                 sa, sb = scale * sa, scale * sb
                 phi_w = (1.0 / k) * np.maximum(phi, 1e-300) ** (1.0 / k - 1.0) * phi_w
             J = self._jacobian(d1, sa, sb, phi_w)
-        return F, G, J, phi_t
+        return F, G, J, phi_t, ab
 
     def _jacobian(self, d1, sa, sb, phi_w):
         """Tridiagonal Jacobian from dsigma/da, dsigma/db and dphi/dw at the rows."""
@@ -495,21 +499,26 @@ class RadialSystem:
 
     def root_residual_jacobian(self, w, rhs):
         """Root-form residual, its Jacobian and the plain residual, from one evaluation."""
-        F, G, J, _ = self._assemble(w, rhs, root=True, jac=True)
+        F, G, J, _, _ = self._assemble(w, rhs, root=True, jac=True)
         return G, J, F
 
-    def residual_jacobian(self, w, rhs, check_cone: bool = False, t=None):
+    def residual_jacobian(self, w, rhs, check_cone: bool = False, t=None,
+                          with_ab: bool = False):
         """Residual and Jacobian.  With t, rhs is a t-dependent RHS taken at t,
-        and dF/dt, from the same evaluation, is returned third."""
+        and dF/dt, from the same evaluation, is returned third.  With with_ab,
+        the stencil's (a, b) at w, also from that evaluation, is returned last:
+        `_in_cone(ab)` is then the strict test of `admissible(w)`."""
         if check_cone:
             self._cone_guard(w)
         if t is None:
-            F, _, J, _ = self._assemble(w, rhs, jac=True)
-            return F, J
-        F, _, J, phi_t = self._assemble(w, _FrozenT(rhs, t), jac=True)
-        Ft = np.zeros(self.N)
-        Ft[self.rows] = -phi_t
-        return F, J, Ft
+            F, _, J, _, ab = self._assemble(w, rhs, jac=True)
+            out = (F, J)
+        else:
+            F, _, J, phi_t, ab = self._assemble(w, _FrozenT(rhs, t), jac=True)
+            Ft = np.zeros(self.N)
+            Ft[self.rows] = -phi_t
+            out = (F, J, Ft)
+        return out + (ab,) if with_ab else out
 
     def solve_linear(self, J, rhs_vec):
         if self.N == 1:
@@ -956,7 +965,9 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
 
     Returns (w, t, iterations, jac_t).  jac_t is the (J, dF/dt) pair of the
     last assembly when the loop stopped on the residual, which is then at
-    the returned (w, t), and None after a stop on the step.
+    the returned (w, t), and None after a stop on the step.  The strict cone
+    test of the returned w comes from that assembly's stencil after a
+    residual stop; a step stop evaluates it at the stepped w.
     """
     w = w_pred.copy()
     t = float(t_pred)
@@ -966,7 +977,7 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
     # or step it leaves raises SolverError below instead of a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(max_iter):
-            F, J, Ft = system.residual_jacobian(w, rhs, t=t)
+            F, J, Ft, ab = system.residual_jacobian(w, rhs, t=t, with_ab=True)
             norm = float(np.abs(F).max())
             if not math.isfinite(norm):
                 raise SolverError("corrector residual is not finite")
@@ -974,6 +985,7 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
             # The floor is consulted only once the residual stops decreasing.
             if abs(g) <= config.tol and _stop(w, norm, config.tol, J if norm >= prev else None):
                 jac_t = (J, Ft)
+                inside = system._in_cone(ab)
                 break
             if norm >= prev:
                 raise SolverError(f"corrector stopped contracting at iteration {it}: "
@@ -986,10 +998,11 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
             if step_stop:
                 it += 1
                 jac_t = None
+                inside = system.admissible(w, strict=True)
                 break
         else:
             raise SolverError(f"corrector did not converge in {max_iter} iterations")
-    if not system.admissible(w, strict=True):
+    if not inside:
         raise SolverError("corrector left the admissible cone")
     return w, t, it, jac_t
 

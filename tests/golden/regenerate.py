@@ -1,10 +1,11 @@
-"""Regenerate the golden outputs of `khessian solve` and `khessian continue`.
+"""Regenerate the golden outputs of `khessian solve`, `continue` and `volume`.
 
-Each case is one problem file and one command.  The case runs in an empty
+Each case is one input file and one command.  The case runs in an empty
 directory as `khessian <command> --problem problem.json --out-prefix out`,
-and `<case>.json` next to this script records:
+or for `volume` as `khessian volume --metric metric.json --out out_curve.csv
+--summary out_summary.json`, and `<case>.json` next to this script records:
 
-  * argv, the problem and the exit code;
+  * argv, the input file (under "problem") and the exit code;
   * stdout, one parsed JSON value per line;
   * every output file: CSVs as header and rows, the summary JSON without
     its run manifest.
@@ -12,9 +13,9 @@ and `<case>.json` next to this script records:
 Numbers are written with 17 significant digits, which round-trips a double.
 tests/test_golden.py re-runs every case and compares with these files.
 
-Usage, from the root of the repository:
+Usage, from the root of the repository (names regenerate only those cases):
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [case ...]
 """
 
 from __future__ import annotations
@@ -64,8 +65,22 @@ def _annulus_fold(N):
                              "t_max": 50.0, "after_fold_frac": 0.7}}
 
 
+# Volume metrics: the stereographic sphere about its regular origin, the
+# fundamental end measured inward from rho_ref = 1, and the truncated cap
+# whose radii cross its kink at s = e.  The Euclidean metric is left out: its
+# quadratic coefficient is rounding noise near 1e-15.
+VOLUME_METRICS = {
+    "volume_stereographic_origin": {"kind": "sphere_stereographic", "n": 3, "mode": "origin",
+                                    "s_min": 0.05, "s_max": 0.5, "num": 25},
+    "volume_fundamental_log_end": {"kind": "fundamental_log", "n": 3, "mode": "end",
+                                   "rho_ref": 1.0, "s_min": 50.0, "s_max": 400.0, "num": 25},
+    "volume_truncated_log_origin": {"kind": "truncated_log", "K": 2.0, "n": 3, "mode": "origin",
+                                    "s_min": 0.6, "s_max": 3.0, "num": 15},
+}
+
+
 def cases():
-    """{name: (command, problem)} of every golden case."""
+    """{name: (command, input)} of every golden case."""
     out = {
         "solve_ball_p_lt_k": ("solve", {
             "n": 3, "k": 2, "p": 0.5, "domain": {"type": "ball", "r1": 1.0, "bc": 0.5},
@@ -94,6 +109,8 @@ def cases():
         out[f"continue_sphere_{n}{k}{p:g}"] = ("continue", {
             "n": n, "k": k, "p": p, "domain": SPHERE, "rhs": {"f_const": f},
             "solver": {"N": 1}, "continuation": dict(SPHERE_CONTINUATION)})
+    for name, metric in VOLUME_METRICS.items():
+        out[name] = ("volume", dict(metric))
     return out
 
 
@@ -112,8 +129,13 @@ def run_case(command: str, problem: dict, workdir) -> dict:
     from khessian.cli import main
 
     workdir = Path(workdir)
-    (workdir / "problem.json").write_text(json.dumps(problem))
-    argv = [command, "--problem", "problem.json", "--out-prefix", "out"]
+    if command == "volume":
+        (workdir / "metric.json").write_text(json.dumps(problem))
+        argv = [command, "--metric", "metric.json", "--out", "out_curve.csv",
+                "--summary", "out_summary.json"]
+    else:
+        (workdir / "problem.json").write_text(json.dumps(problem))
+        argv = [command, "--problem", "problem.json", "--out-prefix", "out"]
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -148,8 +170,13 @@ def _dumps(value, indent=""):
     return json.dumps(value)
 
 
-def main():
-    for name, (command, problem) in cases().items():
+def main(names=()):
+    known = cases()
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    for name in names or known:
+        command, problem = known[name]
         with tempfile.TemporaryDirectory() as workdir:
             record = run_case(command, problem, workdir)
         (HERE / f"{name}.json").write_text(_dumps(record) + "\n")
@@ -157,4 +184,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from khessian.analysis import (
+    _quad,
+    _w_callable,
     annulus_volume,
     end_count,
     field_gradient,
@@ -501,6 +504,108 @@ class TestHarnackSearch:
     def test_rejects_nan_min_sep(self):
         with pytest.raises(ValueError, match="min_sep"):
             harnack_ratio(np.array([0.1, 0.2]), np.array([1.0, 2.0]), CONE32, min_sep=np.nan)
+
+
+def former_volume_ratio(w, n, s_values, mode="origin", rho_ref=1.0):
+    """The former root search of `volume_ratio`, kept as an oracle: every
+    bracket probe and every brentq iterate integrates the length density over
+    the full range from the center (or from the reference sphere), and so
+    does the volume at each root.  Returns Q."""
+    wf = _w_callable(w, n)
+    omega = sphere_area(n)
+    length = lambda t: math.exp(-wf(t))
+    volden = lambda t: omega * math.exp(-n * wf(t)) * t ** (n - 1)
+    if mode == "origin":
+        s_of_rho = lambda rho: _quad(length, 0.0, rho)
+        vol_of_rho = lambda rho: _quad(volden, 0.0, rho)
+    else:
+        s_of_rho = lambda rho: _quad(length, rho, rho_ref)
+        vol_of_rho = lambda rho: _quad(volden, rho, rho_ref)
+    Q = np.empty(len(s_values))
+    for idx, s in enumerate(np.asarray(s_values, dtype=float)):
+        if mode == "origin":
+            hi = max(2.0 * s, 1e-3)
+            while s_of_rho(hi) < s:
+                hi *= 2.0
+            rho = optimize.brentq(lambda x: s_of_rho(x) - s, 1e-300, hi, xtol=1e-14, rtol=8.9e-16)
+        else:
+            lo = rho_ref * 0.5
+            while s_of_rho(lo) < s:
+                lo *= 0.5
+            rho = optimize.brentq(lambda x: s_of_rho(x) - s, lo, rho_ref * (1 - 1e-15),
+                                  xtol=1e-300, rtol=8.9e-16)
+        Q[idx] = vol_of_rho(rho) / s**n
+    return Q
+
+
+def stereographic(t):
+    return math.log((1 + t * t) / 2)
+
+
+def truncated_log(K):
+    """Cap w = max(2 log rho, -K): flat near the origin, fundamental outside."""
+    return lambda t: max(2 * math.log(t), -K) if t > 0 else -K
+
+
+class TestVolumeSweep:
+    """The one-sweep root search against the former full-range search."""
+
+    @pytest.mark.parametrize("w, n, s, kwargs", [
+        (stereographic, 3, np.linspace(0.05, 0.5, 25), {}),
+        (stereographic, 5, np.linspace(0.05, 2.5, 25), {}),
+        (lambda t: 0.0, 3, np.linspace(0.1, 4.0, 25), {}),
+        (lambda t: 2 * math.log(t), 3, np.linspace(50.0, 400.0, 25),
+         {"mode": "end", "rho_ref": 1.0}),
+        (lambda t: 2 * math.log(t), 3, np.linspace(5.0, 900.0, 25),
+         {"mode": "end", "rho_ref": 0.5}),
+    ], ids=["stereographic_n3", "stereographic_n5", "euclidean", "fundamental_end_rho1",
+            "fundamental_end_rho05"])
+    def test_matches_the_former_search(self, w, n, s, kwargs):
+        got = volume_ratio(w, n, s, **kwargs).Q
+        want = former_volume_ratio(w, n, s, **kwargs)
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    def test_truncated_log_closed_form(self):
+        # n = 3, K = 2: the cap rho <= 1/e is flat with s = e^2 rho, so
+        # Q = omega/3 for s <= e.  Beyond it s = 2e - 1/rho and
+        # Vol = omega (e^3 + e^3 - rho^-3) / 3.
+        omega = sphere_area(3)
+        s = np.linspace(0.6, 3.0, 15)
+        cap = s <= math.e
+        rho = 1.0 / (2.0 * math.e - s[~cap])
+        exact = np.full(len(s), omega / 3)
+        exact[~cap] = omega * (2.0 * math.e**3 - rho**-3) / 3 / s[~cap] ** 3
+        curve = volume_ratio(truncated_log(2.0), 3, s)
+        assert cap.sum() == 13
+        assert np.abs(curve.Q / exact - 1.0).max() <= 1e-12
+
+    def test_evaluations_grow_with_the_radii_only(self):
+        calls = 0
+
+        def w(t):
+            nonlocal calls
+            calls += 1
+            return 2 * math.log(t)
+
+        volume_ratio(w, 3, np.linspace(50.0, 400.0, 25), mode="end", rho_ref=1.0)
+        # The former full-range search made 131 775 evaluations here.
+        assert calls < 15_000
+
+    @pytest.mark.parametrize("w, s, kwargs, message", [
+        (stereographic, [1.0, 3.5], {}, "geodesic radius unreachable; metric compactifies"),
+        (lambda t: 2 * math.log(t), [0.1, 1.0], {},
+         "geodesic radius unreachable; metric compactifies"),
+        (lambda t: 0.0, [0.5, 2.0], {"mode": "end"},
+         "geodesic radius unreachable from the reference sphere"),
+        (lambda t: 0.0, [0.2, 0.1], {}, "geodesic radii must be positive and increasing"),
+        (lambda t: 0.0, [0.1], {"mode": "middle"}, "mode must be 'origin' or 'end'"),
+        (lambda t: 0.0, [1e300], {}, "volume ratio overflows at s = 1e\\+300"),
+        (lambda t: 0.0, [1e-200], {}, "volume ratio is not finite at s = 1e-200"),
+    ], ids=["sphere_beyond_pi", "singular_center_in_origin_mode", "end_unreachable",
+            "radii_decreasing", "unknown_mode", "volume_overflows", "ratio_underflows"])
+    def test_errors(self, w, s, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            volume_ratio(w, 3, np.array(s), **kwargs)
 
 
 class TestVolume:

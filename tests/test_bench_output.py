@@ -1,9 +1,9 @@
 """The benchmark's last line of standard output is its result.
 
 `perfbench/run.py` runs here as a separate process with its standard output
-piped, the way a benchmark driver runs it, on the two solver workloads at
-smoke size.  The last line must be strict JSON (no NaN or Infinity) that
-reports a correct run and finite end-to-end metrics.
+piped, as a benchmark harness runs it, on the two solver workloads and
+`identities` at smoke size.  The last line must be strict JSON (no NaN or
+Infinity) that reports a correct run and finite end-to-end metrics.
 """
 
 import json
@@ -30,7 +30,7 @@ def test_strict_json_rejects_non_finite_constants():
     assert strict_json('{"x": 1e308}') == {"x": 1e308}
 
 
-@pytest.mark.parametrize("workload", ["annulus_fold", "banded_newton"])
+@pytest.mark.parametrize("workload", ["annulus_fold", "banded_newton", "identities"])
 def test_smoke_run_ends_with_a_result_line(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),

@@ -460,11 +460,35 @@ class TestMetricLoader:
         ({"s_min": None}, "key 's_min' must be a finite number"),
         ({"rho_ref": float("inf")}, "key 'rho_ref' must be a finite number"),
         ({"mode": 1}, "key 'mode' must be a string"),
+        ({"mode": "middle"}, "key 'mode' must be 'origin' or 'end', got 'middle'"),
+        ({"num": 0}, "key 'num' must be at least 3, got 0"),
+        ({"num": 1}, "key 'num' must be at least 3, got 1"),
+        ({"num": 2}, "key 'num' must be at least 3, got 2"),
+        ({"n": 0}, "key 'n' must be at least 3, got 0"),
+        ({"n": 1}, "key 'n' must be at least 3, got 1"),
+        ({"rho_ref": -1}, "key 'rho_ref' must be positive, got -1.0"),
+        ({"s_min": 0.0}, "key 's_min' must be positive, got 0.0"),
+        ({"s_min": 0.6}, "key 's_max' must be greater than s_min = 0.6, got 0.5"),
+        ({"s_max": 0.05}, "key 's_max' must be greater than s_min = 0.05, got 0.05"),
+        ({"kind": "truncated_log", "K": 1e400}, "key 'K' must be a finite number"),
     ])
     def test_malformed_metric_is_named(self, tmp_path, capsys, change, message):
         code, mpath = self.run(tmp_path, dict(self.SPHERE, **change))
         assert code == 3
         assert capsys.readouterr().err == f"error: metric file {mpath}: {message}\n"
+
+    def test_default_s_max_below_s_min_is_named(self, tmp_path, capsys):
+        spec = dict(self.SPHERE, s_min=1.0)
+        del spec["s_max"]
+        code, mpath = self.run(tmp_path, spec)
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "key 's_max' must be greater than s_min = 1.0, got 0.5\n")
+
+    def test_volume_that_overflows_is_input_error(self, tmp_path, capsys):
+        spec = {"kind": "euclidean", "n": 3, "s_min": 1e300, "s_max": 2e300, "num": 3}
+        assert self.run(tmp_path, spec)[0] == 3
+        assert capsys.readouterr().err == "error: volume ratio overflows at s = 1e+300\n"
 
     def test_missing_kind_is_named(self, tmp_path, capsys):
         spec = dict(self.SPHERE)
@@ -616,6 +640,26 @@ class TestProblemLoader:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"error: problem file {path}: key {key!r} must be {description}\n"
+        assert not (tmp_path / "out_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("continuation.step", -0.05, "must be positive, got -0.05"),
+        ("continuation.step", 0, "must be positive, got 0.0"),
+        ("continuation.t_start", -1, "must be positive, got -1.0"),
+        ("continuation.t_start", 0.0, "must be positive, got 0.0"),
+        ("solver.tol", 0, "must be positive, got 0.0"),
+        ("solver.tol", -1e-10, "must be positive, got -1e-10"),
+        ("solver.max_iter", 0, "must be at least 1, got 0"),
+    ])
+    def test_value_out_of_range_is_named(self, tmp_path, capsys, command, key, value, message):
+        spec = sphere_spec()
+        section, _, name = key.rpartition(".")
+        spec[section][name] = value
+        code, path = run_problem(tmp_path, command, spec)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: problem file {path}: key {key!r} {message}\n"
         assert not (tmp_path / "out_summary.json").exists()
 
     @pytest.mark.parametrize("command", ["solve", "continue"])

@@ -1,4 +1,4 @@
-"""Golden outputs of `khessian solve` and `khessian continue`.
+"""Golden outputs of `khessian solve`, `khessian continue` and `khessian volume`.
 
 Every case under tests/golden/ is re-run and must give the same exit code,
 the same keys and shapes, and every number within 1e-12 relative.  Residuals

@@ -1049,6 +1049,31 @@ class TestAssemblyCounts:
         assert not calls
         assert_same_bits(reused, fresh)
 
+    def test_corrector_residual_stop_evaluates_the_stencil_once_per_assembly(self, monkeypatch):
+        from khessian import solver
+        branch, problem = annulus_fold_branch(96)
+        system = RadialSystem(problem, 96)
+        rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
+        s = branch.samples[5]
+        tau = solver._tangent(system, rhs, s.w, s.t)
+        calls = count_assemblies(monkeypatch)
+        stencils = Counter()
+        stencil = RadialSystem._stencil
+
+        def counted(self, w):
+            stencils["_stencil"] += 1
+            return stencil(self, w)
+
+        monkeypatch.setattr(RadialSystem, "_stencil", counted)
+        ds = 0.02
+        w, t, iters, jac_t = solver._corrector(system, rhs, s.w + ds * tau[:-1],
+                                               s.t + ds * tau[-1], tau, SolverConfig(N=96))
+        # jac_t is set on a residual stop only; its cone test reuses the assembly.
+        assert iters >= 1 and jac_t is not None
+        assert calls == {"residual_jacobian": iters + 1}
+        assert stencils["_stencil"] == iters + 1
+        assert system.admissible(w, strict=True)
+
     def test_annulus_continuation_assembles_less(self, monkeypatch):
         # The former code made 262 outermost assembly calls for this branch
         # (507 with the residual each Jacobian assembled inside itself).
