@@ -11,9 +11,12 @@ large-radius limit counts singular ends in units of omega_n / n.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,6 +132,69 @@ def _bump_offsets(dims: int, spacing: float, eps: float):
     return m, offsets, w / w.sum()
 
 
+# Bytes of one float array of a slab in the grid-field kernels: the ten or
+# so arrays a u-gauge slab works on then about fill a core's 2 MB L2 cache.
+_SLAB_BYTES = 1 << 18
+
+
+def _slab_planes(plane) -> int:
+    """Axis-0 planes per slab for planes of the given shape."""
+    return max(1, _SLAB_BYTES // (8 * max(1, math.prod(plane))))
+
+
+def _workers() -> int:
+    """Threads for the slabs: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _pin_each_worker():
+    """Thread initializer that gives each new worker a usable CPU of its own.
+
+    Without it Linux may start every worker on the caller's CPU and leave
+    them there while another CPU idles: on a 2-CPU virtual machine both
+    workers of a 128^3 mollify shared one CPU for the whole 0.3 s call.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity outside Linux
+        return None
+    slot = itertools.count()
+
+    def pin():
+        try:
+            os.sched_setaffinity(0, {cpus[next(slot) % len(cpus)]})
+        except OSError:         # the placement is only a hint
+            pass
+
+    return pin
+
+
+def _over_slabs(count: int, planes: int, work) -> None:
+    """Call work(i0, i1) on consecutive axis-0 slabs [i0, i1) of range(count).
+
+    The slabs are shared among one thread per usable CPU; the pool lives for
+    this call only.  Each slab runs in a copy of the caller's context, so
+    numpy's error state (np.errstate, np.seterrcall) applies in the workers
+    too.  work must write disjoint parts of its outputs and call no public
+    khessian function: the benchmark's tracer wraps the public names and
+    keeps a single span stack.
+    """
+    bounds = [(i, min(i + planes, count)) for i in range(0, count, planes)]
+    workers = min(_workers(), len(bounds))
+    if workers <= 1:
+        for i0, i1 in bounds:
+            work(i0, i1)
+        return
+    with ThreadPoolExecutor(workers, initializer=_pin_each_worker()) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, work, i0, i1)
+                   for i0, i1 in bounds]
+        for fut in futures:
+            fut.result()
+
+
 def mollify(f: GridField, eps: float) -> GridField:
     """Discrete convolution with the radial bump kernel (1 - s^2)^4 on s in [0,1].
 
@@ -139,9 +205,14 @@ def mollify(f: GridField, eps: float) -> GridField:
 
     Lattice offsets are grouped by their leading coordinates: all offsets
     whose leading part has the same squared length share one 1-D kernel along
-    the last axis.  Each group costs one `correlate1d` pass over the field
-    plus one shifted add per leading offset, and only one correlated array is
-    held at a time.
+    the last axis.  The output is computed in slabs of planes along axis 0,
+    shared among one thread per usable CPU.  For each group, a slab of
+    output planes [i0, i1) correlates the input planes that the group's
+    leading offsets reach, [i0 + m - r, i1 + m + r) with r <= m, into a
+    slab-sized buffer, then adds one shifted view per leading offset into
+    its part of the output.  Groups and offsets come in the same order in
+    every slab, so each output value is the same sum in the same order
+    whatever the slabs and threads.
     """
     # Imported here, not with the module: scipy.ndimage adds about 50 ms and
     # 1.6 MB to every start of the package, and only mollify uses it.
@@ -150,7 +221,8 @@ def mollify(f: GridField, eps: float) -> GridField:
     if eps < 2.0 * f.spacing:
         raise ValueError("mollification radius must be at least two grid cells")
     m, offsets, weights = _bump_offsets(f.dims, f.spacing, eps)
-    shape = f.values.shape
+    values = f.values
+    shape = values.shape
     inner_shape = tuple(s - 2 * m for s in shape)
     if any(s < 3 for s in inner_shape):
         raise ValueError("field is too small for the requested mollification margin")
@@ -159,14 +231,28 @@ def mollify(f: GridField, eps: float) -> GridField:
         q = sum(o * o for o in off[:-1])
         kernels.setdefault(q, np.zeros(2 * m + 1))[off[-1] + m] = wgt
         leads.setdefault(q, {})[off[:-1]] = None
+    # A group whose leading offsets reach r planes along axis 0 needs 2r
+    # input planes beyond a slab's own.
+    reach = {q: max(abs(lead[0]) for lead in group) for q, group in leads.items()}
     out = np.zeros(inner_shape)
-    line = np.empty(shape)
     last = slice(m, shape[-1] - m)
-    for q, kernel in kernels.items():
-        ndimage.correlate1d(f.values, kernel, axis=-1, output=line)
-        for lead in leads[q]:
-            sl = tuple(slice(m + o, s - m + o) for o, s in zip(lead, shape))
-            out += line[sl + (last,)]
+    # A slab also correlates up to 2m planes of its neighbours; at 4m planes
+    # or more that adds at most half to the correlation work.
+    planes = max(_slab_planes(shape[1:]), 4 * m)
+
+    def slab(i0, i1):
+        dst = out[i0:i1]
+        buf = np.empty((i1 - i0 + 2 * max(reach.values()),) + shape[1:])
+        for q, kernel in kernels.items():
+            r = reach[q]
+            line = buf[:i1 - i0 + 2 * r]
+            ndimage.correlate1d(values[i0 + m - r:i1 + m + r], kernel, axis=-1, output=line)
+            for lead in leads[q]:
+                sl = (slice(r + lead[0], r + lead[0] + i1 - i0),) + tuple(
+                    slice(m + o, s - m + o) for o, s in zip(lead[1:], shape[1:-1]))
+                dst += line[sl + (last,)]
+
+    _over_slabs(inner_shape[0], planes, slab)
     return GridField(f.spacing, out, f.origin + m * f.spacing)
 
 
@@ -234,44 +320,97 @@ def pointwise_max_profiles(p: RadialProfile, q: RadialProfile, kink_cells: int =
 # u-gauge admissibility of grid fields (flat background)
 # ---------------------------------------------------------------------------
 
-def field_gradient(f: GridField):
-    """Central-difference gradient at interior nodes; list of dims arrays."""
-    h = f.spacing
-    inner = tuple(slice(1, -1) for _ in range(f.dims))
+def _gradient(v: np.ndarray, h: float):
+    """Central differences of v at its interior nodes, one array per axis."""
+    d = v.ndim
     grads = []
-    for axis in range(f.dims):
-        up = [slice(1, -1)] * f.dims
-        dn = [slice(1, -1)] * f.dims
+    for axis in range(d):
+        up = [slice(1, -1)] * d
+        dn = [slice(1, -1)] * d
         up[axis] = slice(2, None)
         dn[axis] = slice(None, -2)
-        grads.append((f.values[tuple(up)] - f.values[tuple(dn)]) / (2 * h))
-    return grads, inner
+        grads.append((v[tuple(up)] - v[tuple(dn)]) / (2 * h))
+    return grads
 
 
-def field_hessian(f: GridField):
-    """Central-difference Hessian entries at interior nodes: dict (i, j) -> array."""
-    h = f.spacing
+def _hessian(v: np.ndarray, h: float):
+    """Central-difference Hessian entries of v at its interior nodes."""
+    d = v.ndim
     H = {}
-    for i in range(f.dims):
-        up = [slice(1, -1)] * f.dims
-        dn = [slice(1, -1)] * f.dims
-        mid = tuple(slice(1, -1) for _ in range(f.dims))
+    for i in range(d):
+        up = [slice(1, -1)] * d
+        dn = [slice(1, -1)] * d
+        mid = tuple(slice(1, -1) for _ in range(d))
         up[i] = slice(2, None)
         dn[i] = slice(None, -2)
-        H[(i, i)] = (f.values[tuple(up)] - 2 * f.values[mid] + f.values[tuple(dn)]) / h**2
-    for i in range(f.dims):
-        for j in range(i + 1, f.dims):
-            pp = [slice(1, -1)] * f.dims
-            pm = [slice(1, -1)] * f.dims
-            mp = [slice(1, -1)] * f.dims
-            mm = [slice(1, -1)] * f.dims
+        H[(i, i)] = (v[tuple(up)] - 2 * v[mid] + v[tuple(dn)]) / h**2
+    for i in range(d):
+        for j in range(i + 1, d):
+            pp = [slice(1, -1)] * d
+            pm = [slice(1, -1)] * d
+            mp = [slice(1, -1)] * d
+            mm = [slice(1, -1)] * d
             pp[i] = slice(2, None); pp[j] = slice(2, None)
             pm[i] = slice(2, None); pm[j] = slice(None, -2)
             mp[i] = slice(None, -2); mp[j] = slice(2, None)
             mm[i] = slice(None, -2); mm[j] = slice(None, -2)
-            H[(i, j)] = (f.values[tuple(pp)] - f.values[tuple(pm)]
-                         - f.values[tuple(mp)] + f.values[tuple(mm)]) / (4 * h**2)
+            H[(i, j)] = (v[tuple(pp)] - v[tuple(pm)] - v[tuple(mp)] + v[tuple(mm)]) / (4 * h**2)
     return H
+
+
+def field_gradient(f: GridField):
+    """Central-difference gradient at interior nodes; list of dims arrays."""
+    return _gradient(f.values, f.spacing), tuple(slice(1, -1) for _ in range(f.dims))
+
+
+def field_hessian(f: GridField):
+    """Central-difference Hessian entries at interior nodes: dict (i, j) -> array."""
+    return _hessian(f.values, f.spacing)
+
+
+def _u_sigma_slab(v: np.ndarray, h: float, k: int):
+    """sigma_1..sigma_k of the u-gauge matrix at the interior nodes of v.
+
+    v is a slab of the field with a one-plane halo on each side of every
+    axis, so the result covers the slab's own planes.
+    """
+    d = v.ndim
+    u = v[(slice(1, -1),) * d]
+    # The gradient is needed only for the shift, so it is gone before the
+    # Hessian is formed, and the diagonal entries turn into M's in place.
+    shift = sum(g * g for g in _gradient(v, h)) / (2.0 * u)
+    H = _hessian(v, h)
+    diag = [H[(i, i)] for i in range(d)]
+    for entry in diag:
+        entry -= shift
+    del shift
+    sigmas = [sum(diag)]
+    if k >= 2:
+        sigmas.append(sum(diag[i] * diag[j] - H[(i, j)] ** 2
+                          for i, j in itertools.combinations(range(d), 2)))
+    if k == 3:
+        (a, b, c), (x, y, z) = diag, (H[(0, 1)], H[(0, 2)], H[(1, 2)])
+        sigmas.append(a * (b * c - z * z) - x * (x * c - z * y) + y * (x * z - b * y))
+    return sigmas
+
+
+def _u_field_interior(f: GridField, cone: ConeParams):
+    """Check f for the u-gauge kernels; returns the interior slice and shape."""
+    if f.dims != cone.n:
+        raise ValueError("u-gauge check needs field dimension equal to cone.n")
+    inner = tuple(slice(1, -1) for _ in range(f.dims))
+    u = f.values[inner]
+    if np.any(u <= 0.0):
+        raise ValueError("u-gauge field must be positive")
+    return inner, u.shape
+
+
+def _over_sigma_slabs(f: GridField, k: int, shape, store) -> None:
+    """Call store(i0, i1, [sigma_1..sigma_k]) on each slab [i0, i1) of the
+    interior planes, in the worker threads of _over_slabs."""
+    values, h = f.values, f.spacing
+    _over_slabs(shape[0], _slab_planes(shape[1:]),
+                lambda i0, i1: store(i0, i1, _u_sigma_slab(values[i0:i1 + 2], h, k)))
 
 
 def u_field_sigma(f: GridField, cone: ConeParams):
@@ -284,38 +423,40 @@ def u_field_sigma(f: GridField, cone: ConeParams):
     the 2x2 principal minors and sigma_3 the determinant; M is never stacked
     into one array.  Grid fields have at most 3 dimensions and cone.n >= 3,
     so d = 3 and k <= 3.
+
+    The sigma_j are computed in cache-sized slabs along axis 0, shared among
+    one thread per usable CPU, and written into preallocated output arrays;
+    every value is the same as from whole-array differences.
     """
-    if f.dims != cone.n:
-        raise ValueError("u-gauge check needs field dimension equal to cone.n")
-    grads, inner = field_gradient(f)
-    H = field_hessian(f)
-    u = f.values[inner]
-    if np.any(u <= 0.0):
-        raise ValueError("u-gauge field must be positive")
-    shift = sum(g * g for g in grads) / (2.0 * u)
-    diag = [H[(i, i)] - shift for i in range(f.dims)]
-    sigmas = [sum(diag)]
-    if cone.k >= 2:
-        sigmas.append(sum(diag[i] * diag[j] - H[(i, j)] ** 2
-                          for i, j in itertools.combinations(range(f.dims), 2)))
-    if cone.k == 3:
-        (a, b, c), (x, y, z) = diag, (H[(0, 1)], H[(0, 2)], H[(1, 2)])
-        sigmas.append(a * (b * c - z * z) - x * (x * c - z * y) + y * (x * z - b * y))
+    inner, shape = _u_field_interior(f, cone)
+    sigmas = [np.empty(shape) for _ in range(cone.k)]
+
+    def store(i0, i1, part):
+        for dst, src in zip(sigmas, part):
+            dst[i0:i1] = src
+
+    _over_sigma_slabs(f, cone.k, shape, store)
     return sigmas, inner
 
 
 def u_field_admissible_mask(f: GridField, cone: ConeParams, margin: float = 0.0,
                             strict: bool = False):
-    """Per-interior-node cone membership of a flat u-gauge field."""
-    sigmas, inner = u_field_sigma(f, cone)
-    if strict:
-        ok = np.ones(sigmas[0].shape, dtype=bool)
-        for s in sigmas:
-            ok &= s > margin
-    else:
-        ok = np.ones(sigmas[0].shape, dtype=bool)
-        for s in sigmas:
-            ok &= s >= -margin
+    """Per-interior-node cone membership of a flat u-gauge field.
+
+    A node is in the cone when every sigma_j > margin (strict) or
+    sigma_j >= -margin.  The mask is written slab by slab, in the slabs and
+    threads of u_field_sigma, so no full-size sigma array is ever held.
+    """
+    inner, shape = _u_field_interior(f, cone)
+    ok = np.empty(shape, dtype=bool)
+
+    def store(i0, i1, part):
+        dst = ok[i0:i1]
+        dst[...] = True
+        for s in part:
+            dst &= s > margin if strict else s >= -margin
+
+    _over_sigma_slabs(f, cone.k, shape, store)
     return ok, inner
 
 
@@ -611,8 +752,13 @@ def volume_ratio(w, n: int, s_values, mode: str = "origin",
     volden = lambda t: omega * math.exp(-n * wf(t)) * t ** (n - 1)
 
     if mode == "origin":
-        probe = _quad(length, 0.0, min(1e-3, 0.1 * rho_ref))
-        if not np.isfinite(probe):
+        # The length density is positive: a probe integral that is not
+        # positive and finite, or does not converge, diverges at the center.
+        try:
+            probe = _quad(length, 0.0, min(1e-3, 0.1 * rho_ref))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError("length density is not integrable at the center") from exc
+        if not 0.0 < probe < math.inf:
             raise ValueError("length density is not integrable at the center")
         outward, rho = 1.0, 0.0
     elif mode == "end":

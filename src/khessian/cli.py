@@ -265,12 +265,16 @@ def _load_problem_spec(path):
         N=N,
         tol=get(sconf, "solver", "tol", "number", 1e-10, _POSITIVE),
         max_iter=get(sconf, "solver", "max_iter", "integer", 50, _at_least(1)),
-        delta0=get(cconf, "continuation", "delta0", "number", 1.0),
+        delta0=get(cconf, "continuation", "delta0", "number", 1.0,
+                   ("in (0, 1]", lambda v: 0.0 < v <= 1.0)),
         ds0=get(cconf, "continuation", "step", "number", 0.05, _POSITIVE),
-        ds_min=get(cconf, "continuation", "min_step", "number", 1e-12),
+        ds_min=get(cconf, "continuation", "min_step", "number", 1e-12, _POSITIVE),
         t_start=t_start,
-        t_max=get(cconf, "continuation", "t_max", "number", 10.0),
-        after_fold_frac=get(cconf, "continuation", "after_fold_frac", "number", 0.7),
+        t_max=get(cconf, "continuation", "t_max", "number", 10.0, _POSITIVE if t_start is None
+                  else (f"greater than continuation.t_start = {t_start!r}",
+                        lambda v: v > t_start)),
+        after_fold_frac=get(cconf, "continuation", "after_fold_frac", "number", 0.7,
+                            ("in (0, 1)", lambda v: 0.0 < v < 1.0)),
     )
     return problem, config, spec
 

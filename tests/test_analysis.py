@@ -1,11 +1,20 @@
+import functools
+import inspect
 import itertools
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import ndimage, optimize
 
+from khessian import analysis
 from khessian.analysis import (
+    _bump_offsets,
     _quad,
     _w_callable,
     annulus_volume,
@@ -264,6 +273,217 @@ class TestGridFieldExactness:
             assert np.array_equal(ok, want_ok)
             if k > 1:
                 assert 0 < ok.sum() < ok.size
+
+
+def grouped_mollify(f, eps):
+    """Reference mollifier (the package's former implementation): the same
+    groups of lattice offsets, one whole-array correlate1d per group."""
+    m, offsets, weights = _bump_offsets(f.dims, f.spacing, eps)
+    shape = f.values.shape
+    kernels, leads = {}, {}
+    for off, wgt in zip(offsets, weights):
+        q = sum(o * o for o in off[:-1])
+        kernels.setdefault(q, np.zeros(2 * m + 1))[off[-1] + m] = wgt
+        leads.setdefault(q, {})[off[:-1]] = None
+    out = np.zeros(tuple(s - 2 * m for s in shape))
+    line = np.empty(shape)
+    last = slice(m, shape[-1] - m)
+    for q, kernel in kernels.items():
+        ndimage.correlate1d(f.values, kernel, axis=-1, output=line)
+        for lead in leads[q]:
+            sl = tuple(slice(m + o, s - m + o) for o, s in zip(lead, shape))
+            out += line[sl + (last,)]
+    return out
+
+
+def whole_array_u_sigma(f, k):
+    """Reference sigma_1..sigma_k (the package's former implementation):
+    central differences and the entries of M over the whole interior."""
+    v, h, d = f.values, f.spacing, f.dims
+
+    def at(*off):
+        return v[tuple(slice(1 + o, s - 1 + o) for o, s in zip(off, v.shape))]
+
+    def unit(i, step=1):
+        return tuple(step if a == i else 0 for a in range(d))
+
+    u = at(*(0,) * d)
+    grads = [(at(*unit(i)) - at(*unit(i, -1))) / (2 * h) for i in range(d)]
+    H = {(i, i): (at(*unit(i)) - 2 * u + at(*unit(i, -1))) / h**2 for i in range(d)}
+    for i, j in itertools.combinations(range(d), 2):
+        pp, pm, mp, mm = (tuple(a + b for a, b in zip(unit(i, si), unit(j, sj)))
+                          for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        H[(i, j)] = (at(*pp) - at(*pm) - at(*mp) + at(*mm)) / (4 * h**2)
+    shift = sum(g * g for g in grads) / (2.0 * u)
+    diag = [H[(i, i)] - shift for i in range(d)]
+    sigmas = [sum(diag)]
+    if k >= 2:
+        sigmas.append(sum(diag[i] * diag[j] - H[(i, j)] ** 2
+                          for i, j in itertools.combinations(range(d), 2)))
+    if k == 3:
+        (a, b, c), (x, y, z) = diag, (H[(0, 1)], H[(0, 2)], H[(1, 2)])
+        sigmas.append(a * (b * c - z * z) - x * (x * c - z * y) + y * (x * z - b * y))
+    return sigmas
+
+
+# Axis-0 slab layouts the shapes below produce with the default slab size:
+# (21, 64, 64) and (37, 41, 29) end in a partial slab, (15, 14, 16) and the
+# 2-D (130, 70) are thinner than one slab.  "thin" slabs are one plane thick
+# for the u-gauge kernels and 4m planes for mollify.
+SLAB_SHAPES_3D = [(21, 64, 64), (37, 41, 29), (15, 14, 16)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestSlabKernels:
+    """mollify and the u-gauge kernels, run in axis-0 slabs on one or more
+    threads, give the bits of the whole-array passes."""
+
+    @pytest.fixture(params=[(1, None), (3, None), (3, 1)],
+                    ids=["one_worker", "three_workers", "three_workers_thin_slabs"])
+    def slabs(self, request, monkeypatch):
+        workers, slab_bytes = request.param
+        monkeypatch.setattr(analysis, "_workers", lambda: workers)
+        if slab_bytes is not None:
+            monkeypatch.setattr(analysis, "_SLAB_BYTES", slab_bytes)
+        # Frequent thread switches, so that a slab written by two workers
+        # or a lost write would show in the bits.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_layouts_include_partial_and_single_slabs(self, monkeypatch):
+        layouts = []
+        real = analysis._over_slabs
+
+        def spy(count, planes, work):
+            layouts.append((count, planes))
+            real(count, planes, work)
+
+        monkeypatch.setattr(analysis, "_over_slabs", spy)
+        for shape in SLAB_SHAPES_3D:
+            f = random_u_field(0, shape)
+            mollify(f, 0.2)
+            u_field_sigma(f, CONE32)
+        assert any(count > planes and count % planes for count, planes in layouts)
+        assert any(count < planes for count, planes in layouts)
+
+    @pytest.mark.parametrize("shape", SLAB_SHAPES_3D + [(23, 19), (130, 70)])
+    def test_mollify_is_bit_identical(self, slabs, shape):
+        rng = np.random.default_rng(sum(shape))
+        h = 0.05
+        f = GridField(h, rng.normal(size=shape) + 3.0)
+        for cells in (2.0, 2.5, 4.0):
+            got = mollify(f, cells * h)
+            assert np.array_equal(got.values, grouped_mollify(f, cells * h))
+
+    @pytest.mark.parametrize("shape", SLAB_SHAPES_3D)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_u_gauge_is_bit_identical(self, slabs, shape, k):
+        f = random_u_field(k, shape)
+        cone = ConeParams(3, k)
+        want = whole_array_u_sigma(f, k)
+        got, inner = u_field_sigma(f, cone)
+        assert inner == (slice(1, -1),) * 3
+        assert len(got) == k
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for strict in (False, True):
+            for margin in (0.0, 0.5):
+                want_ok = np.ones(want[0].shape, dtype=bool)
+                for s in want:
+                    want_ok &= s > margin if strict else s >= -margin
+                ok, _ = u_field_admissible_mask(f, cone, margin=margin, strict=strict)
+                assert ok.dtype == bool and np.array_equal(ok, want_ok)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_mask_on_the_cone_boundary(self, slabs, k):
+        # A constant field has every sigma_j exactly 0.
+        f = GridField(0.1, np.full((21, 64, 64), 2.5))
+        cone = ConeParams(3, k)
+        assert u_field_admissible_mask(f, cone)[0].all()
+        assert not u_field_admissible_mask(f, cone, strict=True)[0].any()
+
+    def test_errors_come_before_any_slab(self, slabs, monkeypatch):
+        monkeypatch.setattr(analysis, "_over_slabs", lambda *args: pytest.fail("slabs ran"))
+        with pytest.raises(ValueError,
+                           match="^field is too small for the requested mollification margin$"):
+            mollify(GridField(0.1, np.ones((9, 30, 30))), 0.4)
+        f = random_u_field(0, (21, 64, 64))
+        f.values[19, 5, 5] = 0.0      # one interior node in the last slab
+        for check in (u_field_sigma, u_field_admissible_mask):
+            with pytest.raises(ValueError, match="^u-gauge field must be positive$"):
+                check(f, CONE32)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_workers", lambda: 3)
+        f = random_u_field(2, (21, 64, 64))
+        before = threading.active_count()
+        mollify(f, 0.4)
+        u_field_admissible_mask(f, CONE32)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_workers_get_cpus_of_their_own(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_workers", lambda: 2)
+        allowed = os.sched_getaffinity(0)
+        seen = {}
+
+        def work(i0, i1):
+            seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+            time.sleep(0.01)    # keeps both workers busy
+
+        analysis._over_slabs(8, 1, work)
+        assert os.sched_getaffinity(0) == allowed     # the caller is not pinned
+        assert len(seen) == 2
+        masks = [mask for masks in seen.values() for mask in masks]
+        assert all(len(mask) == 1 and mask <= allowed for mask in masks)
+        assert len(set(masks)) == min(2, len(allowed))
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_workers", lambda: 3)
+        callers = set()
+
+        def spy(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, val in list(vars(analysis).items()):
+            if name.startswith("_") or not getattr(val, "__module__", "").startswith("khessian"):
+                continue
+            if isinstance(val, type):
+                for attr, raw in list(vars(val).items()):
+                    if not attr.startswith("_") and inspect.isfunction(raw):
+                        monkeypatch.setattr(val, attr, spy(raw))
+            elif callable(val):
+                monkeypatch.setattr(analysis, name, spy(val))
+        f = random_u_field(3, (21, 64, 64))
+        analysis.u_field_admissible_mask(analysis.mollify(f, 0.2), CONE32)
+        analysis.u_field_sigma(f, ConeParams(3, 3))
+        assert callers == {threading.get_ident()}
+
+    def test_peak_memory(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_workers", lambda: 2)
+        m = 64
+        f = GridField(2.0 / (m - 1), np.zeros((m, m, m)))
+        f.values = 7.0 + 0.7 * (f.node_coordinates() ** 2).sum(axis=1).reshape(m, m, m)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1] / f.values.nbytes
+            finally:
+                tracemalloc.stop()
+
+        # The whole-array passes peaked at 15.3 (mask) and 1.7 (mollify).
+        assert peak(lambda: u_field_admissible_mask(f, CONE32)) <= 4.0
+        assert peak(lambda: mollify(f, 4 * f.spacing)) <= min(
+            1.7, peak(lambda: grouped_mollify(f, 4 * f.spacing)))
 
 
 class TestPointwiseMax:
@@ -579,6 +799,12 @@ class TestVolumeSweep:
         assert cap.sum() == 13
         assert np.abs(curve.Q / exact - 1.0).max() <= 1e-12
 
+    def test_integrable_singular_center(self):
+        # w = log(t) / 2: s = 2 sqrt(rho) and Vol = omega (2/3) rho^1.5, so
+        # Q = omega / 12 at every radius.
+        curve = volume_ratio(lambda t: 0.5 * math.log(t), 3, [0.1, 0.5, 2.0])
+        assert np.abs(curve.Q / (sphere_area(3) / 12) - 1.0).max() <= 1e-10
+
     def test_evaluations_grow_with_the_radii_only(self):
         calls = 0
 
@@ -594,14 +820,19 @@ class TestVolumeSweep:
     @pytest.mark.parametrize("w, s, kwargs, message", [
         (stereographic, [1.0, 3.5], {}, "geodesic radius unreachable; metric compactifies"),
         (lambda t: 2 * math.log(t), [0.1, 1.0], {},
-         "geodesic radius unreachable; metric compactifies"),
+         "length density is not integrable at the center"),
+        (lambda t: 1.5 * math.log(t), [0.1, 1.0], {},
+         "length density is not integrable at the center"),
+        (lambda t: math.log(t), [0.1, 1.0], {},
+         "length density is not integrable at the center"),
         (lambda t: 0.0, [0.5, 2.0], {"mode": "end"},
          "geodesic radius unreachable from the reference sphere"),
         (lambda t: 0.0, [0.2, 0.1], {}, "geodesic radii must be positive and increasing"),
         (lambda t: 0.0, [0.1], {"mode": "middle"}, "mode must be 'origin' or 'end'"),
         (lambda t: 0.0, [1e300], {}, "volume ratio overflows at s = 1e\\+300"),
         (lambda t: 0.0, [1e-200], {}, "volume ratio is not finite at s = 1e-200"),
-    ], ids=["sphere_beyond_pi", "singular_center_in_origin_mode", "end_unreachable",
+    ], ids=["sphere_beyond_pi", "singular_center_in_origin_mode", "center_t_pow_minus_1_5",
+            "center_t_pow_minus_1", "end_unreachable",
             "radii_decreasing", "unknown_mode", "volume_overflows", "ratio_underflows"])
     def test_errors(self, w, s, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

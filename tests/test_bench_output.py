@@ -1,8 +1,7 @@
 """The benchmark's last line of standard output is its result.
 
 `perfbench/run.py` runs here as a separate process with its standard output
-piped, as a benchmark harness runs it, on the two solver workloads and
-`identities` at smoke size.  The last line must be strict JSON (no NaN or
+piped, as a benchmark harness runs it, on every workload at smoke size.  The last line must be strict JSON (no NaN or
 Infinity) that reports a correct run and finite end-to-end metrics.
 """
 
@@ -30,7 +29,8 @@ def test_strict_json_rejects_non_finite_constants():
     assert strict_json('{"x": 1e308}') == {"x": 1e308}
 
 
-@pytest.mark.parametrize("workload", ["annulus_fold", "banded_newton", "identities"])
+@pytest.mark.parametrize("workload", ["annulus_fold", "banded_newton", "grid_fields",
+                                      "identities"])
 def test_smoke_run_ends_with_a_result_line(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),

@@ -651,6 +651,15 @@ class TestProblemLoader:
         ("solver.tol", 0, "must be positive, got 0.0"),
         ("solver.tol", -1e-10, "must be positive, got -1e-10"),
         ("solver.max_iter", 0, "must be at least 1, got 0"),
+        ("continuation.after_fold_frac", -3.0, "must be in (0, 1), got -3.0"),
+        ("continuation.after_fold_frac", 1.0, "must be in (0, 1), got 1.0"),
+        ("continuation.t_max", -1.0, "must be greater than continuation.t_start = 0.005, "
+                                     "got -1.0"),
+        ("continuation.t_max", 0.005, "must be greater than continuation.t_start = 0.005, "
+                                      "got 0.005"),
+        ("continuation.min_step", 0.0, "must be positive, got 0.0"),
+        ("continuation.delta0", 2.0, "must be in (0, 1], got 2.0"),
+        ("continuation.delta0", 0.0, "must be in (0, 1], got 0.0"),
     ])
     def test_value_out_of_range_is_named(self, tmp_path, capsys, command, key, value, message):
         spec = sphere_spec()
@@ -661,6 +670,16 @@ class TestProblemLoader:
         err = capsys.readouterr().err
         assert err == f"error: problem file {path}: key {key!r} {message}\n"
         assert not (tmp_path / "out_summary.json").exists()
+
+    @pytest.mark.parametrize("t_max, code", [(-1.0, 3), (0.0, 3), (0.02, 0)])
+    def test_t_max_without_t_start_must_be_positive(self, tmp_path, capsys, t_max, code):
+        spec = sphere_spec()
+        del spec["continuation"]["t_start"]
+        spec["continuation"]["t_max"] = t_max
+        assert run_problem(tmp_path, "continue", spec)[0] == code
+        if code:
+            assert capsys.readouterr().err.endswith(
+                f"key 'continuation.t_max' must be positive, got {t_max!r}\n")
 
     @pytest.mark.parametrize("command", ["solve", "continue"])
     @pytest.mark.parametrize("domain, N, message", [
