@@ -218,6 +218,7 @@ def mollify(f: GridField, eps: float) -> GridField:
     # 1.6 MB to every start of the package, and only mollify uses it.
     from scipy import ndimage
 
+    f._require_finite()
     if eps < 2.0 * f.spacing:
         raise ValueError("mollification radius must be at least two grid cells")
     m, offsets, weights = _bump_offsets(f.dims, f.spacing, eps)
@@ -396,6 +397,7 @@ def _u_sigma_slab(v: np.ndarray, h: float, k: int):
 
 def _u_field_interior(f: GridField, cone: ConeParams):
     """Check f for the u-gauge kernels; returns the interior slice and shape."""
+    f._require_finite()
     if f.dims != cone.n:
         raise ValueError("u-gauge check needs field dimension equal to cone.n")
     inner = tuple(slice(1, -1) for _ in range(f.dims))
@@ -670,6 +672,7 @@ def harnack_from_field(f: GridField, cone: ConeParams,
     Pairs closer than two grid cells are skipped by default: the sublinear
     exponent amplifies finite-difference-scale noise at short distances.
     """
+    f._require_finite()
     if min_sep is None:
         min_sep = 2.0 * f.spacing
     return harnack_ratio(f.node_coordinates(), f.values.ravel(), cone, min_sep)

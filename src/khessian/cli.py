@@ -279,15 +279,23 @@ def _load_problem_spec(path):
     return problem, config, spec
 
 
-def _terminal_order(history):
-    """Observed contraction order from the last usable residual triple."""
-    usable = [h for h in history if h > 1e-14]
+# Residuals within this many rounding floors of zero do not enter the
+# observed contraction order: rounding moves a residual by up to about one
+# floor, so those above it carry at most 0.1 % noise.
+_ORDER_FLOORS = 1e3
+
+
+def _terminal_order(history, floor):
+    """Observed contraction order from the last three residuals above
+    _ORDER_FLOORS rounding floors, to two decimals, which is all that three
+    residuals tell; None when fewer than three remain or they do not contract."""
+    usable = [h for h in history if h > _ORDER_FLOORS * floor]
     if len(usable) < 3:
         return None
-    r0, r1, r2 = usable[-3], usable[-2], usable[-1]
+    r0, r1, r2 = usable[-3:]
     if r1 >= r0 or r2 >= r1:
         return None
-    return math.log(r2 / r1) / math.log(r1 / r0)
+    return round(math.log(r2 / r1) / math.log(r1 / r0), 2)
 
 
 def cmd_solve(args) -> int:
@@ -308,11 +316,11 @@ def cmd_solve(args) -> int:
         if p < k:
             sol = solver.solve_subcritical(problem, config)
             w = sol.w
-            residual = system.residual(w, solver.vpower_rhs(problem.f, n, k, p))
+            residual, floor = system.residual_floor(w, solver.vpower_rhs(problem.f, n, k, p))
             summary["regime"] = "subcritical"
             summary["newton_iterations"] = sol.newton.iterations
             summary["residual"] = sol.newton.residual
-            summary["terminal_order"] = _terminal_order(sol.newton.residual_history)
+            summary["terminal_order"] = _terminal_order(sol.newton.residual_history, floor)
             summary["floor_limited"] = sol.newton.floor_limited
         elif p == k:
             eig = solver.solve_eigenvalue(problem)
@@ -389,6 +397,8 @@ def cmd_continue(args) -> int:
 def cmd_envelope(args) -> int:
     field = radial.GridField.load_raw(args.grid)
     center = np.array([float(x) for x in args.center.split(",")])
+    if not np.isfinite(center).all():
+        raise ValueError("center must be finite")
     radii = None
     if args.step:
         lo = field.origin

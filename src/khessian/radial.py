@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
+import os
+import signal
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -282,6 +286,177 @@ def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
 # Cartesian grid fields and the radial envelope
 # ---------------------------------------------------------------------------
 
+# Grid data of more text than this is parsed, or written, in two processes.
+_SPLIT_BYTES = 1 << 20
+# Most bytes of text per value that save_raw writes: "%.16e" takes at most 24
+# characters, and a space or a newline follows each value.
+_VALUE_BYTES = 25
+# Bytes of shared memory this process maps at a time when it collects a
+# child's part, so that the part never adds to its resident set whole.
+_DRAIN_BYTES = 1 << 20
+
+
+def _split_usable() -> bool:
+    """Whether a forked child may take half of the work on a grid file: os.fork
+    exists, two CPUs are usable and the caller is the only Python thread (a
+    fork copies no other thread, nor releases a lock one of them holds)."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:      # no sched_getaffinity outside Linux
+        return (os.cpu_count() or 1) >= 2
+
+
+def _in_two_processes(child_work, parent_work):
+    """Run child_work() in a forked child while parent_work() runs here.
+
+    child_work uses only numpy and os and reports through shared memory; the
+    child ends with os._exit, status 0 when child_work returned.  Returns
+    parent_work() and whether the child succeeded (False also when the fork
+    fails).  The child is reaped before this returns, and killed first when
+    parent_work raises or the wait is interrupted.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        return parent_work(), False
+    if pid == 0:
+        status = 1
+        try:
+            child_work()
+            status = 0
+        finally:
+            os._exit(status)
+    reaped = False
+    try:
+        result = parent_work()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return result, os.waitstatus_to_exitcode(status) == 0
+
+
+def _shared(payload_bytes):
+    """Anonymous shared memory for a child's part: a page that holds its
+    counts (int64), then payload_bytes from the next page on."""
+    return mmap.mmap(-1, mmap.PAGESIZE + payload_bytes)
+
+
+def _drain(shared, nbytes, take):
+    """Call take(offset, bytes view) on consecutive chunks of the first nbytes
+    of the payload of _shared, dropping each chunk from this process's
+    resident set once taken."""
+    for i in range(0, nbytes, _DRAIN_BYTES):
+        j = mmap.PAGESIZE + min(i + _DRAIN_BYTES, nbytes)
+        take(i, memoryview(shared)[mmap.PAGESIZE + i:j])
+        shared.madvise(mmap.MADV_DONTNEED, mmap.PAGESIZE + i, j - mmap.PAGESIZE - i)
+
+
+def _ascii_lines(fh, count):
+    """The lines in the next count bytes of a binary file.  Raises ValueError
+    at a line that is not plain ASCII or holds a carriage return, which a
+    text-mode reader could split or decode differently."""
+    while count > 0:
+        line = fh.readline(count)
+        if not line:
+            return
+        if not line.isascii() or b"\r" in line:
+            raise ValueError("not a plain ASCII line")
+        count -= len(line)
+        yield line
+
+
+def _loadtxt_range(path, start, stop):
+    """np.loadtxt of the lines in bytes [start, stop) of a file."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return np.loadtxt(_ascii_lines(fh, stop - start), ndmin=2)
+
+
+def _load_data_split(path, start, count):
+    """The data rows from byte start to the end of a grid file, `count` values
+    parsed in two processes: this one reads up to the first line break after
+    the middle, a forked child the rest into shared memory.
+
+    Returns None when the data is no more than _SPLIT_BYTES of text, holds
+    fewer bytes than count or no child may be forked (see _split_usable),
+    and on any fault in either half, such as a malformed line, a value count
+    other than count or halves of different row lengths: the serial reader
+    then reads the file and reports the fault with its whole-file row and
+    column.
+    """
+    size = os.path.getsize(path)
+    # Each value takes at least one byte of text.
+    if not (size - start > _SPLIT_BYTES and 0 < count <= size - start) or not _split_usable():
+        return None
+    try:
+        with open(path, "rb") as fh:
+            fh.seek((start + size) // 2)
+            fh.readline()
+            middle = fh.tell()
+        if middle >= size:
+            return None
+        shared = _shared(8 * count)
+        counts = np.frombuffer(shared, np.int64, 2)     # the child's values and columns
+
+        def child():
+            part = _loadtxt_range(path, middle, size)
+            if part.size > count:
+                raise ValueError("too many values")
+            np.frombuffer(shared, float, part.size, mmap.PAGESIZE)[:] = part.ravel()
+            counts[:] = part.size, part.shape[1]
+
+        head, child_ok = _in_two_processes(child, lambda: _loadtxt_range(path, start, middle))
+    except (ValueError, OSError, MemoryError):
+        # A malformed line in the first half, or no memory or fork to be had.
+        return None
+    size2, cols = (int(c) for c in counts)
+    if not child_ok or head.shape[1] != cols or head.size + size2 != count:
+        return None
+    # A private mapping of its own: shared pages would stay shared with later
+    # forks, and a mapping goes back to the system whole when the array goes.
+    data = np.frombuffer(mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE), float)
+    data[:head.size] = head.ravel()
+    tail = data[head.size:]
+    del head
+
+    def take(i, view):
+        tail[i // 8:(i + len(view)) // 8] = np.frombuffer(view, float)
+
+    _drain(shared, 8 * size2, take)
+    return data.reshape(-1, cols)
+
+
+def _save_rows(fh, rows):
+    """np.savetxt(fh, rows, fmt="%.16e") to the text file fh; a forked child
+    formats the second half of the rows into shared memory when the text may
+    exceed _SPLIT_BYTES (see _split_usable).  The bytes are the same either
+    way; if the child fails, this process formats its rows."""
+    half = len(rows) // 2
+    if _VALUE_BYTES * rows.size <= _SPLIT_BYTES or half == 0 or not _split_usable():
+        np.savetxt(fh, rows, fmt="%.16e", delimiter=" ")
+        return
+    shared = _shared(_VALUE_BYTES * rows[half:].size)
+    length = np.frombuffer(shared, np.int64, 1)        # bytes of the child's text
+
+    def child():
+        shared.seek(mmap.PAGESIZE)
+        np.savetxt(shared, rows[half:], fmt="%.16e", delimiter=" ")
+        length[0] = shared.tell() - mmap.PAGESIZE
+
+    _, child_ok = _in_two_processes(
+        child, lambda: np.savetxt(fh, rows[:half], fmt="%.16e", delimiter=" "))
+    if child_ok:
+        fh.flush()
+        _drain(shared, int(length[0]), lambda i, view: fh.buffer.write(view))
+    else:
+        np.savetxt(fh, rows[half:], fmt="%.16e", delimiter=" ")
+
+
 def _data_fault(lines):
     """The first value or row of grid data lines that np.loadtxt cannot read,
     or None if Python's float reads them all (rows counted as loadtxt counts
@@ -317,6 +492,7 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim not in (2, 3):
             raise ValueError("grid fields must be 2- or 3-dimensional")
+        self._require_finite()
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError("spacing must be positive and finite")
         if self.origin is None:
@@ -327,6 +503,18 @@ class GridField:
             raise ValueError("origin length must match field dimension")
         if not np.isfinite(self.origin).all():
             raise ValueError("origin must be finite")
+
+    def _require_finite(self):
+        """Raise ValueError naming the first node whose value is not finite.
+
+        Called at construction and again by the grid-field computations,
+        because values may be reassigned after construction.
+        """
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            node = np.unravel_index(int(np.argmin(finite)), self.values.shape)
+            raise ValueError(f"grid field value {self.values[node]} at node "
+                             f"{tuple(map(int, node))} is not finite")
 
     @property
     def dims(self) -> int:
@@ -354,8 +542,7 @@ class GridField:
             fh.write("shape " + " ".join(str(s) for s in self.values.shape) + "\n")
             fh.write(f"spacing {self.spacing:.16e}\n")
             fh.write("origin " + " ".join(f"{x:.16e}" for x in self.origin) + "\n")
-            np.savetxt(fh, self.values.reshape(self.values.shape[0], -1),
-                       fmt="%.16e", delimiter=" ")
+            _save_rows(fh, self.values.reshape(self.values.shape[0], -1))
 
     @classmethod
     def load_raw(cls, path) -> "GridField":
@@ -367,6 +554,10 @@ class GridField:
         disagreeing with `shape`, a value count other than the product of
         `shape`, or the first non-finite value (data rows and columns are
         1-based).
+
+        A data section of more than about 1 MB of text is parsed in two
+        processes when two CPUs are usable (see _load_data_split), with the
+        same values and the same faults as the serial read.
         """
         with open(path) as fh:
             header = {}
@@ -383,10 +574,16 @@ class GridField:
                 # An empty data section is reported below by the value count.
                 warnings.simplefilter("ignore", UserWarning)
                 try:
-                    data = np.loadtxt(fh, ndmin=2)
-                except ValueError as exc:
-                    fh.seek(pos)
-                    raise ValueError(f"grid file {path}: {_data_fault(fh) or exc}") from None
+                    count = math.prod(int(s) for s in header["shape"])
+                except (KeyError, ValueError):
+                    count = 0
+                data = _load_data_split(path, pos, count)
+                if data is None:
+                    try:
+                        data = np.loadtxt(fh, ndmin=2)
+                    except ValueError as exc:
+                        fh.seek(pos)
+                        raise ValueError(f"grid file {path}: {_data_fault(fh) or exc}") from None
         for key in ("dims", "shape", "spacing"):
             if key not in header:
                 raise ValueError(f"grid file {path}: missing header line '{key}'")
@@ -450,9 +647,12 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
     within radii[0], the balls up to the first nonempty one report the node
     nearest the center.
     """
+    f._require_finite()
     center = np.asarray(center, dtype=float)
     if center.shape != (f.dims,):
         raise ValueError("center dimension does not match field")
+    if not np.isfinite(center).all():
+        raise ValueError("center must be finite")
     lo = f.origin
     hi = f.origin + f.spacing * (np.array(f.values.shape) - 1.0)
     if np.any(center <= lo) or np.any(center >= hi):

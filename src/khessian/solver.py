@@ -520,6 +520,13 @@ class RadialSystem:
             out = (F, J, Ft)
         return out + (ab,) if with_ab else out
 
+    def residual_floor(self, w, rhs):
+        """Residual at w and its rounding floor (see _rounding_floor), from one
+        evaluation: residuals within a small multiple of the floor are
+        rounding noise."""
+        F, J = self.residual_jacobian(w, rhs)
+        return F, _rounding_floor(w, J)
+
     def solve_linear(self, J, rhs_vec):
         if self.N == 1:
             return rhs_vec / J[1, 0]

@@ -1,14 +1,25 @@
-"""Regenerate the golden outputs of `khessian solve`, `continue` and `volume`.
+"""Regenerate the golden outputs of `khessian solve`, `continue`, `volume`,
+`envelope` and `harnack`.
 
-Each case is one input file and one command.  The case runs in an empty
-directory as `khessian <command> --problem problem.json --out-prefix out`,
-or for `volume` as `khessian volume --metric metric.json --out out_curve.csv
---summary out_summary.json`, and `<case>.json` next to this script records:
+Each case is one input file and one command, run in an empty directory:
 
-  * argv, the input file (under "problem") and the exit code;
-  * stdout, one parsed JSON value per line;
-  * every output file: CSVs as header and rows, the summary JSON without
-    its run manifest.
+  * `khessian solve|continue --problem problem.json --out-prefix out`;
+  * `khessian volume --metric metric.json --out out_curve.csv
+    --summary out_summary.json`;
+  * `khessian envelope --grid grid.txt --center ... --step ... --n ... --k ...
+    --out out_envelope.csv`, the grid file written here from a quadratic
+    field (see _grid_text);
+  * `khessian harnack --profile profile.csv --n ... --k ... --min-sep ...
+    --out out_harnack.json`.
+
+`<case>.json` next to this script records:
+
+  * argv, the input (under "problem") and the exit code;
+  * stdout: a stdout that is one JSON document as that value without its
+    run manifest, else one parsed JSON value per line, a line that is not
+    JSON as its text;
+  * every output file: CSVs as header and rows, JSON without its run
+    manifest.
 
 Numbers are written with 17 significant digits, which round-trips a double.
 tests/test_golden.py re-runs every case and compares with these files.
@@ -79,6 +90,64 @@ VOLUME_METRICS = {
 }
 
 
+# Envelope grids: u = c0 + sum_d c_d x_d^2 + c_xy x_0 x_1 on a uniform box.
+# The 3-d grid is over 1 MB of text, with a comment and a blank line among
+# its rows, so a reader that splits large files meets both.
+ENVELOPE_GRIDS = {
+    "envelope_quadratic_2d": {"shape": [9, 11], "spacing": 0.25, "origin": [-1.0, -1.25],
+                              "coeffs": [2.0, 1.0, 0.5, 0.25], "center": [0.1, -0.05],
+                              "step": 0.1, "n": 3, "k": 2},
+    "envelope_quadratic_3d": {"shape": [44, 44, 44], "spacing": 0.05,
+                              "origin": [-1.075, -1.075, -1.075],
+                              "coeffs": [6.5, 0.7, 0.9, 0.6, 0.2], "center": [0.05, -0.1, 0.025],
+                              "step": 0.05, "n": 3, "k": 2},
+}
+
+# Harnack profiles: w = a sqrt(r) + b r^2 on a uniform grid of [r0, r1].
+HARNACK_PROFILES = {
+    "harnack_profile_32": {"r0": 0.01, "r1": 2.0, "num": 60, "a": 1.6, "b": 0.05,
+                           "n": 3, "k": 2, "min_sep": 0.0},
+    "harnack_profile_53_min_sep": {"r0": 0.02, "r1": 1.5, "num": 45, "a": 1.2, "b": -0.1,
+                                   "n": 5, "k": 3, "min_sep": 0.1},
+}
+
+
+def _grid_text(spec):
+    """The grid file of an ENVELOPE_GRIDS entry, one axis-0 plane per data row."""
+    shape, h, origin = spec["shape"], spec["spacing"], spec["origin"]
+    c0, *cd = spec["coeffs"]
+    axes = [[o + h * i for i in range(s)] for o, s in zip(origin, shape)]
+    lines = [f"dims {len(shape)}", "shape " + " ".join(map(str, shape)),
+             f"spacing {h:.16e}", "origin " + " ".join(f"{o:.16e}" for o in origin)]
+    inner = [[]]
+    for ax in axes[1:]:
+        inner = [p + [x] for p in inner for x in ax]
+    for i, x0 in enumerate(axes[0]):
+        row = []
+        for rest in inner:
+            x = [x0] + rest
+            u = c0
+            for c, xd in zip(cd, x):
+                u += c * xd * xd
+            row.append(u + cd[-1] * x[0] * x[1])
+        lines.append(" ".join(f"{u:.16e}" for u in row))
+        if i == 1:
+            lines.append("# a comment line")
+        if i == len(axes[0]) // 2:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def _profile_text(spec):
+    """The r,w profile CSV of a HARNACK_PROFILES entry."""
+    num, r0, r1 = spec["num"], spec["r0"], spec["r1"]
+    rows = []
+    for i in range(num):
+        r = r0 + (r1 - r0) * i / (num - 1)
+        rows.append(f"{r:.17g},{spec['a'] * math.sqrt(r) + spec['b'] * r * r:.17g}")
+    return "r,w\n" + "\n".join(rows) + "\n"
+
+
 def cases():
     """{name: (command, input)} of every golden case."""
     out = {
@@ -111,6 +180,10 @@ def cases():
             "solver": {"N": 1}, "continuation": dict(SPHERE_CONTINUATION)})
     for name, metric in VOLUME_METRICS.items():
         out[name] = ("volume", dict(metric))
+    for name, grid in ENVELOPE_GRIDS.items():
+        out[name] = ("envelope", dict(grid))
+    for name, profile in HARNACK_PROFILES.items():
+        out[name] = ("harnack", dict(profile))
     return out
 
 
@@ -124,18 +197,53 @@ def _read_output(path: Path):
     return payload
 
 
+def _read_stdout(text: str) -> list:
+    """stdout as [value] without its manifest when all of it is one JSON
+    document, else one parsed JSON value per line (text for a line that is
+    not JSON)."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return [_json_or_text(line) for line in text.splitlines()]
+    if isinstance(payload, dict):
+        payload.pop("manifest", None)
+    return [payload]
+
+
+def _json_or_text(line: str):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return line
+
+
+def _write_input(command: str, problem: dict, workdir: Path) -> list:
+    """Write the case's input file into workdir; returns the argv."""
+    if command == "volume":
+        (workdir / "metric.json").write_text(json.dumps(problem))
+        return [command, "--metric", "metric.json", "--out", "out_curve.csv",
+                "--summary", "out_summary.json"]
+    if command == "envelope":
+        (workdir / "grid.txt").write_text(_grid_text(problem))
+        return [command, "--grid", "grid.txt",
+                "--center", ",".join(repr(c) for c in problem["center"]),
+                "--step", repr(problem["step"]), "--n", str(problem["n"]),
+                "--k", str(problem["k"]), "--out", "out_envelope.csv"]
+    if command == "harnack":
+        (workdir / "profile.csv").write_text(_profile_text(problem))
+        return [command, "--profile", "profile.csv", "--n", str(problem["n"]),
+                "--k", str(problem["k"]), "--min-sep", repr(problem["min_sep"]),
+                "--out", "out_harnack.json"]
+    (workdir / "problem.json").write_text(json.dumps(problem))
+    return [command, "--problem", "problem.json", "--out-prefix", "out"]
+
+
 def run_case(command: str, problem: dict, workdir) -> dict:
     """Run one case in the empty directory workdir; returns its record."""
     from khessian.cli import main
 
     workdir = Path(workdir)
-    if command == "volume":
-        (workdir / "metric.json").write_text(json.dumps(problem))
-        argv = [command, "--metric", "metric.json", "--out", "out_curve.csv",
-                "--summary", "out_summary.json"]
-    else:
-        (workdir / "problem.json").write_text(json.dumps(problem))
-        argv = [command, "--problem", "problem.json", "--out-prefix", "out"]
+    argv = _write_input(command, problem, workdir)
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -145,7 +253,7 @@ def run_case(command: str, problem: dict, workdir) -> dict:
     finally:
         os.chdir(cwd)
     return {"argv": argv, "problem": problem, "exit": code,
-            "stdout": [json.loads(line) for line in out.getvalue().splitlines()],
+            "stdout": _read_stdout(out.getvalue()),
             "files": {p.name: _read_output(p) for p in sorted(workdir.glob("out_*"))}}
 
 

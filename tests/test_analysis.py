@@ -36,7 +36,7 @@ from khessian.analysis import (
     u_field_sigma,
     volume_ratio,
 )
-from khessian.radial import GridField, RadialProfile
+from khessian.radial import GridField, RadialProfile, radial_envelope
 from khessian.symfunc import ConeParams
 
 CONE32 = ConeParams(3, 2)
@@ -927,3 +927,45 @@ class TestUFieldAdmissibility:
         f = GridField(0.1, np.full((9, 9, 9), -1.0))
         with pytest.raises(ValueError):
             u_field_admissible_mask(f, CONE32)
+
+
+class TestNonFiniteFields:
+    """Every grid-field computation rejects NaN and inf, naming the first
+    such node, also when the values were reassigned after construction."""
+
+    @staticmethod
+    def bowl(m=9):
+        f = GridField(0.25, np.zeros((m, m, m)))
+        f.values = 1.0 + 0.5 * (f.node_coordinates() ** 2).sum(axis=1).reshape(m, m, m)
+        return f
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_construction(self, bad):
+        values = self.bowl().values
+        values[4, 4, 4] = bad
+        values[6, 1, 2] = bad
+        with pytest.raises(ValueError, match=r"at node \(4, 4, 4\) is not finite"):
+            GridField(0.25, values)
+
+    CALLS = {
+        "mollify": lambda f: mollify(f, 0.5),
+        "u_field_sigma": lambda f: u_field_sigma(f, CONE32),
+        "u_field_admissible_mask": lambda f: u_field_admissible_mask(f, CONE32),
+        "harnack_from_field": lambda f: analysis.harnack_from_field(f, CONE32),
+        "radial_envelope": lambda f: radial_envelope(f, np.zeros(3)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_reassigned_values(self, call, bad):
+        f = self.bowl()
+        self.CALLS[call](f)
+        values = f.values.copy()
+        values[4, 4, 4] = bad
+        f.values = values
+        with pytest.raises(ValueError, match=r"at node \(4, 4, 4\) is not finite"):
+            self.CALLS[call](f)
+        f.values[4, 4, 4] = 1.0
+        f.values[0, 3, 8] = bad
+        with pytest.raises(ValueError, match=r"at node \(0, 3, 8\) is not finite"):
+            self.CALLS[call](f)

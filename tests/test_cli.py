@@ -210,6 +210,17 @@ class TestSolveCommand:
         assert summary["floor_limited"] is False
         assert summary["residual"] <= 1e-10
 
+    def test_terminal_order_reads_residuals_clear_of_the_floor(self):
+        from khessian.cli import _terminal_order
+        history = [1.0, 1e-1, 1e-3, 1.3e-7, 2e-14]
+        # Every residual lies above 1e3 floors: the last three give 1.75.
+        assert _terminal_order(history, 1e-17) == 1.75
+        # 2e-14 lies within 1e3 floors: 1e-1, 1e-3 and 1.3e-7 give 1.94.
+        assert _terminal_order(history, 1e-11) == 1.94
+        assert _terminal_order(history, 1e-9) == 2.0
+        assert _terminal_order(history, 1e-4) is None
+        assert _terminal_order([1.0, 2.0, 1e-3], 0.0) is None
+
     def test_unconverged_solve_names_floor_and_step(self, tmp_path, capsys):
         path = tmp_path / "annulus.json"
         path.write_text(json.dumps(self.annulus_spec(max_iter=2)))
@@ -358,6 +369,15 @@ class TestEnvelopeCommand:
         assert code == 3
         assert named in capsys.readouterr().err
         assert not (tmp_path / "env.csv").exists()
+
+    @pytest.mark.parametrize("step", [[], ["--step", "0.1"]])
+    def test_non_finite_center_exits_3(self, tmp_path, capsys, step):
+        path = tmp_path / "ok.grid"
+        path.write_text(self.GRID_HEADER + "\n".join(self.GRID_ROWS) + "\n")
+        code = main(["envelope", "--grid", str(path), "--center", "nan,0", *step,
+                     "--out", str(tmp_path / "env.csv")])
+        assert code == 3
+        assert "center must be finite" in capsys.readouterr().err
 
 
 class TestHarnackCommand:

@@ -1,4 +1,4 @@
-"""Golden outputs of `khessian solve`, `khessian continue` and `khessian volume`.
+"""Golden outputs of `khessian solve`, `continue`, `volume`, `envelope` and `harnack`.
 
 Every case under tests/golden/ is re-run and must give the same exit code,
 the same keys and shapes, and every number within 1e-12 relative.  Residuals
@@ -75,4 +75,27 @@ def test_golden_case(path, tmp_path):
     assert got["argv"] == want["argv"]
     assert got["exit"] == want["exit"]
     found = mismatches(csv_residuals(got), csv_residuals(want), path.stem)
+    assert not found, "\n".join(found[:20])
+
+
+@pytest.mark.parametrize("name", ["solve_annulus_p_lt_k", "solve_ball_p_lt_k"])
+def test_ulp_level_stencil_change_is_accepted(name, tmp_path, monkeypatch):
+    # w'' scaled by 1 + 4e-16 moves residuals near the rounding floor, and
+    # the Newton residuals above it by up to 1e-6 relative; terminal_order
+    # is read from the latter to two decimals and keeps its value.
+    from khessian import solver
+
+    stencil = solver.RadialSystem._stencil
+
+    def perturbed(self, w):
+        d1, d2, _ = stencil(self, w)
+        d2 = d2 * (1.0 + 4e-16)
+        half_sq = 0.5 * d1**2
+        return d1, d2, solver.RadialAB(d2 + half_sq, d1 / self.r_eq - half_sq)
+
+    monkeypatch.setattr(solver.RadialSystem, "_stencil", perturbed)
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    got = json.loads(regenerate._dumps(regenerate.run_case(*regenerate.cases()[name], tmp_path)))
+    assert got["stdout"][0]["terminal_order"] == want["stdout"][0]["terminal_order"]
+    found = mismatches(csv_residuals(got), csv_residuals(want), name)
     assert not found, "\n".join(found[:20])

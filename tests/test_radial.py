@@ -1,8 +1,12 @@
 import math
+import os
+import threading
+import types
 
 import numpy as np
 import pytest
 
+from khessian import radial
 from khessian.radial import (
     GridField,
     RadialProfile,
@@ -295,6 +299,9 @@ class TestEnvelope:
             radial_envelope(self.field, (5.0, 0.0))
         with pytest.raises(ValueError):
             radial_envelope(self.field, (0.0, 0.0), radii=np.array([10.0]))
+        for center in [(np.nan, 0.0), (0.0, np.inf)]:
+            with pytest.raises(ValueError, match="center must be finite"):
+                radial_envelope(self.field, center, radii=np.array([0.1, 0.2]))
 
     def test_viscosity_check_on_admissible_fields(self):
         rng = np.random.default_rng(11)
@@ -468,6 +475,306 @@ class TestGridFieldIO:
         g = GridField.load_raw(path)
         assert g.values.shape == (3, 3)
         assert np.allclose(g.origin, [-0.5, -0.5])
+
+
+# ---------------------------------------------------------------------------
+# Grid files read and written in two processes
+# ---------------------------------------------------------------------------
+
+GRID_HEADER = "dims 2\nshape {rows} {cols}\nspacing 0.5\n"
+
+
+def grid_text(rows):
+    """A grid file with the given data lines (strings), shape from their count."""
+    data = [line for line in rows if line.strip() and not line.lstrip().startswith("#")]
+    cols = len(data[0].split("#")[0].split())
+    return GRID_HEADER.format(rows=len(data), cols=cols) + "\n".join(rows) + "\n"
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Grid files of any size take the two-process path.  Returns the pids
+    this process forked (forks), its np.loadtxt calls (parses: 1 when a
+    split read succeeds, 2 when the serial reader ran too), its np.savetxt
+    calls (formats: 1 when a split write succeeds) and the package's own
+    size constant (split_bytes)."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = types.SimpleNamespace(forks=[], parses=0, formats=0,
+                                 split_bytes=radial._SPLIT_BYTES)
+    monkeypatch.setattr(radial, "_SPLIT_BYTES", 0)
+    real_fork, real_loadtxt, real_savetxt = os.fork, np.loadtxt, np.savetxt
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            seen.forks.append(pid)
+        return pid
+
+    def loadtxt(*args, **kwargs):
+        seen.parses += 1
+        return real_loadtxt(*args, **kwargs)
+
+    def savetxt(*args, **kwargs):
+        seen.formats += 1
+        return real_savetxt(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(np, "savetxt", savetxt)
+    return seen
+
+
+def serial_load(path):
+    """GridField.load_raw on the serial path, or the message of its ValueError."""
+    usable = radial._split_usable
+    radial._split_usable = lambda: False
+    try:
+        return GridField.load_raw(path)
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        radial._split_usable = usable
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def rows_with_layout(seed):
+    """Data lines of a 12 x 9 field with comment and blank lines, an inline
+    comment, uneven spacing and one row much longer than the rest."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(12, 9)) * 10.0 ** rng.integers(-30, 30, size=(12, 9))
+    lines = ["# leading comment"]
+    long_row = int(rng.integers(3, 9))
+    for i, row in enumerate(values):
+        sep = " " * (40 if i == long_row else int(rng.integers(1, 4)))
+        lines.append(sep.join(f"{x:.17e}" for x in row) + ("  # inline" if i == 2 else ""))
+        if rng.uniform() < 0.3:
+            lines.append("")
+        if rng.uniform() < 0.3:
+            lines.append("   # indented comment")
+    return lines, values
+
+
+HEADER_8x4 = GRID_HEADER.format(rows=8, cols=4)
+ROWS_8x4 = [" ".join(str(4 * i + j + 1) for j in range(4)) for i in range(8)]
+
+
+def replaced(row, text):
+    """ROWS_8x4 with its data row `row` (0-based) replaced by text."""
+    rows = list(ROWS_8x4)
+    rows[row] = text
+    return rows
+
+
+# The faults of tests/test_cli.py test_malformed_grid_exits_3 (but an empty
+# data section, which has no halves), in the second half of an 8 x 4 grid:
+# (header, data lines, message).
+FAULTS = {
+    "short": (HEADER_8x4, ROWS_8x4[:6], "24 values, shape 8 4 needs 32"),
+    "long": (HEADER_8x4, ROWS_8x4 + ["33 34 35 36"], "36 values, shape 8 4 needs 32"),
+    "nan": (HEADER_8x4, replaced(6, "5 nan 7 8"), "non-finite value nan in data row 7, column 2"),
+    "inf": (HEADER_8x4, replaced(7, "9 10 11 -inf"),
+            "non-finite value -inf in data row 8, column 4"),
+    "unparsable": (HEADER_8x4, replaced(5, "5 abc 7 8"),
+                   "unparsable value 'abc' in data row 6, column 2"),
+    "ragged": (HEADER_8x4, replaced(6, "5 6 7"), "data row 7 has 3 values, expected 4"),
+    # Rows of 4 values up to the middle and of 8 after it: each half parses,
+    # into as many values as the shape needs.
+    "ragged-halves": (HEADER_8x4, ["11 12 13 14", "15 16 17 18", "19 20 21 22", "23 24 25 26",
+                                   "1 2 3 4 5 6 7 8", "1 2 3 4 5 6 7 8"],
+                      "data row 5 has 8 values, expected 4"),
+    "no-spacing": ("dims 2\nshape 8 4\n", ROWS_8x4, "missing header line 'spacing'"),
+    "no-dims": ("shape 8 4\nspacing 0.5\n", ROWS_8x4, "missing header line 'dims'"),
+    "dims-vs-shape": ("dims 3\nshape 8 4\nspacing 0.5\n", ROWS_8x4,
+                      "dims 3 but shape has 2 entries"),
+    "bad-shape": ("dims 2\nshape 8 four\nspacing 0.5\n", ROWS_8x4, "malformed header"),
+    "zero-shape": ("dims 2\nshape 0 4\nspacing 0.5\n", ROWS_8x4,
+                   "shape entries must be positive"),
+    "inf-spacing": ("dims 2\nshape 8 4\nspacing inf\n", ROWS_8x4,
+                    "spacing must be positive and finite"),
+}
+
+
+class TestSplitGridIO:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_identical_to_serial(self, tmp_path, split, seed):
+        lines, values = rows_with_layout(seed)
+        path = tmp_path / "field.grid"
+        path.write_text(grid_text(lines))
+        g = GridField.load_raw(path)
+        assert len(split.forks) == 1 and split.parses == 1
+        want = serial_load(path)
+        assert g.values.shape == want.values.shape == values.shape
+        assert g.values.tobytes() == want.values.tobytes() == values.tobytes()
+        assert_no_child()
+
+    def test_split_inside_the_long_row(self, tmp_path, split):
+        # One row holds most of the data text, so the middle falls inside it.
+        rows = [" ".join(f"{i + 0.25 * j:.17e}" for j in range(6)) for i in range(4)]
+        rows[1] = (" " * 3000).join(rows[1].split())
+        path = tmp_path / "field.grid"
+        path.write_text(grid_text(rows))
+        g = GridField.load_raw(path)
+        assert len(split.forks) == 1 and split.parses == 1
+        assert g.values.tobytes() == serial_load(path).values.tobytes()
+
+    def test_values_are_private(self, tmp_path, split):
+        # A later fork that writes to the values leaves this process's alone.
+        lines, values = rows_with_layout(7)
+        path = tmp_path / "field.grid"
+        path.write_text(grid_text(lines))
+        g = GridField.load_raw(path)
+        assert split.forks and g.values.flags.writeable
+        pid = os.fork()
+        if pid == 0:
+            try:
+                g.values[...] = 0.0
+            finally:
+                os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert g.values.tobytes() == values.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(9, 7), (5, 4, 3), (2, 1, 6), (31, 2)])
+    def test_writer_bytes_unchanged(self, tmp_path, split, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [1e300, -1e-300, 5e-324, -0.0, 0.0, 2.2250738585072014e-308,
+                   -1.7976931348623157e308, np.pi, 1e-100, -1e100]
+        # The special values go to the rows of both halves.
+        flat = values.ravel()
+        flat[:len(special)] = special[:flat.size]
+        flat[-len(special):] = special[:flat.size]
+        f = GridField(0.1234567, values, origin=-rng.uniform(0.0, 1.0, len(shape)))
+        f.save_raw(tmp_path / "new.grid")
+        assert len(split.forks) == 1 and split.formats == 1
+        line_by_line_save(f, tmp_path / "old.grid")
+        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
+        assert GridField.load_raw(tmp_path / "new.grid").values.tobytes() == f.values.tobytes()
+        assert len(split.forks) == 2 and split.parses == 1
+        assert_no_child()
+
+    def test_large_field_roundtrip(self, tmp_path, split, monkeypatch):
+        # Above the size constant of the package.
+        monkeypatch.setattr(radial, "_SPLIT_BYTES", split.split_bytes)
+        rng = np.random.default_rng(11)
+        f = GridField(0.01, rng.normal(size=(40, 60, 50)))
+        f.save_raw(tmp_path / "big.grid")
+        assert len(split.forks) == 1 and split.formats == 1
+        assert (tmp_path / "big.grid").stat().st_size > radial._SPLIT_BYTES
+        line_by_line_save(f, tmp_path / "old.grid")
+        assert (tmp_path / "big.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
+        assert GridField.load_raw(tmp_path / "big.grid").values.tobytes() == f.values.tobytes()
+        assert len(split.forks) == 2 and split.parses == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_fault_in_second_half_gives_serial_message(self, tmp_path, split, name):
+        head, rows, named = FAULTS[name]
+        path = tmp_path / "bad.grid"
+        path.write_text(head + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as err:
+            GridField.load_raw(path)
+        assert named in str(err.value)
+        assert str(err.value) == serial_load(path)
+        # Only a shape without values keeps the reader from splitting.
+        assert len(split.forks) == (name not in ("bad-shape", "zero-shape"))
+        assert_no_child()
+
+    def test_fault_in_first_half(self, tmp_path, split):
+        path = tmp_path / "bad.grid"
+        path.write_text(HEADER_8x4 + "\n".join(replaced(1, "5 x 7 8")) + "\n")
+        with pytest.raises(ValueError, match="unparsable value 'x' in data row 2, column 2"):
+            GridField.load_raw(path)
+        assert len(split.forks) == 1
+        assert_no_child()
+
+    def test_one_cpu_is_serial(self, tmp_path, split, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        lines, values = rows_with_layout(1)
+        path = tmp_path / "field.grid"
+        path.write_text(grid_text(lines))
+        assert GridField.load_raw(path).values.tobytes() == values.tobytes()
+        GridField(0.5, values).save_raw(tmp_path / "out.grid")
+        assert split.forks == []
+
+    def test_other_thread_is_serial(self, tmp_path, split):
+        lines, values = rows_with_layout(2)
+        path = tmp_path / "field.grid"
+        path.write_text(grid_text(lines))
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert GridField.load_raw(path).values.tobytes() == values.tobytes()
+            GridField(0.5, values).save_raw(tmp_path / "out.grid")
+        finally:
+            stop.set()
+            other.join()
+        assert split.forks == []
+
+    def test_small_data_is_serial(self, tmp_path, split, monkeypatch):
+        monkeypatch.setattr(radial, "_SPLIT_BYTES", 1 << 20)
+        lines, values = rows_with_layout(3)
+        path = tmp_path / "field.grid"
+        path.write_text(grid_text(lines))
+        assert GridField.load_raw(path).values.tobytes() == values.tobytes()
+        GridField(0.5, values).save_raw(tmp_path / "out.grid")
+        assert split.forks == []
+
+    def test_interrupted_reader_leaves_no_child(self, tmp_path, split, monkeypatch):
+        lines, _ = rows_with_layout(4)
+        path = tmp_path / "field.grid"
+        path.write_text(grid_text(lines))
+        parent, real = os.getpid(), radial._loadtxt_range
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(radial, "_loadtxt_range", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            GridField.load_raw(path)
+        assert len(split.forks) == 1
+        assert_no_child()
+
+    def test_interrupted_writer_leaves_no_child(self, tmp_path, split, monkeypatch):
+        parent, real = os.getpid(), np.savetxt
+
+        def interrupted(fh, rows, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(fh, rows, **kwargs)
+
+        monkeypatch.setattr(np, "savetxt", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            GridField(0.5, np.ones((6, 5))).save_raw(tmp_path / "out.grid")
+        assert len(split.forks) == 1
+        assert_no_child()
+
+    def test_failed_writer_child_is_replaced(self, tmp_path, split, monkeypatch):
+        # A child that cannot format its rows leaves them to this process.
+        parent, real = os.getpid(), np.savetxt
+
+        def child_fails(fh, rows, **kwargs):
+            if os.getpid() != parent:
+                raise OSError("no room")
+            return real(fh, rows, **kwargs)
+
+        monkeypatch.setattr(np, "savetxt", child_fails)
+        f = GridField(0.5, np.arange(42.0).reshape(7, 6) / 7.0)
+        f.save_raw(tmp_path / "new.grid")
+        assert len(split.forks) == 1
+        line_by_line_save(f, tmp_path / "old.grid")
+        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
+        assert_no_child()
 
 
 class TestProfileSamples:
