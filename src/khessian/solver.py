@@ -144,7 +144,6 @@ class SolverConfig:
     t_start: float | None = None
     t_max: float = 10.0
     after_fold_frac: float = 0.7
-    refine_fold: bool = True
 
     def __post_init__(self):
         if self.N < 1 or self.tol <= 0.0 or self.max_iter < 1:
@@ -170,8 +169,8 @@ def _fv(f, r):
 class ExpRHS:
     """phi(r, w) = f(r) * exp(a * w).
 
-    Every RHS has evaluate(), which returns phi, dphi/dw and dphi/dt from one
-    evaluation of its exponentials; phi() and dphi_dw() are views of it.
+    Every RHS has evaluate(r, w[, t]) (t for a continuation RHS), which returns
+    phi, dphi/dw and dphi/dt from one evaluation of its exponentials.
     """
 
     def __init__(self, f, a: float):
@@ -181,12 +180,6 @@ class ExpRHS:
     def evaluate(self, r, w):
         phi = _fv(self.f, r) * _exp(self.a * w)
         return phi, self.a * phi, 0.0
-
-    def phi(self, r, w):
-        return self.evaluate(r, w)[0]
-
-    def dphi_dw(self, r, w):
-        return self.evaluate(r, w)[1]
 
 
 def vpower_rhs(f, n: int, k: int, p: float) -> ExpRHS:
@@ -241,15 +234,6 @@ class ContinuationRHS:
                 scale * (k * b * delta * e_delta + (k - p) * b * e_power),
                 self.conv * (delta * e_delta + e_power + t * self.ddelta_dt(t) * e_delta))
 
-    def phi(self, r, w, t):
-        return self.evaluate(r, w, t)[0]
-
-    def dphi_dw(self, r, w, t):
-        return self.evaluate(r, w, t)[1]
-
-    def dphi_dt(self, r, w, t):
-        return self.evaluate(r, w, t)[2]
-
 
 class GeneralVRHS:
     """w-gauge form of sigma_k(lambda(V)) = t * phi_v(r, v) for a user phi_v."""
@@ -270,15 +254,6 @@ class GeneralVRHS:
         scale = t * self.conv * base
         return (scale * pv, scale * (k * b * pv - b * v * self.dphi_v_dv(r, v)),
                 self.conv * base * pv)
-
-    def phi(self, r, w, t):
-        return self.evaluate(r, w, t)[0]
-
-    def dphi_dw(self, r, w, t):
-        return self.evaluate(r, w, t)[1]
-
-    def dphi_dt(self, r, w, t):
-        return self.evaluate(r, w, t)[2]
 
 
 def validate_growth(phi_v, k: int, growth_class: str, v_lo: float = 1e-3,
@@ -305,17 +280,6 @@ def validate_growth(phi_v, k: int, growth_class: str, v_lo: float = 1e-3,
             raise SolverError("growth validation failed: v^-k phi_v does not increase across the range")
     else:
         raise SolverError(f"unknown growth class {growth_class!r}")
-
-
-class _FrozenT:
-    """Adapter freezing the continuation parameter of a t-dependent RHS."""
-
-    def __init__(self, rhs, t: float):
-        self.rhs = rhs
-        self.t = t
-
-    def evaluate(self, r, w):
-        return self.rhs.evaluate(r, w, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +386,9 @@ class RadialSystem:
 
     # -- residual and Jacobian ----------------------------------------------
 
-    def _assemble(self, w, rhs, root=False, jac=False):
-        """One evaluation of the stencil and of the RHS at the iterate w.
+    def _assemble(self, w, rhs, root=False, jac=False, t=None):
+        """One evaluation of the stencil and of the RHS at the iterate w, with
+        rhs.evaluate(r, w, t) when t is given and rhs.evaluate(r, w) otherwise.
 
         Returns the plain residual F = sigma_k - phi; the root form
         G = sigma^{1/k} - phi^{1/k} when root is set (None otherwise); the
@@ -433,7 +398,8 @@ class RadialSystem:
         in both forms.
         """
         k, rows, N = self.cone.k, self.rows, self.N
-        phi, phi_w, phi_t = rhs.evaluate(self.r_eq, w[rows])
+        phi, phi_w, phi_t = (rhs.evaluate(self.r_eq, w[rows]) if t is None
+                             else rhs.evaluate(self.r_eq, w[rows], t))
         F = np.empty(N)
         G = J = None
         if self.kind == "sphere":
@@ -485,21 +451,21 @@ class RadialSystem:
         J[1, -1] = 1.0
         return J
 
-    def residual(self, w, rhs):
-        return self._assemble(w, rhs)[0]
+    def residual(self, w, rhs, t=None):
+        return self._assemble(w, rhs, t=t)[0]
 
-    def root_residual(self, w, rhs):
+    def root_residual(self, w, rhs, t=None):
         """Residual in the concave root form sigma^{1/k} - phi^{1/k}.
 
         Same zero set as the plain residual on the admissible cone, but the
         k-th root stays well scaled as iterates approach the cone boundary,
         which keeps damped Newton from stalling on degenerate problems.
         """
-        return self._assemble(w, rhs, root=True)[1]
+        return self._assemble(w, rhs, root=True, t=t)[1]
 
-    def root_residual_jacobian(self, w, rhs):
+    def root_residual_jacobian(self, w, rhs, t=None):
         """Root-form residual, its Jacobian and the plain residual, from one evaluation."""
-        F, G, J, _, _ = self._assemble(w, rhs, root=True, jac=True)
+        F, G, J, _, _ = self._assemble(w, rhs, root=True, jac=True, t=t)
         return G, J, F
 
     def residual_jacobian(self, w, rhs, check_cone: bool = False, t=None,
@@ -510,14 +476,12 @@ class RadialSystem:
         `_in_cone(ab)` is then the strict test of `admissible(w)`."""
         if check_cone:
             self._cone_guard(w)
-        if t is None:
-            F, _, J, _, ab = self._assemble(w, rhs, jac=True)
-            out = (F, J)
-        else:
-            F, _, J, phi_t, ab = self._assemble(w, _FrozenT(rhs, t), jac=True)
+        F, _, J, phi_t, ab = self._assemble(w, rhs, jac=True, t=t)
+        out = (F, J)
+        if t is not None:
             Ft = np.zeros(self.N)
             Ft[self.rows] = -phi_t
-            out = (F, J, Ft)
+            out += (Ft,)
         return out + (ab,) if with_ab else out
 
     def residual_floor(self, w, rhs):
@@ -637,9 +601,9 @@ def _stop(w, norm=math.inf, tol=0.0, J=None, step=math.inf, t=0.0, dt=0.0):
     return None
 
 
-def _newton_failure(system, rhs, w, history, step, what):
+def _newton_failure(system, rhs, w, history, step, what, t=None):
     """SolverError for a Newton solve that no stopping rule accepts."""
-    _, J = system.residual_jacobian(w, rhs)
+    J = system.residual_jacobian(w, rhs, t=t)[1]
     floor = _rounding_floor(w, J)
     return SolverError(
         f"Newton {what}: residual {history[-1]:.3e}, rounding floor {floor:.3e}, "
@@ -648,8 +612,9 @@ def _newton_failure(system, rhs, w, history, step, what):
         diagnostics={"w_best": w.copy(), "floor": floor, "step": step})
 
 
-def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> NewtonResult:
-    """Cone-guarded damped Newton.
+def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
+                   t=None) -> NewtonResult:
+    """Cone-guarded damped Newton, with a t-dependent rhs taken at t when t is given.
 
     Directions and the line-search metric come from the concave root form
     sigma^{1/k} - phi^{1/k}; convergence is declared on the plain residual
@@ -664,7 +629,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
     w = np.asarray(w0, dtype=float).copy()
     if not system.admissible(w, strict=True):
         raise AdmissibilityError("initial iterate is not strictly admissible")
-    G, J, F = system.root_residual_jacobian(w, rhs)
+    G, J, F = system.root_residual_jacobian(w, rhs, t=t)
     gnorm = float(np.abs(G).max())
     norm = float(np.abs(F).max())
     history = [norm]
@@ -679,7 +644,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
             trial = w + s * step
             if system.admissible(trial, strict=True):
                 # An accepted trial's evaluation serves the next iteration.
-                accepted = system.root_residual_jacobian(trial, rhs)
+                accepted = system.root_residual_jacobian(trial, rhs, t=t)
                 if float(np.abs(accepted[0]).max()) < gnorm:
                     break
             # A full step that does not decrease a root-form norm already at
@@ -690,11 +655,11 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
             s *= 0.5
             if s < config.min_damping:
                 raise _newton_failure(system, rhs, w, history, snorm,
-                                      "stalled: no admissible decreasing step")
+                                      "stalled: no admissible decreasing step", t)
         if at_floor:
             if system.admissible(w + step, strict=True):
                 w = w + step
-                history.append(float(np.abs(system.residual(w, rhs)).max()))
+                history.append(float(np.abs(system.residual(w, rhs, t=t)).max()))
             return NewtonResult(w, history, len(history) - 1, True, floor_limited=True)
         w = trial
         G, J, F = accepted
@@ -704,7 +669,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig) -> Newto
     if norm <= config.tol:
         return NewtonResult(w, history, config.max_iter, True)
     raise _newton_failure(system, rhs, w, history, snorm,
-                          f"did not converge in {config.max_iter} iterations")
+                          f"did not converge in {config.max_iter} iterations", t)
 
 
 def newton_solve(problem: RadialProblem, rhs, config: SolverConfig,
@@ -747,7 +712,7 @@ def solve_subcritical(problem: RadialProblem, config: SolverConfig,
     seed = np.asarray(w0, dtype=float) if w0 is not None else system.initial_guess()
     result = _damped_newton(system, rhs, seed, config)
     sig = sigma_k_radial(system.ab(seed), problem.cone)
-    phi_seed = rhs.phi(system.r_eq, seed[system.rows])
+    phi_seed = rhs.evaluate(system.r_eq, seed[system.rows])[0]
     with np.errstate(divide="ignore"):
         ratios = np.log(np.maximum(sig, 1e-300) / np.maximum(phi_seed, 1e-300))
     c = float(np.abs(ratios).max()) / a + 1.0
@@ -834,9 +799,8 @@ class Branch:
             if (ta - t) * (tb - t) <= 0.0 and ta != tb:
                 lam = (t - ta) / (tb - ta)
                 seed = (1.0 - lam) * wa + lam * wb
-                frozen = _FrozenT(self._rhs, t)
                 try:
-                    res = _damped_newton(self._system, frozen, seed, self._config)
+                    res = _damped_newton(self._system, self._rhs, seed, self._config, t)
                 except SolverError:
                     continue
                 if not any(np.abs(res.w - w).max() <= 1e-6 * max(1.0, np.abs(w).max())
@@ -1014,12 +978,12 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
     return w, t, it, jac_t
 
 
-def _dJphi_dw(system, frozen, w, J, phi, eps):
+def _dJphi_dw(system, rhs, w, J, phi, eps, t):
     """Tridiagonal d(J phi)/dw by a 3-colour Curtis-Powell-Reid difference.
 
     Row i of J depends on w[i-1 : i+2] only, so nodes i, i+3, i+6, ... can be
     perturbed together: three assemblies recover every column.  J is the
-    Jacobian at w; the result is in the same solve_banded layout.
+    Jacobian at (w, t); the result is in the same solve_banded layout.
     """
     N = system.N
     base = _band_matvec(J, 1, 1, phi)
@@ -1028,7 +992,7 @@ def _dJphi_dw(system, frozen, w, J, phi, eps):
     for colour in range(min(3, N)):
         wp = w.copy()
         wp[colour::3] += eps
-        _, Jp = system.residual_jacobian(wp, frozen)
+        Jp = system.residual_jacobian(wp, rhs, t=t)[1]
         diff = (_band_matvec(Jp, 1, 1, phi) - base) / eps
         # The perturbed column of row i is the j in {i-1, i, i+1} with j = colour mod 3.
         off = (colour - rows + 1) % 3 - 1
@@ -1040,6 +1004,10 @@ def _dJphi_dw(system, frozen, w, J, phi, eps):
 
 def _refine_fold(system, rhs, w, t, phi0, config):
     """Newton on the Moore-Spence extended fold system [F; J phi; c.phi - 1] = 0.
+
+    (w, t) is the last branch sample before the fold and phi0 the w-part of
+    its tangent (Moore and Spence, SIAM J. Numer. Anal. 17, 1980).  Returns
+    (w, t, phi, ok).
 
     Interleaving the unknowns as (w_0, phi_0, w_1, phi_1, ...) makes the
     (2N+1) Newton matrix a band (kl = 3, ku = 2) bordered by the t column and
@@ -1081,7 +1049,7 @@ def _refine_fold(system, rhs, w, t, phi0, config):
         # under both the w and the phi columns, d(J phi)/dw in rows 1, 3, 5.
         band[0::2, 0::2] = J
         band[0::2, 1::2] = J
-        band[1::2, 0::2] = _dJphi_dw(system, _FrozenT(rhs, t), w, J, ph, eps)
+        band[1::2, 0::2] = _dJphi_dw(system, rhs, w, J, ph, eps, t)
         col[0::2] = Ft
         col[1::2] = (_band_matvec(Jt, 1, 1, ph) - Jph) / te
         dz, dt = _bordered_solve(band, 3, 2, col, row, 0.0, -G[:-1], -G[-1])
@@ -1097,14 +1065,20 @@ def _refine_fold(system, rhs, w, t, phi0, config):
 
 
 def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branch:
+    """Pseudo-arclength continuation in t from the small-t solution.
+
+    A fold lies where the tangent's t-component turns negative between two
+    accepted samples.  _refine_fold starts from the sample before it; a fold
+    it finds in that bracket is recorded as refined and added as a sample.
+    Otherwise the fold is the bracket sample with the larger t, unrefined.
+    The branch then runs on until t <= after_fold_frac * t*.
+    """
     system = RadialSystem(problem, config.N)
     cone = problem.cone
     beta = 0.5 * (cone.n - 2)
 
     # Starting point: small-t solution.
-    t = config.t_start
-    if t is None:
-        t = 0.01
+    t = 0.01 if config.t_start is None else config.t_start
     if system.kind == "sphere":
         # Seed from the small-parameter asymptotics sigma_const ~ t conv delta e^{k beta w}.
         conv = wgauge_rhs_amplitude(1.0, cone.n, cone.k)
@@ -1113,21 +1087,17 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
                        / (cone.k * beta)])
     else:
         w0 = system.initial_guess()
-    res = _damped_newton(system, _FrozenT(rhs, t), w0, config)
+    res = _damped_newton(system, rhs, w0, config, t)
     w = res.w
 
     samples = []
     folds = []
     termination = "max steps"
     tau = _tangent(system, rhs, w, t, prev=None)
-    if tau[-1] < 0.0:
-        tau = -tau
     delta_of = rhs.delta if hasattr(rhs, "delta") else (lambda _t: 1.0)
     samples.append(BranchSample(t, w.copy(), _v_probe(system, w, beta),
                                 res.iterations, float(tau[-1]), float(delta_of(t))))
     ds = config.ds0
-    crossed_fold = False
-    t_star = None
 
     for _ in range(config.max_steps):
         pred_w = w + ds * tau[:-1]
@@ -1142,50 +1112,32 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
             continue
         tau_new = _tangent(system, rhs, w_new, t_new, prev=tau, jac_t=jac_t)
 
-        if tau[-1] > 0.0 and tau_new[-1] < 0.0 and not crossed_fold:
-            # Fold crossed between (w, t) and (w_new, t_new); bisect in arclength.
-            a_state = (w.copy(), t, tau.copy())
-            b_state = (w_new.copy(), t_new, tau_new.copy())
-            gap = ds
-            for _ in range(70):
-                gap *= 0.5
-                wa, ta, taua = a_state
-                try:
-                    wm, tm, _, jac_t = _corrector(system, rhs, wa + gap * taua[:-1],
-                                                  ta + gap * taua[-1], taua, config)
-                except SolverError:
-                    break
-                taum = _tangent(system, rhs, wm, tm, prev=taua, jac_t=jac_t)
-                if taum[-1] > 0.0:
-                    a_state = (wm, tm, taum)
-                else:
-                    b_state = (wm, tm, taum)
-                if abs(a_state[1] - b_state[1]) <= 1e-12 * max(1.0, abs(tm)):
-                    break
-            wa, ta, taua = a_state
-            t_star, w_star, refined = ta, wa, False
-            if config.refine_fold:
-                try:
-                    wf, tf, _, ok = _refine_fold(system, rhs, wa, ta, taua[:-1], config)
-                    if ok and abs(tf - ta) <= 0.05 * max(1.0, abs(ta)):
-                        t_star, w_star, refined = tf, wf, True
-                except SolverError:
-                    pass
-            folds.append(FoldMarker(float(t_star), np.asarray(w_star).copy(), refined))
-            samples.append(BranchSample(float(t_star), np.asarray(w_star).copy(),
-                                        _v_probe(system, np.asarray(w_star), beta),
-                                        0, 0.0, float(delta_of(t_star))))
-            crossed_fold = True
+        if not folds and tau[-1] > 0.0 and tau_new[-1] < 0.0:
+            # The fold lies between the samples (w, t) and (w_new, t_new).
+            fold = FoldMarker(t, w, False) if t >= t_new else FoldMarker(t_new, w_new, False)
+            try:
+                wf, tf, _, ok = _refine_fold(system, rhs, w, t, tau[:-1], config)
+            except SolverError:
+                ok = False
+            # In the bracket: t* not below it, up to rounding, and the fold
+            # state within twice the bracket's chord from (w, t).
+            chord = math.hypot(float(np.linalg.norm(w_new - w)), t_new - t)
+            if ok and tf >= max(t, t_new) - _STEP_ULPS * _EPS * abs(tf) and (
+                    math.hypot(float(np.linalg.norm(wf - w)), tf - t) <= 2.0 * chord):
+                fold = FoldMarker(tf, wf, True)
+                samples.append(BranchSample(tf, wf.copy(), _v_probe(system, wf, beta), 0, 0.0,
+                                            float(delta_of(tf))))
+            folds.append(fold)
 
         w, t, tau = w_new, t_new, tau_new
         samples.append(BranchSample(t, w.copy(), _v_probe(system, w, beta),
                                     iters, float(tau[-1]), float(delta_of(t))))
         if iters <= 3:
             ds = min(ds * 1.4, config.ds_max)
-        if not crossed_fold and t >= config.t_max:
+        if not folds and t >= config.t_max:
             termination = "t_max reached"
             break
-        if crossed_fold and t_star is not None and t <= config.after_fold_frac * t_star:
+        if folds and t <= config.after_fold_frac * folds[0].t_star:
             termination = "fold crossed"
             break
         if float(np.abs(w).max()) > 1e3:

@@ -269,6 +269,30 @@ class TestContinueCommand:
         flags = [float(l.split(",")[4]) for l in lines[1:]]
         assert 1.0 in flags
 
+    @pytest.mark.parametrize("failure", ["not ok", "raises"])
+    def test_unrefined_fold_flags_one_row(self, scalar_problem_json, tmp_path, capsys,
+                                          monkeypatch, failure):
+        from khessian import solver
+
+        def refine(system, rhs, w, t, phi0, config):
+            if failure == "raises":
+                raise solver.SolverError("refinement failed")
+            return w, t, phi0, False
+
+        monkeypatch.setattr(solver, "_refine_fold", refine)
+        code = main(["continue", "--problem", str(scalar_problem_json),
+                     "--out-prefix", str(tmp_path / "branch")])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        summary = json.loads((tmp_path / "branch_summary.json").read_text())
+        assert printed["fold_refined"] == summary["fold_refined"] == [False]
+        assert printed["n_folds"] == 1
+        lines = (tmp_path / "branch_branch.csv").read_text().splitlines()
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        # The fold is the bracket sample with the larger t, flagged once.
+        assert [row[0] for row in rows if row[4] == 1.0] == [summary["t_star"]]
+        assert summary["t_star"] == max(row[0] for row in rows)
+
     def test_determinism(self, scalar_problem_json, tmp_path, capsys):
         main(["continue", "--problem", str(scalar_problem_json),
               "--out-prefix", str(tmp_path / "one")])

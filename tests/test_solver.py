@@ -417,8 +417,7 @@ class TestContinuation:
         post = [s for s in branch.samples if s.tangent_t < -1e-3][0]
         signs = []
         for s in (pre, post):
-            from khessian.solver import _FrozenT
-            _, J = system.residual_jacobian(s.w, _FrozenT(rhs, s.t))
+            J = system.residual_jacobian(s.w, rhs, t=s.t)[1]
             signs.append(math.copysign(1.0, J[1, 0]))
         assert signs[0] * signs[1] < 0.0
 
@@ -496,12 +495,11 @@ class TestAnnulusContinuation:
         # smallest-magnitude Jacobian eigenvalue changes sign across the fold
         system = RadialSystem(problem, 48)
         rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
-        from khessian.solver import _FrozenT
         pre = [s for s in branch.samples if s.tangent_t > 1e-3][-1]
         post = [s for s in branch.samples if s.tangent_t < -1e-3][0]
         eigs = []
         for s in (pre, post):
-            _, J = system.residual_jacobian(s.w, _FrozenT(rhs, s.t))
+            J = system.residual_jacobian(s.w, rhs, t=s.t)[1]
             lam = np.linalg.eigvals(dense_jacobian(system, J))
             eigs.append(float(lam[np.argmin(np.abs(lam))].real))
         assert eigs[0] * eigs[1] < 0.0
@@ -509,9 +507,13 @@ class TestAnnulusContinuation:
         # and no solution survives above the fold
         with pytest.raises(SolverError):
             from khessian.solver import _damped_newton
-            _damped_newton(system, _FrozenT(rhs, 1.05 * t_star),
-                           branch.folds[0].w_star.copy(), config)
+            _damped_newton(system, rhs, branch.folds[0].w_star.copy(), config,
+                           1.05 * t_star)
 
+
+
+def within_ulps(x, y, n):
+    return abs(x - y) <= n * math.ulp(y)
 
 
 def annulus_fold_branch(N):
@@ -603,7 +605,7 @@ class TestBorderedBanded:
 class TestFoldRefinement:
     @pytest.mark.parametrize("kind", ["annulus", "ball"])
     def test_coloured_dJphi_dw_matches_columnwise(self, kind):
-        from khessian.solver import _dJphi_dw, _FrozenT
+        from khessian.solver import _dJphi_dw
         N = 20
         if kind == "annulus":
             problem = RadialProblem(CONE32, Annulus(0.5, 2.0, W_STAR(0.5), W_STAR(2.0)),
@@ -611,32 +613,31 @@ class TestFoldRefinement:
         else:
             problem = RadialProblem(CONE32, Ball(1.0, 0.5), p=4.0, f=1.0)
         system = RadialSystem(problem, N)
-        rhs = _FrozenT(ContinuationRHS(CONE32, 4.0, 1.0, 1.0), 0.006)
+        rhs, t = ContinuationRHS(CONE32, 4.0, 1.0, 1.0), 0.006
         rng = np.random.default_rng(5)
         w = W_STAR(system.r) + 0.01 * rng.normal(size=N)
         phi = rng.normal(size=N)
         eps = 1e-7
-        _, J = system.residual_jacobian(w, rhs)
-        H = dense_jacobian(system, _dJphi_dw(system, rhs, w, J, phi, eps))
+        J = system.residual_jacobian(w, rhs, t=t)[1]
+        H = dense_jacobian(system, _dJphi_dw(system, rhs, w, J, phi, eps, t))
         want = np.empty((N, N))
         base = dense_jacobian(system, J) @ phi
         for j in range(N):
             wp = w.copy()
             wp[j] += eps
-            _, Jp = system.residual_jacobian(wp, rhs)
+            Jp = system.residual_jacobian(wp, rhs, t=t)[1]
             want[:, j] = (dense_jacobian(system, Jp) @ phi - base) / eps
         assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
 
     @pytest.mark.parametrize("N", [96, 192])
     def test_refined_at_rounding_floor(self, N):
         from khessian.radial import sigma_k_radial_gradients
-        from khessian.solver import _FrozenT
         branch, problem = annulus_fold_branch(N)
         assert [f.refined for f in branch.folds] == [True]
         fold = branch.folds[0]
         system = RadialSystem(problem, N)
         rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
-        F = system.residual(fold.w_star, _FrozenT(rhs, fold.t_star))
+        F = system.residual(fold.w_star, rhs, t=fold.t_star)
         sa, _ = sigma_k_radial_gradients(system.ab(fold.w_star), CONE32)
         floor = (np.finfo(float).eps * np.abs(fold.w_star).max()
                  * np.abs(sa).max() / system.h**2)
@@ -653,6 +654,110 @@ class TestFoldRefinement:
         assert t.shape == t_ref.shape
         assert np.abs(t - t_ref).max() <= 1e-12 * np.abs(t_ref).max()
         assert branch.t_star == pytest.approx(reference.t_star, rel=1e-12)
+
+
+SPHERE_CONTINUE = ((3, 2, 4.0), (4, 3, 5.0), (5, 3, 4.0), (5, 4, 6.0))
+
+
+def sphere_fold_root_find(n, k, p, f):
+    """Largest t = A v^k / (1 + f v^p) over v > 0, A = C(n,k) ((n-2)/4)^k, by
+    brentq on the derivative of its logarithm."""
+    A = math.comb(n, k) * ((n - 2) / 4.0) ** k
+    dlog = lambda v: k / v - p * f * v ** (p - 1) / (1.0 + f * v**p)
+    hi = 1.0
+    while dlog(hi) > 0.0:
+        hi *= 2.0
+    v = brentq(dlog, 1e-6, hi, xtol=1e-15, rtol=8.9e-16)
+    return A * v**k / (1.0 + f * v**p)
+
+
+def sphere_continuation_cases():
+    """(seed, (n, k, p), f) of the sphere continuation files that the
+    banded_newton benchmark workload writes for seeds 0-30: its generator
+    draws six numbers for the ball and p = k files, then one f per (n, k, p)."""
+    for seed in range(31):
+        rng = np.random.default_rng([seed, sum(map(ord, "banded_newton"))])
+        rng.uniform(size=6)
+        for nkp, f in zip(SPHERE_CONTINUE, rng.uniform(0.5, 2.0, size=4)):
+            yield seed, nkp, float(f)
+
+
+def fold_bracket(branch):
+    """The two consecutive samples between which the tangent's t-component
+    turns from positive to negative."""
+    pairs = [(a, b) for a, b in zip(branch.samples, branch.samples[1:])
+             if a.tangent_t > 0.0 and b.tangent_t < 0.0]
+    assert len(pairs) == 1
+    return pairs[0]
+
+
+class TestFoldLocation:
+    """Refinement starts from the last sample before the fold; a failed
+    refinement reports the bracket sample with the larger t."""
+
+    def test_sphere_folds_match_root_find(self):
+        cases = list(sphere_continuation_cases())
+        assert len(cases) == 124
+        bad = []
+        for seed, (n, k, p), f in cases:
+            problem = RadialProblem(ConeParams(n, k), SphereConstant(), p=p, f=f)
+            branch = continuation_supercritical(problem, SolverConfig(
+                N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6))
+            want = sphere_fold_root_find(n, k, p, f)
+            if ([fold.refined for fold in branch.folds] != [True]
+                    or abs(branch.t_star - want) > 1e-12 * want
+                    or max(s.t for s in branch.samples) != branch.t_star):
+                bad.append((seed, (n, k, p), f, branch.t_star, want))
+        assert not bad, bad
+
+    @pytest.mark.parametrize("domain", ["sphere", "annulus"])
+    @pytest.mark.parametrize("failure", ["not ok", "raises"])
+    def test_failed_refinement_reports_the_bracket(self, monkeypatch, domain, failure):
+        from khessian import solver
+
+        def refine(system, rhs, w, t, phi0, config):
+            if failure == "raises":
+                raise SolverError("refinement failed")
+            return w + 1e-3, t * 1.5, phi0, False
+
+        monkeypatch.setattr(solver, "_refine_fold", refine)
+        if domain == "sphere":
+            problem = RadialProblem(CONE32, SphereConstant(), p=4.0, f=1.0)
+            branch = continuation_supercritical(problem, SolverConfig(
+                N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6))
+        else:
+            branch, _ = annulus_fold_branch(48)
+        assert [fold.refined for fold in branch.folds] == [False]
+        assert branch.termination == "fold crossed"
+        a, b = fold_bracket(branch)
+        top = a if a.t >= b.t else b
+        assert branch.t_star == top.t == max(a.t, b.t)
+        assert_same_bits(branch.folds[0].w_star, top.w)
+        # No fold sample was added: every t of the branch occurs once.
+        ts = [s.t for s in branch.samples]
+        assert len(set(ts)) == len(ts)
+
+    @pytest.mark.parametrize("move", ["state beyond the chord", "t below the bracket"])
+    def test_converged_fold_outside_the_bracket_is_rejected(self, monkeypatch, move):
+        from khessian import solver
+        refine = solver._refine_fold
+
+        def moved(system, rhs, w, t, phi0, config):
+            if move == "t below the bracket":
+                return w, t * (1.0 - 1e-6), phi0, True
+            wf, tf, ph, ok = refine(system, rhs, w, t, phi0, config)
+            assert ok
+            # The sphere's chords are at most ds_max = 0.3 long.
+            return wf + 1.0, tf, ph, ok
+
+        monkeypatch.setattr(solver, "_refine_fold", moved)
+        problem = RadialProblem(CONE32, SphereConstant(), p=4.0, f=1.0)
+        branch = continuation_supercritical(problem, SolverConfig(
+            N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6))
+        assert [fold.refined for fold in branch.folds] == [False]
+        a, b = fold_bracket(branch)
+        assert branch.t_star == max(a.t, b.t)
+
 
 # ---------------------------------------------------------------------------
 # Oracles: the assembly and RHS code that the fused evaluation replaced, kept
@@ -960,19 +1065,17 @@ class TestFusedAssemblyOracle:
     @pytest.mark.parametrize("rhs_kind", ["exp", "exp_callable", "continuation", "general"])
     @pytest.mark.parametrize("domain", ["annulus", "ball", "sphere"])
     def test_bit_identical_to_former_assembly(self, domain, rhs_kind, state):
-        from khessian.solver import _FrozenT
         system, w, rhs, former, t = oracle_case(domain, rhs_kind, state)
-        plain, former_plain = (rhs, former) if t is None else (_FrozenT(rhs, t),
-                                                               FormerFrozenT(former, t))
+        former_plain = former if t is None else FormerFrozenT(former, t)
         with np.errstate(all="ignore"):
             want_F, want_J = former_residual_jacobian(system, w, former_plain)
             want_G, want_JG = former_root_residual_jacobian(system, w, former_plain)
             assert_same_bits(former_residual(system, w, former_plain), want_F)
             assert_same_bits(former_root_residual(system, w, former_plain), want_G)
-            F, J = system.residual_jacobian(w, plain)
-            G, JG, FG = system.root_residual_jacobian(w, plain)
-            assert_same_bits(system.residual(w, plain), want_F)
-            assert_same_bits(system.root_residual(w, plain), want_G)
+            F, J = system.residual_jacobian(w, rhs, t=t)[:2]
+            G, JG, FG = system.root_residual_jacobian(w, rhs, t=t)
+            assert_same_bits(system.residual(w, rhs, t=t), want_F)
+            assert_same_bits(system.root_residual(w, rhs, t=t), want_G)
             for got, want in ((F, want_F), (J, want_J), (G, want_G), (JG, want_JG),
                               (FG, want_F)):
                 assert_same_bits(got, want)
@@ -981,9 +1084,9 @@ class TestFusedAssemblyOracle:
                 F, J, Ft = system.residual_jacobian(w, rhs, t=t)
                 for got, want in ((F, want_F), (J, want_J), (Ft, Ft_want)):
                     assert_same_bits(got, want)
-                for view in ("phi", "dphi_dw", "dphi_dt"):
-                    assert_same_bits(getattr(rhs, view)(system.r_eq, w[system.rows], t),
-                                     getattr(former, view)(system.r_eq, w[system.rows], t))
+                got = rhs.evaluate(system.r_eq, w[system.rows], t)
+                for i, view in enumerate(("phi", "dphi_dw", "dphi_dt")):
+                    assert_same_bits(got[i], getattr(former, view)(system.r_eq, w[system.rows], t))
             if domain == "sphere":
                 return
             ab, want_ab = system.ab(w), former_ab(system, w)
@@ -1079,7 +1182,10 @@ class TestAssemblyCounts:
         # (507 with the residual each Jacobian assembled inside itself).
         calls = count_assemblies(monkeypatch)
         branch, _ = annulus_fold_branch(96)
-        assert repr(branch.t_star) == "0.007103164721554383"
+        # Refined from the last sample before the fold instead of a bisected
+        # start: t* moved by one ulp from 0.007103164721554383.
+        assert repr(branch.t_star) == "0.007103164721554382"
+        assert within_ulps(branch.t_star, 0.007103164721554383, 2)
         assert sum(calls.values()) < 262
         assert calls["residual"] == calls["root_residual"] == 0
 
@@ -1144,12 +1250,17 @@ class TestRoundingFloorStop:
             return out
 
         monkeypatch.setattr(solver, "_corrector", counted)
-        want = {96: ("0.007103164721554383", 112), 192: ("0.0069900207462747915", 120),
-                384: ("0.00693640262942685", 150)}
-        for N, (t_star, n_iters) in want.items():
+        # Fold refinement starts from the last sample before the fold, with no
+        # arclength bisection: the bisection's correctors are gone (former sums
+        # 112/120/150) and t* is within two ulps of its former pin.
+        want = {96: ("0.007103164721554382", 98, 0.007103164721554383),
+                192: ("0.0069900207462747915", 107, 0.0069900207462747915),
+                384: ("0.0069364026294268495", 135, 0.00693640262942685)}
+        for N, (t_star, n_iters, former) in want.items():
             iters.clear()
             branch, _ = annulus_fold_branch(N)
             assert repr(branch.t_star) == t_star
+            assert within_ulps(branch.t_star, former, 2)
             assert sum(iters) == n_iters
 
     def test_diverging_prediction_rejected_early(self, monkeypatch):
@@ -1174,13 +1285,13 @@ class TestRoundingFloorStop:
         assert len(assemblies) <= 3
 
     def test_stall_above_the_fold_reports_floor_and_step(self):
-        from khessian.solver import _damped_newton, _FrozenT
+        from khessian.solver import _damped_newton
         branch, problem = annulus_fold_branch(48)
         system = RadialSystem(problem, 48)
         rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
         with pytest.raises(SolverError) as err:
-            _damped_newton(system, _FrozenT(rhs, 1.05 * branch.t_star),
-                           branch.folds[0].w_star.copy(), SolverConfig(N=48))
+            _damped_newton(system, rhs, branch.folds[0].w_star.copy(), SolverConfig(N=48),
+                           1.05 * branch.t_star)
         assert str(err.value).startswith("Newton stalled: no admissible decreasing step: ")
         diag = err.value.diagnostics
         assert err.value.history[-1] > 1e6 * diag["floor"] > 0.0
