@@ -395,12 +395,25 @@ def cmd_continue(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_envelope(args) -> int:
-    field = radial.GridField.load_raw(args.grid)
-    center = np.array([float(x) for x in args.center.split(",")])
+    try:
+        center = np.array([float(x) for x in args.center.split(",")])
+    except ValueError:
+        raise ValueError(f"--center must be comma-separated numbers: {args.center!r}") from None
     if not np.isfinite(center).all():
-        raise ValueError("center must be finite")
+        raise ValueError("--center must be finite")
+    if args.step is not None and not (math.isfinite(args.step) and args.step > 0.0):
+        raise ValueError(f"--step must be positive and finite, got {args.step}")
+    if (args.n is None) != (args.k is None):
+        raise ValueError("--n and --k go together: give both for the viscosity check, or neither")
+    cone = None
+    if args.n is not None:
+        try:
+            cone = ConeParams(args.n, args.k).require_supercritical()
+        except ValueError as exc:
+            raise ValueError(f"--n {args.n} --k {args.k}: {exc}") from None
+    field = radial.GridField.load_raw(args.grid)
     radii = None
-    if args.step:
+    if args.step is not None:
         lo = field.origin
         hi = field.origin + field.spacing * (np.array(field.values.shape) - 1.0)
         rmax = float(min((center - lo).min(), (hi - center).min()))
@@ -408,8 +421,8 @@ def cmd_envelope(args) -> int:
     env = radial.radial_envelope(field, center, radii=radii)
     _write_csv(args.out, ["r", "wtilde", "r_attained"],
                [env.r, env.wtilde, env.r_attained])
-    if args.n and args.k:
-        check = radial.envelope_viscosity_check(env, ConeParams(args.n, args.k))
+    if cone is not None:
+        check = radial.envelope_viscosity_check(env, cone)
         print(f"viscosity check: {len(check.violations)} violation(s)")
         for v in check.violations[:10]:
             print(f"  r={v[1]:.6g} {v[2]} margin={v[3]:.3e}")
@@ -418,8 +431,12 @@ def cmd_envelope(args) -> int:
 
 def cmd_harnack(args) -> int:
     cone = ConeParams(args.n, args.k)
+    if not args.min_sep >= 0.0:
+        raise ValueError(f"--min-sep must be a nonnegative number, got {args.min_sep}")
     profile = radial.load_profile_csv(args.profile, args.n, args.k)
     est = analysis.harnack_from_w_profile(profile, min_sep=args.min_sep)
+    if est.c_est == -math.inf:
+        raise ValueError(f"no two profile nodes are farther apart than --min-sep {args.min_sep}")
     payload = {
         "c_est": est.c_est,
         "alpha": est.alpha,

@@ -1,5 +1,5 @@
 """Regenerate the golden outputs of `khessian solve`, `continue`, `volume`,
-`envelope` and `harnack`.
+`envelope`, `harnack`, `sigma` and `classify`.
 
 Each case is one input file and one command, run in an empty directory:
 
@@ -10,7 +10,11 @@ Each case is one input file and one command, run in an empty directory:
     --out out_envelope.csv`, the grid file written here from a quadratic
     field (see _grid_text);
   * `khessian harnack --profile profile.csv --n ... --k ... --min-sep ...
-    --out out_harnack.json`.
+    --out out_harnack.json`;
+  * `khessian sigma --lambda ... --k ...`, or `--csv eigenvalues.csv` with
+    the eigenvalues written here as one CSV row;
+  * `khessian classify --profile profile.csv --n ... --k ...
+    --out out_classify.json`, the profile written here (see _singular_profile_text).
 
 `<case>.json` next to this script records:
 
@@ -112,6 +116,23 @@ HARNACK_PROFILES = {
 }
 
 
+# Eigenvalues for `sigma`: inside Gamma_3 (and Sigma_delta), and outside Gamma_2.
+SIGMA_CASES = {
+    "sigma_lambda_n4_k3": {"lambda": [2.0, 1.5, -0.25, 0.75], "k": 3},
+    "sigma_csv_n5_k2": {"csv": [1.0, -2.5, 0.5, 0.125, -0.75], "k": 2},
+}
+
+# Profiles for `classify` on the geometric grid r_max q^i down to r_min: the
+# fundamental singularity w = 2 log r + C with its derivatives, and the Holder
+# factor w = c r^(1-theta) / (1-theta), theta = (n-k)/k, sampled without them.
+CLASSIFY_PROFILES = {
+    "classify_fundamental_analytic": {"kind": "fundamental", "C": 5.0, "r_max": 1.0,
+                                      "r_min": 1e-6, "q": 0.8, "n": 3, "k": 2},
+    "classify_holder_sampled_53": {"kind": "holder", "c": 0.5, "r_max": 1.0, "r_min": 1e-6,
+                                   "q": 0.8, "n": 5, "k": 3},
+}
+
+
 def _grid_text(spec):
     """The grid file of an ENVELOPE_GRIDS entry, one axis-0 plane per data row."""
     shape, h, origin = spec["shape"], spec["spacing"], spec["origin"]
@@ -146,6 +167,20 @@ def _profile_text(spec):
         r = r0 + (r1 - r0) * i / (num - 1)
         rows.append(f"{r:.17g},{spec['a'] * math.sqrt(r) + spec['b'] * r * r:.17g}")
     return "r,w\n" + "\n".join(rows) + "\n"
+
+
+def _singular_profile_text(spec):
+    """The profile CSV of a CLASSIFY_PROFILES entry."""
+    count = int(math.floor(math.log(spec["r_min"] / spec["r_max"]) / math.log(spec["q"]))) + 1
+    radii = sorted(spec["r_max"] * spec["q"] ** i for i in range(count))
+    if spec["kind"] == "fundamental":
+        rows = [(r, 2.0 * math.log(r) + spec["C"], 2.0 / r, -2.0 / r**2) for r in radii]
+        header = "r,w,dw,d2w"
+    else:
+        theta = (spec["n"] - spec["k"]) / spec["k"]
+        rows = [(r, spec["c"] / (1.0 - theta) * r ** (1.0 - theta)) for r in radii]
+        header = "r,w"
+    return header + "\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
 
 
 def cases():
@@ -184,6 +219,10 @@ def cases():
         out[name] = ("envelope", dict(grid))
     for name, profile in HARNACK_PROFILES.items():
         out[name] = ("harnack", dict(profile))
+    for name, eigenvalues in SIGMA_CASES.items():
+        out[name] = ("sigma", dict(eigenvalues))
+    for name, profile in CLASSIFY_PROFILES.items():
+        out[name] = ("classify", dict(profile))
     return out
 
 
@@ -234,6 +273,16 @@ def _write_input(command: str, problem: dict, workdir: Path) -> list:
         return [command, "--profile", "profile.csv", "--n", str(problem["n"]),
                 "--k", str(problem["k"]), "--min-sep", repr(problem["min_sep"]),
                 "--out", "out_harnack.json"]
+    if command == "sigma":
+        if "lambda" in problem:
+            return [command, "--lambda", ",".join(map(repr, problem["lambda"])),
+                    "--k", str(problem["k"])]
+        (workdir / "eigenvalues.csv").write_text(",".join(map(repr, problem["csv"])) + "\n")
+        return [command, "--csv", "eigenvalues.csv", "--k", str(problem["k"])]
+    if command == "classify":
+        (workdir / "profile.csv").write_text(_singular_profile_text(problem))
+        return [command, "--profile", "profile.csv", "--n", str(problem["n"]),
+                "--k", str(problem["k"]), "--out", "out_classify.json"]
     (workdir / "problem.json").write_text(json.dumps(problem))
     return [command, "--problem", "problem.json", "--out-prefix", "out"]
 

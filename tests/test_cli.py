@@ -403,8 +403,40 @@ class TestEnvelopeCommand:
         assert code == 3
         assert "center must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--step", "0"], "--step"),
+        (["--step", "-0.1"], "--step"),
+        (["--step", "nan"], "--step"),
+        (["--step", "inf"], "--step"),
+        (["--center", "a,b"], "--center"),
+        (["--center", "0,,0"], "--center"),
+        (["--n", "3", "--k", "0"], "--k"),
+        (["--n", "3", "--k", "5"], "--k"),
+        (["--n", "4", "--k", "2"], "--k"),
+        (["--n", "2", "--k", "2"], "--n"),
+        (["--n", "3"], "--k"),
+        (["--k", "2"], "--n"),
+    ], ids=["step-0", "step-negative", "step-nan", "step-inf", "center-letters",
+            "center-empty", "k-0", "k-5", "not-supercritical", "n-2", "n-alone", "k-alone"])
+    def test_bad_flag_exits_3(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "ok.grid"
+        path.write_text(self.GRID_HEADER + "\n".join(self.GRID_ROWS) + "\n")
+        assert main(["envelope", "--grid", str(path), "--center", "0,0",
+                     "--out", str(tmp_path / "env.csv"), *flags]) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "env.csv").exists()
+
 
 class TestHarnackCommand:
+    @pytest.mark.parametrize("min_sep", ["inf", "1e9", "-1", "-inf", "nan"])
+    def test_bad_min_sep_exits_3(self, holder_csv, tmp_path, capsys, min_sep):
+        out = tmp_path / "h.json"
+        assert main(["harnack", "--profile", str(holder_csv), "--n", "3", "--k", "2",
+                     "--min-sep", min_sep, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "--min-sep" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_analytic_family(self, tmp_path, capsys):
         r = geometric_grid(1.0, 1e-8, 0.8)
         c, theta = 0.6, 0.5

@@ -1,4 +1,5 @@
-"""Golden outputs of `khessian solve`, `continue`, `volume`, `envelope` and `harnack`.
+"""Golden outputs of `khessian solve`, `continue`, `volume`, `envelope`, `harnack`,
+`sigma` and `classify`.
 
 Every case under tests/golden/ is re-run and must give the same exit code,
 the same keys and shapes, and every number within 1e-12 relative.  Residuals

@@ -1,7 +1,7 @@
+import decimal
+import io
 import math
-import os
-import threading
-import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -478,303 +478,264 @@ class TestGridFieldIO:
 
 
 # ---------------------------------------------------------------------------
-# Grid files read and written in two processes
+# Grid text kernels against np.loadtxt and np.savetxt
 # ---------------------------------------------------------------------------
 
-GRID_HEADER = "dims 2\nshape {rows} {cols}\nspacing 0.5\n"
+def savetxt_bytes(rows):
+    """np.savetxt's text of rows in save_raw's format."""
+    out = io.BytesIO()
+    np.savetxt(out, rows, fmt="%.16e", delimiter=" ")
+    return out.getvalue()
 
 
-def grid_text(rows):
-    """A grid file with the given data lines (strings), shape from their count."""
-    data = [line for line in rows if line.strip() and not line.lstrip().startswith("#")]
-    cols = len(data[0].split("#")[0].split())
-    return GRID_HEADER.format(rows=len(data), cols=cols) + "\n".join(rows) + "\n"
+def written(tmp_path, values):
+    """The data text that save_raw writes for values (after its 4 header lines)."""
+    GridField(0.5, values).save_raw(tmp_path / "w.grid")
+    return (tmp_path / "w.grid").read_bytes().split(b"\n", 4)[4]
 
 
-@pytest.fixture
-def split(monkeypatch):
-    """Grid files of any size take the two-process path.  Returns the pids
-    this process forked (forks), its np.loadtxt calls (parses: 1 when a
-    split read succeeds, 2 when the serial reader ran too), its np.savetxt
-    calls (formats: 1 when a split write succeeds) and the package's own
-    size constant (split_bytes)."""
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    seen = types.SimpleNamespace(forks=[], parses=0, formats=0,
-                                 split_bytes=radial._SPLIT_BYTES)
-    monkeypatch.setattr(radial, "_SPLIT_BYTES", 0)
-    real_fork, real_loadtxt, real_savetxt = os.fork, np.loadtxt, np.savetxt
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            seen.forks.append(pid)
-        return pid
-
-    def loadtxt(*args, **kwargs):
-        seen.parses += 1
-        return real_loadtxt(*args, **kwargs)
-
-    def savetxt(*args, **kwargs):
-        seen.formats += 1
-        return real_savetxt(*args, **kwargs)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
-    monkeypatch.setattr(np, "savetxt", savetxt)
-    return seen
+def decoded(tmp_path, text, shape):
+    """Data text as the kernel decodes it (None when it declines the text),
+    and as np.loadtxt reads it."""
+    path = tmp_path / "data.txt"
+    path.write_bytes(text)
+    return radial._load_rows(path, 0, [str(s) for s in shape]), np.loadtxt(path, ndmin=2)
 
 
-def serial_load(path):
-    """GridField.load_raw on the serial path, or the message of its ValueError."""
-    usable = radial._split_usable
-    radial._split_usable = lambda: False
-    try:
-        return GridField.load_raw(path)
-    except ValueError as exc:
-        return str(exc)
-    finally:
-        radial._split_usable = usable
+def random_doubles(seed, size):
+    """Finite doubles from random bit patterns: every exponent, subnormals, both signs."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=2 * size, dtype=np.uint64)
+    x = bits.view(float)
+    return x[np.isfinite(x)][:size]
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+           1e-300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1e-100,
+           9.999999999999999e99, 1e100, 9.999999999999999e-100, 1e22, 1e23, 1.0, -0.1,
+           np.pi, 2.0**53 + 2.0, 1e16, 9.999999999999998e16,
+           # Doubles just below a power of ten that "%.16e" rounds up to it.
+           1e-305, -1e-79]
 
 
-def rows_with_layout(seed):
-    """Data lines of a 12 x 9 field with comment and blank lines, an inline
-    comment, uneven spacing and one row much longer than the rest."""
+def token(d):
+    """A Decimal of at most 17 significant digits as a "%.16e" token."""
+    sign, digits, _ = d.as_tuple()
+    digits = "".join(map(str, digits)).ljust(17, "0")
+    return f"{'-' if sign else ''}{digits[0]}.{digits[1:]}e{d.adjusted():+03d}"
+
+
+def midpoint_tokens(seed, size):
+    """The 17-digit decimals just below and above the midpoint between random
+    doubles and the next ones up: of random bit patterns, of subnormals and
+    of doubles above 10^16, where the midpoint is an integer of 17 digits
+    and the two tokens are that exact tie."""
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(12, 9)) * 10.0 ** rng.integers(-30, 30, size=(12, 9))
-    lines = ["# leading comment"]
-    long_row = int(rng.integers(3, 9))
-    for i, row in enumerate(values):
-        sep = " " * (40 if i == long_row else int(rng.integers(1, 4)))
-        lines.append(sep.join(f"{x:.17e}" for x in row) + ("  # inline" if i == 2 else ""))
-        if rng.uniform() < 0.3:
-            lines.append("")
-        if rng.uniform() < 0.3:
-            lines.append("   # indented comment")
-    return lines, values
+    x = np.concatenate([random_doubles(seed, size), rng.integers(2**40, 2**52, size) * 5e-324,
+                        rng.uniform(1e16, 1e17, size)])
+    tokens = []
+    for v in x[np.abs(x) < 1e308]:
+        mid = (Fraction(v) + Fraction(np.nextafter(v, np.inf))) / 2
+        with decimal.localcontext(prec=800):
+            exact = decimal.Decimal(mid.numerator) / decimal.Decimal(mid.denominator)
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            with decimal.localcontext(prec=17, rounding=rounding):
+                tokens.append(token(+exact))
+    return tokens
 
 
-HEADER_8x4 = GRID_HEADER.format(rows=8, cols=4)
-ROWS_8x4 = [" ".join(str(4 * i + j + 1) for j in range(4)) for i in range(8)]
+def layout_text(values):
+    """The header of a grid file of values, and its data text in save_raw's layout."""
+    head = f"dims 2\nshape {values.shape[0]} {values.shape[1]}\nspacing 0.5\norigin 0 0\n"
+    return head.encode(), savetxt_bytes(values)
 
 
-def replaced(row, text):
-    """ROWS_8x4 with its data row `row` (0-based) replaced by text."""
-    rows = list(ROWS_8x4)
-    rows[row] = text
-    return rows
+# A 4 x 6 field with every token form: signs, 2- and 3-digit exponents, zeros.
+LAYOUT_VALUES = np.array([[1.25, -3.5e-7, 0.0, 6.02214076e23, -1e-300, 2.5],
+                          [7.0, 8.0e100, -9.0, 1e-5, 11.0, -0.0],
+                          [1.5e-200, 14.0, 15.5, -16.0, 17.0, 1.7e308],
+                          [19.0, 20.0, -2.1e-320, 22.0, 23.0, 24.0]])
 
 
-# The faults of tests/test_cli.py test_malformed_grid_exits_3 (but an empty
-# data section, which has no halves), in the second half of an 8 x 4 grid:
-# (header, data lines, message).
+def first_token(text, fmt):
+    """text with its first token rewritten by fmt (a callable on the value)."""
+    tok, rest = text.split(b" ", 1)
+    return fmt(float(tok)).encode() + b" " + rest
+
+
+# Data text that np.loadtxt reads but save_raw does not write.
+NON_CANONICAL = {
+    "comment": lambda t: t.replace(b"\n", b"\n# a comment line\n", 1),
+    "blank-line": lambda t: t.replace(b"\n", b"\n\n", 1),
+    "crlf": lambda t: t.replace(b"\n", b"\r\n"),
+    "tab": lambda t: t.replace(b" ", b"\t", 1),
+    "double-space": lambda t: t.replace(b" ", b"  ", 1),
+    "leading-space": lambda t: b" " + t,
+    "trailing-space": lambda t: t.replace(b"\n", b" \n", 1),
+    "no-final-newline": lambda t: t[:-1],
+    "plus-sign": lambda t: b"+" + t,
+    "capital-E": lambda t: t.replace(b"e", b"E", 1),
+    "short-mantissa": lambda t: first_token(t, lambda x: f"{x:.6e}"),
+    "long-mantissa": lambda t: first_token(t, lambda x: f"{x:.17e}"),
+    "fixed-point": lambda t: first_token(t, repr),
+}
+
+# Faults in otherwise canonical data: (data text transform, message).
 FAULTS = {
-    "short": (HEADER_8x4, ROWS_8x4[:6], "24 values, shape 8 4 needs 32"),
-    "long": (HEADER_8x4, ROWS_8x4 + ["33 34 35 36"], "36 values, shape 8 4 needs 32"),
-    "nan": (HEADER_8x4, replaced(6, "5 nan 7 8"), "non-finite value nan in data row 7, column 2"),
-    "inf": (HEADER_8x4, replaced(7, "9 10 11 -inf"),
-            "non-finite value -inf in data row 8, column 4"),
-    "unparsable": (HEADER_8x4, replaced(5, "5 abc 7 8"),
-                   "unparsable value 'abc' in data row 6, column 2"),
-    "ragged": (HEADER_8x4, replaced(6, "5 6 7"), "data row 7 has 3 values, expected 4"),
-    # Rows of 4 values up to the middle and of 8 after it: each half parses,
-    # into as many values as the shape needs.
-    "ragged-halves": (HEADER_8x4, ["11 12 13 14", "15 16 17 18", "19 20 21 22", "23 24 25 26",
-                                   "1 2 3 4 5 6 7 8", "1 2 3 4 5 6 7 8"],
-                      "data row 5 has 8 values, expected 4"),
-    "no-spacing": ("dims 2\nshape 8 4\n", ROWS_8x4, "missing header line 'spacing'"),
-    "no-dims": ("shape 8 4\nspacing 0.5\n", ROWS_8x4, "missing header line 'dims'"),
-    "dims-vs-shape": ("dims 3\nshape 8 4\nspacing 0.5\n", ROWS_8x4,
-                      "dims 3 but shape has 2 entries"),
-    "bad-shape": ("dims 2\nshape 8 four\nspacing 0.5\n", ROWS_8x4, "malformed header"),
-    "zero-shape": ("dims 2\nshape 0 4\nspacing 0.5\n", ROWS_8x4,
-                   "shape entries must be positive"),
-    "inf-spacing": ("dims 2\nshape 8 4\nspacing inf\n", ROWS_8x4,
-                    "spacing must be positive and finite"),
+    "nan": (lambda t: t.replace(b"1.0000000000000001e-05", b"nan"),
+            "non-finite value nan in data row 2, column 4"),
+    "inf": (lambda t: t.replace(b"2.4000000000000000e+01", b"-inf"),
+            "non-finite value -inf in data row 4, column 6"),
+    "unparsable": (lambda t: t.replace(b"7.0000000000000000e+00", b"7.0000000000000000x+00"),
+                   "unparsable value '7.0000000000000000x+00' in data row 2, column 1"),
+    "exponent-sign": (lambda t: t.replace(b"7.0000000000000000e+00", b"7.0000000000000000e,00"),
+                      "unparsable value '7.0000000000000000e,00' in data row 2, column 1"),
+    "exponent-digit": (lambda t: t.replace(b"7.0000000000000000e+00", b"7.0000000000000000e+0x"),
+                       "unparsable value '7.0000000000000000e+0x' in data row 2, column 1"),
+    "third-exponent-digit": (lambda t: t.replace(b"e-300", b"e-30x"),
+                             "unparsable value '-1.0000000000000000e-30x' in data row 1, column 5"),
+    "fraction-digit": (lambda t: t.replace(b"1.1000000000000000e+01", b"1.10000000x0000000e+01"),
+                       "unparsable value '1.10000000x0000000e+01' in data row 2, column 5"),
+    "ragged": (lambda t: t.replace(b" 1.5500000000000000e+01", b""),
+               "data row 3 has 5 values, expected 6"),
+    "short": (lambda t: t.rsplit(b"\n", 2)[0] + b"\n", "18 values, shape 4 6 needs 24"),
+    "long": (lambda t: t + t.split(b"\n", 1)[0] + b"\n", "30 values, shape 4 6 needs 24"),
 }
 
 
-class TestSplitGridIO:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_values_identical_to_serial(self, tmp_path, split, seed):
-        lines, values = rows_with_layout(seed)
-        path = tmp_path / "field.grid"
-        path.write_text(grid_text(lines))
-        g = GridField.load_raw(path)
-        assert len(split.forks) == 1 and split.parses == 1
-        want = serial_load(path)
-        assert g.values.shape == want.values.shape == values.shape
-        assert g.values.tobytes() == want.values.tobytes() == values.tobytes()
-        assert_no_child()
+class TestGridTextKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bits_match_loadtxt_and_savetxt(self, tmp_path, seed):
+        values = random_doubles(seed, 40000).reshape(-1, 40)
+        text = savetxt_bytes(values)
+        assert written(tmp_path, values) == text
+        got, want = decoded(tmp_path, text, values.shape)
+        assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
 
-    def test_split_inside_the_long_row(self, tmp_path, split):
-        # One row holds most of the data text, so the middle falls inside it.
-        rows = [" ".join(f"{i + 0.25 * j:.17e}" for j in range(6)) for i in range(4)]
-        rows[1] = (" " * 3000).join(rows[1].split())
-        path = tmp_path / "field.grid"
-        path.write_text(grid_text(rows))
-        g = GridField.load_raw(path)
-        assert len(split.forks) == 1 and split.parses == 1
-        assert g.values.tobytes() == serial_load(path).values.tobytes()
+    @pytest.mark.parametrize("shape", [(2, 12), (24, 1), (1, 24)])
+    def test_subnormals_zeros_and_3_digit_exponents(self, tmp_path, shape):
+        values = np.array(SPECIAL).reshape(shape)
+        text = savetxt_bytes(values)
+        assert written(tmp_path, values) == text
+        got, want = decoded(tmp_path, text, shape)
+        assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
 
-    def test_values_are_private(self, tmp_path, split):
-        # A later fork that writes to the values leaves this process's alone.
-        lines, values = rows_with_layout(7)
-        path = tmp_path / "field.grid"
-        path.write_text(grid_text(lines))
-        g = GridField.load_raw(path)
-        assert split.forks and g.values.flags.writeable
-        pid = os.fork()
-        if pid == 0:
-            try:
-                g.values[...] = 0.0
-            finally:
-                os._exit(0)
-        assert os.waitpid(pid, 0)[1] == 0
-        assert g.values.tobytes() == values.tobytes()
+    @pytest.mark.parametrize("seed", range(3))
+    def test_17_digit_decimals_at_and_beside_midpoints(self, tmp_path, seed):
+        tokens = midpoint_tokens(seed, 1500)
+        tokens = tokens[:len(tokens) // 10 * 10]
+        text = "".join(t + ("\n" if i % 10 == 9 else " ") for i, t in enumerate(tokens))
+        got, want = decoded(tmp_path, text.encode(), (len(tokens) // 10, 10))
+        assert got is not None and got.tobytes() == want.tobytes()
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("shape", [(9, 7), (5, 4, 3), (2, 1, 6), (31, 2)])
-    def test_writer_bytes_unchanged(self, tmp_path, split, shape):
-        rng = np.random.default_rng(sum(shape))
-        values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-        special = [1e300, -1e-300, 5e-324, -0.0, 0.0, 2.2250738585072014e-308,
-                   -1.7976931348623157e308, np.pi, 1e-100, -1e100]
-        # The special values go to the rows of both halves.
-        flat = values.ravel()
-        flat[:len(special)] = special[:flat.size]
-        flat[-len(special):] = special[:flat.size]
-        f = GridField(0.1234567, values, origin=-rng.uniform(0.0, 1.0, len(shape)))
-        f.save_raw(tmp_path / "new.grid")
-        assert len(split.forks) == 1 and split.formats == 1
+    def test_writer_ties(self, tmp_path):
+        # m/4 and m/8 for odd m of 16 digits have 18 significant digits, the
+        # last a 5: "%.16e" rounds the exact tie at the 17th to even.
+        rng = np.random.default_rng(17)
+        quarters = (rng.integers(4 * 10**15, 9 * 10**15, 400) | 1) / 4.0
+        eighths = (rng.integers(8 * 10**14, 8 * 10**15, 400) | 1) / 8.0
+        values = np.concatenate([quarters, -eighths]).reshape(-1, 20)
+        assert all(len(f"{x:.30e}".split("e")[0].rstrip("0").replace(".", "").lstrip("-")) == 18
+                   for x in values.ravel())
+        assert written(tmp_path, values) == savetxt_bytes(values)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5), (9, 1)])
+    def test_pieces_split_anywhere(self, tmp_path, monkeypatch, shape):
+        # Pieces of a few values each: rows and tokens cross piece boundaries.
+        monkeypatch.setattr(radial, "_CHUNK_BYTES", 64)
+        values = np.r_[SPECIAL, random_doubles(1, 100)][:math.prod(shape)].reshape(shape)
+        f = GridField(0.5, values)
+        f.save_raw(tmp_path / "f.grid")
         line_by_line_save(f, tmp_path / "old.grid")
-        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
-        assert GridField.load_raw(tmp_path / "new.grid").values.tobytes() == f.values.tobytes()
-        assert len(split.forks) == 2 and split.parses == 1
-        assert_no_child()
+        assert (tmp_path / "f.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
+        assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == values.tobytes()
 
-    def test_large_field_roundtrip(self, tmp_path, split, monkeypatch):
-        # Above the size constant of the package.
-        monkeypatch.setattr(radial, "_SPLIT_BYTES", split.split_bytes)
-        rng = np.random.default_rng(11)
-        f = GridField(0.01, rng.normal(size=(40, 60, 50)))
+    def test_large_field_roundtrip(self, tmp_path, monkeypatch):
+        pieces, decode = [], radial._decode
+        monkeypatch.setattr(radial, "_decode", lambda *a: pieces.append(1) or decode(*a))
+        f = GridField(0.01, np.random.default_rng(11).normal(size=(40, 60, 50)))
         f.save_raw(tmp_path / "big.grid")
-        assert len(split.forks) == 1 and split.formats == 1
-        assert (tmp_path / "big.grid").stat().st_size > radial._SPLIT_BYTES
+        assert (tmp_path / "big.grid").stat().st_size > radial._CHUNK_BYTES
         line_by_line_save(f, tmp_path / "old.grid")
         assert (tmp_path / "big.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
         assert GridField.load_raw(tmp_path / "big.grid").values.tobytes() == f.values.tobytes()
-        assert len(split.forks) == 2 and split.parses == 1
-        assert_no_child()
+        assert len(pieces) > 1
+
+    @pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+    def test_other_layouts_are_read_by_loadtxt(self, tmp_path, name):
+        head, text = layout_text(LAYOUT_VALUES)
+        assert decoded(tmp_path, text, LAYOUT_VALUES.shape)[0] is not None
+        text = NON_CANONICAL[name](text)
+        got, want = decoded(tmp_path, text, LAYOUT_VALUES.shape)
+        assert got is None
+        path = tmp_path / "f.grid"
+        path.write_bytes(head + text)
+        assert GridField.load_raw(path).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(FAULTS))
-    def test_fault_in_second_half_gives_serial_message(self, tmp_path, split, name):
-        head, rows, named = FAULTS[name]
+    def test_faults_keep_their_messages(self, tmp_path, name):
+        change, message = FAULTS[name]
+        head, text = layout_text(LAYOUT_VALUES)
         path = tmp_path / "bad.grid"
-        path.write_text(head + "\n".join(rows) + "\n")
+        path.write_bytes(head + change(text))
         with pytest.raises(ValueError) as err:
             GridField.load_raw(path)
-        assert named in str(err.value)
-        assert str(err.value) == serial_load(path)
-        # Only a shape without values keeps the reader from splitting.
-        assert len(split.forks) == (name not in ("bad-shape", "zero-shape"))
-        assert_no_child()
+        assert str(err.value) == f"grid file {path}: {message}"
 
-    def test_fault_in_first_half(self, tmp_path, split):
-        path = tmp_path / "bad.grid"
-        path.write_text(HEADER_8x4 + "\n".join(replaced(1, "5 x 7 8")) + "\n")
-        with pytest.raises(ValueError, match="unparsable value 'x' in data row 2, column 2"):
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_edits_read_as_without_the_kernels(self, tmp_path, monkeypatch, seed):
+        # Bytes replaced, inserted or deleted in the data: the kernels give the
+        # values, or the message, that np.loadtxt alone gives.
+        head, text = layout_text(LAYOUT_VALUES)
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "edited.grid"
+
+        def outcome(kernels):
+            monkeypatch.setattr(radial, "_KERNELS", kernels)
+            try:
+                return GridField.load_raw(path).values.tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        alphabet = b" \n\t\r+-.eE0123456789x#,"
+        for _ in range(150):
+            data = bytearray(text)
+            for _ in range(rng.integers(1, 4)):
+                i, byte = int(rng.integers(len(data))), alphabet[rng.integers(len(alphabet))]
+                edit = rng.integers(3)
+                if edit == 0:
+                    data[i] = byte
+                elif edit == 1:
+                    data.insert(i, byte)
+                else:
+                    del data[i]
+            path.write_bytes(head + bytes(data))
+            assert outcome(True) == outcome(False), bytes(data)
+
+    def test_rows_beyond_the_shape(self, tmp_path):
+        # Two more values of a 30 x 2 field keep within 25 bytes a value.
+        values = np.arange(1.0, 63.0).reshape(31, 2)
+        path = tmp_path / "long.grid"
+        path.write_bytes(b"dims 2\nshape 30 2\nspacing 0.5\n" + savetxt_bytes(values))
+        with pytest.raises(ValueError, match="62 values, shape 30 2 needs 60"):
             GridField.load_raw(path)
-        assert len(split.forks) == 1
-        assert_no_child()
 
-    def test_one_cpu_is_serial(self, tmp_path, split, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        lines, values = rows_with_layout(1)
-        path = tmp_path / "field.grid"
-        path.write_text(grid_text(lines))
-        assert GridField.load_raw(path).values.tobytes() == values.tobytes()
-        GridField(0.5, values).save_raw(tmp_path / "out.grid")
-        assert split.forks == []
+    def test_without_the_kernels(self, tmp_path, monkeypatch):
+        # A platform whose long double has no 64-bit significand.
+        values = random_doubles(3, 600).reshape(20, 30)
+        text = written(tmp_path, values)
+        monkeypatch.setattr(radial, "_KERNELS", False)
+        assert written(tmp_path, values) == text == savetxt_bytes(values)
+        assert decoded(tmp_path, text, values.shape)[0] is None
+        assert GridField.load_raw(tmp_path / "w.grid").values.tobytes() == values.tobytes()
 
-    def test_other_thread_is_serial(self, tmp_path, split):
-        lines, values = rows_with_layout(2)
-        path = tmp_path / "field.grid"
-        path.write_text(grid_text(lines))
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        other.start()
-        try:
-            assert GridField.load_raw(path).values.tobytes() == values.tobytes()
-            GridField(0.5, values).save_raw(tmp_path / "out.grid")
-        finally:
-            stop.set()
-            other.join()
-        assert split.forks == []
-
-    def test_small_data_is_serial(self, tmp_path, split, monkeypatch):
-        monkeypatch.setattr(radial, "_SPLIT_BYTES", 1 << 20)
-        lines, values = rows_with_layout(3)
-        path = tmp_path / "field.grid"
-        path.write_text(grid_text(lines))
-        assert GridField.load_raw(path).values.tobytes() == values.tobytes()
-        GridField(0.5, values).save_raw(tmp_path / "out.grid")
-        assert split.forks == []
-
-    def test_interrupted_reader_leaves_no_child(self, tmp_path, split, monkeypatch):
-        lines, _ = rows_with_layout(4)
-        path = tmp_path / "field.grid"
-        path.write_text(grid_text(lines))
-        parent, real = os.getpid(), radial._loadtxt_range
-
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return real(*args)
-
-        monkeypatch.setattr(radial, "_loadtxt_range", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            GridField.load_raw(path)
-        assert len(split.forks) == 1
-        assert_no_child()
-
-    def test_interrupted_writer_leaves_no_child(self, tmp_path, split, monkeypatch):
-        parent, real = os.getpid(), np.savetxt
-
-        def interrupted(fh, rows, **kwargs):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return real(fh, rows, **kwargs)
-
-        monkeypatch.setattr(np, "savetxt", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            GridField(0.5, np.ones((6, 5))).save_raw(tmp_path / "out.grid")
-        assert len(split.forks) == 1
-        assert_no_child()
-
-    def test_failed_writer_child_is_replaced(self, tmp_path, split, monkeypatch):
-        # A child that cannot format its rows leaves them to this process.
-        parent, real = os.getpid(), np.savetxt
-
-        def child_fails(fh, rows, **kwargs):
-            if os.getpid() != parent:
-                raise OSError("no room")
-            return real(fh, rows, **kwargs)
-
-        monkeypatch.setattr(np, "savetxt", child_fails)
-        f = GridField(0.5, np.arange(42.0).reshape(7, 6) / 7.0)
-        f.save_raw(tmp_path / "new.grid")
-        assert len(split.forks) == 1
-        line_by_line_save(f, tmp_path / "old.grid")
-        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
-        assert_no_child()
+    def test_non_finite_values_are_written_by_savetxt(self, tmp_path):
+        f = GridField(0.5, np.arange(12.0).reshape(3, 4) - 5.5)
+        f.values[1, 2], f.values[2, 0] = np.nan, -np.inf
+        f.save_raw(tmp_path / "f.grid")
+        data = (tmp_path / "f.grid").read_bytes().split(b"\n", 4)[4]
+        assert data == savetxt_bytes(f.values)
+        with pytest.raises(ValueError, match="non-finite value nan in data row 2, column 3"):
+            GridField.load_raw(tmp_path / "f.grid")
 
 
 class TestProfileSamples:
