@@ -417,7 +417,14 @@ def cmd_envelope(args) -> int:
         lo = field.origin
         hi = field.origin + field.spacing * (np.array(field.values.shape) - 1.0)
         rmax = float(min((center - lo).min(), (hi - center).min()))
-        radii = args.step * np.arange(1, int(rmax / args.step) + 1)
+        count = rmax / args.step
+        if count > field.values.size:
+            raise ValueError(f"--step {args.step} asks for {count:.4g} radii, "
+                             f"more than the {field.values.size} grid nodes")
+        if 0.0 < rmax < args.step:
+            raise ValueError(f"--step {args.step} exceeds the distance {rmax:.4g} "
+                             "from --center to the box boundary")
+        radii = args.step * np.arange(1, int(count) + 1)
     env = radial.radial_envelope(field, center, radii=radii)
     _write_csv(args.out, ["r", "wtilde", "r_attained"],
                [env.r, env.wtilde, env.r_attained])

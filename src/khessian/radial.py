@@ -15,6 +15,7 @@ versus Holder with exponent 2 - n/k).
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import warnings
@@ -297,23 +298,11 @@ _DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np
 _DIGITS4 = _DIGITS4.view("<u4")[:, 0]
 
 
-def _all_digits(words):
-    """Whether every byte of the little-endian uint64 words is an ASCII digit
-    (Lemire, Softw. Pract. Exp. 51, 2021)."""
-    f = np.uint64(0xF0F0F0F0F0F0F0F0)
-    return (((words & f) | (((words + np.uint64(0x0606060606060606)) & f) >> np.uint64(4)))
-            == np.uint64(0x3333333333333333)).all()
-
-
-def _swar8(words):
-    """The 8 ASCII digits of each little-endian uint64 as an integer, in three
-    multiply-shift steps (Lemire, Softw. Pract. Exp. 51, 2021)."""
-    w = words - np.uint64(0x3030303030303030)
-    w = w * np.uint64(10) + (w >> np.uint64(8))
-    m = np.uint64(0x000000FF000000FF)
-    w = ((w & m) * np.uint64(100 + (1000000 << 32))
-         + ((w >> np.uint64(16)) & m) * np.uint64(1 + (10000 << 32)))
-    return w >> np.uint64(32)
+def _in_range(z, carry, mask):
+    """Whether text words z less their templates hold their fields: no bit of
+    mask in z or z + carry, as a byte below its template wraps into mask and
+    a digit less "0" plus 6 stays below 16 (Lemire, Softw. Pract. Exp. 51, 2021)."""
+    return not ((z | (z + carry)) & mask).any()
 
 
 def _decode(text, ncols, done):
@@ -321,39 +310,60 @@ def _decode(text, ncols, done):
     the first at flat index done of rows of ncols values; None when text is
     not in save_raw's layout."""
     buf = np.frombuffer(text, np.uint8)
-    ends = np.flatnonzero(buf <= 32)
-    seps = np.full(len(ends), 32, np.uint8)
+    seps = np.full(len(buf) // 23, 32, np.uint8)           # a token takes 23 bytes or more
     seps[(-done - 1) % ncols::ncols] = 10                   # the values that end a row
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    neg = buf[starts] == 45
-    starts += neg
-    wide = ends - starts == 23                              # a 3-digit exponent
-    if not (np.array_equal(buf[ends], seps) and (wide | (ends - starts == 22)).all()):
+    if len(buf) % 23 == 0 and np.array_equal(buf[22::23], seps):
+        # 23-byte records: any other token puts a character at byte 22 of its record.
+        win = buf.reshape(-1, 23)
+        neg = wide = np.zeros(len(win), bool)
+    else:
+        ends = np.flatnonzero(buf <= 32)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        neg = buf[starts] == 45
+        starts += neg
+        wide = ends - starts == 23                          # a 3-digit exponent
+        if not (np.array_equal(buf[ends], seps[:len(ends)])
+                and (wide | (ends - starts == 22)).all()):
+            return None
+        # The same 23 bytes of each token, from its first digit.
+        win = np.lib.stride_tricks.sliding_window_view(buf, 23)[starts]
+    # Each record's fields as little-endian words less their templates: "d."
+    # with the leading digit, 16 fraction digits, and "e+dd" or "e-dd".
+    head = np.ndarray(len(win), "<u2", win, 0, (23,)) - np.uint16(0x2E30)
+    w = np.ndarray((2, len(win)), "<u8", win, 2, (8, 23)).copy() - 0x3030303030303030
+    tail = np.ndarray(len(win), "<u4", win, 18, (23,)) - np.uint32(0x30302B65)
+    third = win[wide, 22] - np.uint8(48)                    # of a 3-digit exponent
+    if not (_in_range(head, 6, 0xFFF0) and _in_range(tail, 0x06060000, 0xF0F0FDFF)
+            and _in_range(w, 0x0606060606060606, 0xF0F0F0F0F0F0F0F0)
+            and _in_range(third, 6, 0xF0)):
         return None
-    # Each token with its separator, or with its third exponent digit.
-    win = np.lib.stride_tricks.sliding_window_view(buf, 23)[starts]
-    words = np.ascontiguousarray(win[:, 2:18]).view("<u8")         # two groups of 8 digits
-    d = win[:, [0, 20, 21, 22]].T - np.uint8(48)                    # the other digits
-    sign = win[:, 19]
-    if not ((d[:3] <= 9).all() and (d[3, wide] <= 9).all() and (win[:, 1] == 46).all()
-            and (win[:, 18] == 101).all() and ((sign == 43) | (sign == 45)).all()
-            and _all_digits(words)):
-        return None
-    d = d.astype(np.int64)
-    exp = np.where(wide, 100 * d[1] + 10 * d[2] + d[3], 10 * d[1] + d[2])
-    frac = _swar8(words)
-    m = d[0].astype(np.uint64) * np.uint64(10**16) + frac[:, 0] * np.uint64(10**8) + frac[:, 1]
-    v = m * _POW10[np.where(sign == 45, -exp, exp) - 16 - _QMIN]
-    with np.errstate(over="ignore", invalid="ignore"):
+    exp = (tail >> 16 & 0xFF) * 10 + (tail >> 24)
+    if len(third):
+        exp[wide] = 10 * exp[wide] + third
+    # Each 8 fraction digits as an integer by three in-place multiply-shift steps (ibid.).
+    t = w >> 8
+    w *= 10
+    w += t
+    np.right_shift(w, 16, out=t)
+    t &= 0x000000FF000000FF
+    t *= 1 + (10000 << 32)
+    w &= 0x000000FF000000FF
+    w *= 100 + (1000000 << 32)
+    w += t
+    w >>= 32
+    m = w[0] * np.uint64(10**8) + w[1] + head * np.uint64(10**16)
+    v = m * _POW10[exp.astype(np.int32) * (1 - (tail >> 8 & 2).astype(np.int32)) - (16 + _QMIN)]
+    with np.errstate(over="ignore"):
         x = v.astype(float)
-        # |v - x| in units of the smaller ulp next to x; NaN where x is infinite.
-        ulps = np.abs((v - x).astype(float)) / np.spacing(np.nextafter(x, 0.0))
-    # A subnormal x also goes to float(): v - x loses its low bits in the cast.
-    slow = ~(ulps <= 0.5 - 2.0**-9) | (x < np.finfo(float).smallest_normal) & (m != 0)
-    x = np.where(neg, -x, x)
-    for i in np.flatnonzero(slow):
-        x[i] = float(text[starts[i] - neg[i]:ends[i]])
-    return x
+    # float() reads v within 2^-9 ulp of a rounding midpoint: |v - x| over
+    # 0.5 - 2^-9 of the ulp 2^(E - 1075) of nextafter(x, 0), E its biased
+    # exponent.  The bound, of biased exponent E - 54 and fraction 0xFE << 44,
+    # is negative or NaN for x <= 2^-969, where |v - x| keeps too few bits.
+    gap = np.abs(np.subtract(v, x, out=v).astype(float))
+    bound = (((x.view(np.int64) - 1) & -1 << 52) + ((0xFE << 44) - (54 << 52))).view(float)
+    for i in np.flatnonzero(~(gap <= bound) & (m != 0)):
+        x[i] = float(win[i, :22 + wide[i]].tobytes())
+    return np.negative(x, out=x, where=neg)
 
 
 def _load_rows(path, start, shape):
@@ -531,16 +541,16 @@ class GridField:
         `shape`, or the first non-finite value (data rows and columns are
         1-based).
 
-        Data in save_raw's own layout is decoded in this process by numpy
-        kernels (_decode), 1 MiB of text at a time: each 17-digit mantissa
-        times a power of ten in a 64-bit-significand np.longdouble errs by
-        under 2^-10 double ulp, so rounding it once gives np.loadtxt's value
-        bit for bit, and tokens within 2^-9 ulp of a rounding midpoint, or
-        with subnormal values, go through float().  Any other text (a
-        comment or blank line, CRLF, other spacing or number forms), and all
-        text where np.longdouble is narrower, is read serially by np.loadtxt
-        with the same messages: a 128^3 file with a comment line takes about
-        0.9 s where its save_raw form takes 0.3 s.
+        Data in save_raw's layout is decoded by numpy kernels (_decode), 1 MiB
+        at a time, as 23-byte records where a piece's values are all
+        nonnegative with 2-digit exponents.  A 17-digit mantissa times a power
+        of ten in a 64-bit-significand np.longdouble errs by under 2^-10 double
+        ulp, so one rounding gives np.loadtxt's value bit for bit; values
+        within 2^-9 ulp of a rounding midpoint, or of at most 2^-969, go
+        through float().  Other text (a comment or blank line, CRLF, other
+        spacing or number forms), and all text where np.longdouble is
+        narrower, goes to np.loadtxt with the same messages.  A 128^3 file
+        takes about 0.12 s as records, 0.17 s with signs, 0.5 s with a comment.
         """
         with open(path) as fh:
             header = {}
@@ -733,16 +743,26 @@ def load_profile_csv(path, n: int, k: int) -> RadialProfile:
     """Read a profile CSV with columns r, w and optionally both dw and d2w.
 
     A non-finite or unparsable value raises ValueError naming its column and
-    1-based data row.
+    1-based data row.  np.loadtxt reads the rows under a header of distinct
+    identifiers; np.genfromtxt reads any other text, and rows np.loadtxt
+    refuses, with an unparsable or missing value as NaN.
     """
     with open(path) as fh:
         text = fh.read()
-    rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
-    names = rows.dtype.names
-    columns = ("r", "w", "dw", "d2w") if "dw" in names and "d2w" in names else ("r", "w")
+    names = [name.strip() for name in text.partition("\n")[0].split(",")]
+    columns = None
+    if all(map(str.isidentifier, names)):                   # as np.genfromtxt keeps them
+        with warnings.catch_warnings(), contextlib.suppress(ValueError, UserWarning):
+            warnings.simplefilter("error")                  # a file without data rows
+            rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+            columns = np.rec.fromarrays(rows.T, dtype=[(name, float) for name in names])
+    if columns is None:
+        columns = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
+    names = columns.dtype.names
+    wanted = ("r", "w", "dw", "d2w") if "dw" in names and "d2w" in names else ("r", "w")
     samples = {}
-    for name in columns:
-        samples[name] = np.atleast_1d(rows[name])
+    for name in wanted:
+        samples[name] = np.atleast_1d(columns[name])
         bad = np.flatnonzero(~np.isfinite(samples[name]))
         if len(bad):
             raise ValueError(f"profile {path}: column {name} must be finite, "

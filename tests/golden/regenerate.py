@@ -8,7 +8,7 @@ Each case is one input file and one command, run in an empty directory:
     --summary out_summary.json`;
   * `khessian envelope --grid grid.txt --center ... --step ... --n ... --k ...
     --out out_envelope.csv`, the grid file written here from a quadratic
-    field (see _grid_text);
+    field (see _grid_text), or by GridField.save_raw (see _grid_field);
   * `khessian harnack --profile profile.csv --n ... --k ... --min-sep ...
     --out out_harnack.json`;
   * `khessian sigma --lambda ... --k ...`, or `--csv eigenvalues.csv` with
@@ -26,11 +26,15 @@ Each case is one input file and one command, run in an empty directory:
     manifest.
 
 Numbers are written with 17 significant digits, which round-trips a double.
-tests/test_golden.py re-runs every case and compares with these files.
+tests/test_golden.py re-runs every case and compares with these files: every
+number within REL relative, residuals also when both lie within
+RESIDUAL_FLOOR.
 
-Usage, from the root of the repository (names regenerate only those cases):
+Usage, from the root of the repository (names regenerate only those cases;
+--check writes nothing, prints every case and key path that moved beyond
+that tolerance, and exits 1 if any did):
 
-    PYTHONPATH=src python tests/golden/regenerate.py [case ...]
+    PYTHONPATH=src python tests/golden/regenerate.py [--check] [case ...]
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
+REL = 1e-12
+RESIDUAL_FLOOR = 1e-11
 
 
 def _quartic_ball_table():
@@ -105,6 +111,17 @@ ENVELOPE_GRIDS = {
                               "origin": [-1.075, -1.075, -1.075],
                               "coeffs": [6.5, 0.7, 0.9, 0.6, 0.2], "center": [0.05, -0.1, 0.025],
                               "step": 0.05, "n": 3, "k": 2},
+    # Written by GridField.save_raw: nonnegative values with 2-digit exponents
+    # over two 1 MiB pieces, which the reader takes as 23-byte records, and a
+    # field with negative values, whose text it cuts at the separators.
+    "envelope_saved_records_3d": {"shape": [40, 42, 44], "spacing": 0.05,
+                                  "origin": [-0.975, -1.025, -1.075],
+                                  "coeffs": [3.25, 0.8, 0.6, 0.9, -0.15],
+                                  "center": [0.015, -0.02, 0.03], "step": 0.05,
+                                  "n": 3, "k": 2, "writer": "save_raw"},
+    "envelope_saved_signed_2d": {"shape": [60, 70], "spacing": 0.05, "origin": [-1.5, -1.7],
+                                 "coeffs": [-0.5, 1.0, 0.75, 0.3], "center": [0.02, -0.03],
+                                 "step": 0.05, "n": 3, "k": 2, "writer": "save_raw"},
 }
 
 # Harnack profiles: w = a sqrt(r) + b r^2 on a uniform grid of [r0, r1].
@@ -157,6 +174,21 @@ def _grid_text(spec):
         if i == len(axes[0]) // 2:
             lines.append("")
     return "\n".join(lines) + "\n"
+
+
+def _grid_field(spec):
+    """The field of an ENVELOPE_GRIDS entry as a GridField, with the values of
+    _grid_text."""
+    from khessian.radial import GridField
+
+    field = GridField(spec["spacing"], np.zeros(spec["shape"]), spec["origin"])
+    x = np.meshgrid(*field.axes(), indexing="ij")
+    c0, *cd = spec["coeffs"]
+    u = c0
+    for c, xd in zip(cd, x):
+        u = u + c * xd * xd
+    field.values = u + cd[-1] * x[0] * x[1]
+    return field
 
 
 def _profile_text(spec):
@@ -263,7 +295,10 @@ def _write_input(command: str, problem: dict, workdir: Path) -> list:
         return [command, "--metric", "metric.json", "--out", "out_curve.csv",
                 "--summary", "out_summary.json"]
     if command == "envelope":
-        (workdir / "grid.txt").write_text(_grid_text(problem))
+        if problem.get("writer") == "save_raw":
+            _grid_field(problem).save_raw(workdir / "grid.txt")
+        else:
+            (workdir / "grid.txt").write_text(_grid_text(problem))
         return [command, "--grid", "grid.txt",
                 "--center", ",".join(repr(c) for c in problem["center"]),
                 "--step", repr(problem["step"]), "--n", str(problem["n"]),
@@ -327,18 +362,74 @@ def _dumps(value, indent=""):
     return json.dumps(value)
 
 
-def main(names=()):
+def mismatches(got, want, where, residual=False):
+    """Descriptions of every difference between got and want, by key path."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [f"{where}: keys {sorted(got) if isinstance(got, dict) else got!r} "
+                    f"!= {sorted(want)}"]
+        return [m for key in sorted(want)
+                for m in mismatches(got[key], want[key], f"{where}.{key}",
+                                    residual or key == "residual")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: length {len(got) if isinstance(got, list) else got!r} "
+                    f"!= {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{where}[{i}]", residual)]
+    if _is_number(want) and _is_number(got):
+        scale = max(abs(got), abs(want))
+        if abs(got - want) <= REL * scale or (residual and scale <= RESIDUAL_FLOOR):
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    return [] if got == want and type(got) is type(want) else [f"{where}: {got!r} != {want!r}"]
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def csv_residuals(record):
+    """The record with each CSV's residual column keyed as 'residual'."""
+    for table in record["files"].values():
+        if "header" in table and "residual" in table["header"]:
+            col = table["header"].index("residual")
+            table["residual"] = [row.pop(col) for row in table["rows"]]
+    return record
+
+
+def moved(name, workdir) -> list:
+    """Every key path of golden case name that a re-run in the empty
+    directory workdir moves beyond the tolerance, and its input if that
+    differs at all from the one recorded."""
+    path = HERE / f"{name}.json"
+    if not path.exists():
+        return [f"{name}: no golden file"]
+    want = json.loads(path.read_text())
+    got = json.loads(_dumps(run_case(*cases()[name], workdir)))
+    found = [] if got.pop("problem") == want.pop("problem") else [f"{name}.problem: changed"]
+    return found + mismatches(csv_residuals(got), csv_residuals(want), name)
+
+
+def main(names=(), check=False):
     known = cases()
     unknown = sorted(set(names) - set(known))
     if unknown:
         raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    found = []
     for name in names or known:
-        command, problem = known[name]
         with tempfile.TemporaryDirectory() as workdir:
-            record = run_case(command, problem, workdir)
-        (HERE / f"{name}.json").write_text(_dumps(record) + "\n")
-        print(f"{name}: exit {record['exit']}")
+            if check:
+                found += moved(name, workdir)
+            else:
+                record = run_case(*known[name], workdir)
+                (HERE / f"{name}.json").write_text(_dumps(record) + "\n")
+                print(f"{name}: exit {record['exit']}")
+    if check:
+        print("\n".join(found) or "no golden case moved")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    args = sys.argv[1:]
+    sys.exit(main([a for a in args if a != "--check"], check="--check" in args))

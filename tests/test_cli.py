@@ -408,6 +408,9 @@ class TestEnvelopeCommand:
         (["--step", "-0.1"], "--step"),
         (["--step", "nan"], "--step"),
         (["--step", "inf"], "--step"),
+        (["--step", "1e-300"], "--step 1e-300 asks for 5e+299 radii, more than the 12 grid nodes"),
+        (["--step", "1e-9"], "--step 1e-09 asks for 5e+08 radii, more than the 12 grid nodes"),
+        (["--step", "0.75"], "--step 0.75 exceeds the distance 0.5 from --center"),
         (["--center", "a,b"], "--center"),
         (["--center", "0,,0"], "--center"),
         (["--n", "3", "--k", "0"], "--k"),
@@ -416,9 +419,19 @@ class TestEnvelopeCommand:
         (["--n", "2", "--k", "2"], "--n"),
         (["--n", "3"], "--k"),
         (["--k", "2"], "--n"),
-    ], ids=["step-0", "step-negative", "step-nan", "step-inf", "center-letters",
+    ], ids=["step-0", "step-negative", "step-nan", "step-inf", "step-1e-300", "step-1e-9",
+            "step-beyond-box", "center-letters",
             "center-empty", "k-0", "k-5", "not-supercritical", "n-2", "n-alone", "k-alone"])
-    def test_bad_flag_exits_3(self, tmp_path, capsys, flags, named):
+    def test_bad_flag_exits_3(self, tmp_path, capsys, monkeypatch, flags, named):
+        # A flag is rejected before any array is sized by it.
+        arange = np.arange
+
+        def bounded(*args, **kwargs):
+            if all(isinstance(a, int) for a in args) and len(range(*args)) > 10**6:
+                raise MemoryError(f"np.arange{args}")
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", bounded)
         path = tmp_path / "ok.grid"
         path.write_text(self.GRID_HEADER + "\n".join(self.GRID_ROWS) + "\n")
         assert main(["envelope", "--grid", str(path), "--center", "0,0",

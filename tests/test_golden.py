@@ -1,65 +1,29 @@
 """Golden outputs of `khessian solve`, `continue`, `volume`, `envelope`, `harnack`,
 `sigma` and `classify`.
 
-Every case under tests/golden/ is re-run and must give the same exit code,
-the same keys and shapes, and every number within 1e-12 relative.  Residuals
-are rounding noise around zero, where a relative bound means nothing: two
-residuals also match when both lie within RESIDUAL_FLOOR.  A change that
-moves a value beyond this regenerates the set with tests/golden/regenerate.py
-and lists every moved value in CHANGES.md.
+Every case under tests/golden/ is re-run and must give the same input, exit
+code, keys and shapes, and every number within regenerate.REL (1e-12)
+relative.  Residuals are rounding noise around zero, where a relative bound
+means nothing: two residuals also match when both lie within
+regenerate.RESIDUAL_FLOOR.  A change that moves a value beyond this
+regenerates the moved cases with tests/golden/regenerate.py and lists every
+moved value in CHANGES.md; `regenerate.py --check` lists them without
+writing.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
-REL = 1e-12
-RESIDUAL_FLOOR = 1e-11
-
 _spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
 CASES = sorted(GOLDEN.glob("*.json"))
-
-
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def mismatches(got, want, where, residual=False):
-    """Descriptions of every difference between got and want, by key path."""
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or set(got) != set(want):
-            return [f"{where}: keys {sorted(got) if isinstance(got, dict) else got!r} "
-                    f"!= {sorted(want)}"]
-        return [m for key in sorted(want)
-                for m in mismatches(got[key], want[key], f"{where}.{key}",
-                                    residual or key == "residual")]
-    if isinstance(want, list):
-        if not isinstance(got, list) or len(got) != len(want):
-            return [f"{where}: length {len(got) if isinstance(got, list) else got!r} "
-                    f"!= {len(want)}"]
-        return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in mismatches(g, w, f"{where}[{i}]", residual)]
-    if _is_number(want) and _is_number(got):
-        scale = max(abs(got), abs(want))
-        if abs(got - want) <= REL * scale or (residual and scale <= RESIDUAL_FLOOR):
-            return []
-        return [f"{where}: {got!r} != {want!r}"]
-    return [] if got == want and type(got) is type(want) else [f"{where}: {got!r} != {want!r}"]
-
-
-def csv_residuals(record):
-    """The record with each CSV's residual column keyed as 'residual'."""
-    for table in record["files"].values():
-        if "header" in table and "residual" in table["header"]:
-            col = table["header"].index("residual")
-            table["residual"] = [row.pop(col) for row in table["rows"]]
-    return record
 
 
 def test_golden_set_matches_the_case_list():
@@ -68,15 +32,18 @@ def test_golden_set_matches_the_case_list():
 
 @pytest.mark.parametrize("path", CASES, ids=[p.stem for p in CASES])
 def test_golden_case(path, tmp_path):
-    want = json.loads(path.read_text())
-    command, problem = regenerate.cases()[path.stem]
-    assert want["problem"] == json.loads(json.dumps(problem))
-    got = regenerate.run_case(command, problem, tmp_path)
-    got = json.loads(regenerate._dumps(got))
-    assert got["argv"] == want["argv"]
-    assert got["exit"] == want["exit"]
-    found = mismatches(csv_residuals(got), csv_residuals(want), path.stem)
+    found = regenerate.moved(path.stem, tmp_path)
     assert not found, "\n".join(found[:20])
+
+
+@pytest.mark.parametrize("name, records", [("envelope_saved_records_3d", True),
+                                           ("envelope_saved_signed_2d", False)])
+def test_saved_grids_reach_both_readers(name, records, tmp_path):
+    # 23 bytes a value: the whole grid is read as records, else cut at its separators.
+    problem = regenerate.cases()[name][1]
+    regenerate._write_input("envelope", problem, tmp_path)
+    data = (tmp_path / "grid.txt").read_bytes().split(b"\n", 4)[4]
+    assert (len(data) == 23 * np.prod(problem["shape"])) == records
 
 
 @pytest.mark.parametrize("name", ["solve_annulus_p_lt_k", "solve_ball_p_lt_k"])
@@ -98,5 +65,6 @@ def test_ulp_level_stencil_change_is_accepted(name, tmp_path, monkeypatch):
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     got = json.loads(regenerate._dumps(regenerate.run_case(*regenerate.cases()[name], tmp_path)))
     assert got["stdout"][0]["terminal_order"] == want["stdout"][0]["terminal_order"]
-    found = mismatches(csv_residuals(got), csv_residuals(want), name)
+    found = regenerate.mismatches(regenerate.csv_residuals(got),
+                                  regenerate.csv_residuals(want), name)
     assert not found, "\n".join(found[:20])

@@ -543,6 +543,16 @@ def midpoint_tokens(seed, size):
     return tokens
 
 
+# 17-digit decimals within 2^-10 ulp of a rounding midpoint between doubles of
+# [2^-1022, 2^-1021), whose ulp is 5e-324: there |v - x| as a double is a whole
+# number of ulps, and cannot tell such a decimal from one beside its double.
+LOWEST_BINADE_MIDPOINTS = [
+    "3.9087601499078454e-308", "3.7268064407723409e-308", "4.3905779172389733e-308",
+    "3.3970955495685076e-308", "3.7744429646268851e-308", "3.4993300468604970e-308",
+    "2.8373633034635231e-308", "2.5890927437097000e-308", "2.9953838362341648e-308",
+    "4.0703030905748272e-308"]
+
+
 def layout_text(values):
     """The header of a grid file of values, and its data text in save_raw's layout."""
     head = f"dims 2\nshape {values.shape[0]} {values.shape[1]}\nspacing 0.5\norigin 0 0\n"
@@ -619,9 +629,10 @@ class TestGridTextKernels:
         got, want = decoded(tmp_path, text, shape)
         assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", [0, 1, 2, "lowest-binade"])
     def test_17_digit_decimals_at_and_beside_midpoints(self, tmp_path, seed):
-        tokens = midpoint_tokens(seed, 1500)
+        tokens = (LOWEST_BINADE_MIDPOINTS if seed == "lowest-binade"
+                  else midpoint_tokens(seed, 1500))
         tokens = tokens[:len(tokens) // 10 * 10]
         text = "".join(t + ("\n" if i % 10 == 9 else " ") for i, t in enumerate(tokens))
         got, want = decoded(tmp_path, text.encode(), (len(tokens) // 10, 10))
@@ -648,6 +659,53 @@ class TestGridTextKernels:
         line_by_line_save(f, tmp_path / "old.grid")
         assert (tmp_path / "f.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
         assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == values.tobytes()
+
+    def test_records_skip_the_scan(self, tmp_path, monkeypatch):
+        # Nonnegative values with 2-digit exponents take 23 bytes each, and
+        # pieces of them are read as records, with no token gathered.
+        rng = np.random.default_rng(23)
+        values = rng.uniform(1.0, 10.0, (30, 40)) * 10.0 ** rng.integers(-99, 100, (30, 40))
+        values[0, :3] = 0.0, 1.0, 9.999999999999999e99
+        text = written(tmp_path, values)
+        assert len(text) == 23 * values.size
+
+        def gather(*args):
+            raise AssertionError("a piece of records was cut at its separators")
+
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", gather)
+        for chunk in (64, 23 * 40 + 22, 1 << 20):
+            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
+            got, want = decoded(tmp_path, text, values.shape)
+            assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
+
+    def test_records_between_other_tokens(self, tmp_path, monkeypatch):
+        # 23 negative values, 24 x 23 bytes of text that are not records, then
+        # runs of 23 values read as records between values with signs or
+        # 3-digit exponents, read in pieces of several sizes.
+        rng = np.random.default_rng(29)
+        fixed = rng.uniform(1.0, 10.0, (9, 23)) * 10.0 ** rng.integers(-99, 100, (9, 23))
+        other = np.array(SPECIAL)[rng.integers(0, len(SPECIAL), (8, 5))]
+        values = np.concatenate([-fixed[0]] + [np.r_[f, o] for f, o in zip(fixed[1:], other)])
+        values = values.reshape(13, 19)
+        text = written(tmp_path, values)
+        pieces, decode, gather = [], radial._decode, np.lib.stride_tricks.sliding_window_view
+
+        def spy_decode(piece, *args):
+            pieces.append([len(piece), 0])
+            return decode(piece, *args)
+
+        def spy_gather(*args):
+            pieces[-1][1] = 1                               # the piece was cut at its separators
+            return gather(*args)
+
+        monkeypatch.setattr(radial, "_decode", spy_decode)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", spy_gather)
+        for chunk in (64, 23 * 10 + 3, 24 * 23, 1 << 20):
+            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
+            got, want = decoded(tmp_path, text, values.shape)
+            assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
+        assert [24 * 23, 1] in pieces
+        assert {scanned for _, scanned in pieces} == {0, 1}
 
     def test_large_field_roundtrip(self, tmp_path, monkeypatch):
         pieces, decode = [], radial._decode
