@@ -303,18 +303,8 @@ def pointwise_max_profiles(p: RadialProfile, q: RadialProfile, kink_cells: int =
     w = np.where(take_p, p.w, q.w)
     dw = np.where(take_p, p.dw, q.dw)
     d2w = np.where(take_p, p.d2w, q.d2w)
-    diff = p.w - q.w
-    mask = np.zeros(len(w), dtype=bool)
-    cross = diff[:-1] * diff[1:] <= 0.0
-    mask[:-1] |= cross
-    mask[1:] |= cross
-    for _ in range(kink_cells):
-        grown = mask.copy()
-        grown[:-1] |= mask[1:]
-        grown[1:] |= mask[:-1]
-        mask = grown
     out = RadialProfile(p.r.copy(), w, dw, d2w, p.cone, p.analytic and q.analytic)
-    return out, mask
+    return out, _kink_mask(p.w - q.w, kink_cells)
 
 
 # ---------------------------------------------------------------------------

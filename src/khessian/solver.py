@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .conformal import wgauge_rhs_amplitude, wgauge_rhs_exponent
 from .radial import RadialAB, sigma_k_radial, sigma_k_radial_gradients
@@ -62,6 +62,8 @@ _EPS = float(np.finfo(float).eps)
 _REFINE_ULPS = 8.0
 # A Newton correction within this many ulps of the iterate changes nothing.
 _STEP_ULPS = 8.0
+# Damped Newton gives up once the step length falls below this.
+_MIN_DAMPING = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -134,7 +136,6 @@ class SolverConfig:
     N: int = 129
     tol: float = 1e-10
     max_iter: int = 50
-    min_damping: float = 1e-12
     # continuation controls
     delta0: float = 1.0
     ds0: float = 0.05
@@ -238,11 +239,10 @@ class ContinuationRHS:
 class GeneralVRHS:
     """w-gauge form of sigma_k(lambda(V)) = t * phi_v(r, v) for a user phi_v."""
 
-    def __init__(self, cone: ConeParams, phi_v, dphi_v_dv, growth_class: str = "floor_super"):
+    def __init__(self, cone: ConeParams, phi_v, dphi_v_dv):
         self.cone = cone
         self.phi_v = phi_v
         self.dphi_v_dv = dphi_v_dv
-        self.growth_class = growth_class
         self.conv = wgauge_rhs_amplitude(1.0, cone.n, cone.k)
         self.beta = 0.5 * (cone.n - 2)
 
@@ -310,11 +310,16 @@ class RadialSystem:
             self.h = 0.0
             # sigma_k of the round-sphere matrix W = (1/2) I, independent of w.
             self.sigma_const = math.comb(self.cone.n, self.cone.k) * 0.5**self.cone.k
+            self.dirichlet = ()
+            # The stencil's (w', w'', (a, b)), read-only: it is the same for every w.
+            zero, half = np.broadcast_to(0.0, 1), np.broadcast_to(0.5, 1)
+            self._sphere_stencil = (zero, zero, RadialAB(half, half))
         elif isinstance(dom, Annulus):
             self.kind = "annulus"
             self.N = _check_grid_size(N, 3, "an annulus")
             self.r = np.linspace(dom.r0, dom.r1, N)
             self.h = self.r[1] - self.r[0]
+            self.dirichlet = ((0, dom.w0), (N - 1, dom.w1))
         elif isinstance(dom, Ball):
             self.kind = "ball"
             self.N = _check_grid_size(N, 2, "a ball")
@@ -322,10 +327,11 @@ class RadialSystem:
             # mirrored ghost value encodes the symmetry condition w'(0) = 0.
             self.h = dom.r1 / (N - 0.5)
             self.r = (np.arange(N) + 0.5) * self.h
+            self.dirichlet = ((N - 1, dom.w1),)
         else:
             raise ValueError(f"unknown domain {dom!r}")
-        # Equation rows: the annulus has Dirichlet rows at both ends, the ball
-        # at r1 only, and the sphere's one row is its equation.
+        # Equation rows: every row that is not one of the (index, value)
+        # Dirichlet rows; the sphere's one row is its equation.
         self.rows = {"sphere": slice(0, 1), "annulus": slice(1, self.N - 1),
                      "ball": slice(0, self.N - 1)}[self.kind]
         self.r_eq = self.r[self.rows]
@@ -333,11 +339,14 @@ class RadialSystem:
     # -- finite differences ------------------------------------------------
 
     def _stencil(self, w):
-        """(w', w'', (a, b)) at the equation rows self.rows of a grid domain.
+        """(w', w'', (a, b)) at the equation rows self.rows.
 
         Central differences; the ball's ghost node at -h/2 mirrors node 0,
         which encodes w'(0) = 0.  a = w'' + w'^2/2 and b = w'/r - w'^2/2.
+        The sphere has W = A_{g0} = (1/2) I for every constant factor.
         """
+        if self.kind == "sphere":
+            return self._sphere_stencil
         if self.kind == "annulus":
             wm, wc, wp = w[:-2], w[1:-1], w[2:]
         else:
@@ -348,28 +357,21 @@ class RadialSystem:
         return d1, d2, RadialAB(d2 + half_sq, d1 / self.r_eq - half_sq)
 
     def ab(self, w) -> RadialAB:
-        if self.kind == "sphere":
-            # W = A_{g0} = (1/2) I for every constant factor on the round sphere.
-            return RadialAB(np.array([0.5]), np.array([0.5]))
         return self._stencil(w)[2]
 
     def admissible(self, w, strict: bool = True, tol: float = 0.0) -> bool:
-        if self.kind == "sphere":
-            return True
         return self._in_cone(self._stencil(w)[2], strict, tol)
 
     def _in_cone(self, ab, strict: bool = True, tol: float = 0.0) -> bool:
         """Cone membership of the (a, b) of one stencil evaluation."""
         combo = ab.a + self.cone.theta * ab.b
         if strict:
-            return bool(np.all(ab.b > tol) and np.all(combo > tol))
-        return bool(np.all(ab.b >= -tol) and np.all(combo >= -tol))
+            return bool((ab.b > tol).all() and (combo > tol).all())
+        return bool((ab.b >= -tol).all() and (combo >= -tol).all())
 
     def _cone_guard(self, w):
         """Raise AdmissibilityError if w violates closure admissibility beyond
         a finite-difference-aware margin."""
-        if self.kind == "sphere":
-            return
         d1, _, ab = self._stencil(w)
         r = self.r_eq
         margin = 10.0 * self.h**2 * np.maximum(1.0, d1**2) * (1.0 + 1.0 / r**2)
@@ -397,29 +399,26 @@ class RadialSystem:
         equation rows; and the stencil's (a, b).  Boundary rows are w - data
         in both forms.
         """
-        k, rows, N = self.cone.k, self.rows, self.N
+        k, rows = self.cone.k, self.rows
         phi, phi_w, phi_t = (rhs.evaluate(self.r_eq, w[rows]) if t is None
                              else rhs.evaluate(self.r_eq, w[rows], t))
-        F = np.empty(N)
+        d1, _, ab = self._stencil(w)
+        sig = sigma_k_radial(ab, self.cone)
+        F = np.empty(self.N)
+        F[rows] = sig - phi
+        for i, value in self.dirichlet:
+            F[i] = w[i] - value
         G = J = None
         if self.kind == "sphere":
             # Python scalar powers: numpy's vector pow may differ by an ulp.
             phi0, phi_w0 = float(phi[0]), float(phi_w[0])
-            F[0] = self.sigma_const - phi0
             if root:
                 G = np.array([self.sigma_const ** (1.0 / k) - max(phi0, 0.0) ** (1.0 / k)])
                 phi_w0 = (1.0 / k) * max(phi0, 1e-300) ** (1.0 / k - 1.0) * phi_w0
             if jac:
                 J = np.zeros((3, 1))
                 J[1, 0] = -phi_w0
-            return F, G, J, phi_t, self.ab(w)
-        d1, _, ab = self._stencil(w)
-        sig = sigma_k_radial(ab, self.cone)
-        F[rows] = sig - phi
-        dom = self.problem.domain
-        F[-1] = w[-1] - dom.w1
-        if self.kind == "annulus":
-            F[0] = w[0] - dom.w0
+            return F, G, J, phi_t, ab
         if root:
             G = F.copy()
             G[rows] = np.maximum(sig, 0.0) ** (1.0 / k) - np.maximum(phi, 0.0) ** (1.0 / k)
@@ -445,10 +444,9 @@ class RadialSystem:
             # Fold the ghost coefficient of row 0 into its diagonal.
             J[1, 0] += sub[0]
             sub = sub[1:]
-        else:
-            J[1, 0] = 1.0
         J[2, :N - 2] = sub
-        J[1, -1] = 1.0
+        for i, _ in self.dirichlet:
+            J[1, i] = 1.0
         return J
 
     def residual(self, w, rhs, t=None):
@@ -653,7 +651,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
                 at_floor = True
                 break
             s *= 0.5
-            if s < config.min_damping:
+            if s < _MIN_DAMPING:
                 raise _newton_failure(system, rhs, w, history, snorm,
                                       "stalled: no admissible decreasing step", t)
         if at_floor:
@@ -833,30 +831,39 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     elimination (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993; Govaerts,
     Numerical Methods for Bifurcations of Dynamical Equilibria, ch. 3), which
     stays accurate where A is nearly singular, as the continuation Jacobian is
-    at a fold, provided the bordered matrix is regular.  An exactly zero pivot
-    is deflated instead (_deflated_elimination).  One step of iterative
+    at a fold, provided the bordered matrix is regular.  One step of iterative
     refinement follows unless the normwise backward error of the first
     solution is already at rounding level.
+
+    An exactly zero pivot of the band LU, which no radial solve meets, sends
+    the whole bordered matrix to a dense LU instead: O(n^3), but it raises
+    only when the bordered matrix itself is singular.
     """
     n = band.shape[1]
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:] = band
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
     if info != 0:
-        eliminate = _deflated_elimination(lu, piv, kl, ku, info - 1, col, row, corner)
-    else:
-        v = dgbtrs(lu, kl, ku, row, piv, trans=1)[0]
-        w = dgbtrs(lu, kl, ku, col, piv)[0]
-        schur_v = corner - v.dot(col)
-        schur_w = corner - row.dot(w)
-        if schur_v == 0.0 or schur_w == 0.0:
-            raise SolverError("singular bordered system")
+        M = np.empty((n + 1, n + 1))
+        M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
+        M[:n, n], M[n, :n], M[n, n] = col, row, corner
+        try:
+            z = np.linalg.solve(M, np.append(f, g))
+        except np.linalg.LinAlgError:
+            raise SolverError("singular bordered system") from None
+        return z[:n], float(z[n])
+    v = dgbtrs(lu, kl, ku, row, piv, trans=1)[0]
+    w = dgbtrs(lu, kl, ku, col, piv)[0]
+    schur_v = corner - v.dot(col)
+    schur_w = corner - row.dot(w)
+    if schur_v == 0.0 or schur_w == 0.0:
+        raise SolverError("singular bordered system")
 
-        def eliminate(f, g):
-            y1 = (g - v.dot(f)) / schur_v
-            x = dgbtrs(lu, kl, ku, f - y1 * col, piv)[0]
-            y2 = (g - row.dot(x) - corner * y1) / schur_w
-            return x - y2 * w, y1 + y2
+    def eliminate(f, g):
+        y1 = (g - v.dot(f)) / schur_v
+        x = dgbtrs(lu, kl, ku, f - y1 * col, piv)[0]
+        y2 = (g - row.dot(x) - corner * y1) / schur_w
+        return x - y2 * w, y1 + y2
 
     x, y = eliminate(f, g)
     r_top = f - _band_matvec(band, kl, ku, x) - y * col
@@ -871,38 +878,6 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
         dx, dy = eliminate(r_top, r_bot)
         x, y = x + dx, y + dy
     return x, float(y)
-
-
-def _deflated_elimination(lu, piv, kl, ku, j, col, row, corner):
-    """Block elimination for a band LU, A = P L U, with an exactly zero pivot U_jj.
-
-    Deflation: the pivot is replaced by tau = max|U| (1 if U vanishes), which
-    factors the regular Ah = P L Uh = A + tau P L e_j e_j^T.  With z = x_j as
-    an extra unknown, A x = Ah x - tau P L e_j z, and Ah^-1 P L e_j = Uh^-1 e_j
-    needs only a triangular band solve.  So x = Ah^-1 (f - col y) + z xe with
-    xe = tau Uh^-1 e_j, and a 2x2 system in (z, y) closes the bordered one.
-    It is regular when the bordered matrix is.  More than one zero pivot is
-    not deflated and raises SolverError.
-    """
-    diag = lu[kl + ku]                   # U's diagonal in the dgbtrf layout
-    if np.count_nonzero(diag == 0.0) > 1:
-        raise SolverError("singular bordered system")
-    tau = float(np.abs(lu[:kl + ku + 1]).max()) or 1.0
-    lu[kl + ku, j] = tau
-    e = np.zeros(lu.shape[1])
-    e[j] = tau
-    xe = dtbtrs(lu[:kl + ku + 1], e)[0]
-    xb = dgbtrs(lu, kl, ku, col, piv)[0]
-    schur = np.array([[1.0 - xe[j], xb[j]], [row.dot(xe), corner - row.dot(xb)]])
-    if np.linalg.det(schur) == 0.0:
-        raise SolverError("singular bordered system")
-
-    def eliminate(f, g):
-        xf = dgbtrs(lu, kl, ku, f, piv)[0]
-        z, y = np.linalg.solve(schur, [xf[j], g - row.dot(xf)])
-        return xf - y * xb + z * xe, y
-
-    return eliminate
 
 
 def _tangent(system, rhs, w, t, prev=None, jac_t=None):
@@ -1160,5 +1135,5 @@ def general_rhs_continuation(problem: RadialProblem, phi_v, dphi_v_dv,
                              c0: float = 0.0) -> Branch:
     """Continuation for sigma_k(lambda(V)) = t phi_v(x, v) with a declared growth class."""
     validate_growth(phi_v, problem.cone.k, growth_class, c0=c0)
-    rhs = GeneralVRHS(problem.cone, phi_v, dphi_v_dv, growth_class)
+    rhs = GeneralVRHS(problem.cone, phi_v, dphi_v_dv)
     return _continue_branch(problem, rhs, config)

@@ -575,6 +575,18 @@ class TestBorderedBanded:
         rng = np.random.default_rng([n, kl, ku])
         self.check(band, kl, ku, e0, e0, corner, rng.normal(size=n), float(rng.normal()))
 
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("kl,ku", [(1, 1), (3, 2)])
+    def test_regular_shift_border(self, n, kl, ku):
+        # A has ones on its super-diagonal, so its first pivot is zero; with
+        # col = e_{n-1}, row = e_0 and corner 0 the bordered matrix is a permutation.
+        band = np.zeros((kl + ku + 1, n))
+        band[ku - 1, 1:] = 1.0
+        e0, last = np.zeros(n), np.zeros(n)
+        e0[0] = last[-1] = 1.0
+        rng = np.random.default_rng([n, kl, ku])
+        self.check(band, kl, ku, last, e0, 0.0, rng.normal(size=n), float(rng.normal()))
+
     def test_zero_column_inside_the_band(self):
         rng = np.random.default_rng(9)
         band = rng.normal(size=(3, 40))
