@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -45,6 +46,16 @@ def _write_json(path, payload: dict):
         fh.write("\n")
 
 
+def _print_report(payload: dict, out) -> int:
+    """Print payload as indented JSON, and write the same text to out if given."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
+    print(text)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    return EXIT_OK
+
+
 def _write_csv(path, header, columns):
     rows = len(columns[0])
     with open(path, "w") as fh:
@@ -57,13 +68,33 @@ def _write_csv(path, header, columns):
 # sigma
 # ---------------------------------------------------------------------------
 
-def cmd_sigma(args) -> int:
+def _eigenvalues(args) -> np.ndarray:
+    """The eigenvalues of --lambda or --csv; a fault names the flag and the
+    entry (1-based) or the file."""
     if args.lam is not None:
-        lam = np.array([float(x) for x in args.lam.split(",")])
-    elif args.csv is not None:
-        lam = np.loadtxt(args.csv, delimiter=",").ravel()
-    else:
+        lam = []
+        for i, word in enumerate(args.lam.split(","), 1):
+            try:
+                lam.append(float(word))
+            except ValueError:
+                lam.append(math.nan)
+            if not math.isfinite(lam[-1]):
+                raise ValueError(f"--lambda entry {i} must be a finite number, got {word!r}")
+        return np.array(lam)
+    if args.csv is None:
         raise ValueError("supply eigenvalues with --lambda or --csv")
+    try:
+        lam = np.loadtxt(args.csv, delimiter=",").ravel()
+    except ValueError as exc:
+        raise ValueError(f"--csv file {args.csv}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        raise ValueError(f"--csv file {args.csv}: entry {bad[0] + 1} is {lam[bad[0]]}")
+    return lam
+
+
+def cmd_sigma(args) -> int:
+    lam = _eigenvalues(args)
     k = args.k
     if not 1 <= k <= len(lam):
         raise ValueError(f"k={k} out of range for {len(lam)} eigenvalues")
@@ -99,12 +130,7 @@ def cmd_classify(args) -> int:
         "diagnostics": report.diagnostics,
         "manifest": _manifest("classify", vars(args)),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    return EXIT_OK
+    return _print_report(payload, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +478,7 @@ def cmd_harnack(args) -> int:
         "pairs_scored": est.pairs_scored,
         "manifest": _manifest("harnack", vars(args)),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    return EXIT_OK
+    return _print_report(payload, args.out)
 
 
 # Keys of every metric file, and the extra keys of each metric kind.
@@ -536,15 +557,15 @@ def _cone_rows(lam, k, delta):
 
 
 def _verify_checks(seed: int):
-    """Deterministic identity/property suite; yields (name, passed, detail)."""
+    """Deterministic identity/property suite; yields (name, passed, detail).
+    tests/test_acceptance.py asserts every check over seeds 0-24."""
     rng = np.random.default_rng(seed)
 
-    # 1. sigma recurrence vs subset enumeration
-    import itertools
+    # 1. sigma recurrence vs subset enumeration, lambda scaled by U(0.5, 2)
     worst = 0.0
     for _ in range(400):
         n = int(rng.integers(2, 9))
-        lam = rng.normal(size=n)
+        lam = rng.normal(size=n) * rng.uniform(0.5, 2.0)
         j = int(rng.integers(0, n + 1))
         brute = sum(math.prod(c) for c in itertools.combinations(lam, j)) if j else 1.0
         scale = max(1.0, sum(abs(math.prod(c)) for c in itertools.combinations(np.abs(lam), j))
@@ -568,8 +589,7 @@ def _verify_checks(seed: int):
     # lambda = N(0, 1)^n + U(0, 1.5))
     delta = np.zeros((7, 7))
     for n in range(3, 7):
-        for k in range(2, n + 1):
-            delta[n, k] = ConeParams(n, k).delta_gv
+        delta[n, 2:n + 1] = [ConeParams(n, k).delta_gv for k in range(2, n + 1)]
     bad = 0
     count = 0
     while count < 10000:
@@ -646,73 +666,97 @@ def _verify_checks(seed: int):
     err = max(np.abs(r2 - r).max(), np.abs(v2 - v).max() / np.abs(v).max())
     yield "Kelvin involution", err <= 1e-12, f"max rel diff {err:.2e}"
 
-    # 8. radial factorization vs matrix route
+    # 8. radial factorization vs matrix route, (a, b) scaled by U(0.5, 2)
     worst = 0.0
     for _ in range(400):
         n = int(rng.integers(3, 7))
         k = int(rng.integers(1, n + 1))
-        a, b = rng.normal(size=2)
+        a, b = rng.normal(size=2) * rng.uniform(0.5, 2.0)
         direct = float(radial.sigma_k_radial(radial.RadialAB(np.array([a]), np.array([b])),
                                              ConeParams(n, k))[0])
-        mat = symfunc.sigma_of_matrix(np.diag(np.r_[np.full(n - 1, b), a]), k)
+        mat = symfunc.sigma_of_matrix(np.diag([b] * (n - 1) + [a]), k)
         worst = max(worst, abs(direct - mat) / max(1.0, abs(mat)))
     yield "radial sigma_k vs matrix route", worst <= 1e-12, f"max rel diff {worst:.2e}"
 
-    # 9. fundamental singular solution
-    r = np.geomspace(0.1, 10.0, 60)
-    p = radial.RadialProfile.from_callables(r, 3, 2, lambda t: 2 * np.log(t),
-                                            lambda t: 2.0 / t, lambda t: -2.0 / t**2)
+    # 9. fundamental singular solution w = 2 log r (+ C)
+    dw, d2w = (lambda t: 2.0 / t), (lambda t: -2.0 / t**2)
+    p = radial.RadialProfile.from_callables(np.geomspace(0.1, 10.0, 200), 3, 2,
+                                            lambda t: 2 * np.log(t), dw, d2w)
     ab = radial.ab_reduce(p)
     sig = radial.sigma_k_radial(ab, p.cone)
     errs = max(np.abs(ab.a).max(), np.abs(ab.b).max(), np.abs(sig).max())
-    rep = radial.classify_singularity(
-        radial.RadialProfile.from_callables(radial.geometric_grid(1.0, 1e-6), 3, 2,
-                                            lambda t: 2 * np.log(t) + 5.0,
-                                            lambda t: 2.0 / t, lambda t: -2.0 / t**2))
+    rep = radial.classify_singularity(radial.RadialProfile.from_callables(
+        radial.geometric_grid(1.0, 1e-6), 3, 2, lambda t: 2 * np.log(t) + 5.0, dw, d2w))
     ok = errs <= 1e-12 and rep.klass == "fundamental" and abs(rep.C - 5.0) <= 1e-10
     yield "fundamental solution a=b=sigma=0 and classify", ok, f"max {errs:.2e}, C err {abs(rep.C - 5.0):.2e}"
 
-    # 10. Pucci barrier annihilation
-    worst = 0.0
+    # 10. barrier u0 = r^(2-n/k): its Laplacian and radial eigenvalue are
+    # fixed multiples of r^(-n/k), and the Pucci operator annihilates it
+    worst_lap = worst_rad = worst = 0.0
     for (n, k) in [(3, 2), (4, 3), (5, 3), (5, 4)]:
-        rr = np.geomspace(1e-3, 1.0, 40)
+        rr = np.geomspace(1e-3, 1.0, 80)
         _, rad, tan = analysis.holder_barrier(rr, n, k)
+        worst_lap = max(worst_lap, np.abs((rad + (n - 1) * tan) * rr ** (n / k)
+                                          - n * (k - 1) * (2 * k - n) / k**2).max())
+        worst_rad = max(worst_rad, np.abs(rad * rr ** (n / k) + (2 * k - n) * (n - k) / k**2).max())
         delta = analysis.pucci_delta(n, k)
         alpha = 2.0 - n / k
         for i in range(len(rr)):
-            P = analysis.pucci_min(np.r_[rad[i], np.full(n - 1, tan[i])], delta)
+            P = analysis.pucci_min([rad[i]] + [tan[i]] * (n - 1), delta)
             worst = max(worst, abs(P) / rr[i] ** (alpha - 2.0))
-    yield "Pucci annihilates the barrier", worst <= 1e-12, f"max scaled |P| {worst:.2e}"
+    ok = worst_lap <= 1e-10 and worst_rad <= 1e-10 and worst <= 1e-12
+    yield "Pucci annihilates the barrier", ok, (
+        f"Laplacian {worst_lap:.2e}, radial {worst_rad:.2e}, max scaled |P| {worst:.2e}")
 
-    # 11. volume diagnostics
-    s = np.linspace(0.05, 0.5, 15)
+    # 11. volume diagnostics: the stereographic sphere's curve; annuli of the
+    # fundamental metric w = 2 log r, of volume (omega/3)(r1^-3 - r2^-3), within
+    # 1e-8 relative but (0.1, 0.5) within 1e-6 absolute; and its one end
+    s = np.linspace(0.05, 0.5, 20)
     curve = analysis.volume_ratio(lambda t: math.log((1 + t * t) / 2), 3, s)
     _, c2 = analysis.fit_volume_expansion(curve)
-    vol_err = abs(analysis.annulus_volume(lambda t: 2 * math.log(t), 0.1, 0.5, 3)
-                  - (4 * math.pi / 3) * (0.1**-3 - 0.5**-3))
-    ok = abs(c2 + 0.2) <= 0.01 and vol_err <= 1e-6 and np.all(np.diff(curve.Q) <= 1e-6)
-    yield "volume curve and annulus volume", ok, f"c2 {c2:.4f}, annulus err {vol_err:.2e}"
+    w_log = lambda t: 2 * math.log(t)
+    ok = abs(c2 + 0.2) <= 0.01 and np.all(np.diff(curve.Q) <= 1e-6)
+    vol_err = 0.0
+    for r1, r2 in [(0.1, 0.5), (0.2, 2.0), (0.05, 0.3)]:
+        exact = analysis.sphere_area(3) / 3 * (r1**-3 - r2**-3)
+        rel = abs(analysis.annulus_volume(w_log, r1, r2, 3) / exact - 1.0)
+        ok &= rel <= (1e-6 / exact if r1 == 0.1 else 1e-8)
+        vol_err = max(vol_err, rel)
+    ends = analysis.end_count(analysis.volume_ratio(w_log, 3, np.linspace(5.0, 900.0, 25),
+                                                    mode="end", rho_ref=0.5))
+    ok &= ends.m == 1 and ends.status == "converged"
+    yield "volume curve and annulus volume", ok, (
+        f"c2 {c2:.4f}, annulus rel err {vol_err:.2e}, {ends.m} end ({ends.status})")
 
-    # 12. scalar solver: eigenvalue and fold
-    prob = solver.RadialProblem(ConeParams(3, 2), solver.SphereConstant(), p=2.0, f=1.0)
-    eig = solver.solve_eigenvalue(prob)
+    # 12. sphere: theta(3,2) = 3/16 and theta(4,3) = 1/2 to one ulp; the (3,2,4)
+    # fold t* = 3/32, and at t = 0.9 t* the two solutions v = e^(-w/2) of
+    # A v^2 = t (1 + v^4), A = 3/16: v^2 = (A -+ sqrt(A^2 - 4 t^2)) / (2 t)
+    ulps = []
+    for n, k, theta in [(3, 2, 3 / 16), (4, 3, 0.5)]:
+        eig = solver.solve_eigenvalue(solver.RadialProblem(
+            ConeParams(n, k), solver.SphereConstant(), p=float(k), f=1.0))
+        ulps.append(abs(eig.theta - theta) / math.ulp(theta))
     prob4 = solver.RadialProblem(ConeParams(3, 2), solver.SphereConstant(), p=4.0, f=1.0)
     br = solver.continuation_supercritical(
         prob4, solver.SolverConfig(N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6))
-    ok = abs(eig.theta - 3 / 16) <= 4 * np.finfo(float).eps * (3 / 16) \
-        and br.t_star is not None and abs(br.t_star - 3 / 32) <= 1e-8
+    t_err = abs(br.t_star - 3 / 32) if br.t_star is not None else math.inf
+    A, t = 3 / 16, 0.9 * 3 / 32
+    exact = [math.sqrt((A + sign * math.sqrt(A * A - 4 * t * t)) / (2 * t)) for sign in (-1, 1)]
+    sols = sorted(math.exp(-0.5 * w[0]) for w in br.solutions_at(t))
+    sol_err = max(abs(x - y) for x, y in zip(sols, exact)) if len(sols) == 2 else math.inf
+    ok = max(ulps) <= 1 and t_err <= 1e-8 * (3 / 32) and sol_err <= 1e-8
     yield "scalar eigenvalue and fold", ok, (
-        f"theta err {abs(eig.theta - 3/16):.2e}, "
-        f"t* err {abs((br.t_star or 0) - 3/32):.2e}")
+        f"theta err {ulps[0]:g} and {ulps[1]:g} ulp, t* err {t_err:.2e}, "
+        f"{len(sols)} solutions at 0.9 t* within {sol_err:.2e}")
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     failures = 0
     for name, passed, detail in _verify_checks(args.seed):
-        tag = "PASS" if passed else "FAIL"
-        print(f"[{tag}] {name}: {detail}")
-        if not passed:
-            failures += 1
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+        failures += not passed
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
 

@@ -459,6 +459,14 @@ def _data_fault(lines):
     return None
 
 
+class _NonFinite(ValueError):
+    """A grid field value that is not finite, at flat index `index`."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass
 class GridField:
     """Scalar samples on a uniform Cartesian box (2 or 3 dimensions)."""
@@ -491,9 +499,10 @@ class GridField:
         """
         finite = np.isfinite(self.values)
         if not finite.all():
-            node = np.unravel_index(int(np.argmin(finite)), self.values.shape)
-            raise ValueError(f"grid field value {self.values[node]} at node "
-                             f"{tuple(map(int, node))} is not finite")
+            index = int(np.argmin(finite))
+            node = np.unravel_index(index, self.values.shape)
+            raise _NonFinite(f"grid field value {self.values[node]} at node "
+                             f"{tuple(map(int, node))} is not finite", index)
 
     @property
     def dims(self) -> int:
@@ -591,12 +600,13 @@ class GridField:
         if data.size != math.prod(shape):
             raise ValueError(f"grid file {path}: {data.size} values, "
                              f"shape {' '.join(map(str, shape))} needs {math.prod(shape)}")
-        finite = np.isfinite(data)
-        if not finite.all():
-            row, col = divmod(int(np.argmin(finite)), data.shape[1])
+        try:
+            return cls(spacing, data.reshape(shape), origin)
+        except _NonFinite as exc:
+            # One finiteness scan, at construction; its flat index is the data's.
+            row, col = divmod(exc.index, data.shape[1])
             raise ValueError(f"grid file {path}: non-finite value {data[row, col]} "
-                             f"in data row {row + 1}, column {col + 1}")
-        return cls(spacing, data.reshape(shape), origin)
+                             f"in data row {row + 1}, column {col + 1}") from None
 
 
 @dataclass

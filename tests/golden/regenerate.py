@@ -1,7 +1,8 @@
 """Regenerate the golden outputs of `khessian solve`, `continue`, `volume`,
-`envelope`, `harnack`, `sigma` and `classify`.
+`envelope`, `harnack`, `sigma`, `classify` and `verify`.
 
-Each case is one input file and one command, run in an empty directory:
+Each case is one command, with at most one input file, run in an empty
+directory:
 
   * `khessian solve|continue --problem problem.json --out-prefix out`;
   * `khessian volume --metric metric.json --out out_curve.csv
@@ -14,7 +15,9 @@ Each case is one input file and one command, run in an empty directory:
   * `khessian sigma --lambda ... --k ...`, or `--csv eigenvalues.csv` with
     the eigenvalues written here as one CSV row;
   * `khessian classify --profile profile.csv --n ... --k ...
-    --out out_classify.json`, the profile written here (see _singular_profile_text).
+    --out out_classify.json`, the profile written here (see _singular_profile_text);
+  * `khessian verify --seed ...`, which reads no file; its detail lines move
+    whenever the check list or its random stream does.
 
 `<case>.json` next to this script records:
 
@@ -255,6 +258,7 @@ def cases():
         out[name] = ("sigma", dict(eigenvalues))
     for name, profile in CLASSIFY_PROFILES.items():
         out[name] = ("classify", dict(profile))
+    out["verify_seed_7"] = ("verify", {"seed": 7})
     return out
 
 
@@ -314,6 +318,8 @@ def _write_input(command: str, problem: dict, workdir: Path) -> list:
                     "--k", str(problem["k"])]
         (workdir / "eigenvalues.csv").write_text(",".join(map(repr, problem["csv"])) + "\n")
         return [command, "--csv", "eigenvalues.csv", "--k", str(problem["k"])]
+    if command == "verify":
+        return [command, "--seed", str(problem["seed"])]
     if command == "classify":
         (workdir / "profile.csv").write_text(_singular_profile_text(problem))
         return [command, "--profile", "profile.csv", "--n", str(problem["n"]),

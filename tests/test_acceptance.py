@@ -1,17 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines alongside the pytest verdicts.
+Criteria 1-6, 8, 9 and 11 are checks of `khessian verify`: test_verify_checks
+runs that list at seeds 0-24, which draws 10 000 sigma recurrence, 10 000
+radial factorization, 7 500 minor identity and 5 000 gauge samples.
+
+Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines
+alongside the pytest verdicts.
 """
 
-import itertools
 import math
 
 import numpy as np
-import pytest
-from scipy.optimize import brentq
 
-from khessian import analysis, conformal, radial, solver, symfunc
+from khessian import analysis, cli, radial, solver
 from khessian.symfunc import ConeParams
 
 
@@ -20,133 +21,14 @@ def report(num, name, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-# ---------------------------------------------------------------------------
-# 1. sigma_k correctness: recurrence vs subset enumeration, 1e-12 relative
-# ---------------------------------------------------------------------------
-
-def test_criterion_01_sigma_recurrence():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(10000):
-        n = int(rng.integers(2, 9))
-        lam = rng.normal(size=n) * rng.uniform(0.5, 2.0)
-        j = int(rng.integers(0, n + 1))
-        if j == 0:
-            brute, scale = 1.0, 1.0
-        else:
-            brute = sum(math.prod(c) for c in itertools.combinations(lam, j))
-            scale = max(1.0, sum(math.prod(c)
-                                 for c in itertools.combinations(np.abs(lam), j)))
-        worst = max(worst, abs(symfunc.sigma(lam, j) - brute) / scale)
-    report(1, "sigma recurrence", worst <= 1e-12, f"max relative diff {worst:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# 2. radial factorization vs principal-minor matrix route, 1e-12
-# ---------------------------------------------------------------------------
-
-def test_criterion_02_radial_factorization():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(3, 7))
-        k = int(rng.integers(1, n + 1))
-        a, b = rng.normal(size=2) * rng.uniform(0.5, 2.0)
-        direct = float(radial.sigma_k_radial(
-            radial.RadialAB(np.array([a]), np.array([b])), ConeParams(n, k))[0])
-        mat = symfunc.sigma_of_matrix(np.diag(np.r_[np.full(n - 1, b), a]), k)
-        worst = max(worst, abs(direct - mat) / max(1.0, abs(mat)))
-    report(2, "radial factorization", worst <= 1e-12, f"max relative diff {worst:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# 3. bordered minor identity residual <= 1e-10 on random arrow matrices
-# ---------------------------------------------------------------------------
-
-def test_criterion_03_minor_identity():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        S = np.diag(rng.normal(size=n))
-        S[:-1, -1] = rng.normal(size=n - 1)
-        S[-1, :-1] = S[:-1, -1]
-        k = int(rng.integers(1, n + 1))
-        worst = max(worst, symfunc.bordered_minor_identity_residual(S, k))
-    report(3, "minor identity", worst <= 1e-10, f"max residual {worst:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# 4. gauge bridge identities on random jets
-# ---------------------------------------------------------------------------
-
-def test_criterion_04_gauge_bridge():
-    rng = np.random.default_rng(104)
-    worst_v = worst_u = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(3, 6))
-        bg = [conformal.Background.flat(n),
-              conformal.Background.round_sphere(n)][int(rng.integers(2))]
-        H = rng.normal(size=(n, n))
-        jet = conformal.ConformalJet(conformal.Gauge.W, float(rng.normal()),
-                                     rng.normal(size=n), 0.5 * (H + H.T), bg)
-        W = conformal.matrix_W(jet)
-        jv = conformal.convert_gauge(jet, conformal.Gauge.V)
-        V = conformal.matrix_V(jv)
-        worst_v = max(worst_v, np.abs(V - 0.5 * (n - 2) * jv.value * W).max()
-                      / max(1.0, np.abs(V).max()))
-        if bg.kind == "flat":
-            ju = conformal.convert_gauge(jet, conformal.Gauge.U)
-            U = conformal.matrix_U(ju)
-            worst_u = max(worst_u, np.abs(U - math.exp(jet.value) * W).max()
-                          / max(1.0, np.abs(U).max()))
-    ok = worst_v <= 1e-12 and worst_u <= 1e-12
-    report(4, "gauge bridge", ok, f"V-bridge {worst_v:.3e}, U-bridge {worst_u:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# 5. exact singular solution: a = b = 0, sigma_k = 0; classifier recovers C
-# ---------------------------------------------------------------------------
-
-def test_criterion_05_exact_singular_solution():
-    r = np.geomspace(0.1, 10.0, 200)
-    p = radial.RadialProfile.from_callables(r, 3, 2, lambda t: 2 * np.log(t),
-                                            lambda t: 2.0 / t, lambda t: -2.0 / t**2)
-    ab = radial.ab_reduce(p)
-    sig = radial.sigma_k_radial(ab, p.cone)
-    flat = max(np.abs(ab.a).max(), np.abs(ab.b).max(), np.abs(sig).max())
-    rep = radial.classify_singularity(radial.RadialProfile.from_callables(
-        radial.geometric_grid(1.0, 1e-6), 3, 2, lambda t: 2 * np.log(t) + 5.0,
-        lambda t: 2.0 / t, lambda t: -2.0 / t**2))
-    c_err = abs(rep.C - 5.0) if rep.klass == "fundamental" else np.inf
-    ok = flat <= 1e-12 and rep.klass == "fundamental" and c_err <= 1e-10
-    report(5, "singular solution", ok,
-           f"max|a,b,sigma| {flat:.3e}, class {rep.klass}, C err {c_err:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# 6. barrier identities for (n, k) in {(3,2), (4,3), (5,3), (5,4)}
-# ---------------------------------------------------------------------------
-
-def test_criterion_06_barriers():
-    worst_lap = worst_rad = worst_pucci = 0.0
-    for (n, k) in [(3, 2), (4, 3), (5, 3), (5, 4)]:
-        r = np.geomspace(1e-3, 1.0, 80)
-        _, rad, tangential = analysis.holder_barrier(r, n, k)
-        lap_coeff = n * (k - 1) * (2 * k - n) / k**2
-        rad_coeff = -(2 * k - n) * (n - k) / k**2
-        worst_lap = max(worst_lap, np.abs(
-            (rad + (n - 1) * tangential) * r ** (n / k) - lap_coeff).max())
-        worst_rad = max(worst_rad, np.abs(rad * r ** (n / k) - rad_coeff).max())
-        delta = analysis.pucci_delta(n, k)
-        alpha = 2.0 - n / k
-        for i in range(len(r)):
-            P = analysis.pucci_min(np.r_[rad[i], np.full(n - 1, tangential[i])], delta)
-            # eigenvalues all carry r^{alpha-2}; normalize before comparing to 0
-            worst_pucci = max(worst_pucci, abs(P) / r[i] ** (alpha - 2.0))
-    ok = worst_lap <= 1e-10 and worst_rad <= 1e-10 and worst_pucci <= 1e-12
-    report(6, "barriers", ok,
-           f"lap {worst_lap:.3e}, radial {worst_rad:.3e}, Pucci {worst_pucci:.3e}")
+def test_verify_checks():
+    failed = []
+    for seed in range(25):
+        for name, ok, detail in cli._verify_checks(seed):
+            print(f"[{'PASS' if ok else 'FAIL'}] verify --seed {seed} ({name}): {detail}")
+            if not ok:
+                failed.append(f"seed {seed}, {name}: {detail}")
+    assert not failed, "\n".join(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -185,45 +67,6 @@ def test_criterion_07_manufactured_solve():
 
 
 # ---------------------------------------------------------------------------
-# 8. eigenvalue theta on the sphere reduction, within one ulp
-# ---------------------------------------------------------------------------
-
-def test_criterion_08_eigenvalue_theta():
-    p32 = solver.RadialProblem(ConeParams(3, 2), solver.SphereConstant(), p=2.0, f=1.0)
-    p43 = solver.RadialProblem(ConeParams(4, 3), solver.SphereConstant(), p=3.0, f=1.0)
-    t32 = solver.solve_eigenvalue(p32).theta
-    t43 = solver.solve_eigenvalue(p43).theta
-    e32 = abs(t32 - 3 / 16) / math.ulp(3 / 16)
-    e43 = abs(t43 - 0.5) / math.ulp(0.5)
-    ok = e32 <= 1 and e43 <= 1
-    report(8, "eigenvalue theta", ok,
-           f"theta(3,2) = {t32!r} ({e32:g} ulp), theta(4,3) = {t43!r} ({e43:g} ulp)")
-
-
-# ---------------------------------------------------------------------------
-# 9. fold: t* = 3/32 to 1e-8 and two solutions at 0.9 t* matching the oracle
-# ---------------------------------------------------------------------------
-
-def test_criterion_09_fold():
-    A = 3.0 / 16.0
-    problem = solver.RadialProblem(ConeParams(3, 2), solver.SphereConstant(),
-                                   p=4.0, f=1.0)
-    config = solver.SolverConfig(N=1, delta0=1.0, ds0=0.02, t_start=0.005,
-                                 after_fold_frac=0.6)
-    branch = solver.continuation_supercritical(problem, config)
-    t_err = abs(branch.t_star - 3 / 32)
-    t_query = 0.9 * 3 / 32
-    sols = sorted(math.exp(-0.5 * w[0]) for w in branch.solutions_at(t_query))
-    g = lambda v: A * v**2 - t_query * (1 + v**4)
-    oracle = sorted([brentq(g, 1e-6, 1.0, xtol=1e-15),
-                     brentq(g, 1.0, 50.0, xtol=1e-15)])
-    sol_err = max(abs(a - b) for a, b in zip(sols, oracle)) if len(sols) == 2 else np.inf
-    ok = t_err <= 1e-8 * (3 / 32) and len(sols) == 2 and sol_err <= 1e-8
-    report(9, "fold", ok,
-           f"t* err {t_err:.2e}, {len(sols)} solutions at 0.9 t*, match {sol_err:.2e}")
-
-
-# ---------------------------------------------------------------------------
 # 10. Holder exponent recovery within 2% for (3,2) and (5,3)
 # ---------------------------------------------------------------------------
 
@@ -244,35 +87,6 @@ def test_criterion_10_holder_exponent():
         ok &= rep.klass == "holder" and err <= 0.02
         details.append(f"({n},{k}): alpha {rep.alpha_est:.4f} vs {alpha:.4f}")
     report(10, "Holder exponent", ok, "; ".join(details))
-
-
-# ---------------------------------------------------------------------------
-# 11. volume diagnostics
-# ---------------------------------------------------------------------------
-
-def test_criterion_11_volume():
-    s = np.linspace(0.05, 0.5, 20)
-    curve = analysis.volume_ratio(lambda t: math.log((1 + t * t) / 2), 3, s)
-    monotone = bool(np.all(np.diff(curve.Q) <= 1e-6))
-    _, c2 = analysis.fit_volume_expansion(curve)
-    c2_ok = abs(c2 + 0.2) <= 0.05 * 0.2
-
-    w_log = lambda t: 2 * math.log(t)
-    omega3 = analysis.sphere_area(3)
-    vol_ok = True
-    worst_vol = 0.0
-    for (r1, r2) in [(0.1, 0.5), (0.2, 2.0), (0.05, 0.3)]:
-        exact = (omega3 / 3) * (r1**-3 - r2**-3)
-        rel = abs(analysis.annulus_volume(w_log, r1, r2, 3) / exact - 1.0)
-        worst_vol = max(worst_vol, rel)
-        vol_ok &= rel <= 1e-8
-
-    end_curve = analysis.volume_ratio(w_log, 3, np.linspace(5.0, 900.0, 25),
-                                      mode="end", rho_ref=0.5)
-    ends = analysis.end_count(end_curve)
-    ok = monotone and c2_ok and vol_ok and ends.m == 1 and ends.status == "converged"
-    report(11, "volume diagnostics", ok,
-           f"monotone {monotone}, c2 {c2:.4f}, annulus err {worst_vol:.2e}, m = {ends.m}")
 
 
 # ---------------------------------------------------------------------------

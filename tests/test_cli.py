@@ -76,6 +76,28 @@ class TestSigmaCommand:
         assert main(["sigma", "--csv", str(path), "--k", "2"]) == 0
         assert "sigma_2 = 11" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entries, named", [
+        ("1,x,3", "--lambda entry 2 must be a finite number, got 'x'"),
+        ("1,2,", "--lambda entry 3 must be a finite number, got ''"),
+        ("nan,2,3", "--lambda entry 1 must be a finite number, got 'nan'"),
+        ("1,2,-inf", "--lambda entry 3 must be a finite number, got '-inf'"),
+    ])
+    def test_bad_lambda_entry_is_named(self, capsys, entries, named):
+        assert main(["sigma", "--lambda=" + entries, "--k", "2"]) == 3
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("text, named", [
+        ("1.0,x,3.0\n", "could not convert string 'x'"),
+        ("1.0,2.0\n3.0\n", "the number of columns changed"),
+        ("1.0,inf,3.0\n", "entry 2 is inf"),
+    ])
+    def test_bad_csv_names_the_file(self, tmp_path, capsys, text, named):
+        path = tmp_path / "lam.csv"
+        path.write_text(text)
+        assert main(["sigma", "--csv", str(path), "--k", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --csv file {path}: ") and named in err
+
 
 class TestClassifyCommand:
     def test_fundamental(self, fundamental_csv, tmp_path, capsys):
@@ -607,6 +629,13 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert len(lines) == 15 and all(ln.startswith("[PASS] ") for ln in lines[:-1])
         assert lines[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
+    def test_negative_seed_names_the_flag(self, capsys, seed):
+        assert main(["verify", "--seed", seed]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be a non-negative integer, got {seed}\n"
 
 
 def sphere_spec():

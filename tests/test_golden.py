@@ -1,5 +1,5 @@
 """Golden outputs of `khessian solve`, `continue`, `volume`, `envelope`, `harnack`,
-`sigma` and `classify`.
+`sigma`, `classify` and `verify`.
 
 Every case under tests/golden/ is re-run and must give the same input, exit
 code, keys and shapes, and every number within regenerate.REL (1e-12)

@@ -452,6 +452,21 @@ class TestGridFieldIO:
         assert g.values.shape == (3, 3, 3)
         assert np.array_equal(g.values, f.values)
 
+    def test_one_finiteness_scan_per_read(self, tmp_path, monkeypatch):
+        f = GridField(0.1, np.arange(60.0).reshape(3, 4, 5))
+        f.save_raw(tmp_path / "f.grid")
+        isfinite, scans = np.isfinite, []
+
+        def counted(x, *args, **kwargs):
+            if np.size(x) == f.values.size:
+                scans.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        g = GridField.load_raw(tmp_path / "f.grid")
+        assert np.array_equal(g.values, f.values)
+        assert scans == [(3, 4, 5)]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shape", [(9, 7), (1, 1), (5, 4, 3), (2, 1, 6)])
     def test_writer_bytes_unchanged(self, tmp_path, shape):
