@@ -11,18 +11,16 @@ large-radius limit counts singular ends in units of omega_n / n.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, interpolate
 
+from . import radial
 from .radial import GridField, RadialProfile
 from .symfunc import ConeParams
 
@@ -142,59 +140,6 @@ def _slab_planes(plane) -> int:
     return max(1, _SLAB_BYTES // (8 * max(1, math.prod(plane))))
 
 
-def _workers() -> int:
-    """Threads for the slabs: one per CPU this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no sched_getaffinity outside Linux
-        return os.cpu_count() or 1
-
-
-def _pin_each_worker():
-    """Thread initializer that gives each new worker a usable CPU of its own.
-
-    Without it Linux may start every worker on the caller's CPU and leave
-    them there while another CPU idles: on a 2-CPU virtual machine both
-    workers of a 128^3 mollify shared one CPU for the whole 0.3 s call.
-    """
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:      # no CPU affinity outside Linux
-        return None
-    slot = itertools.count()
-
-    def pin():
-        try:
-            os.sched_setaffinity(0, {cpus[next(slot) % len(cpus)]})
-        except OSError:         # the placement is only a hint
-            pass
-
-    return pin
-
-
-def _over_slabs(count: int, planes: int, work) -> None:
-    """Call work(i0, i1) on consecutive axis-0 slabs [i0, i1) of range(count).
-
-    The slabs are shared among one thread per usable CPU; the pool lives for
-    this call only.  Each slab runs in a copy of the caller's context, so
-    numpy's error state (np.errstate, np.seterrcall) applies in the workers
-    too.  work must write disjoint parts of its outputs and call no public
-    khessian function: the benchmark's tracer wraps the public names and
-    keeps a single span stack.
-    """
-    bounds = [(i, min(i + planes, count)) for i in range(0, count, planes)]
-    workers = min(_workers(), len(bounds))
-    if workers <= 1:
-        for i0, i1 in bounds:
-            work(i0, i1)
-        return
-    with ThreadPoolExecutor(workers, initializer=_pin_each_worker()) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, work, i0, i1)
-                   for i0, i1 in bounds]
-        for fut in futures:
-            fut.result()
-
-
 def mollify(f: GridField, eps: float) -> GridField:
     """Discrete convolution with the radial bump kernel (1 - s^2)^4 on s in [0,1].
 
@@ -205,8 +150,8 @@ def mollify(f: GridField, eps: float) -> GridField:
 
     Lattice offsets are grouped by their leading coordinates: all offsets
     whose leading part has the same squared length share one 1-D kernel along
-    the last axis.  The output is computed in slabs of planes along axis 0,
-    shared among one thread per usable CPU.  For each group, a slab of
+    the last axis.  The output is computed in slabs of planes along axis 0 on
+    radial._in_order, one pinned thread per usable CPU.  For each group, a slab of
     output planes [i0, i1) correlates the input planes that the group's
     leading offsets reach, [i0 + m - r, i1 + m + r) with r <= m, into a
     slab-sized buffer, then adds one shifted view per leading offset into
@@ -253,7 +198,7 @@ def mollify(f: GridField, eps: float) -> GridField:
                     slice(m + o, s - m + o) for o, s in zip(lead[1:], shape[1:-1]))
                 dst += line[sl + (last,)]
 
-    _over_slabs(inner_shape[0], planes, slab)
+    radial._over_slabs(inner_shape[0], planes, slab)
     return GridField(f.spacing, out, f.origin + m * f.spacing)
 
 
@@ -399,10 +344,10 @@ def _u_field_interior(f: GridField, cone: ConeParams):
 
 def _over_sigma_slabs(f: GridField, k: int, shape, store) -> None:
     """Call store(i0, i1, [sigma_1..sigma_k]) on each slab [i0, i1) of the
-    interior planes, in the worker threads of _over_slabs."""
+    interior planes, in the worker threads of radial._over_slabs."""
     values, h = f.values, f.spacing
-    _over_slabs(shape[0], _slab_planes(shape[1:]),
-                lambda i0, i1: store(i0, i1, _u_sigma_slab(values[i0:i1 + 2], h, k)))
+    radial._over_slabs(shape[0], _slab_planes(shape[1:]),
+                       lambda i0, i1: store(i0, i1, _u_sigma_slab(values[i0:i1 + 2], h, k)))
 
 
 def u_field_sigma(f: GridField, cone: ConeParams):

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -84,9 +85,13 @@ def _eigenvalues(args) -> np.ndarray:
     if args.csv is None:
         raise ValueError("supply eigenvalues with --lambda or --csv")
     try:
-        lam = np.loadtxt(args.csv, delimiter=",").ravel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # no values: reported below
+            lam = np.loadtxt(args.csv, delimiter=",").ravel()
     except ValueError as exc:
         raise ValueError(f"--csv file {args.csv}: {exc}") from None
+    if not lam.size:
+        raise ValueError(f"--csv file {args.csv}: no eigenvalues")
     bad = np.flatnonzero(~np.isfinite(lam))
     if bad.size:
         raise ValueError(f"--csv file {args.csv}: entry {bad[0] + 1} is {lam[bad[0]]}")

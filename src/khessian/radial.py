@@ -16,9 +16,13 @@ versus Holder with exponent 2 - n/k).
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import io
+import itertools
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,6 +287,71 @@ def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
 # Cartesian grid fields and the radial envelope
 # ---------------------------------------------------------------------------
 
+def _workers() -> int:
+    """Threads for the grid kernels: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _pin_each_worker():
+    """Thread initializer that gives each new worker a usable CPU of its own.
+
+    Without it Linux may start every worker on the caller's CPU and leave
+    them there while another CPU idles: on a 2-CPU virtual machine both
+    workers of a 128^3 mollify shared one CPU for the whole 0.3 s call.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity outside Linux
+        return None
+    slot = itertools.count()
+
+    def pin():
+        try:
+            os.sched_setaffinity(0, {cpus[next(slot) % len(cpus)]})
+        except OSError:         # the placement is only a hint
+            pass
+
+    return pin
+
+
+def _in_order(work, items):
+    """Yield work(item) for each of items, in their order, from one thread per
+    usable CPU, each pinned to a CPU of its own; inline with one worker or one
+    item.  Each call runs in a copy of the caller's context, so np.errstate
+    applies in the workers too.  At most two items per worker are taken and
+    not yet yielded, so items may be read lazily.  An exception from work
+    reaches the caller, and the threads end with the generator.  work must
+    write disjoint parts of any shared output and call no public khessian
+    function: the benchmark's tracer wraps the public names and keeps a single
+    span stack."""
+    items = iter(items)
+    head = list(itertools.islice(items, 2))
+    workers = _workers()
+    if workers <= 1 or len(head) <= 1:
+        yield from map(work, itertools.chain(head, items))
+        return
+    pool = ThreadPoolExecutor(workers, initializer=_pin_each_worker())
+    pending = []
+    try:
+        for item in itertools.chain(head, items):
+            pending.append(pool.submit(contextvars.copy_context().run, work, item))
+            if len(pending) == 2 * workers:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _over_slabs(count: int, planes: int, work) -> None:
+    """Call work(i0, i1) on the axis-0 slabs [i0, i1) of range(count), by _in_order."""
+    for _ in _in_order(lambda i: work(i, min(i + planes, count)), range(0, count, planes)):
+        pass
+
+
 # save_raw's layout: each value as "%.16e", then a space, or a newline after
 # every prod(shape[1:]) values.  _decode and _format read and write it exactly
 # (see load_raw and _format for why), in pieces of at most _CHUNK_BYTES of
@@ -293,9 +362,10 @@ _CHUNK_BYTES = 1 << 20
 _KERNELS = np.finfo(np.longdouble).nmant >= 63
 _QMIN = -1015
 _POW10 = np.array([f"1e{q}" for q in range(_QMIN, 984)]).astype(np.longdouble)
-# "0000" ... "9999" as uint32 words of ASCII digits.
-_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-_DIGITS4 = _DIGITS4.view("<u4")[:, 0]
+# _EXPONENTS[o][q + 400]: "e+dd " (o = 0) or "e+ddd " (o = 1) for the exponent
+# q, as the last bytes of a uint64 word.
+_EXPONENTS = [np.frombuffer("".join(f"e{q:+0{3 + o}d} ".rjust(8) for q in range(-400, 400))
+                            .encode(), "<u8") for o in (0, 1)]
 
 
 def _in_range(z, carry, mask):
@@ -305,14 +375,13 @@ def _in_range(z, carry, mask):
     return not ((z | (z + carry)) & mask).any()
 
 
-def _decode(text, ncols, done):
+def _decode(text):
     """The values of text, whole tokens each followed by a space or a newline,
-    the first at flat index done of rows of ncols values; None when text is
-    not in save_raw's layout."""
+    and the indices of those followed by a newline; None when text is not in
+    save_raw's layout."""
     buf = np.frombuffer(text, np.uint8)
-    seps = np.full(len(buf) // 23, 32, np.uint8)           # a token takes 23 bytes or more
-    seps[(-done - 1) % ncols::ncols] = 10                   # the values that end a row
-    if len(buf) % 23 == 0 and np.array_equal(buf[22::23], seps):
+    sep = buf[22::23]                                       # a token takes 23 bytes or more
+    if len(buf) % 23 == 0 and ((sep == 32) | (sep == 10)).all():
         # 23-byte records: any other token puts a character at byte 22 of its record.
         win = buf.reshape(-1, 23)
         neg = wide = np.zeros(len(win), bool)
@@ -322,8 +391,8 @@ def _decode(text, ncols, done):
         neg = buf[starts] == 45
         starts += neg
         wide = ends - starts == 23                          # a 3-digit exponent
-        if not (np.array_equal(buf[ends], seps[:len(ends)])
-                and (wide | (ends - starts == 22)).all()):
+        sep = buf[ends]
+        if not (((sep == 32) | (sep == 10)).all() and (wide | (ends - starts == 22)).all()):
             return None
         # The same 23 bytes of each token, from its first digit.
         win = np.lib.stride_tricks.sliding_window_view(buf, 23)[starts]
@@ -363,74 +432,101 @@ def _decode(text, ncols, done):
     bound = (((x.view(np.int64) - 1) & -1 << 52) + ((0xFE << 44) - (54 << 52))).view(float)
     for i in np.flatnonzero(~(gap <= bound) & (m != 0)):
         x[i] = float(win[i, :22 + wide[i]].tobytes())
-    return np.negative(x, out=x, where=neg)
+    return np.negative(x, out=x, where=neg), np.flatnonzero(sep == 10)
 
 
 def _load_rows(path, start, shape):
     """The data rows from byte start of a grid file whose header gives shape
-    (words), by _decode; None unless the text is in save_raw's layout."""
+    (words), by _decode on _in_order, each piece placed once its row ends are
+    where the row length puts them; None unless the text is in save_raw's layout."""
     if not (_KERNELS and shape and all(s.isdecimal() and int(s) > 0 for s in shape)):
         return None
     rows, count = int(shape[0]), math.prod(map(int, shape))
     with open(path, "rb") as fh:
         # Each value takes 23 to 25 bytes with its separator.
-        if not 23 * count <= fh.seek(0, io.SEEK_END) - start <= 25 * count:
+        end = fh.seek(0, io.SEEK_END)
+        if not 23 * count <= end - start <= 25 * count:
             return None
         fh.seek(start)
-        out, done, tail = np.empty(count), 0, b""
-        while block := fh.read(_CHUNK_BYTES - len(tail)):
-            text = tail + block
-            cut = max(text.rfind(b" "), text.rfind(b"\n")) + 1
-            text, tail = text[:cut], text[cut:]
-            x = _decode(text, count // rows, done) if cut else None
-            if x is None or done + len(x) > count:
+
+        def pieces():
+            while block := fh.read(_CHUNK_BYTES):
+                cut = max(block.rfind(b" "), block.rfind(b"\n")) + 1
+                fh.seek(cut - len(block), io.SEEK_CUR)
+                if not cut:
+                    return
+                yield memoryview(block)[:cut]
+
+        out, done = np.empty(count), 0
+        for piece in _in_order(_decode, pieces()):
+            if piece is None:
+                return None
+            x, ends = piece
+            if done + len(x) > count or not np.array_equal(
+                    ends, np.arange((-done - 1) % (count // rows), len(x), count // rows)):
                 return None
             out[done:done + len(x)] = x
             done += len(x)
-    return out.reshape(rows, -1) if done == count and not tail else None
+        return out.reshape(rows, -1) if done == count and fh.tell() == end else None
 
 
 def _format(x, ncols, start):
     """save_raw's text of finite values x, x[0] at flat index start: each as
     "%.16e", then a space, or a newline at the end of a row of ncols values.
 
-    The digits are M = rint(|x| 10^(16-e)), e from log10.  The product errs
-    by under 2^-63 relative, 0.011 below 10^17, so M is the correctly rounded
-    one unless the fraction lies within 1/64 of .5; those values take M and e
-    from "%.16e".  A piece of nonnegative values with 2-digit exponents fills
-    fixed 23-byte rows, any other piece 25-byte rows that a mask compresses.
+    The digits are M = rint(p), p = |x| 10^(16-e) with e from log10, the
+    product taken again only where log10 was one off.  It errs by under 2^-63
+    relative, 0.011 below 10^17, so floor(64 p) gives the correctly rounded M
+    unless p's fraction lies within 1/64 of .5; those values take M and e from
+    one "%.16e" call on all of them.  M's 16 fraction digits go out as two
+    unaligned 8-byte words of ASCII digits, the inverse of _decode's steps.
+    A piece of nonnegative values with 2-digit exponents fills fixed 23-byte
+    rows, any other piece 25-byte rows that a mask compresses.
     """
     ax = np.abs(x)
     zero = ax == 0.0
     e = np.floor(np.log10(np.where(zero, 1.0, ax))).astype(np.int64)
     ax = ax.astype(np.longdouble)
     p = ax * _POW10[16 - e - _QMIN]
-    e += (p >= 1e17).astype(np.int64) - (p < 1e16)          # log10 may be one off
-    p = ax * _POW10[16 - e - _QMIN]
-    m = np.rint(p)
-    slow = ~zero & ((np.abs((p - m).astype(float)) > 0.5 - 1 / 64) | (m < 1e16) | (m > 1e17))
-    up = m == 1e17                                          # rounded up to the next decade
-    m = np.where(up, 1e16, m).astype(np.uint64)
+    off = np.flatnonzero((p >= 1e17) | (p < 1e16))          # log10 may be one off
+    e[off] += np.where(p[off] >= 1e17, 1, -1)
+    p[off] = ax[off] * _POW10[16 - e[off] - _QMIN]
+    t = (p * 64).astype(np.uint64)                          # floor(64 p), as 64 p < 2^63
+    m = (t + 32) >> 6
+    slow = ~zero & ((((t - 31) & 63) < 2) | (m - 10**16 > 9 * 10**16))
+    up = m == 10**17                                        # rounded up to the next decade
+    m[up] = 10**16
     e = np.where(zero, 0, e + up)
-    for i in np.flatnonzero(slow):
-        mantissa, exponent = ("%.16e" % x[i]).split("e")
-        m[i], e[i] = int(mantissa.lstrip("-").replace(".", "")), int(exponent)
+    if slow.any():
+        text = "%.16e " * np.count_nonzero(slow) % tuple(np.abs(x[slow]).tolist())
+        m[slow], e[slow] = np.fromstring(text.replace(".", "").replace("e", " "),
+                                         np.int64, sep=" ").reshape(-1, 2).T
     neg, big = np.signbit(x), np.abs(e) >= 100
     o = int(neg.any() or big.any())                         # room for a sign and a 3rd digit
-    lead, rest = np.divmod(m, np.uint64(10**16))
-    hi, lo = np.divmod(rest, np.uint64(10**8))
-    buf = np.empty((len(x), 23 + 2 * o), np.uint8)
-    buf[:, 0] = 45
-    buf[:, o] = lead + np.uint64(48)
-    buf[:, o + 1] = 46
-    groups = np.stack(np.divmod(hi, 10**4) + np.divmod(lo, 10**4), axis=1)
-    buf[:, o + 2:o + 18] = _DIGITS4[groups].view(np.uint8)
-    buf[:, o + 18] = 101
-    buf[:, o + 19] = np.where(e < 0, 45, 43)
-    buf[:, o + 20:-1] = _DIGITS4[np.abs(e)][:, None].view(np.uint8)[:, 2 - o:]
-    buf[:, -1] = np.where(np.arange(start + 1, start + len(x) + 1) % ncols, 32, 10)
+    hi = m // 10**8
+    lead = hi // 10**8
+    w = np.stack([hi - lead * 10**8, m - hi * 10**8], axis=1)
+    # Each 8 digits in halves, quarters and bytes by multiply-shift steps, the
+    # quotients of 10^4, 100 and 10 exact below 10^8, 10^4 and 100 (ibid.).
+    for mul, shift, mask, d, lane in ((3518437209, 45, 0x3FFF, 10**4, 32),
+                                      (10486, 20, 0x0000007F0000007F, 100, 16),
+                                      (103, 10, 0x000F000F000F000F, 10, 8)):
+        t = w * mul >> shift & mask
+        w -= t * d
+        w <<= lane
+        w += t
+    w += 0x3030303030303030
+    # Each row as words: its last 8 bytes from _EXPONENTS, then the fraction
+    # digits over the first of those, then the leading digit and ".".
+    row = 23 + 2 * o
+    buf = np.empty((len(x), row), np.uint8)
+    np.ndarray(len(x), "<u8", buf, row - 8, (row,))[...] = _EXPONENTS[o][e + 400]
+    np.ndarray((len(x), 2), "<u8", buf, o + 2, (row, 8))[...] = w
+    np.ndarray(len(x), "<u2", buf, o, (row,))[...] = lead + 0x2E30
+    buf[(-start - 1) % ncols::ncols, -1] = 10
     if not o:
         return buf
+    buf[:, 0] = 45
     keep = np.ones(buf.shape, bool)
     keep[:, 0], keep[:, 21] = neg, big
     return buf[keep]
@@ -526,8 +622,8 @@ class GridField:
 
     def save_raw(self, path):
         """Write the grid file load_raw reads.  The data rows are the bytes of
-        np.savetxt(fmt="%.16e"), formatted by _format, or by np.savetxt itself
-        when a value is not finite or the kernels are not usable."""
+        np.savetxt(fmt="%.16e"), by _format in pieces on _in_order, or by
+        np.savetxt itself when a value is not finite or the kernels are not usable."""
         shape, flat = self.values.shape, self.values.ravel()
         with open(path, "wb") as fh:
             fh.write(f"dims {self.dims}\nshape {' '.join(map(str, shape))}\n"
@@ -536,30 +632,32 @@ class GridField:
             if not (_KERNELS and np.isfinite(flat).all()):
                 return np.savetxt(fh, flat.reshape(shape[0], -1), fmt="%.16e", delimiter=" ")
             step = _CHUNK_BYTES // 25
-            for i in range(0, flat.size, step):
-                fh.write(_format(flat[i:i + step], flat.size // shape[0], i))
+            for text in _in_order(lambda i: _format(flat[i:i + step], flat.size // shape[0], i),
+                                  range(0, flat.size, step)):
+                fh.write(text)
 
     @classmethod
     def load_raw(cls, path) -> "GridField":
         """Read a grid file: `dims`, `shape`, `spacing` and optional `origin`
         header lines, then the values in row-major order.
 
-        Raises ValueError naming the fault: a missing or malformed header
-        line, an unparsable value or a data row of the wrong length, `dims`
-        disagreeing with `shape`, a value count other than the product of
-        `shape`, or the first non-finite value (data rows and columns are
-        1-based).
+        Raises ValueError naming the file and the fault: a missing or
+        malformed header line, an unparsable value or a data row of the wrong
+        length, `dims` disagreeing with `shape`, a value count other than the
+        product of `shape`, the first non-finite value (data rows and columns
+        are 1-based), or a spacing, dimension or origin GridField rejects.
 
-        Data in save_raw's layout is decoded by numpy kernels (_decode), 1 MiB
-        at a time, as 23-byte records where a piece's values are all
-        nonnegative with 2-digit exponents.  A 17-digit mantissa times a power
-        of ten in a 64-bit-significand np.longdouble errs by under 2^-10 double
-        ulp, so one rounding gives np.loadtxt's value bit for bit; values
-        within 2^-9 ulp of a rounding midpoint, or of at most 2^-969, go
-        through float().  Other text (a comment or blank line, CRLF, other
-        spacing or number forms), and all text where np.longdouble is
-        narrower, goes to np.loadtxt with the same messages.  A 128^3 file
-        takes about 0.12 s as records, 0.17 s with signs, 0.5 s with a comment.
+        Data in save_raw's layout is decoded by numpy kernels (_decode) in
+        pieces of 1 MiB on _in_order, as 23-byte records where a piece's
+        values are all nonnegative with 2-digit exponents.  A 17-digit
+        mantissa times a power of ten in a 64-bit-significand np.longdouble
+        errs by under 2^-10 double ulp, so one rounding gives np.loadtxt's
+        value bit for bit; values within 2^-9 ulp of a rounding midpoint, or
+        of at most 2^-969, go through float().  Other text (a comment or blank
+        line, CRLF, other spacing or number forms), and all text where
+        np.longdouble is narrower, goes to np.loadtxt with the same messages.
+        A 128^3 file takes about 0.09 s as records and 0.12 s with signs on
+        two CPUs, 0.7 s with a comment.
         """
         with open(path) as fh:
             header = {}
@@ -607,6 +705,8 @@ class GridField:
             row, col = divmod(exc.index, data.shape[1])
             raise ValueError(f"grid file {path}: non-finite value {data[row, col]} "
                              f"in data row {row + 1}, column {col + 1}") from None
+        except ValueError as exc:
+            raise ValueError(f"grid file {path}: {exc}") from None
 
 
 @dataclass

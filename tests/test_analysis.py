@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import ndimage, optimize
 
-from khessian import analysis
+from khessian import analysis, radial
 from khessian.analysis import (
     _bump_offsets,
     _quad,
@@ -342,7 +342,7 @@ class TestSlabKernels:
                     ids=["one_worker", "three_workers", "three_workers_thin_slabs"])
     def slabs(self, request, monkeypatch):
         workers, slab_bytes = request.param
-        monkeypatch.setattr(analysis, "_workers", lambda: workers)
+        monkeypatch.setattr(radial, "_workers", lambda: workers)
         if slab_bytes is not None:
             monkeypatch.setattr(analysis, "_SLAB_BYTES", slab_bytes)
         # Frequent thread switches, so that a slab written by two workers
@@ -356,13 +356,13 @@ class TestSlabKernels:
 
     def test_layouts_include_partial_and_single_slabs(self, monkeypatch):
         layouts = []
-        real = analysis._over_slabs
+        real = radial._over_slabs
 
         def spy(count, planes, work):
             layouts.append((count, planes))
             real(count, planes, work)
 
-        monkeypatch.setattr(analysis, "_over_slabs", spy)
+        monkeypatch.setattr(radial, "_over_slabs", spy)
         for shape in SLAB_SHAPES_3D:
             f = random_u_field(0, shape)
             mollify(f, 0.2)
@@ -406,7 +406,7 @@ class TestSlabKernels:
         assert not u_field_admissible_mask(f, cone, strict=True)[0].any()
 
     def test_errors_come_before_any_slab(self, slabs, monkeypatch):
-        monkeypatch.setattr(analysis, "_over_slabs", lambda *args: pytest.fail("slabs ran"))
+        monkeypatch.setattr(radial, "_over_slabs", lambda *args: pytest.fail("slabs ran"))
         with pytest.raises(ValueError,
                            match="^field is too small for the requested mollification margin$"):
             mollify(GridField(0.1, np.ones((9, 30, 30))), 0.4)
@@ -417,7 +417,7 @@ class TestSlabKernels:
                 check(f, CONE32)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_workers", lambda: 3)
+        monkeypatch.setattr(radial, "_workers", lambda: 3)
         f = random_u_field(2, (21, 64, 64))
         before = threading.active_count()
         mollify(f, 0.4)
@@ -426,7 +426,7 @@ class TestSlabKernels:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_workers_get_cpus_of_their_own(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_workers", lambda: 2)
+        monkeypatch.setattr(radial, "_workers", lambda: 2)
         allowed = os.sched_getaffinity(0)
         seen = {}
 
@@ -434,15 +434,16 @@ class TestSlabKernels:
             seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
             time.sleep(0.01)    # keeps both workers busy
 
-        analysis._over_slabs(8, 1, work)
+        radial._over_slabs(8, 1, work)
         assert os.sched_getaffinity(0) == allowed     # the caller is not pinned
         assert len(seen) == 2
         masks = [mask for masks in seen.values() for mask in masks]
         assert all(len(mask) == 1 and mask <= allowed for mask in masks)
         assert len(set(masks)) == min(2, len(allowed))
 
-    def test_workers_call_no_public_function(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_workers", lambda: 3)
+    def test_workers_call_no_public_function(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(radial, "_workers", lambda: 3)
+        monkeypatch.setattr(radial, "_CHUNK_BYTES", 1 << 12)
         callers = set()
 
         def spy(fn):
@@ -452,22 +453,30 @@ class TestSlabKernels:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name, val in list(vars(analysis).items()):
-            if name.startswith("_") or not getattr(val, "__module__", "").startswith("khessian"):
-                continue
-            if isinstance(val, type):
-                for attr, raw in list(vars(val).items()):
-                    if not attr.startswith("_") and inspect.isfunction(raw):
-                        monkeypatch.setattr(val, attr, spy(raw))
-            elif callable(val):
-                monkeypatch.setattr(analysis, name, spy(val))
+        for module in (analysis, radial):
+            for name, val in list(vars(module).items()):
+                if name.startswith("_") or not getattr(val, "__module__", "").startswith("khessian"):
+                    continue
+                if isinstance(val, type):
+                    for attr, raw in list(vars(val).items()):
+                        if attr.startswith("_"):
+                            continue
+                        if inspect.isfunction(raw):
+                            monkeypatch.setattr(val, attr, spy(raw))
+                        elif isinstance(raw, classmethod):
+                            monkeypatch.setattr(val, attr, classmethod(spy(raw.__func__)))
+                elif callable(val):
+                    monkeypatch.setattr(module, name, spy(val))
         f = random_u_field(3, (21, 64, 64))
         analysis.u_field_admissible_mask(analysis.mollify(f, 0.2), CONE32)
         analysis.u_field_sigma(f, ConeParams(3, 3))
+        f.values[0, 0, :32] *= -1.0e-200        # signs and 3-digit exponents
+        f.save_raw(tmp_path / "f.grid")
+        assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == f.values.tobytes()
         assert callers == {threading.get_ident()}
 
     def test_peak_memory(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_workers", lambda: 2)
+        monkeypatch.setattr(radial, "_workers", lambda: 2)
         m = 64
         f = GridField(2.0 / (m - 1), np.zeros((m, m, m)))
         f.values = 7.0 + 0.7 * (f.node_coordinates() ** 2).sum(axis=1).reshape(m, m, m)

@@ -98,6 +98,15 @@ class TestSigmaCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --csv file {path}: ") and named in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n", "# no values\n"], ids=["empty", "blank", "comment"])
+    def test_csv_without_values_is_named(self, tmp_path, capsys, text):
+        # One message and no numpy warning ("loadtxt: input contained no data").
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main(["sigma", "--csv", str(path), "--k", "2"]) == 3
+        assert capsys.readouterr().err == f"error: --csv file {path}: no eigenvalues\n"
+
 
 class TestClassifyCommand:
     def test_fundamental(self, fundamental_csv, tmp_path, capsys):
@@ -415,6 +424,22 @@ class TestEnvelopeCommand:
         assert code == 3
         assert named in capsys.readouterr().err
         assert not (tmp_path / "env.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (GRID_HEADER.replace("0.5", "0") + "\n".join(GRID_ROWS),
+         "spacing must be positive and finite"),
+        ("dims 1\nshape 3\nspacing 0.5\n1\n2\n3", "grid fields must be 2- or 3-dimensional"),
+        (GRID_HEADER + "origin 0 0 0\n" + "\n".join(GRID_ROWS),
+         "origin length must match field dimension"),
+    ], ids=["zero-spacing", "one-dimension", "origin-length"])
+    def test_field_faults_name_the_file(self, tmp_path, capsys, text, message):
+        # Faults that GridField finds in a read field carry the file's name too.
+        path = tmp_path / "bad.grid"
+        path.write_text(text + "\n")
+        code = main(["envelope", "--grid", str(path), "--center", "0,0",
+                     "--out", str(tmp_path / "env.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: grid file {path}: {message}\n"
 
     @pytest.mark.parametrize("step", [[], ["--step", "0.1"]])
     def test_non_finite_center_exits_3(self, tmp_path, capsys, step):

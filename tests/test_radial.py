@@ -1,6 +1,9 @@
 import decimal
 import io
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -604,6 +607,15 @@ NON_CANONICAL = {
     "fixed-point": lambda t: first_token(t, repr),
 }
 
+
+def newline_one_token_later(text):
+    """text with its first row end moved past the next token: rows of one
+    value more and one value less, and as many values."""
+    i = text.index(b"\n")
+    j = text.index(b" ", i)
+    return text[:i] + b" " + text[i + 1:j] + b"\n" + text[j + 1:]
+
+
 # Faults in otherwise canonical data: (data text transform, message).
 FAULTS = {
     "nan": (lambda t: t.replace(b"1.0000000000000001e-05", b"nan"),
@@ -622,6 +634,8 @@ FAULTS = {
                        "unparsable value '1.10000000x0000000e+01' in data row 2, column 5"),
     "ragged": (lambda t: t.replace(b" 1.5500000000000000e+01", b""),
                "data row 3 has 5 values, expected 6"),
+    "moved-newline": (newline_one_token_later, "data row 2 has 5 values, expected 7"),
+    "unended-token": (lambda t: t + b"5", "data row 5 has 1 values, expected 6"),
     "short": (lambda t: t.rsplit(b"\n", 2)[0] + b"\n", "18 values, shape 4 6 needs 24"),
     "long": (lambda t: t + t.split(b"\n", 1)[0] + b"\n", "30 values, shape 4 6 needs 24"),
 }
@@ -697,6 +711,8 @@ class TestGridTextKernels:
         # 23 negative values, 24 x 23 bytes of text that are not records, then
         # runs of 23 values read as records between values with signs or
         # 3-digit exponents, read in pieces of several sizes.
+        # One worker: the spies tell pieces apart by the order of their calls.
+        monkeypatch.setattr(radial, "_workers", lambda: 1)
         rng = np.random.default_rng(29)
         fixed = rng.uniform(1.0, 10.0, (9, 23)) * 10.0 ** rng.integers(-99, 100, (9, 23))
         other = np.array(SPECIAL)[rng.integers(0, len(SPECIAL), (8, 5))]
@@ -809,6 +825,153 @@ class TestGridTextKernels:
         assert data == savetxt_bytes(f.values)
         with pytest.raises(ValueError, match="non-finite value nan in data row 2, column 3"):
             GridField.load_raw(tmp_path / "f.grid")
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["one_worker", "two_workers", "three_workers"])
+def workers(request, monkeypatch):
+    """radial._workers reports request.param CPUs; threads switch often, so
+    that pieces placed out of order or a lost write would show."""
+    monkeypatch.setattr(radial, "_workers", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def every_token_form(size):
+    """size values with signs, subnormals, 3-digit exponents and writer ties."""
+    rng = np.random.default_rng(size)
+    ties = (rng.integers(4 * 10**15, 9 * 10**15, 200) | 1) / 4.0 * rng.choice([-1.0, 1.0], 200)
+    return np.r_[SPECIAL, ties, random_doubles(size, size)][:size]
+
+
+# (_CHUNK_BYTES, shape): pieces of two or three values, and pieces of 1 MiB.
+PIECES = [(64, (6, 10, 12)), (None, (80, 50, 40))]
+
+
+class TestGridTextOnWorkers:
+    """save_raw formats and load_raw decodes their pieces on radial._in_order:
+    the bytes of np.savetxt and the bits of np.loadtxt on any number of
+    workers, and faults with their messages."""
+
+    @pytest.mark.parametrize("chunk, shape", PIECES, ids=["64_bytes", "1_MiB"])
+    def test_bytes_and_bits(self, tmp_path, monkeypatch, workers, chunk, shape):
+        if chunk is not None:
+            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
+        values = every_token_form(math.prod(shape)).reshape(shape)
+        f = GridField(0.5, values)
+        f.save_raw(tmp_path / "f.grid")
+        data = (tmp_path / "f.grid").read_bytes().split(b"\n", 4)[4]
+        assert data == savetxt_bytes(values.reshape(shape[0], -1))
+        assert len(data) > 3 * radial._CHUNK_BYTES
+        assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("chunk, repeat", [(64, 1), (None, 80)], ids=["64_bytes", "1_MiB"])
+    def test_midpoint_tokens(self, tmp_path, monkeypatch, workers, chunk, repeat):
+        if chunk is not None:
+            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
+        tokens = (midpoint_tokens(5, 300) + LOWEST_BINADE_MIDPOINTS) * repeat
+        tokens = tokens[:len(tokens) // 20 * 20]
+        text = "".join(t + ("\n" if i % 20 == 19 else " ") for i, t in enumerate(tokens)).encode()
+        assert len(text) > 3 * radial._CHUNK_BYTES
+        path = tmp_path / "m.grid"
+        path.write_bytes(f"dims 2\nshape {len(tokens) // 20} 20\nspacing 0.5\n".encode() + text)
+        want = np.loadtxt(io.BytesIO(text), ndmin=2)
+        assert GridField.load_raw(path).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda t: t[:-23] + b"7.0000000000000000x+00\n",
+         "unparsable value '7.0000000000000000x+00' in data row 6, column 120"),
+        (lambda t: t[:-23] + b"nan\n", "non-finite value nan in data row 6, column 120"),
+        (lambda t: t[:-24] + b"\n", "data row 6 has 119 values, expected 120"),
+        (lambda t: t[:-24] + b"\n" + t[-23:-1] + b" ", "data row 6 has 119 values, expected 120"),
+        (lambda t: t + t[:23 * 120], "840 values, shape 6 10 12 needs 720"),
+    ], ids=["unparsable", "nan", "ragged", "moved-newline", "long"])
+    def test_fault_in_the_last_piece(self, tmp_path, monkeypatch, workers, fault, message):
+        monkeypatch.setattr(radial, "_CHUNK_BYTES", 23 * 7)
+        values = np.random.default_rng(7).uniform(1.0, 9.0, (6, 10, 12))
+        path = tmp_path / "bad.grid"
+        GridField(0.5, values).save_raw(path)
+        head, text = path.read_bytes().split(b"spacing", 1)
+        lines = (b"spacing" + text).split(b"\n", 2)
+        path.write_bytes(head + b"\n".join(lines[:2]) + b"\n" + fault(lines[2]))
+        with pytest.raises(ValueError) as err:
+            GridField.load_raw(path)
+        assert str(err.value) == f"grid file {path}: {message}"
+
+
+class TestInOrder:
+    """radial._in_order, the driver of the grid kernels."""
+
+    def test_results_in_order_and_few_in_flight(self, workers):
+        taken, given = [], []
+
+        def items():
+            for i in range(40):
+                taken.append(i)
+                yield i
+
+        def work(i):
+            time.sleep(0.001 * (i % 3))         # later items may finish first
+            return i * i, threading.get_ident()
+
+        for result, _ in radial._in_order(work, items()):
+            given.append(result)
+            assert len(taken) - len(given) <= 2 * workers
+        assert given == [i * i for i in range(40)]
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_inline_with_one_worker_or_item(self, monkeypatch, count):
+        monkeypatch.setattr(radial, "_workers", lambda: 1 if count == 5 else 3)
+        caller = threading.get_ident()
+        got = list(radial._in_order(lambda i: (i, threading.get_ident()), range(count)))
+        assert got == [(i, caller) for i in range(count)]
+
+    def test_calls_run_in_the_callers_context(self, workers):
+        with np.errstate(divide="raise", over="ignore"):
+            seen = list(radial._in_order(lambda i: np.geterr(), range(7)))
+        assert [(e["divide"], e["over"]) for e in seen] == [("raise", "ignore")] * 7
+
+    def test_exception_reaches_the_caller(self, workers):
+        before = threading.active_count()
+
+        def work(i):
+            if i == 7:
+                raise ZeroDivisionError(f"item {i}")
+            return i
+
+        with pytest.raises(ZeroDivisionError, match="^item 7$"):
+            list(radial._in_order(work, range(20)))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_grid_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(radial, "_workers", lambda: 3)
+        monkeypatch.setattr(radial, "_CHUNK_BYTES", 64)
+        before = threading.active_count()
+        f = GridField(0.5, np.random.default_rng(9).normal(size=(5, 6, 7)))
+        f.save_raw(tmp_path / "f.grid")
+        assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == f.values.tobytes()
+        assert threading.active_count() == before
+        # A fault in a worker, and a piece that ends the read early.
+        real = radial._format
+        pieces = []
+
+        def failing(x, ncols, start):
+            pieces.append(start)
+            if len(pieces) == 4:
+                raise MemoryError("fourth piece")
+            return real(x, ncols, start)
+
+        monkeypatch.setattr(radial, "_format", failing)
+        with pytest.raises(MemoryError, match="^fourth piece$"):
+            f.save_raw(tmp_path / "g.grid")
+        text = (tmp_path / "f.grid").read_bytes()
+        (tmp_path / "f.grid").write_bytes(text[:len(text) // 2] + b"x" + text[len(text) // 2:])
+        with pytest.raises(ValueError, match="unparsable value"):
+            GridField.load_raw(tmp_path / "f.grid")
+        assert threading.active_count() == before
 
 
 class TestProfileSamples:
