@@ -32,9 +32,6 @@ __all__ = [
     "p_laplacian_check",
     "mollify",
     "pointwise_max_fields",
-    "pointwise_max_profiles",
-    "field_gradient",
-    "field_hessian",
     "u_field_sigma",
     "u_field_admissible_mask",
     "HarnackEstimate",
@@ -240,18 +237,6 @@ def pointwise_max_fields(f: GridField, g: GridField, kink_cells: int = 3):
     return GridField(f.spacing, values, f.origin), mask
 
 
-def pointwise_max_profiles(p: RadialProfile, q: RadialProfile, kink_cells: int = 3):
-    """Nodewise maximum of two radial profiles on the same grid."""
-    if len(p.r) != len(q.r) or np.abs(p.r - q.r).max() > 1e-12 * p.r[-1]:
-        raise ValueError("profiles must share the radial grid")
-    take_p = p.w >= q.w
-    w = np.where(take_p, p.w, q.w)
-    dw = np.where(take_p, p.dw, q.dw)
-    d2w = np.where(take_p, p.d2w, q.d2w)
-    out = RadialProfile(p.r.copy(), w, dw, d2w, p.cone, p.analytic and q.analytic)
-    return out, _kink_mask(p.w - q.w, kink_cells)
-
-
 # ---------------------------------------------------------------------------
 # u-gauge admissibility of grid fields (flat background)
 # ---------------------------------------------------------------------------
@@ -292,16 +277,6 @@ def _hessian(v: np.ndarray, h: float):
             mm[i] = slice(None, -2); mm[j] = slice(None, -2)
             H[(i, j)] = (v[tuple(pp)] - v[tuple(pm)] - v[tuple(mp)] + v[tuple(mm)]) / (4 * h**2)
     return H
-
-
-def field_gradient(f: GridField):
-    """Central-difference gradient at interior nodes; list of dims arrays."""
-    return _gradient(f.values, f.spacing), tuple(slice(1, -1) for _ in range(f.dims))
-
-
-def field_hessian(f: GridField):
-    """Central-difference Hessian entries at interior nodes: dict (i, j) -> array."""
-    return _hessian(f.values, f.spacing)
 
 
 def _u_sigma_slab(v: np.ndarray, h: float, k: int):

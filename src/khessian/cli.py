@@ -120,7 +120,17 @@ def cmd_sigma(args) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
+def _supercritical_cone(args) -> ConeParams:
+    """The cone of --n and --k, which must have k > n/2 (the paper treats
+    n/2 < k < n; k = n is accepted); a fault names both flags."""
+    try:
+        return ConeParams(args.n, args.k).require_supercritical()
+    except ValueError as exc:
+        raise ValueError(f"--n {args.n} --k {args.k}: {exc}") from None
+
+
 def cmd_classify(args) -> int:
+    _supercritical_cone(args)
     profile = radial.load_profile_csv(args.profile, args.n, args.k)
     try:
         report = radial.classify_singularity(profile)
@@ -436,12 +446,7 @@ def cmd_envelope(args) -> int:
         raise ValueError(f"--step must be positive and finite, got {args.step}")
     if (args.n is None) != (args.k is None):
         raise ValueError("--n and --k go together: give both for the viscosity check, or neither")
-    cone = None
-    if args.n is not None:
-        try:
-            cone = ConeParams(args.n, args.k).require_supercritical()
-        except ValueError as exc:
-            raise ValueError(f"--n {args.n} --k {args.k}: {exc}") from None
+    cone = None if args.n is None else _supercritical_cone(args)
     field = radial.GridField.load_raw(args.grid)
     radii = None
     if args.step is not None:
@@ -468,7 +473,7 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_harnack(args) -> int:
-    cone = ConeParams(args.n, args.k)
+    _supercritical_cone(args)
     if not args.min_sep >= 0.0:
         raise ValueError(f"--min-sep must be a nonnegative number, got {args.min_sep}")
     profile = radial.load_profile_csv(args.profile, args.n, args.k)
@@ -693,11 +698,18 @@ def _verify_checks(seed: int):
     rep = radial.classify_singularity(radial.RadialProfile.from_callables(
         radial.geometric_grid(1.0, 1e-6), 3, 2, lambda t: 2 * np.log(t) + 5.0, dw, d2w))
     ok = errs <= 1e-12 and rep.klass == "fundamental" and abs(rep.C - 5.0) <= 1e-10
+    # r w' = 2 is monotone, and the curvature matrix W of its jets vanishes
+    ok &= radial.check_rw_monotone(p).passed
+    for t in p.r[::50]:
+        jet = conformal.jet_from_radial(conformal.Gauge.W, t, 2 * math.log(t), dw(t), d2w(t),
+                                        conformal.Background.flat(3))
+        ok &= bool(np.abs(conformal.matrix_W(jet)).max() * t**2 <= 1e-12)
     yield "fundamental solution a=b=sigma=0 and classify", ok, f"max {errs:.2e}, C err {abs(rep.C - 5.0):.2e}"
 
     # 10. barrier u0 = r^(2-n/k): its Laplacian and radial eigenvalue are
-    # fixed multiples of r^(-n/k), and the Pucci operator annihilates it
-    worst_lap = worst_rad = worst = 0.0
+    # fixed multiples of r^(-n/k), and the Pucci operator annihilates it, as
+    # the p-Laplacian of the p-reduction does (w = ln u0; ratio scaled by r^2)
+    worst_lap = worst_rad = worst = worst_p = 0.0
     for (n, k) in [(3, 2), (4, 3), (5, 3), (5, 4)]:
         rr = np.geomspace(1e-3, 1.0, 80)
         _, rad, tan = analysis.holder_barrier(rr, n, k)
@@ -709,7 +721,11 @@ def _verify_checks(seed: int):
         for i in range(len(rr)):
             P = analysis.pucci_min([rad[i]] + [tan[i]] * (n - 1), delta)
             worst = max(worst, abs(P) / rr[i] ** (alpha - 2.0))
-    ok = worst_lap <= 1e-10 and worst_rad <= 1e-10 and worst <= 1e-12
+        ratio = analysis.p_laplacian_check(radial.RadialProfile.from_callables(
+            rr, n, k, lambda t: alpha * np.log(t), lambda t: alpha / t,
+            lambda t: -alpha / t**2)).ratio
+        worst_p = max(worst_p, np.abs(ratio * rr**2).max())
+    ok = worst_lap <= 1e-10 and worst_rad <= 1e-10 and worst <= 1e-12 and worst_p <= 1e-12
     yield "Pucci annihilates the barrier", ok, (
         f"Laplacian {worst_lap:.2e}, radial {worst_rad:.2e}, max scaled |P| {worst:.2e}")
 
@@ -750,9 +766,53 @@ def _verify_checks(seed: int):
     sols = sorted(math.exp(-0.5 * w[0]) for w in br.solutions_at(t))
     sol_err = max(abs(x - y) for x, y in zip(sols, exact)) if len(sols) == 2 else math.inf
     ok = max(ulps) <= 1 and t_err <= 1e-8 * (3 / 32) and sol_err <= 1e-8
+    # the Schouten eigenvalues of the round sphere (w = 0) are all 1/2
+    for n in (3, 4):
+        jet = conformal.ConformalJet(conformal.Gauge.W, 0.0, np.zeros(n), np.zeros((n, n)),
+                                     conformal.Background.round_sphere(n))
+        ok &= bool(np.abs(conformal.schouten_eigenvalues(jet) - 0.5).max() <= 1e-15)
     yield "scalar eigenvalue and fold", ok, (
         f"theta err {ulps[0]:g} and {ulps[1]:g} ulp, t* err {t_err:.2e}, "
         f"{len(sols)} solutions at 0.9 t* within {sol_err:.2e}")
+
+    # 13. Holder exponent: the classifier recovers 2 - n/k within 2% for (3,2)
+    # and (5,3)
+    details = []
+    ok = True
+    for (n, k) in [(3, 2), (5, 3)]:
+        theta = (n - k) / k
+        c = 0.5
+        p = radial.RadialProfile.from_callables(
+            radial.geometric_grid(1.0, 1e-6), n, k,
+            lambda t: c / (1 - theta) * t ** (1 - theta),
+            lambda t: c * t ** (-theta),
+            lambda t: -c * theta * t ** (-theta - 1))
+        rep = radial.classify_singularity(p)
+        alpha = 2.0 - n / k
+        err = abs(rep.alpha_est - alpha) / alpha if rep.klass == "holder" else math.inf
+        ok &= rep.klass == "holder" and err <= 0.02
+        details.append(f"({n},{k}): alpha {rep.alpha_est:.4f} vs {alpha:.4f}")
+    yield "Holder exponent", ok, "; ".join(details)
+
+    # 14. Harnack ratio: constant across scales for the Holder family,
+    # divergent for the singular family
+    cone = ConeParams(3, 2)
+    c, theta = 0.6, 0.5
+    expected = 2 * c / (1 - theta)
+    estimates = []
+    for R in (0.01, 0.1, 1.0):
+        r = np.geomspace(1e-8, R, 80)
+        chi = np.exp(-2 * (c / (1 - theta)) * r ** (1 - theta))
+        estimates.append(analysis.harnack_ratio(r, chi, cone).c_est)
+    spread = max(abs(e - expected) / expected for e in estimates)
+    singular = []
+    for rmin in (1e-2, 1e-3, 1e-4):
+        r = np.geomspace(rmin, 1.0, 60)
+        singular.append(analysis.harnack_ratio(r, r**-4.0, cone).c_est)
+    diverges = singular[1] > 2.0 * singular[0] and singular[2] > 2.0 * singular[1]
+    yield "Harnack ratio", spread <= 0.03 and diverges, (
+        f"family spread {spread:.3%}; singular estimates "
+        + " -> ".join(f"{x:.0f}" for x in singular))
 
 
 def cmd_verify(args) -> int:

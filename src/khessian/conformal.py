@@ -29,7 +29,6 @@ __all__ = [
     "matrix_V",
     "schouten_eigenvalues",
     "kelvin_transform",
-    "conformal_laplacian_residual",
     "wgauge_rhs_exponent",
     "wgauge_rhs_amplitude",
     "jet_from_radial",
@@ -49,26 +48,20 @@ _POSITIVE_GAUGES = (Gauge.CHI, Gauge.V, Gauge.U)
 
 @dataclass(frozen=True)
 class Background:
-    """Pointwise background data: Schouten tensor and scalar curvature of g0."""
+    """Pointwise background data: the Schouten tensor of g0."""
 
     kind: str
     n: int
     schouten: np.ndarray
-    scalar_curvature: float
 
     @classmethod
     def flat(cls, n: int) -> "Background":
-        return cls("flat", n, np.zeros((n, n)), 0.0)
+        return cls("flat", n, np.zeros((n, n)))
 
     @classmethod
     def round_sphere(cls, n: int) -> "Background":
-        """Unit round sphere: Schouten = (1/2) g0, scalar curvature n(n-1)."""
-        return cls("round_sphere", n, 0.5 * np.eye(n), float(n * (n - 1)))
-
-    @classmethod
-    def explicit(cls, schouten, scalar_curvature: float) -> "Background":
-        A = np.asarray(schouten, dtype=float)
-        return cls("explicit", A.shape[0], 0.5 * (A + A.T), float(scalar_curvature))
+        """Unit round sphere: Schouten = (1/2) g0."""
+        return cls("round_sphere", n, 0.5 * np.eye(n))
 
 
 @dataclass(frozen=True)
@@ -214,14 +207,6 @@ def kelvin_transform(r, v, n: int):
     s = 1.0 / r[::-1]
     vs = s ** (2.0 - n) * v[::-1]
     return s, vs
-
-
-def conformal_laplacian_residual(jet: ConformalJet) -> float:
-    """Residual -tr(hess v) + (n-2)/(4(n-1)) R_{g0} v of the conformal Laplacian."""
-    jv = convert_gauge(jet, Gauge.V)
-    n = jv.n
-    R0 = jv.background.scalar_curvature
-    return float(-np.trace(jv.hess) + (n - 2) / (4.0 * (n - 1)) * R0 * jv.value)
 
 
 def wgauge_rhs_exponent(n: int, k: int, p: float) -> float:

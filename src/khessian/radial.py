@@ -162,8 +162,10 @@ def sigma_k_radial_gradients(ab: RadialAB, cone: ConeParams):
 
 
 def radial_admissible(ab: RadialAB, cone: ConeParams, strict: bool = False,
-                      tol: float = 0.0) -> np.ndarray:
-    """Per-node cone membership of the radial spectrum (supercritical range only)."""
+                      tol=0.0) -> np.ndarray:
+    """Per-node cone membership of the radial spectrum (supercritical range
+    only): b and a + theta b above tol (strict) or at least -tol (closed).
+    tol is a number or one slack per node."""
     cone.require_supercritical()
     combo = ab.a + cone.theta * ab.b
     if strict:
@@ -243,12 +245,12 @@ def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
     """
     ab = ab_reduce(p)
     tol = _admissibility_tolerances(p, c_fd)
-    ok = (ab.b >= -tol) & (ab.a + p.cone.theta * ab.b >= -tol)
-    if not np.all(ok):
-        worst = int(np.argmin(np.minimum(ab.b + tol, ab.a + p.cone.theta * ab.b + tol)))
+    if not radial_admissible(ab, p.cone, tol=tol).all():
+        combo = ab.a + p.cone.theta * ab.b
+        worst = int(np.argmin(np.minimum(ab.b + tol, combo + tol)))
         raise ValueError(
             "profile is not admissible near r={:.3e}: b={:.3e}, a+theta*b={:.3e}".format(
-                p.r[worst], ab.b[worst], ab.a[worst] + p.cone.theta * ab.b[worst])
+                p.r[worst], ab.b[worst], combo[worst])
         )
 
     rw = p.r * p.dw
@@ -612,13 +614,6 @@ class GridField:
         """(num_nodes, dims) array of node coordinates, row-major order."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    @classmethod
-    def from_function(cls, fn, spacing: float, shape, origin=None) -> "GridField":
-        f = cls(spacing, np.zeros(shape), origin)
-        coords = f.node_coordinates()
-        f.values = fn(coords).reshape(shape)
-        return f
 
     def save_raw(self, path):
         """Write the grid file load_raw reads.  The data rows are the bytes of

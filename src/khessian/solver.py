@@ -7,7 +7,9 @@ sides stated in the v-gauge, sigma_k(lambda(V)) = f v^p, are carried into
 sigma_k(lambda(W)) = f (2/(n-2))^k e^{a w} with a = (n-2)(k-p)/2.
 
 Three regimes:
-  * p < k  (a > 0): cone-guarded damped Newton; the solution is unique.
+  * p < k  (a > 0): cone-guarded damped Newton.  Below a fold in the
+    amplitude of f a Dirichlet problem has two admissible solutions, and
+    Newton returns the one its seed leads to.
   * p = k: an eigenvalue problem, defined on the sphere reduction only, where
     W = (1/2) I for every constant factor gives theta in closed form.
   * p > k: pseudo-arclength continuation of sigma_k(lambda(V)) = t(delta_t
@@ -25,7 +27,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .conformal import wgauge_rhs_amplitude, wgauge_rhs_exponent
-from .radial import RadialAB, sigma_k_radial, sigma_k_radial_gradients
+from .radial import RadialAB, radial_admissible, sigma_k_radial, sigma_k_radial_gradients
 from .symfunc import ConeParams
 
 __all__ = [
@@ -359,15 +361,9 @@ class RadialSystem:
     def ab(self, w) -> RadialAB:
         return self._stencil(w)[2]
 
-    def admissible(self, w, strict: bool = True, tol: float = 0.0) -> bool:
-        return self._in_cone(self._stencil(w)[2], strict, tol)
-
-    def _in_cone(self, ab, strict: bool = True, tol: float = 0.0) -> bool:
-        """Cone membership of the (a, b) of one stencil evaluation."""
-        combo = ab.a + self.cone.theta * ab.b
-        if strict:
-            return bool((ab.b > tol).all() and (combo > tol).all())
-        return bool((ab.b >= -tol).all() and (combo >= -tol).all())
+    def admissible(self, w) -> bool:
+        """Strict cone membership of w at every equation row."""
+        return bool(radial_admissible(self._stencil(w)[2], self.cone, strict=True).all())
 
     def _cone_guard(self, w):
         """Raise AdmissibilityError if w violates closure admissibility beyond
@@ -471,7 +467,8 @@ class RadialSystem:
         """Residual and Jacobian.  With t, rhs is a t-dependent RHS taken at t,
         and dF/dt, from the same evaluation, is returned third.  With with_ab,
         the stencil's (a, b) at w, also from that evaluation, is returned last:
-        `_in_cone(ab)` is then the strict test of `admissible(w)`."""
+        `radial_admissible(ab, cone, strict=True)` is then the test of
+        `admissible(w)`."""
         if check_cone:
             self._cone_guard(w)
         F, _, J, phi_t, ab = self._assemble(w, rhs, jac=True, t=t)
@@ -532,7 +529,7 @@ class RadialSystem:
         for w in candidates:
             for eps in nudges:
                 trial = w + eps * nudge_shape
-                if self.admissible(trial, strict=True):
+                if self.admissible(trial):
                     return trial
         raise SolverError("no strictly admissible initial iterate found")
 
@@ -625,7 +622,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
     step when it is admissible and are flagged floor_limited.
     """
     w = np.asarray(w0, dtype=float).copy()
-    if not system.admissible(w, strict=True):
+    if not system.admissible(w):
         raise AdmissibilityError("initial iterate is not strictly admissible")
     G, J, F = system.root_residual_jacobian(w, rhs, t=t)
     gnorm = float(np.abs(G).max())
@@ -640,7 +637,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
         s = 1.0
         while not at_floor:
             trial = w + s * step
-            if system.admissible(trial, strict=True):
+            if system.admissible(trial):
                 # An accepted trial's evaluation serves the next iteration.
                 accepted = system.root_residual_jacobian(trial, rhs, t=t)
                 if float(np.abs(accepted[0]).max()) < gnorm:
@@ -655,7 +652,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
                 raise _newton_failure(system, rhs, w, history, snorm,
                                       "stalled: no admissible decreasing step", t)
         if at_floor:
-            if system.admissible(w + step, strict=True):
+            if system.admissible(w + step):
                 w = w + step
                 history.append(float(np.abs(system.residual(w, rhs, t=t)).max()))
             return NewtonResult(w, history, len(history) - 1, True, floor_limited=True)
@@ -693,15 +690,15 @@ class Solution:
 
 def solve_subcritical(problem: RadialProblem, config: SolverConfig,
                       w0=None) -> Solution:
-    """Unique solution of sigma_k(lambda(V)) = f v^p for p < k.
+    """A solution of sigma_k(lambda(V)) = f v^p for p < k, by damped Newton
+    from w0 (default: the system's initial guess).
 
-    Also records a sub/super constant bracket built from the seed: for a
-    large enough shift c, seed - c and seed + c are sub and super solutions,
-    and the returned iterate is verified to lie between them.
+    Not necessarily the only one: below a fold in the amplitude of f the
+    problem has two admissible solutions, and Newton returns the one its
+    seed leads to.
     """
     n, k = problem.cone.n, problem.cone.k
-    a = wgauge_rhs_exponent(n, k, problem.p)
-    if a <= 0.0:
+    if wgauge_rhs_exponent(n, k, problem.p) <= 0.0:
         raise ValueError("subcritical solve requires p < k")
     rhs = vpower_rhs(problem.f, n, k, problem.p)
     system = RadialSystem(problem, config.N)
@@ -709,15 +706,7 @@ def solve_subcritical(problem: RadialProblem, config: SolverConfig,
         raise ValueError("f must be positive on the domain")
     seed = np.asarray(w0, dtype=float) if w0 is not None else system.initial_guess()
     result = _damped_newton(system, rhs, seed, config)
-    sig = sigma_k_radial(system.ab(seed), problem.cone)
-    phi_seed = rhs.evaluate(system.r_eq, seed[system.rows])[0]
-    with np.errstate(divide="ignore"):
-        ratios = np.log(np.maximum(sig, 1e-300) / np.maximum(phi_seed, 1e-300))
-    c = float(np.abs(ratios).max()) / a + 1.0
-    lower, upper = seed - c, seed + c
-    bracket_ok = bool(np.all(result.w >= lower - 1e-8) and np.all(result.w <= upper + 1e-8))
-    return Solution(result.w, system.r, result,
-                    {"n": n, "bracket_halfwidth": c, "bracket_ok": bracket_ok})
+    return Solution(result.w, system.r, result, {"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +920,7 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
             # The floor is consulted only once the residual stops decreasing.
             if abs(g) <= config.tol and _stop(w, norm, config.tol, J if norm >= prev else None):
                 jac_t = (J, Ft)
-                inside = system._in_cone(ab)
+                inside = bool(radial_admissible(ab, system.cone, strict=True).all())
                 break
             if norm >= prev:
                 raise SolverError(f"corrector stopped contracting at iteration {it}: "
@@ -944,7 +933,7 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
             if step_stop:
                 it += 1
                 jac_t = None
-                inside = system.admissible(w, strict=True)
+                inside = system.admissible(w)
                 break
         else:
             raise SolverError(f"corrector did not converge in {max_iter} iterations")
@@ -1030,7 +1019,7 @@ def _refine_fold(system, rhs, w, t, phi0, config):
         dz, dt = _bordered_solve(band, 3, 2, col, row, 0.0, -G[:-1], -G[-1])
         dw = dz[0::2]
         w_new = w + dw
-        if not system.admissible(w_new, strict=True):
+        if not system.admissible(w_new):
             return w, t, ph, False
         step_stop = _stop(w, step=float(np.abs(dw).max()), t=t, dt=dt)
         w, t, ph = w_new, t + dt, ph + dz[1::2]

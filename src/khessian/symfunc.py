@@ -2,9 +2,9 @@
 
 Conventions: sigma_j denotes the j-th elementary symmetric polynomial of an
 eigenvalue vector, with sigma_0 = 1 (empty product).  The open cone Gamma_k
-is the set where sigma_1, ..., sigma_k are all strictly positive; the closure
-variant relaxes to >= 0.  Cone comparisons against zero are exact by default;
-callers that need slack pass an explicit margin.
+is the set where sigma_1, ..., sigma_k are all strictly positive.  Cone
+comparisons against zero are exact by default; callers that need slack pass
+an explicit margin.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "sigma_rows",
     "sigma_gradient",
     "in_gamma_k",
-    "in_gamma_k_closure",
     "in_sigma_delta",
     "sym_eigenvalues",
     "sigma_of_matrix",
@@ -152,16 +151,6 @@ def in_gamma_k(lam, k: int, margin: float = 0.0) -> bool:
     return all(s > margin for s in _sigmas(lam.tolist(), k)[1:])
 
 
-def in_gamma_k_closure(lam, k: int, margin: float = 0.0) -> bool:
-    """Closed-cone test: sigma_j(lam) >= -margin for all 1 <= j <= k."""
-    lam = _as_vector(lam)
-    if len(lam) < 2:
-        raise ValueError("cone membership needs at least two eigenvalues")
-    if not 1 <= k <= len(lam):
-        raise ValueError(f"cone order k={k} out of range for n={len(lam)}")
-    return all(s >= -margin for s in _sigmas(lam.tolist(), k)[1:])
-
-
 def in_sigma_delta(lam, delta: float) -> bool:
     """Membership in the cone {lambda_i > -delta * sum_j lambda_j}."""
     lam = _as_vector(lam)
@@ -226,7 +215,7 @@ def bordered_minor_identity_residual(S, k: int) -> float:
     scale = max(1.0, float(np.abs(S).max()))
     if not _is_arrow(S, 1e-13 * scale):
         raise ValueError("matrix does not have arrow (diagonal plus last row/column) structure")
-    lhs = sigma(sym_eigenvalues(S), k)
+    lhs = sigma(np.linalg.eigvalsh(S), k)      # S is already validated
     d = np.diag(S).copy()
     rhs = sigma(d, k)
     if k >= 2:

@@ -1,18 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1-6, 8, 9 and 11 are checks of `khessian verify`: test_verify_checks
+Criteria 1-6, 8-11 and 14 are checks of `khessian verify`: test_verify_checks
 runs that list at seeds 0-24, which draws 10 000 sigma recurrence, 10 000
 radial factorization, 7 500 minor identity and 5 000 gauge samples.
+Criterion 7 (manufactured solve) is test_solver.py's
+TestNewton::test_manufactured_convergence_order.
+
+Criteria 12 and 13 stay here: they take about 0.10 s and 0.05 s, against the
+0.105 s of a whole `khessian verify` run, which the benchmark times.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines
 alongside the pytest verdicts.
 """
 
-import math
-
 import numpy as np
 
-from khessian import analysis, cli, radial, solver
+from khessian import analysis, cli, radial
 from khessian.symfunc import ConeParams
 
 
@@ -29,64 +32,6 @@ def test_verify_checks():
             if not ok:
                 failed.append(f"seed {seed}, {name}: {detail}")
     assert not failed, "\n".join(failed)
-
-
-# ---------------------------------------------------------------------------
-# 7. manufactured radial Dirichlet solve: quadratic contraction, order 2 +- 0.3
-# ---------------------------------------------------------------------------
-
-def test_criterion_07_manufactured_solve():
-    wstar = lambda r: 1.6 * np.sqrt(r)
-
-    def f_manu(r):
-        r = np.asarray(r, dtype=float)
-        dw = 0.8 * r**-0.5
-        d2w = -0.4 * r**-1.5
-        a = d2w + 0.5 * dw**2
-        b = dw / r - 0.5 * dw**2
-        return (b**2 + 2 * a * b) * np.exp(-wstar(r))
-
-    errs = {}
-    hist = None
-    for N in (64, 128, 256):
-        problem = solver.RadialProblem(ConeParams(3, 2),
-                                       solver.Annulus(0.5, 2.0, wstar(0.5), wstar(2.0)),
-                                       p=0.0, f=None)
-        res = solver.newton_solve(problem, solver.ExpRHS(f_manu, 1.0),
-                                  solver.SolverConfig(N=N))
-        errs[N] = np.abs(res.w - wstar(np.linspace(0.5, 2.0, N))).max()
-        hist = res.residual_history
-    o1 = math.log2(errs[64] / errs[128])
-    o2 = math.log2(errs[128] / errs[256])
-    quad = any(hist[i + 1] <= 10.0 * hist[i] ** 1.6
-               for i in range(len(hist) - 1) if 1e-12 < hist[i] < 1e-2)
-    ok = 1.7 <= o1 <= 2.3 and 1.7 <= o2 <= 2.3 and quad
-    report(7, "manufactured solve", ok,
-           f"orders {o1:.2f}, {o2:.2f}; terminal contraction "
-           f"{'quadratic' if quad else 'not quadratic'}")
-
-
-# ---------------------------------------------------------------------------
-# 10. Holder exponent recovery within 2% for (3,2) and (5,3)
-# ---------------------------------------------------------------------------
-
-def test_criterion_10_holder_exponent():
-    details = []
-    ok = True
-    for (n, k) in [(3, 2), (5, 3)]:
-        theta = (n - k) / k
-        c = 0.5
-        p = radial.RadialProfile.from_callables(
-            radial.geometric_grid(1.0, 1e-6), n, k,
-            lambda t: c / (1 - theta) * t ** (1 - theta),
-            lambda t: c * t ** (-theta),
-            lambda t: -c * theta * t ** (-theta - 1))
-        rep = radial.classify_singularity(p)
-        alpha = 2.0 - n / k
-        err = abs(rep.alpha_est - alpha) / alpha if rep.klass == "holder" else np.inf
-        ok &= rep.klass == "holder" and err <= 0.02
-        details.append(f"({n},{k}): alpha {rep.alpha_est:.4f} vs {alpha:.4f}")
-    report(10, "Holder exponent", ok, "; ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +125,3 @@ def test_criterion_13_envelope():
     ok = all_ok and identity_ok
     report(13, "envelope", ok,
            f"20 random fields within tau=10h: {all_ok}; radial identity O(h): {identity_ok}")
-
-
-# ---------------------------------------------------------------------------
-# 14. Harnack ratio: constant across scales for the Holder family,
-#     divergent for the singular family
-# ---------------------------------------------------------------------------
-
-def test_criterion_14_harnack():
-    cone = ConeParams(3, 2)
-    c, theta = 0.6, 0.5
-    expected = 2 * c / (1 - theta)
-    estimates = []
-    for R in (0.01, 0.1, 1.0):
-        r = np.geomspace(1e-8, R, 80)
-        chi = np.exp(-2 * (c / (1 - theta)) * r ** (1 - theta))
-        estimates.append(analysis.harnack_ratio(r, chi, cone).c_est)
-    spread = max(abs(e - expected) / expected for e in estimates)
-
-    singular = []
-    for rmin in (1e-2, 1e-3, 1e-4):
-        r = np.geomspace(rmin, 1.0, 60)
-        singular.append(analysis.harnack_ratio(r, r**-4.0, cone).c_est)
-    diverges = singular[1] > 2.0 * singular[0] and singular[2] > 2.0 * singular[1]
-
-    ok = spread <= 0.03 and diverges
-    report(14, "Harnack", ok,
-           f"family spread {spread:.3%}; singular estimates "
-           + " -> ".join(f"{x:.0f}" for x in singular))

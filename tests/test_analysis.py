@@ -15,12 +15,12 @@ from scipy import ndimage, optimize
 from khessian import analysis, radial
 from khessian.analysis import (
     _bump_offsets,
+    _gradient,
+    _hessian,
     _quad,
     _w_callable,
     annulus_volume,
     end_count,
-    field_gradient,
-    field_hessian,
     fit_volume_expansion,
     harnack_from_w_profile,
     harnack_ratio,
@@ -28,7 +28,6 @@ from khessian.analysis import (
     mollify,
     p_laplacian_check,
     pointwise_max_fields,
-    pointwise_max_profiles,
     pucci_delta,
     pucci_min,
     sphere_area,
@@ -133,8 +132,9 @@ class TestMollify:
         assert np.abs(g.values - 2.7).max() == 0.0
 
     def test_linear_unchanged(self):
-        f = GridField.from_function(lambda x: 1.3 * x[:, 0] - 0.7 * x[:, 1],
-                                    0.05, (41, 41))
+        f = GridField(0.05, np.zeros((41, 41)))
+        x = f.node_coordinates()
+        f.values = (1.3 * x[:, 0] - 0.7 * x[:, 1]).reshape(41, 41)
         g = mollify(f, 0.12)
         coords = g.node_coordinates()
         exact = (1.3 * coords[:, 0] - 0.7 * coords[:, 1]).reshape(g.values.shape)
@@ -184,9 +184,9 @@ def shifted_mollify(f, eps):
 
 def u_gauge_matrices(f):
     """Stacked (..., d, d) u-gauge matrices D^2 u - |Du|^2/(2u) I at interior nodes."""
-    grads, inner = field_gradient(f)
-    H = field_hessian(f)
-    u = f.values[inner]
+    grads = _gradient(f.values, f.spacing)
+    H = _hessian(f.values, f.spacing)
+    u = f.values[(slice(1, -1),) * f.dims]
     g2 = sum(g * g for g in grads)
     d = f.dims
     M = np.empty(u.shape + (d, d))
@@ -497,38 +497,17 @@ class TestSlabKernels:
 
 class TestPointwiseMax:
     def test_max_with_itself(self):
-        r = np.geomspace(0.1, 1.0, 30)
-        p = RadialProfile.from_callables(r, 3, 2, lambda t: np.sqrt(t),
-                                         lambda t: 0.5 * t**-0.5,
-                                         lambda t: -0.25 * t**-1.5)
-        q, mask = pointwise_max_profiles(p, p)
-        assert np.array_equal(q.w, p.w)
+        f = paraboloid_u_field(np.random.default_rng(2))
+        m, kink = pointwise_max_fields(f, f)
+        assert np.array_equal(m.values, f.values) and kink.all()
 
-    def test_shifted_log_profiles(self):
-        r = np.geomspace(0.1, 10.0, 60)
-        mk = lambda c: RadialProfile.from_callables(
-            r, 3, 2, lambda t: 2 * np.log(t) + c, lambda t: 2 / t, lambda t: -2 / t**2)
-        q, mask = pointwise_max_profiles(mk(1.0), mk(-0.5))
-        assert np.allclose(q.w, 2 * np.log(r) + 1.0)
-        from khessian.radial import ab_reduce, radial_admissible
-        assert radial_admissible(ab_reduce(q), CONE32, tol=1e-10).all()
-
-    def test_shifted_holder_profiles_admissible_off_kink(self):
-        r = np.geomspace(0.05, 2.0, 120)
-        theta = 0.5
-
-        def mk(c, shift):
-            return RadialProfile.from_callables(
-                r, 3, 2,
-                lambda t: c / (1 - theta) * t ** (1 - theta) + shift,
-                lambda t: c * t ** (-theta),
-                lambda t: -c * theta * t ** (-theta - 1))
-
-        q, mask = pointwise_max_profiles(mk(0.4, 0.0), mk(0.7, -0.3))
-        assert mask.any() and not mask.all()
-        from khessian.radial import ab_reduce, radial_admissible
-        ok = radial_admissible(ab_reduce(q), CONE32, tol=1e-10)
-        assert ok[~mask].all()
+    def test_shifted_fields(self):
+        f = paraboloid_u_field(np.random.default_rng(3))
+        g = GridField(f.spacing, f.values + 0.5, f.origin)
+        m, kink = pointwise_max_fields(f, g)
+        assert np.array_equal(m.values, g.values) and not kink.any()
+        ok, _ = u_field_admissible_mask(m, CONE32, margin=1e-9)
+        assert ok.all()
 
     def test_grid_fields_off_kink(self):
         rng = np.random.default_rng(1)

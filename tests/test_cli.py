@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -138,6 +139,13 @@ class TestClassifyCommand:
     def test_missing_file_exits_3(self, capsys):
         assert main(["classify", "--profile", "/nonexistent.csv",
                      "--n", "3", "--k", "2"]) == 3
+
+    def test_cone_outside_the_paper_exits_3(self, fundamental_csv, capsys):
+        assert main(["classify", "--profile", str(fundamental_csv),
+                     "--n", "4", "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n 4 --k 2: (n, k) = (4, 2) is not supercritical" in captured.err
 
 
 class TestSolveCommand:
@@ -497,6 +505,13 @@ class TestHarnackCommand:
         assert "--min-sep" in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_cone_outside_the_paper_exits_3(self, fundamental_csv, capsys):
+        assert main(["harnack", "--profile", str(fundamental_csv),
+                     "--n", "4", "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n 4 --k 2: (n, k) = (4, 2) is not supercritical" in captured.err
+
     def test_analytic_family(self, tmp_path, capsys):
         r = geometric_grid(1.0, 1e-8, 0.8)
         c, theta = 0.6, 0.5
@@ -652,8 +667,38 @@ class TestVerifyCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "all checks passed" in out
         lines = out.splitlines()
-        assert len(lines) == 15 and all(ln.startswith("[PASS] ") for ln in lines[:-1])
+        assert len(lines) == 17 and all(ln.startswith("[PASS] ") for ln in lines[:-1])
         assert lines[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("module, name, broken, check", [
+        ("radial", "check_rw_monotone",
+         lambda f: lambda p: dataclasses.replace(f(p), monotone_ok=False),
+         "fundamental solution a=b=sigma=0 and classify"),
+        ("conformal", "jet_from_radial",
+         lambda f: lambda gauge, r, w, dw, d2w, bg: f(gauge, r, w, dw, d2w * (1 + 1e-6), bg),
+         "fundamental solution a=b=sigma=0 and classify"),
+        ("analysis", "p_laplacian_check",
+         lambda f: lambda p: (lambda rep: dataclasses.replace(rep, ratio=rep.ratio + 1e-9))(f(p)),
+         "Pucci annihilates the barrier"),
+        ("conformal", "schouten_eigenvalues",
+         lambda f: lambda jet: f(jet) + 1e-14,
+         "scalar eigenvalue and fold"),
+        ("radial", "classify_singularity",
+         lambda f: lambda p: (lambda rep: rep if rep.klass != "holder" else
+                              dataclasses.replace(rep, alpha_est=rep.alpha_est * 1.03))(f(p)),
+         "Holder exponent"),
+        ("analysis", "harnack_ratio",
+         lambda f: lambda *a: (lambda est: dataclasses.replace(est, c_est=est.c_est * 1.05))(f(*a)),
+         "Harnack ratio"),
+    ], ids=["rw-monotone", "matrix-W", "p-laplacian", "schouten", "holder-alpha", "harnack"])
+    def test_each_check_sees_its_fault(self, monkeypatch, capsys, module, name, broken, check):
+        mod = getattr(cli, module)
+        monkeypatch.setattr(mod, name, broken(getattr(mod, name)))
+        assert main(["verify", "--seed", "7"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("[FAIL] ")] == [
+            ln for ln in lines if ln.startswith(f"[FAIL] {check}: ")]
+        assert len(lines) == 17 and lines[-1] == "1 check(s) failed"
 
     @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
     def test_negative_seed_names_the_flag(self, capsys, seed):
@@ -920,7 +965,7 @@ class TestBatchedConeCheck:
     def test_verify_passes_at_other_seeds(self, capsys, seed):
         assert main(["verify", "--seed", str(seed)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 15 and lines[-1] == "all checks passed"
+        assert len(lines) == 17 and lines[-1] == "all checks passed"
         assert lines[2] == "[PASS] Gamma_k in Sigma_delta embedding: 0 failures / 10000"
 
     def test_cone_rows_match_the_scalar_tests(self):

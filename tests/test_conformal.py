@@ -7,7 +7,6 @@ from khessian.conformal import (
     Background,
     ConformalJet,
     Gauge,
-    conformal_laplacian_residual,
     convert_gauge,
     jet_from_radial,
     kelvin_transform,
@@ -199,27 +198,6 @@ class TestKelvin:
     def test_requires_positive_grid(self):
         with pytest.raises(ValueError):
             kelvin_transform([-1.0, 1.0], [1.0, 1.0], 3)
-
-
-class TestConformalLaplacian:
-    def test_fundamental_solution_harmonic(self):
-        n, r = 3, 0.8
-        val = r ** (2 - n)
-        d1 = (2 - n) * r ** (1 - n)
-        d2 = (2 - n) * (1 - n) * r ** (-n)
-        jet = jet_from_radial(Gauge.V, r, val, d1, d2, Background.flat(n))
-        assert conformal_laplacian_residual(jet) == pytest.approx(0.0, abs=1e-12)
-
-    def test_flat_constant(self):
-        jet = ConformalJet(Gauge.V, 1.0, np.zeros(3), np.zeros((3, 3)),
-                           Background.flat(3))
-        assert conformal_laplacian_residual(jet) == 0.0
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_round_sphere_constant(self, n):
-        jet = ConformalJet(Gauge.V, 1.0, np.zeros(n), np.zeros((n, n)),
-                           Background.round_sphere(n))
-        assert conformal_laplacian_residual(jet) == pytest.approx(n * (n - 2) / 4.0)
 
 
 def test_rhs_exponent_and_amplitude():

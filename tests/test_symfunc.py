@@ -9,7 +9,6 @@ from khessian.symfunc import (
     ConeParams,
     bordered_minor_identity_residual,
     in_gamma_k,
-    in_gamma_k_closure,
     in_sigma_delta,
     sigma,
     sigma_all,
@@ -104,10 +103,8 @@ class TestCones:
     def test_negative_sigma2(self):
         assert not in_gamma_k([-1.0, 1.0, 1.0], 2)
 
-    def test_boundary_open_vs_closed(self):
-        zero = np.zeros(4)
-        assert in_gamma_k_closure(zero, 1)
-        assert not in_gamma_k(zero, 1)
+    def test_boundary_outside_open_cone(self):
+        assert not in_gamma_k(np.zeros(4), 1)
 
     def test_cone_scaling(self):
         rng = np.random.default_rng(3)
@@ -390,10 +387,8 @@ class TestAgainstFormerKernels:
                 e = array_sigma_all(lam, k)[1:]
                 seen_boundary += bool(np.any(e == 0.0))
                 assert in_gamma_k(lam, k, margin) is bool(np.all(e > margin))
-                assert in_gamma_k_closure(lam, k, margin) is bool(np.all(e >= -margin))
                 if margin == 0.0:
                     assert in_gamma_k(lam, k) is bool(np.all(e > 0.0))
-                    assert in_gamma_k_closure(lam, k) is bool(np.all(e >= 0.0))
         assert seen_boundary > 100
 
     def test_eigenvalues_match_jacobi(self):
@@ -444,12 +439,12 @@ class TestAgainstFormerKernels:
         (lambda v: sigma(v, 1), [1.0, np.nan], "eigenvalue entries must be finite"),
         (lambda v: sigma_gradient(v, 1), [[1.0]], "eigenvalue input must be one-dimensional"),
         (lambda v: in_gamma_k(v, 1), [1.0, np.inf], "eigenvalue entries must be finite"),
-        (lambda v: in_gamma_k_closure(v, 1), 1.0, "eigenvalue input must be one-dimensional"),
+        (lambda v: in_gamma_k(v, 1), 1.0, "eigenvalue input must be one-dimensional"),
         (lambda v: in_sigma_delta(v, 0.1), [-np.inf, 1.0], "eigenvalue entries must be finite"),
         (lambda v: sigma_all(v, -1), [1.0], "kmax must be nonnegative"),
         (lambda v: sigma(v, 3), [1.0, 2.0], "sigma order j=3 out of range for 2 eigenvalues"),
         (lambda v: in_gamma_k(v, 1), [1.0], "cone membership needs at least two eigenvalues"),
-        (lambda v: in_gamma_k_closure(v, 3), [1.0, 2.0], "cone order k=3 out of range for n=2"),
+        (lambda v: in_gamma_k(v, 3), [1.0, 2.0], "cone order k=3 out of range for n=2"),
         (sym_eigenvalues, np.ones((2, 3)), "expected a square matrix"),
         (sym_eigenvalues, np.ones(3), "expected a square matrix"),
         (sym_eigenvalues, np.eye(17), "matrices larger than 16x16 are unsupported"),
