@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from . import radial
 from .radial import GridField, RadialProfile
@@ -156,8 +155,6 @@ def mollify(f: GridField, eps: float) -> GridField:
     every slab, so each output value is the same sum in the same order
     whatever the slabs and threads.
     """
-    # Imported here, not with the module: scipy.ndimage adds about 50 ms and
-    # 1.6 MB to every start of the package, and only mollify uses it.
     from scipy import ndimage
 
     f._require_finite()
@@ -610,6 +607,7 @@ def _w_callable(w, n: int):
     if callable(w):
         return w
     if isinstance(w, RadialProfile):
+        from scipy import interpolate
         interp = interpolate.PchipInterpolator(w.r, w.w, extrapolate=True)
         return lambda t: interp(t)
     raise TypeError("w must be a callable or a RadialProfile")
@@ -622,6 +620,7 @@ _ROOT_ULPS = 4.0
 
 
 def _quad(fn, a: float, b: float) -> float:
+    from scipy import integrate
     with warnings.catch_warnings():
         # divergence is reported through the accuracy check below
         warnings.simplefilter("ignore", integrate.IntegrationWarning)

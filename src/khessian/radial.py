@@ -243,6 +243,8 @@ def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
     innermost nodes); anything smaller is the Holder branch, whose exponent
     estimate 1 + slope comes from a log-log fit of w'.
     """
+    if len(p.r) < 3:
+        raise ValueError(f"classification needs at least 3 nodes, got {len(p.r)}")
     ab = ab_reduce(p)
     tol = _admissibility_tolerances(p, c_fd)
     if not radial_admissible(ab, p.cone, tol=tol).all():
@@ -847,13 +849,19 @@ def save_profile_csv(p: RadialProfile, path):
 def load_profile_csv(path, n: int, k: int) -> RadialProfile:
     """Read a profile CSV with columns r, w and optionally both dw and d2w.
 
-    A non-finite or unparsable value raises ValueError naming its column and
-    1-based data row.  np.loadtxt reads the rows under a header of distinct
-    identifiers; np.genfromtxt reads any other text, and rows np.loadtxt
-    refuses, with an unparsable or missing value as NaN.
+    np.loadtxt reads the rows under a header of distinct identifiers;
+    np.genfromtxt reads any other text, and rows np.loadtxt refuses, with an
+    unparsable or missing value as NaN.  Every fault raises ValueError naming
+    the file: no header line, a missing column r or w, no data rows, text
+    np.genfromtxt cannot split, a non-finite or unparsable value (with its
+    column and 1-based data row), an r column that is not positive and
+    strictly increasing, and fewer than 3 rows without derivative columns
+    (RadialProfile.from_samples' own message).
     """
     with open(path) as fh:
         text = fh.read()
+    if not text.strip():
+        raise ValueError(f"profile {path}: no header line")
     names = [name.strip() for name in text.partition("\n")[0].split(",")]
     columns = None
     if all(map(str.isidentifier, names)):                   # as np.genfromtxt keeps them
@@ -862,8 +870,14 @@ def load_profile_csv(path, n: int, k: int) -> RadialProfile:
             rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
             columns = np.rec.fromarrays(rows.T, dtype=[(name, float) for name in names])
     if columns is None:
-        columns = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
+        try:
+            columns = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
+        except ValueError as exc:
+            raise ValueError(f"profile {path}: {exc}") from None
     names = columns.dtype.names
+    for name in ("r", "w"):
+        if name not in names:
+            raise ValueError(f"profile {path}: no column {name}")
     wanted = ("r", "w", "dw", "d2w") if "dw" in names and "d2w" in names else ("r", "w")
     samples = {}
     for name in wanted:
@@ -872,5 +886,18 @@ def load_profile_csv(path, n: int, k: int) -> RadialProfile:
         if len(bad):
             raise ValueError(f"profile {path}: column {name} must be finite, "
                              f"data row {bad[0] + 1} is {samples[name][bad[0]]}")
-    return RadialProfile.from_samples(samples["r"], samples["w"], n, k,
-                                      dw=samples.get("dw"), d2w=samples.get("d2w"))
+    r = samples["r"]
+    if len(r) == 0:
+        raise ValueError(f"profile {path}: no data rows")
+    if r[0] <= 0.0:
+        raise ValueError(f"profile {path}: column r must be positive, data row 1 is {r[0]}")
+    bad = np.flatnonzero(np.diff(r) <= 0.0)
+    if len(bad):
+        i = bad[0] + 1
+        raise ValueError(f"profile {path}: column r must be strictly increasing, "
+                         f"data row {i + 1} is {r[i]} after {r[i - 1]}")
+    try:
+        return RadialProfile.from_samples(r, samples["w"], n, k,
+                                          dw=samples.get("dw"), d2w=samples.get("d2w"))
+    except ValueError as exc:
+        raise ValueError(f"profile {path}: {exc}") from None

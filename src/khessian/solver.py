@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .conformal import wgauge_rhs_amplitude, wgauge_rhs_exponent
 from .radial import RadialAB, radial_admissible, sigma_k_radial, sigma_k_radial_gradients
@@ -489,6 +487,7 @@ class RadialSystem:
     def solve_linear(self, J, rhs_vec):
         if self.N == 1:
             return rhs_vec / J[1, 0]
+        from scipy.linalg import solve_banded
         return solve_banded((1, 1), J, rhs_vec)
 
     # -- initial iterates ----------------------------------------------------
@@ -828,6 +827,8 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     the whole bordered matrix to a dense LU instead: O(n^3), but it raises
     only when the bordered matrix itself is singular.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     n = band.shape[1]
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:] = band

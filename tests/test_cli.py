@@ -550,6 +550,34 @@ class TestHarnackCommand:
         assert main([command, "--profile", str(fundamental_csv), "--n", "3", "--k", "2"]) == 3
         assert f"column {column} must be finite, data row 18" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["harnack", "classify"])
+    @pytest.mark.parametrize("text, fault", [
+        ("", "no header line"),
+        ("\n\n\n", "no header line"),
+        ("r,w\n", "no data rows"),
+        ("x,w\n1,2\n2,3\n3,4\n", "no column r"),
+        ("r,x\n1,2\n2,3\n3,4\n", "no column w"),
+        ("r,w\n2,2\n1,3\n3,4\n", "column r must be strictly increasing, data row 2 is 1.0 after 2.0"),
+        ("r,w\n1,2\n2,3\n2,4\n", "column r must be strictly increasing, data row 3 is 2.0 after 2.0"),
+        ("r,w\n-1,2\n1,3\n3,4\n", "column r must be positive, data row 1 is -1.0"),
+        ("r,w\n1,2\n2,3\n", "finite-difference mode needs at least 3 nodes"),
+        ("r,w\n1,2,3\n2,3\n", "Some errors were detected !\n    Line #2 (got 3 columns instead of 2)"),
+    ])
+    def test_profile_fault_names_the_file(self, tmp_path, capsys, command, text, fault):
+        path = tmp_path / "profile.csv"
+        path.write_text(text)
+        assert main([command, "--profile", str(path), "--n", "3", "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: profile {path}: {fault}\n"
+
+    def test_classify_needs_three_nodes(self, tmp_path, capsys):
+        path = tmp_path / "profile.csv"
+        path.write_text("r,w,dw,d2w\n1,2,2,-2\n2,3.4,1,-0.5\n")
+        assert main(["classify", "--profile", str(path), "--n", "3", "--k", "2"]) == 3
+        assert capsys.readouterr().err == ("classification failed: "
+                                           "classification needs at least 3 nodes, got 2\n")
+
 
 class TestVolumeCommand:
     def test_sphere_quadratic_coefficient(self, tmp_path, capsys):
