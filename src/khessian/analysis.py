@@ -89,7 +89,7 @@ class PLaplacianReport:
     nonnegative: bool
 
 
-def p_laplacian_check(profile: RadialProfile, c_fd: float = 10.0) -> PLaplacianReport:
+def p_laplacian_check(profile: RadialProfile) -> PLaplacianReport:
     """Evaluate the radial p-Laplacian of u = e^w with p - 2 = n(k-1)/(n-k).
 
     Expanding the flux derivative gives
@@ -106,7 +106,7 @@ def p_laplacian_check(profile: RadialProfile, c_fd: float = 10.0) -> PLaplacianR
     du = u * profile.dw
     d2u = u * (profile.d2w + profile.dw**2)
     ratio = ((p - 1.0) * d2u + (n - 1.0) * du / profile.r) / u
-    tol = 0.0 if profile.analytic else c_fd * float(profile.local_spacing().max())
+    tol = 0.0 if profile.analytic else radial.DEFAULT_C_FD * float(profile.local_spacing().max())
     return PLaplacianReport(p, ratio, float(ratio.min()), bool(ratio.min() >= -tol))
 
 
@@ -572,17 +572,14 @@ def harnack_from_w_profile(p: RadialProfile, min_sep: float = 0.0) -> HarnackEst
     return harnack_ratio(p.r, np.exp(-2.0 * p.w), p.cone, min_sep)
 
 
-def harnack_from_field(f: GridField, cone: ConeParams,
-                       min_sep: float | None = None) -> HarnackEstimate:
+def harnack_from_field(f: GridField, cone: ConeParams) -> HarnackEstimate:
     """Harnack estimate of a positive chi-gauge grid field.
 
-    Pairs closer than two grid cells are skipped by default: the sublinear
-    exponent amplifies finite-difference-scale noise at short distances.
+    Pairs closer than two grid cells are skipped: the sublinear exponent
+    amplifies finite-difference-scale noise at short distances.
     """
     f._require_finite()
-    if min_sep is None:
-        min_sep = 2.0 * f.spacing
-    return harnack_ratio(f.node_coordinates(), f.values.ravel(), cone, min_sep)
+    return harnack_ratio(f.node_coordinates(), f.values.ravel(), cone, 2.0 * f.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +614,8 @@ _EPS = float(np.finfo(float).eps)
 # A geodesic-radius root stops on a Newton step within this many ulps of rho
 # (8.9e-16 relative).
 _ROOT_ULPS = 4.0
+_END_TAIL_FRAC = 0.25
+_END_SLOPE_TOL = 0.05
 
 
 def _quad(fn, a: float, b: float) -> float:
@@ -735,6 +734,8 @@ def volume_ratio(w, n: int, s_values, mode: str = "origin",
                 Q[idx] = V / s**n
             if not np.isfinite(Q[idx]):
                 raise ValueError(f"volume ratio is not finite at s = {s:.6g}")
+            if Q[idx] == 0.0:
+                raise ValueError(f"volume ratio underflows to 0 at s = {s:.6g}")
     except OverflowError as exc:
         raise ValueError(f"volume ratio overflows at s = {s:.6g}") from exc
     return VolumeCurve(s_values, Q, omega, n, mode)
@@ -757,20 +758,19 @@ class EndCountResult:
     status: str                # "converged" or "inconclusive"
 
 
-def end_count(curve: VolumeCurve, tail_frac: float = 0.25,
-              slope_tol: float = 0.05) -> EndCountResult:
+def end_count(curve: VolumeCurve) -> EndCountResult:
     """Estimate the number of singular ends from the tail of a volume curve.
 
     Rounds n Q(r_max) / omega_n to the nearest integer; if Q still varies by
-    more than slope_tol (relatively) over the trailing tail_frac of the
-    curve, the result is flagged inconclusive.
+    more than _END_SLOPE_TOL (relatively) over the trailing _END_TAIL_FRAC of
+    the curve, the result is flagged inconclusive.
     """
     ratio = curve.n * float(curve.Q[-1]) / curve.omega_n
     m = int(round(ratio))
     residual = abs(ratio - m)
-    tail = curve.Q[curve.r >= (1.0 - tail_frac) * curve.r[-1]]
+    tail = curve.Q[curve.r >= (1.0 - _END_TAIL_FRAC) * curve.r[-1]]
     variation = float(np.ptp(tail) / max(abs(curve.Q[-1]), 1e-300))
-    status = "converged" if variation <= slope_tol else "inconclusive"
+    status = "converged" if variation <= _END_SLOPE_TOL else "inconclusive"
     return EndCountResult(m, ratio, residual, status)
 
 

@@ -257,6 +257,8 @@ _DOMAIN_KEYS = {
     "ball": {"type", "r1", "bc"},
     "sphere_constant": {"type"},
 }
+# Domain radii: their squares, and those of grid spacings and r1/r0, stay normal.
+_RADIUS = ("in [1e-50, 1e50]", lambda v: 1e-50 <= v <= 1e50)
 
 
 def _load_problem_spec(path):
@@ -264,6 +266,9 @@ def _load_problem_spec(path):
     spec = src.section(src.spec, "", _PROBLEM_KEYS[""])
     get = src.get
     cone = ConeParams(get(spec, "", "n", "integer"), get(spec, "", "k", "integer"))
+    # sigma_k_radial multiplies float arrays by ints up to k C(n-1, k-1).
+    if cone.k * math.comb(cone.n - 1, cone.k - 1) > sys.float_info.max:
+        src.fail(f"key 'n': C({cone.n - 1}, {cone.k - 1}) of the radial sigma_k overflows a float")
     p = get(spec, "", "p", "number")
     dom_spec = get(spec, "", "domain", "object")
     kind = get(dom_spec, "domain", "type", "string").lower()
@@ -271,11 +276,11 @@ def _load_problem_spec(path):
         src.fail(f"unknown domain type {kind!r}")
     src.section(dom_spec, "domain", _DOMAIN_KEYS[kind])
     if kind == "annulus":
-        domain = solver.Annulus(get(dom_spec, "domain", "r0", "number"),
-                                get(dom_spec, "domain", "r1", "number"),
+        domain = solver.Annulus(get(dom_spec, "domain", "r0", "number", within=_RADIUS),
+                                get(dom_spec, "domain", "r1", "number", within=_RADIUS),
                                 *get(dom_spec, "domain", "bc", "pair"))
     elif kind == "ball":
-        domain = solver.Ball(get(dom_spec, "domain", "r1", "number"),
+        domain = solver.Ball(get(dom_spec, "domain", "r1", "number", within=_RADIUS),
                              get(dom_spec, "domain", "bc", "number"))
     else:
         domain = solver.SphereConstant()
@@ -359,10 +364,10 @@ def cmd_solve(args) -> int:
             w = sol.w
             residual, floor = system.residual_floor(w, solver.vpower_rhs(problem.f, n, k, p))
             summary["regime"] = "subcritical"
-            summary["newton_iterations"] = sol.newton.iterations
-            summary["residual"] = sol.newton.residual
-            summary["terminal_order"] = _terminal_order(sol.newton.residual_history, floor)
-            summary["floor_limited"] = sol.newton.floor_limited
+            summary["newton_iterations"] = sol.iterations
+            summary["residual"] = sol.residual
+            summary["terminal_order"] = _terminal_order(sol.residual_history, floor)
+            summary["floor_limited"] = sol.floor_limited
         elif p == k:
             eig = solver.solve_eigenvalue(problem)
             w = eig.w
@@ -515,6 +520,9 @@ def _load_metric_spec(path):
         K = src.get(spec, "", "K", "number", 2.0)
         w = lambda t: max(2.0 * math.log(t), -K) if t > 0 else -K
     n = src.get(spec, "", "n", "integer", 3, _at_least(3))
+    if n > 343:
+        src.fail(f"key 'n' must be at most 343, got {n}: the area of the unit sphere "
+                 "S^(n-1) overflows a float")
     mode = src.get(spec, "", "mode", "string", "origin",
                    ("'origin' or 'end'", lambda v: v in ("origin", "end")))
     s_min = src.get(spec, "", "s_min", "number", 0.05, _POSITIVE)
@@ -750,7 +758,7 @@ def _verify_checks(seed: int):
         f"c2 {c2:.4f}, annulus rel err {vol_err:.2e}, {ends.m} end ({ends.status})")
 
     # 12. sphere: theta(3,2) = 3/16 and theta(4,3) = 1/2 to one ulp; the (3,2,4)
-    # fold t* = 3/32, and at t = 0.9 t* the two solutions v = e^(-w/2) of
+    # fold t* = 3/32 to four ulps, and at t = 0.9 t* the two solutions v = e^(-w/2) of
     # A v^2 = t (1 + v^4), A = 3/16: v^2 = (A -+ sqrt(A^2 - 4 t^2)) / (2 t)
     ulps = []
     for n, k, theta in [(3, 2, 3 / 16), (4, 3, 0.5)]:
@@ -765,7 +773,7 @@ def _verify_checks(seed: int):
     exact = [math.sqrt((A + sign * math.sqrt(A * A - 4 * t * t)) / (2 * t)) for sign in (-1, 1)]
     sols = sorted(math.exp(-0.5 * w[0]) for w in br.solutions_at(t))
     sol_err = max(abs(x - y) for x, y in zip(sols, exact)) if len(sols) == 2 else math.inf
-    ok = max(ulps) <= 1 and t_err <= 1e-8 * (3 / 32) and sol_err <= 1e-8
+    ok = max(ulps) <= 1 and t_err <= 4 * math.ulp(3 / 32) and sol_err <= 1e-8
     # the Schouten eigenvalues of the round sphere (w = 0) are all 1/2
     for n in (3, 4):
         jet = conformal.ConformalJet(conformal.Gauge.W, 0.0, np.zeros(n), np.zeros((n, n)),

@@ -50,8 +50,10 @@ __all__ = [
     "load_profile_csv",
 ]
 
-# Default multiplier for finite-difference inequality tolerances tau = c_fd * h.
+# Multiplier c_fd of the finite-difference inequality tolerances tau = c_fd * h.
 DEFAULT_C_FD = 10.0
+# Profiles whose extrapolated lim r w' is at least 2 - _EPS_CLASS are fundamental.
+_EPS_CLASS = 0.05
 
 
 def quadratic_fit_derivatives(x, f):
@@ -66,18 +68,21 @@ def quadratic_fit_derivatives(x, f):
     m = len(x)
     if m < 3:
         raise ValueError("need at least 3 nodes for finite differences")
-    d1 = np.empty(m)
-    d2 = np.empty(m)
     idx = np.clip(np.arange(m), 1, m - 2)
     x0, x1, x2 = x[idx - 1], x[idx], x[idx + 1]
     f0, f1, f2 = f[idx - 1], f[idx], f[idx + 1]
     c0 = 1.0 / ((x0 - x1) * (x0 - x2))
     c1 = 1.0 / ((x1 - x0) * (x1 - x2))
     c2 = 1.0 / ((x2 - x0) * (x2 - x1))
-    xe = x
-    d1 = f0 * c0 * (2 * xe - x1 - x2) + f1 * c1 * (2 * xe - x0 - x2) + f2 * c2 * (2 * xe - x0 - x1)
+    d1 = f0 * c0 * (2 * x - x1 - x2) + f1 * c1 * (2 * x - x0 - x2) + f2 * c2 * (2 * x - x0 - x1)
     d2 = 2.0 * (f0 * c0 + f1 * c1 + f2 * c2)
     return d1, d2
+
+
+def _local_spacing(r) -> np.ndarray:
+    """Per-node spacing: the longer adjacent cell, the one cell at either end."""
+    h = np.diff(r)
+    return np.r_[h[0], np.maximum(h[:-1], h[1:]), h[-1]]
 
 
 def geometric_grid(r_max: float, r_min: float, q: float = 0.8) -> np.ndarray:
@@ -125,8 +130,7 @@ class RadialProfile:
         return cls.from_samples(r, w(r), n, k, dw=dw(r), d2w=d2w(r))
 
     def local_spacing(self) -> np.ndarray:
-        h = np.diff(self.r)
-        return np.r_[h[0], np.maximum(h[:-1], h[1:]), h[-1]]
+        return _local_spacing(self.r)
 
 
 @dataclass
@@ -188,10 +192,10 @@ class MonotoneReport:
         return self.bounds_ok and self.monotone_ok
 
 
-def check_rw_monotone(p: RadialProfile, c_fd: float = DEFAULT_C_FD) -> MonotoneReport:
+def check_rw_monotone(p: RadialProfile) -> MonotoneReport:
     """Verify 0 <= r w' <= 2 and discrete monotonicity of r w' up to FD tolerance."""
     rw = p.r * p.dw
-    tol = 0.0 if p.analytic else c_fd * float(p.local_spacing().max())
+    tol = 0.0 if p.analytic else DEFAULT_C_FD * float(p.local_spacing().max())
     tol = max(tol, 1e-12 * max(1.0, float(np.abs(rw).max())))
     decreases = np.diff(rw)
     worst = float(-decreases.min()) if len(decreases) else 0.0
@@ -215,7 +219,7 @@ class SingularityReport:
     diagnostics: dict
 
 
-def _fd_cone_slack(r, dw, h, c_fd: float) -> np.ndarray:
+def _fd_cone_slack(r, dw, h) -> np.ndarray:
     """Finite-difference slack for discrete cone checks.
 
     Models first-derivative noise (h s^2) plus the second-derivative noise of
@@ -224,21 +228,20 @@ def _fd_cone_slack(r, dw, h, c_fd: float) -> np.ndarray:
     inflate its own tolerance.
     """
     s = np.maximum(1.0, np.minimum(np.abs(dw), 2.0 / r))
-    return c_fd * (h * s**2 + h**2 * s**4)
+    return DEFAULT_C_FD * (h * s**2 + h**2 * s**4)
 
 
-def _admissibility_tolerances(p: RadialProfile, c_fd: float) -> np.ndarray:
+def _admissibility_tolerances(p: RadialProfile) -> np.ndarray:
     """Per-node slack for cone checks; analytic derivatives get a rounding floor."""
     if p.analytic:
         return 1e-11 * np.maximum(1.0, p.dw**2 + np.abs(p.d2w))
-    return _fd_cone_slack(p.r, p.dw, p.local_spacing(), c_fd)
+    return _fd_cone_slack(p.r, p.dw, p.local_spacing())
 
 
-def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
-                         c_fd: float = DEFAULT_C_FD) -> SingularityReport:
+def classify_singularity(p: RadialProfile) -> SingularityReport:
     """Classify an admissible radial profile near r -> 0.
 
-    The extrapolated limit of r w' decides the dichotomy: >= 2 - eps_class
+    The extrapolated limit of r w' decides the dichotomy: >= 2 - _EPS_CLASS
     means the fundamental singularity w = 2 log r + C (offset fitted from the
     innermost nodes); anything smaller is the Holder branch, whose exponent
     estimate 1 + slope comes from a log-log fit of w'.
@@ -246,7 +249,7 @@ def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
     if len(p.r) < 3:
         raise ValueError(f"classification needs at least 3 nodes, got {len(p.r)}")
     ab = ab_reduce(p)
-    tol = _admissibility_tolerances(p, c_fd)
+    tol = _admissibility_tolerances(p)
     if not radial_admissible(ab, p.cone, tol=tol).all():
         combo = ab.a + p.cone.theta * ab.b
         worst = int(np.argmin(np.minimum(ab.b + tol, combo + tol)))
@@ -264,7 +267,7 @@ def classify_singularity(p: RadialProfile, eps_class: float = 0.05,
         limit = s2
     diagnostics = {"rw_limit": float(limit), "rw_inner": [float(s2), float(s1), float(s0)]}
 
-    if limit >= 2.0 - eps_class:
+    if limit >= 2.0 - _EPS_CLASS:
         offsets = p.w[:3] - 2.0 * np.log(p.r[:3])
         C = float(np.mean(offsets))
         diagnostics["offset_spread"] = float(np.ptp(offsets))
@@ -806,13 +809,12 @@ class EnvelopeCheck:
         return len(self.violations) == 0
 
 
-def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams,
-                             c_fd: float = DEFAULT_C_FD) -> EnvelopeCheck:
+def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams) -> EnvelopeCheck:
     """Discrete check of the envelope inequalities
 
         w~'/r - (w~')^2/2 >= 0   and   (w~'' + w~'/r) - (1-theta)(w~'/r - (w~')^2/2) >= 0
 
-    at interior nodes, with slack tau = c_fd * h * max(1, (w~')^2).  The check
+    at interior nodes, with slack tau = DEFAULT_C_FD * h * max(1, (w~')^2).  The check
     runs on the attained-radius samples, which are free of the O(h) ball
     quantization lag.  Both inequalities are discrete surrogates for the
     viscosity-sense statements; violations are listed with their magnitude.
@@ -824,8 +826,7 @@ def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams,
     d1, d2 = quadratic_fit_derivatives(r, wt)
     b = d1 / r - 0.5 * d1**2
     combo = (d2 + d1 / r) - (1.0 - cone.theta) * b
-    h = np.r_[np.diff(r)[0], np.maximum(np.diff(r)[:-1], np.diff(r)[1:]), np.diff(r)[-1]]
-    tol = _fd_cone_slack(r, d1, h, c_fd)
+    tol = _fd_cone_slack(r, d1, _local_spacing(r))
     violations = []
     for i in range(1, len(r) - 1):
         if b[i] < -tol[i]:

@@ -45,7 +45,6 @@ __all__ = [
     "assemble",
     "NewtonResult",
     "newton_solve",
-    "Solution",
     "solve_subcritical",
     "EigenResult",
     "solve_eigenvalue",
@@ -64,6 +63,11 @@ _REFINE_ULPS = 8.0
 _STEP_ULPS = 8.0
 # Damped Newton gives up once the step length falls below this.
 _MIN_DAMPING = 1e-12
+# Continuation: the longest arclength step and the most steps of one branch.
+_DS_MAX = 0.3
+_MAX_STEPS = 2000
+# validate_growth samples phi_v on 64 geometric points of this v range.
+_GROWTH_V_RANGE = (1e-3, 1e3)
 
 
 class SolverError(RuntimeError):
@@ -140,8 +144,6 @@ class SolverConfig:
     delta0: float = 1.0
     ds0: float = 0.05
     ds_min: float = 1e-12
-    ds_max: float = 0.3
-    max_steps: int = 2000
     t_start: float | None = None
     t_max: float = 10.0
     after_fold_frac: float = 0.7
@@ -256,16 +258,15 @@ class GeneralVRHS:
                 self.conv * base * pv)
 
 
-def validate_growth(phi_v, k: int, growth_class: str, v_lo: float = 1e-3,
-                    v_hi: float = 1e3, c0: float = 0.0):
+def validate_growth(phi_v, k: int, growth_class: str, c0: float = 0.0):
     """Numerically check a declared growth class at the sampled range endpoints.
 
     "floor_super": phi_v >= c0 > 0 on the range and v^{-k} phi_v increasing
     at the top (superlinear relative to v^k).
-    "crossing": v^{-k} phi_v smaller at v_lo than at v_hi (the ratio crosses
-    the eigenvalue level from below).
+    "crossing": v^{-k} phi_v smaller at the bottom of the range than at its
+    top (the ratio crosses the eigenvalue level from below).
     """
-    v = np.geomspace(v_lo, v_hi, 64)
+    v = np.geomspace(*_GROWTH_V_RANGE, 64)
     vals = np.asarray(phi_v(None, v), dtype=float)
     ratio = vals / v**k
     if growth_class == "floor_super":
@@ -355,9 +356,6 @@ class RadialSystem:
         d2 = (wp - 2 * wc + wm) / self.h**2
         half_sq = 0.5 * d1**2
         return d1, d2, RadialAB(d2 + half_sq, d1 / self.r_eq - half_sq)
-
-    def ab(self, w) -> RadialAB:
-        return self._stencil(w)[2]
 
     def admissible(self, w) -> bool:
         """Strict cone membership of w at every equation row."""
@@ -485,10 +483,14 @@ class RadialSystem:
         return F, _rounding_floor(w, J)
 
     def solve_linear(self, J, rhs_vec):
+        """J^-1 rhs_vec; SolverError when J is singular or not finite."""
         if self.N == 1:
             return rhs_vec / J[1, 0]
         from scipy.linalg import solve_banded
-        return solve_banded((1, 1), J, rhs_vec)
+        try:
+            return solve_banded((1, 1), J, rhs_vec)
+        except ValueError as exc:          # numpy's LinAlgError included
+            raise SolverError(f"Newton system: {exc}") from exc
 
     # -- initial iterates ----------------------------------------------------
 
@@ -515,7 +517,7 @@ class RadialSystem:
             candidates.append(base)
             for j in range(-2, 12):
                 c = math.exp(min(max(dom.w1, -50.0), 50.0)) * 2.0**j / dom.r1**2
-                candidates.append(np.log(math.exp(dom.w1) + c * r**2))
+                candidates.append(np.log(math.exp(min(dom.w1, _EXP_CLIP)) + c * r**2))
         # Near-extremal boundary data can leave every candidate a hair outside
         # the open cone; a small inward nudge (decreasing perturbation raises b
         # and a) recovers strict admissibility without moving off the basin.
@@ -556,7 +558,6 @@ class NewtonResult:
     w: np.ndarray
     residual_history: list
     iterations: int
-    converged: bool
     # True when the solve stopped on the Newton step or the rounding floor
     # instead of the residual tolerance.
     floor_limited: bool = False
@@ -629,7 +630,7 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
     history = [norm]
     for _ in range(config.max_iter):
         if norm <= config.tol:
-            return NewtonResult(w, history, len(history) - 1, True)
+            return NewtonResult(w, history, len(history) - 1)
         step = system.solve_linear(J, -G)
         snorm = float(np.abs(step).max())
         at_floor = _stop(w, step=snorm) is not None
@@ -654,14 +655,14 @@ def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
             if system.admissible(w + step):
                 w = w + step
                 history.append(float(np.abs(system.residual(w, rhs, t=t)).max()))
-            return NewtonResult(w, history, len(history) - 1, True, floor_limited=True)
+            return NewtonResult(w, history, len(history) - 1, floor_limited=True)
         w = trial
         G, J, F = accepted
         gnorm = float(np.abs(G).max())
         norm = float(np.abs(F).max())
         history.append(norm)
     if norm <= config.tol:
-        return NewtonResult(w, history, config.max_iter, True)
+        return NewtonResult(w, history, config.max_iter)
     raise _newton_failure(system, rhs, w, history, snorm,
                           f"did not converge in {config.max_iter} iterations", t)
 
@@ -679,16 +680,8 @@ def newton_solve(problem: RadialProblem, rhs, config: SolverConfig,
 # Case 1: p < k
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Solution:
-    w: np.ndarray
-    r: np.ndarray
-    newton: NewtonResult
-    diagnostics: dict = field(default_factory=dict)
-
-
 def solve_subcritical(problem: RadialProblem, config: SolverConfig,
-                      w0=None) -> Solution:
+                      w0=None) -> NewtonResult:
     """A solution of sigma_k(lambda(V)) = f v^p for p < k, by damped Newton
     from w0 (default: the system's initial guess).
 
@@ -704,8 +697,7 @@ def solve_subcritical(problem: RadialProblem, config: SolverConfig,
     if np.any(problem.f_values(system.r) <= 0.0):
         raise ValueError("f must be positive on the domain")
     seed = np.asarray(w0, dtype=float) if w0 is not None else system.initial_guess()
-    result = _damped_newton(system, rhs, seed, config)
-    return Solution(result.w, system.r, result, {"n": n})
+    return _damped_newton(system, rhs, seed, config)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +787,7 @@ class Branch:
         return found
 
 
-def _v_probe(system: RadialSystem, w, beta: float) -> float:
+def _v_probe(w, beta: float) -> float:
     mid = len(w) // 2
     return float(np.exp(-beta * w[mid]))
 
@@ -1044,11 +1036,11 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
 
     # Starting point: small-t solution.
     t = 0.01 if config.t_start is None else config.t_start
+    delta_of = rhs.delta if hasattr(rhs, "delta") else (lambda _t: 1.0)
     if system.kind == "sphere":
         # Seed from the small-parameter asymptotics sigma_const ~ t conv delta e^{k beta w}.
         conv = wgauge_rhs_amplitude(1.0, cone.n, cone.k)
-        d0 = rhs.delta(t) if hasattr(rhs, "delta") else 1.0
-        w0 = np.array([math.log(system.sigma_const / (t * conv * max(d0, 1e-12)))
+        w0 = np.array([math.log(system.sigma_const / (t * conv * max(delta_of(t), 1e-12)))
                        / (cone.k * beta)])
     else:
         w0 = system.initial_guess()
@@ -1059,12 +1051,11 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
     folds = []
     termination = "max steps"
     tau = _tangent(system, rhs, w, t, prev=None)
-    delta_of = rhs.delta if hasattr(rhs, "delta") else (lambda _t: 1.0)
-    samples.append(BranchSample(t, w.copy(), _v_probe(system, w, beta),
+    samples.append(BranchSample(t, w.copy(), _v_probe(w, beta),
                                 res.iterations, float(tau[-1]), float(delta_of(t))))
     ds = config.ds0
 
-    for _ in range(config.max_steps):
+    for _ in range(_MAX_STEPS):
         pred_w = w + ds * tau[:-1]
         pred_t = t + ds * tau[-1]
         try:
@@ -1090,15 +1081,15 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
             if ok and tf >= max(t, t_new) - _STEP_ULPS * _EPS * abs(tf) and (
                     math.hypot(float(np.linalg.norm(wf - w)), tf - t) <= 2.0 * chord):
                 fold = FoldMarker(tf, wf, True)
-                samples.append(BranchSample(tf, wf.copy(), _v_probe(system, wf, beta), 0, 0.0,
+                samples.append(BranchSample(tf, wf.copy(), _v_probe(wf, beta), 0, 0.0,
                                             float(delta_of(tf))))
             folds.append(fold)
 
         w, t, tau = w_new, t_new, tau_new
-        samples.append(BranchSample(t, w.copy(), _v_probe(system, w, beta),
+        samples.append(BranchSample(t, w.copy(), _v_probe(w, beta),
                                     iters, float(tau[-1]), float(delta_of(t))))
         if iters <= 3:
-            ds = min(ds * 1.4, config.ds_max)
+            ds = min(ds * 1.4, _DS_MAX)
         if not folds and t >= config.t_max:
             termination = "t_max reached"
             break

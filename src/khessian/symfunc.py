@@ -3,8 +3,7 @@
 Conventions: sigma_j denotes the j-th elementary symmetric polynomial of an
 eigenvalue vector, with sigma_0 = 1 (empty product).  The open cone Gamma_k
 is the set where sigma_1, ..., sigma_k are all strictly positive.  Cone
-comparisons against zero are exact by default; callers that need slack pass
-an explicit margin.
+tests compare against zero exactly.
 """
 
 from __future__ import annotations
@@ -141,14 +140,14 @@ def sigma_gradient(lam, k: int) -> np.ndarray:
     return np.array([_sigmas(xs[:i] + xs[i + 1:], k - 1)[k - 1] for i in range(n)])
 
 
-def in_gamma_k(lam, k: int, margin: float = 0.0) -> bool:
-    """Open-cone test: sigma_j(lam) > margin for all 1 <= j <= k."""
+def in_gamma_k(lam, k: int) -> bool:
+    """Open-cone test: sigma_j(lam) > 0 for all 1 <= j <= k."""
     lam = _as_vector(lam)
     if len(lam) < 2:
         raise ValueError("cone membership needs at least two eigenvalues")
     if not 1 <= k <= len(lam):
         raise ValueError(f"cone order k={k} out of range for n={len(lam)}")
-    return all(s > margin for s in _sigmas(lam.tolist(), k)[1:])
+    return all(s > 0.0 for s in _sigmas(lam.tolist(), k)[1:])
 
 
 def in_sigma_delta(lam, delta: float) -> bool:

@@ -110,7 +110,7 @@ def test_criterion_13_envelope():
             vals = u if vals is None else np.maximum(vals, u)
         field = radial.GridField(h, vals.reshape(161, 161))
         env = radial.radial_envelope(field, (0.0, 0.0), radii=radii)
-        check = radial.envelope_viscosity_check(env, cone, c_fd=10.0)
+        check = radial.envelope_viscosity_check(env, cone)
         all_ok &= check.passed
 
     # radial input: the envelope reproduces the profile to O(step)

@@ -819,9 +819,11 @@ class TestVolumeSweep:
         (lambda t: 0.0, [0.1], {"mode": "middle"}, "mode must be 'origin' or 'end'"),
         (lambda t: 0.0, [1e300], {}, "volume ratio overflows at s = 1e\\+300"),
         (lambda t: 0.0, [1e-200], {}, "volume ratio is not finite at s = 1e-200"),
+        (lambda t: 250.0, [1e-100], {}, "volume ratio underflows to 0 at s = 1e-100"),
     ], ids=["sphere_beyond_pi", "singular_center_in_origin_mode", "center_t_pow_minus_1_5",
             "center_t_pow_minus_1", "end_unreachable",
-            "radii_decreasing", "unknown_mode", "volume_overflows", "ratio_underflows"])
+            "radii_decreasing", "unknown_mode", "volume_overflows", "ratio_underflows",
+            "ratio_underflows_to_zero"])
     def test_errors(self, w, s, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             volume_ratio(w, 3, np.array(s), **kwargs)
@@ -874,7 +876,7 @@ class TestVolume:
         curve = volume_ratio(w, 3, s, mode="origin")
         assert np.all(np.diff(curve.Q) <= 1e-9)
         assert np.ptp(curve.Q) > 1e-3 * curve.Q[0]     # Q genuinely non-constant
-        res = end_count(curve, slope_tol=0.2)
+        res = end_count(curve)
         assert res.m == 1
 
     def test_euclidean_end_count(self):

@@ -645,6 +645,8 @@ class TestMetricLoader:
         ({"num": 2}, "key 'num' must be at least 3, got 2"),
         ({"n": 0}, "key 'n' must be at least 3, got 0"),
         ({"n": 1}, "key 'n' must be at least 3, got 1"),
+        ({"n": 344}, "key 'n' must be at most 343, got 344: the area of the unit sphere "
+                     "S^(n-1) overflows a float"),
         ({"rho_ref": -1}, "key 'rho_ref' must be positive, got -1.0"),
         ({"s_min": 0.0}, "key 's_min' must be positive, got 0.0"),
         ({"s_min": 0.6}, "key 's_max' must be greater than s_min = 0.6, got 0.5"),
@@ -778,6 +780,18 @@ class TestProblemLoader:
         spec = dict(sphere_spec(), domain=domain)
         assert run_problem(tmp_path, "solve", spec)[0] == 3
         assert capsys.readouterr().err.endswith(f"missing key {key!r}\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"domain": dict(ANNULUS, r0=1e-51)},
+         "key 'domain.r0' must be in [1e-50, 1e50], got 1e-51"),
+        ({"domain": dict(BALL, r1=0.0)}, "key 'domain.r1' must be in [1e-50, 1e50], got 0.0"),
+        ({"domain": dict(BALL, r1=2e50)}, "key 'domain.r1' must be in [1e-50, 1e50], got 2e+50"),
+        ({"n": 2000, "k": 1001}, "key 'n': C(1999, 1000) of the radial sigma_k overflows a float"),
+    ])
+    def test_out_of_range_value_is_named(self, tmp_path, capsys, change, message):
+        code, path = run_problem(tmp_path, "solve", dict(sphere_spec(), p=0.5, **change))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: problem file {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "continue"])
     @pytest.mark.parametrize("section, key", [

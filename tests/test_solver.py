@@ -81,7 +81,7 @@ class TestAssemble:
         class FDManufactured:
             def phi(self_, r, wv):
                 from khessian.radial import sigma_k_radial
-                ab = system.ab(w)
+                ab = system._stencil(w)[2]
                 return sigma_k_radial(ab, CONE32)
 
             def dphi_dw(self_, r, wv):
@@ -142,7 +142,6 @@ class TestNewton:
         for N in (64, 128, 256):
             res = newton_solve(manufactured_problem(), manufactured_rhs(1.0),
                                SolverConfig(N=N))
-            assert res.converged
             r = np.linspace(0.5, 2.0, N)
             errs[N] = np.abs(res.w - W_STAR(r)).max()
             hist = res.residual_history
@@ -160,7 +159,7 @@ class TestNewton:
         problem = RadialProblem(CONE32, SphereConstant(), p=0.0, f=1.0)
         rhs = vpower_rhs(1.0, 3, 2, 0.0)
         res = newton_solve(problem, rhs, SolverConfig(N=1))
-        assert res.converged and res.iterations <= 5
+        assert res.iterations <= 5
         w_exact = math.log((3 / 4) / 4)   # sigma_const = f~ e^w
         assert res.w[0] == pytest.approx(w_exact, abs=1e-10)
 
@@ -427,8 +426,7 @@ class TestContinuation:
         for d0 in (0.008, 0.002, 0.0005):
             problem = RadialProblem(CONE32, SphereConstant(), p=4.0, f=1.0)
             config = SolverConfig(N=1, delta0=d0, ds0=0.05, t_start=0.005,
-                                  t_max=5.0, after_fold_frac=0.2, ds_max=0.4,
-                                  max_steps=4000)
+                                  t_max=5.0, after_fold_frac=0.2)
             branch = continuation_supercritical(problem, config)
             sols = branch.solutions_at(1.0)
             vs = sorted(math.exp(-0.5 * w[0]) for w in sols)
@@ -482,8 +480,7 @@ class TestAnnulusContinuation:
                                 Annulus(0.5, 2.0, wstar(0.5), wstar(2.0)),
                                 p=4.0, f=1.0)
         config = SolverConfig(N=48, delta0=1.0, ds0=0.02, t_start=1e-3,
-                              t_max=50.0, after_fold_frac=0.7,
-                              max_steps=2000, ds_max=0.1)
+                              t_max=50.0, after_fold_frac=0.7)
         branch = continuation_supercritical(problem, config)
         assert len(branch.folds) == 1
         t_star = branch.t_star
@@ -649,7 +646,7 @@ class TestFoldRefinement:
         system = RadialSystem(problem, N)
         rhs = ContinuationRHS(CONE32, 4.0, 1.0, 1.0)
         F = system.residual(fold.w_star, rhs, t=fold.t_star)
-        sa, _ = sigma_k_radial_gradients(system.ab(fold.w_star), CONE32)
+        sa, _ = sigma_k_radial_gradients(system._stencil(fold.w_star)[2], CONE32)
         floor = (np.finfo(float).eps * np.abs(fold.w_star).max()
                  * np.abs(sa).max() / system.h**2)
         assert np.abs(F).max() <= 8.0 * floor
@@ -1100,7 +1097,7 @@ class TestFusedAssemblyOracle:
                     assert_same_bits(got[i], getattr(former, view)(system.r_eq, w[system.rows], t))
             if domain == "sphere":
                 return
-            ab, want_ab = system.ab(w), former_ab(system, w)
+            ab, want_ab = system._stencil(w)[2], former_ab(system, w)
             assert_same_bits(ab.a, want_ab.a)
             assert_same_bits(ab.b, want_ab.b)
         if state == "cone_edge":
@@ -1142,7 +1139,7 @@ class TestAssemblyCounts:
     def test_accepted_newton_step_does_not_call_residual(self, monkeypatch):
         calls = count_assemblies(monkeypatch)
         res = newton_solve(manufactured_problem(), manufactured_rhs(1.0), SolverConfig(N=64))
-        assert res.converged and not res.floor_limited and res.iterations >= 3
+        assert not res.floor_limited and res.iterations >= 3
         # Every step is accepted undamped: one evaluation per iterate.
         assert calls == {"root_residual_jacobian": res.iterations + 1}
 
@@ -1226,7 +1223,6 @@ class TestRoundingFloorStop:
         errs = []
         for N in (512, 1024, 2048, 4096, 8192):
             res = newton_solve(problem, rhs, SolverConfig(N=N))
-            assert res.converged
             if res.residual > 1e-10:
                 assert res.floor_limited
             errs.append(np.abs(res.w - exact(RadialSystem(problem, N).r)).max())
@@ -1235,7 +1231,7 @@ class TestRoundingFloorStop:
 
     def test_coarse_solve_is_not_floor_limited(self):
         res = newton_solve(manufactured_problem(), manufactured_rhs(1.0), SolverConfig(N=64))
-        assert res.converged and not res.floor_limited and res.residual <= 1e-10
+        assert not res.floor_limited and res.residual <= 1e-10
 
     def test_continuation_starts_and_refines_on_fine_grids(self):
         t_star = []

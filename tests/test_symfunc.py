@@ -377,8 +377,7 @@ class TestAgainstFormerKernels:
                 want = [array_sigma_all(np.delete(lam, i), k - 1)[k - 1] for i in range(n)]
                 assert np.array_equal(sigma_gradient(lam, k), want, equal_nan=True)
 
-    @pytest.mark.parametrize("margin", [0.0, 1e-12, 0.1, -0.1])
-    def test_cone_membership_unchanged(self, margin):
+    def test_cone_membership_unchanged(self):
         vectors = itertools.chain(boundary_vectors(),
                                   (v for v in random_vectors(23, count=12) if len(v) >= 2))
         seen_boundary = 0
@@ -386,9 +385,7 @@ class TestAgainstFormerKernels:
             for k in range(1, len(lam) + 1):
                 e = array_sigma_all(lam, k)[1:]
                 seen_boundary += bool(np.any(e == 0.0))
-                assert in_gamma_k(lam, k, margin) is bool(np.all(e > margin))
-                if margin == 0.0:
-                    assert in_gamma_k(lam, k) is bool(np.all(e > 0.0))
+                assert in_gamma_k(lam, k) is bool(np.all(e > 0.0))
         assert seen_boundary > 100
 
     def test_eigenvalues_match_jacobi(self):
