@@ -27,7 +27,6 @@ __all__ = [
     "pucci_delta",
     "pucci_min",
     "holder_barrier",
-    "PLaplacianReport",
     "p_laplacian_check",
     "mollify",
     "pointwise_max_fields",
@@ -81,20 +80,12 @@ def holder_barrier(r, n: int, k: int):
 # p-Laplacian reduction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PLaplacianReport:
-    p: float
-    ratio: np.ndarray          # Delta_p u / (u |u'|^{p-2}) per node
-    inf_ratio: float
-    nonnegative: bool
-
-
-def p_laplacian_check(profile: RadialProfile) -> PLaplacianReport:
+def p_laplacian_check(profile: RadialProfile) -> np.ndarray:
     """Evaluate the radial p-Laplacian of u = e^w with p - 2 = n(k-1)/(n-k).
 
     Expanding the flux derivative gives
         Delta_p u = |u'|^{p-2} [ (p-1) u'' + (n-1) u'/r ],
-    so the reported ratio Delta_p u / (u |u'|^{p-2}) is
+    so the returned per-node ratio Delta_p u / (u |u'|^{p-2}) is
     [(p-1) u'' + (n-1) u'/r] / u.  On a flat background an admissible profile
     gives a nonnegative ratio.
     """
@@ -105,9 +96,7 @@ def p_laplacian_check(profile: RadialProfile) -> PLaplacianReport:
     u = np.exp(profile.w)
     du = u * profile.dw
     d2u = u * (profile.d2w + profile.dw**2)
-    ratio = ((p - 1.0) * d2u + (n - 1.0) * du / profile.r) / u
-    tol = 0.0 if profile.analytic else radial.DEFAULT_C_FD * float(profile.local_spacing().max())
-    return PLaplacianReport(p, ratio, float(ratio.min()), bool(ratio.min() >= -tol))
+    return ((p - 1.0) * d2u + (n - 1.0) * du / profile.r) / u
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +557,15 @@ def harnack_ratio(coords, chi, cone: ConeParams, min_sep: float = 0.0) -> Harnac
 
 
 def harnack_from_w_profile(p: RadialProfile, min_sep: float = 0.0) -> HarnackEstimate:
-    """Harnack estimate of the conformal factor chi = e^{-2w} of a radial profile."""
-    return harnack_ratio(p.r, np.exp(-2.0 * p.w), p.cone, min_sep)
+    """Harnack estimate of the conformal factor chi = e^{-2w} of a radial profile.
+
+    The estimate is invariant under chi -> c chi, so w is centred on its
+    midrange first; a w that spans more than 708 raises ValueError.
+    """
+    span = float(np.ptp(p.w))
+    if not span <= 708.0:
+        raise ValueError(f"w spans {span:.6g}, more than 708: chi = e^(-2w) overflows a float")
+    return harnack_ratio(p.r, np.exp(-2.0 * (p.w - (p.w.min() + 0.5 * span))), p.cone, min_sep)
 
 
 def harnack_from_field(f: GridField, cone: ConeParams) -> HarnackEstimate:
@@ -597,7 +593,6 @@ class VolumeCurve:
     Q: np.ndarray              # Vol / r^n
     omega_n: float
     n: int
-    mode: str                  # "origin" or "end"
 
 
 def _w_callable(w, n: int):
@@ -738,7 +733,7 @@ def volume_ratio(w, n: int, s_values, mode: str = "origin",
                 raise ValueError(f"volume ratio underflows to 0 at s = {s:.6g}")
     except OverflowError as exc:
         raise ValueError(f"volume ratio overflows at s = {s:.6g}") from exc
-    return VolumeCurve(s_values, Q, omega, n, mode)
+    return VolumeCurve(s_values, Q, omega, n)
 
 
 def annulus_volume(w, r1: float, r2: float, n: int) -> float:
@@ -754,7 +749,6 @@ def annulus_volume(w, r1: float, r2: float, n: int) -> float:
 class EndCountResult:
     m: int
     ratio: float               # n Q(r_max) / omega_n before rounding
-    residual: float
     status: str                # "converged" or "inconclusive"
 
 
@@ -767,11 +761,10 @@ def end_count(curve: VolumeCurve) -> EndCountResult:
     """
     ratio = curve.n * float(curve.Q[-1]) / curve.omega_n
     m = int(round(ratio))
-    residual = abs(ratio - m)
     tail = curve.Q[curve.r >= (1.0 - _END_TAIL_FRAC) * curve.r[-1]]
     variation = float(np.ptp(tail) / max(abs(curve.Q[-1]), 1e-300))
     status = "converged" if variation <= _END_SLOPE_TOL else "inconclusive"
-    return EndCountResult(m, ratio, residual, status)
+    return EndCountResult(m, ratio, status)
 
 
 def fit_volume_expansion(curve: VolumeCurve):

@@ -121,12 +121,15 @@ def cmd_sigma(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _supercritical_cone(args) -> ConeParams:
-    """The cone of --n and --k, which must have k > n/2 (the paper treats
-    n/2 < k < n; k = n is accepted); a fault names both flags."""
+    """The cone of --n and --k, which must have n/2 < k < n, where the paper's
+    Harnack and Holder statements hold; a fault names both flags."""
     try:
-        return ConeParams(args.n, args.k).require_supercritical()
+        cone = ConeParams(args.n, args.k).require_supercritical()
+        if cone.k == cone.n:
+            raise ValueError("need k < n, where the Harnack and Holder statements hold")
     except ValueError as exc:
         raise ValueError(f"--n {args.n} --k {args.k}: {exc}") from None
+    return cone
 
 
 def cmd_classify(args) -> int:
@@ -261,11 +264,16 @@ _DOMAIN_KEYS = {
 _RADIUS = ("in [1e-50, 1e50]", lambda v: 1e-50 <= v <= 1e50)
 
 
-def _load_problem_spec(path):
+def _load_problem_spec(path, continuation=False):
+    """(problem, config, spec) of a problem file; with continuation, the file
+    must have p > k, as `continue` needs."""
     src = _JSONInput("problem file", path)
     spec = src.section(src.spec, "", _PROBLEM_KEYS[""])
     get = src.get
-    cone = ConeParams(get(spec, "", "n", "integer"), get(spec, "", "k", "integer"))
+    n = get(spec, "", "n", "integer", within=_at_least(3))
+    k = get(spec, "", "k", "integer",
+            within=(f"in (n/2, n] = ({n / 2:g}, {n}]", lambda v: n / 2 < v <= n))
+    cone = ConeParams(n, k)
     # sigma_k_radial multiplies float arrays by ints up to k C(n-1, k-1).
     if cone.k * math.comb(cone.n - 1, cone.k - 1) > sys.float_info.max:
         src.fail(f"key 'n': C({cone.n - 1}, {cone.k - 1}) of the radial sigma_k overflows a float")
@@ -276,9 +284,11 @@ def _load_problem_spec(path):
         src.fail(f"unknown domain type {kind!r}")
     src.section(dom_spec, "domain", _DOMAIN_KEYS[kind])
     if kind == "annulus":
-        domain = solver.Annulus(get(dom_spec, "domain", "r0", "number", within=_RADIUS),
-                                get(dom_spec, "domain", "r1", "number", within=_RADIUS),
-                                *get(dom_spec, "domain", "bc", "pair"))
+        r0 = get(dom_spec, "domain", "r0", "number", within=_RADIUS)
+        r1 = get(dom_spec, "domain", "r1", "number", within=(
+            f"{_RADIUS[0]} and greater than domain.r0 = {r0!r}",
+            lambda v: _RADIUS[1](v) and v > r0))
+        domain = solver.Annulus(r0, r1, *get(dom_spec, "domain", "bc", "pair"))
     elif kind == "ball":
         domain = solver.Ball(get(dom_spec, "domain", "r1", "number", within=_RADIUS),
                              get(dom_spec, "domain", "bc", "number"))
@@ -294,14 +304,17 @@ def _load_problem_spec(path):
             src.fail("key 'rhs.f_table' must have a strictly increasing r column")
         f = lambda r: np.interp(np.asarray(r, dtype=float), table[:, 0], table[:, 1])
     else:
-        f = get(rhs_spec, "rhs", "f_const", "number", 1.0)
+        # The p <= k solvers need f > 0 on the domain.
+        f = get(rhs_spec, "rhs", "f_const", "number", 1.0, _POSITIVE if p <= k else None)
     problem = solver.RadialProblem(cone, domain, p, f)
     sconf = src.section(get(spec, "", "solver", "object", {}), "solver", _PROBLEM_KEYS["solver"])
     N = get(sconf, "solver", "N", "integer", 129)
     try:
-        solver.RadialSystem(problem, N)
+        r = solver.RadialSystem(problem, N).r
     except ValueError as exc:
         src.fail(f"key 'solver.N': {exc}")
+    if p <= k and "f_table" in rhs_spec and np.any(problem.f_values(r) <= 0.0):
+        src.fail("key 'rhs.f_table' must give f > 0 at every grid node")
     cconf = src.section(get(spec, "", "continuation", "object", {}), "continuation",
                         _PROBLEM_KEYS["continuation"])
     # A null t_start asks for the default start, as an absent one does.
@@ -322,6 +335,8 @@ def _load_problem_spec(path):
         after_fold_frac=get(cconf, "continuation", "after_fold_frac", "number", 0.7,
                             ("in (0, 1)", lambda v: 0.0 < v < 1.0)),
     )
+    if continuation and not p > k:
+        src.fail(f"key 'p' must be greater than k = {k} for continuation, got {p!r}")
     return problem, config, spec
 
 
@@ -404,10 +419,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    problem, config, _ = _load_problem_spec(args.problem)
-    if problem.p <= problem.cone.k:
-        print("continuation requires p > k", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    problem, config, _ = _load_problem_spec(args.problem, continuation=True)
     try:
         branch = solver.continuation_supercritical(problem, config)
     except solver.SolverError as exc:
@@ -453,16 +465,19 @@ def cmd_envelope(args) -> int:
         raise ValueError("--n and --k go together: give both for the viscosity check, or neither")
     cone = None if args.n is None else _supercritical_cone(args)
     field = radial.GridField.load_raw(args.grid)
+    lo = field.origin
+    hi = field.origin + field.spacing * (np.array(field.values.shape) - 1.0)
+    if center.shape != lo.shape or not (np.all(lo < center) and np.all(center < hi)):
+        raise ValueError(f"--center {args.center} must be a point strictly inside the "
+                         f"{field.dims}-dimensional box of grid file {args.grid}")
     radii = None
     if args.step is not None:
-        lo = field.origin
-        hi = field.origin + field.spacing * (np.array(field.values.shape) - 1.0)
         rmax = float(min((center - lo).min(), (hi - center).min()))
         count = rmax / args.step
         if count > field.values.size:
             raise ValueError(f"--step {args.step} asks for {count:.4g} radii, "
                              f"more than the {field.values.size} grid nodes")
-        if 0.0 < rmax < args.step:
+        if rmax < args.step:
             raise ValueError(f"--step {args.step} exceeds the distance {rmax:.4g} "
                              "from --center to the box boundary")
         radii = args.step * np.arange(1, int(count) + 1)
@@ -470,9 +485,9 @@ def cmd_envelope(args) -> int:
     _write_csv(args.out, ["r", "wtilde", "r_attained"],
                [env.r, env.wtilde, env.r_attained])
     if cone is not None:
-        check = radial.envelope_viscosity_check(env, cone)
-        print(f"viscosity check: {len(check.violations)} violation(s)")
-        for v in check.violations[:10]:
+        violations = radial.envelope_viscosity_check(env, cone)
+        print(f"viscosity check: {len(violations)} violation(s)")
+        for v in violations[:10]:
             print(f"  r={v[1]:.6g} {v[2]} margin={v[3]:.3e}")
     return EXIT_OK
 
@@ -482,7 +497,10 @@ def cmd_harnack(args) -> int:
     if not args.min_sep >= 0.0:
         raise ValueError(f"--min-sep must be a nonnegative number, got {args.min_sep}")
     profile = radial.load_profile_csv(args.profile, args.n, args.k)
-    est = analysis.harnack_from_w_profile(profile, min_sep=args.min_sep)
+    try:
+        est = analysis.harnack_from_w_profile(profile, min_sep=args.min_sep)
+    except ValueError as exc:
+        raise ValueError(f"profile {args.profile}: {exc}") from None
     if est.c_est == -math.inf:
         raise ValueError(f"no two profile nodes are farther apart than --min-sep {args.min_sep}")
     payload = {
@@ -707,7 +725,7 @@ def _verify_checks(seed: int):
         radial.geometric_grid(1.0, 1e-6), 3, 2, lambda t: 2 * np.log(t) + 5.0, dw, d2w))
     ok = errs <= 1e-12 and rep.klass == "fundamental" and abs(rep.C - 5.0) <= 1e-10
     # r w' = 2 is monotone, and the curvature matrix W of its jets vanishes
-    ok &= radial.check_rw_monotone(p).passed
+    ok &= radial.check_rw_monotone(p)
     for t in p.r[::50]:
         jet = conformal.jet_from_radial(conformal.Gauge.W, t, 2 * math.log(t), dw(t), d2w(t),
                                         conformal.Background.flat(3))
@@ -731,7 +749,7 @@ def _verify_checks(seed: int):
             worst = max(worst, abs(P) / rr[i] ** (alpha - 2.0))
         ratio = analysis.p_laplacian_check(radial.RadialProfile.from_callables(
             rr, n, k, lambda t: alpha * np.log(t), lambda t: alpha / t,
-            lambda t: -alpha / t**2)).ratio
+            lambda t: -alpha / t**2))
         worst_p = max(worst_p, np.abs(ratio * rr**2).max())
     ok = worst_lap <= 1e-10 and worst_rad <= 1e-10 and worst <= 1e-12 and worst_p <= 1e-12
     yield "Pucci annihilates the barrier", ok, (

@@ -50,18 +50,17 @@ _POSITIVE_GAUGES = (Gauge.CHI, Gauge.V, Gauge.U)
 class Background:
     """Pointwise background data: the Schouten tensor of g0."""
 
-    kind: str
     n: int
     schouten: np.ndarray
 
     @classmethod
     def flat(cls, n: int) -> "Background":
-        return cls("flat", n, np.zeros((n, n)))
+        return cls(n, np.zeros((n, n)))
 
     @classmethod
     def round_sphere(cls, n: int) -> "Background":
         """Unit round sphere: Schouten = (1/2) g0."""
-        return cls("round_sphere", n, 0.5 * np.eye(n))
+        return cls(n, 0.5 * np.eye(n))
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,6 @@ __all__ = [
     "GridField",
     "EnvelopeProfile",
     "SingularityReport",
-    "MonotoneReport",
-    "EnvelopeCheck",
     "ab_reduce",
     "sigma_k_radial",
     "radial_admissible",
@@ -61,7 +59,8 @@ def quadratic_fit_derivatives(x, f):
 
     Interior nodes use the centered window, endpoints the one-sided window;
     this reproduces standard central differences on uniform grids and stays
-    second order (first derivative) on smoothly graded ones.
+    second order (first derivative) on smoothly graded ones.  Derivatives
+    that overflow a float raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -71,11 +70,14 @@ def quadratic_fit_derivatives(x, f):
     idx = np.clip(np.arange(m), 1, m - 2)
     x0, x1, x2 = x[idx - 1], x[idx], x[idx + 1]
     f0, f1, f2 = f[idx - 1], f[idx], f[idx + 1]
-    c0 = 1.0 / ((x0 - x1) * (x0 - x2))
-    c1 = 1.0 / ((x1 - x0) * (x1 - x2))
-    c2 = 1.0 / ((x2 - x0) * (x2 - x1))
-    d1 = f0 * c0 * (2 * x - x1 - x2) + f1 * c1 * (2 * x - x0 - x2) + f2 * c2 * (2 * x - x0 - x1)
-    d2 = 2.0 * (f0 * c0 + f1 * c1 + f2 * c2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0 = 1.0 / ((x0 - x1) * (x0 - x2))
+        c1 = 1.0 / ((x1 - x0) * (x1 - x2))
+        c2 = 1.0 / ((x2 - x0) * (x2 - x1))
+        d1 = f0 * c0 * (2 * x - x1 - x2) + f1 * c1 * (2 * x - x0 - x2) + f2 * c2 * (2 * x - x0 - x1)
+        d2 = 2.0 * (f0 * c0 + f1 * c1 + f2 * c2)
+    if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+        raise ValueError("finite-difference derivatives overflow a float")
     return d1, d2
 
 
@@ -177,37 +179,12 @@ def radial_admissible(ab: RadialAB, cone: ConeParams, strict: bool = False,
     return (ab.b >= -tol) & (combo >= -tol)
 
 
-@dataclass
-class MonotoneReport:
-    rw: np.ndarray
-    tol: float
-    min_value: float
-    max_value: float
-    worst_decrease: float
-    bounds_ok: bool
-    monotone_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.bounds_ok and self.monotone_ok
-
-
-def check_rw_monotone(p: RadialProfile) -> MonotoneReport:
-    """Verify 0 <= r w' <= 2 and discrete monotonicity of r w' up to FD tolerance."""
+def check_rw_monotone(p: RadialProfile) -> bool:
+    """Whether 0 <= r w' <= 2 and r w' is non-decreasing, up to the FD tolerance."""
     rw = p.r * p.dw
     tol = 0.0 if p.analytic else DEFAULT_C_FD * float(p.local_spacing().max())
     tol = max(tol, 1e-12 * max(1.0, float(np.abs(rw).max())))
-    decreases = np.diff(rw)
-    worst = float(-decreases.min()) if len(decreases) else 0.0
-    return MonotoneReport(
-        rw=rw,
-        tol=tol,
-        min_value=float(rw.min()),
-        max_value=float(rw.max()),
-        worst_decrease=worst,
-        bounds_ok=bool(rw.min() >= -tol and rw.max() <= 2.0 + tol),
-        monotone_ok=bool(worst <= tol),
-    )
+    return bool(rw.min() >= -tol and rw.max() <= 2.0 + tol and (np.diff(rw) >= -tol).all())
 
 
 @dataclass
@@ -248,15 +225,17 @@ def classify_singularity(p: RadialProfile) -> SingularityReport:
     """
     if len(p.r) < 3:
         raise ValueError(f"classification needs at least 3 nodes, got {len(p.r)}")
-    ab = ab_reduce(p)
-    tol = _admissibility_tolerances(p)
-    if not radial_admissible(ab, p.cone, tol=tol).all():
-        combo = ab.a + p.cone.theta * ab.b
-        worst = int(np.argmin(np.minimum(ab.b + tol, combo + tol)))
-        raise ValueError(
-            "profile is not admissible near r={:.3e}: b={:.3e}, a+theta*b={:.3e}".format(
-                p.r[worst], ab.b[worst], combo[worst])
-        )
+    # An a or b that overflows is not finite, which fails the cone test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = ab_reduce(p)
+        tol = _admissibility_tolerances(p)
+        if not radial_admissible(ab, p.cone, tol=tol).all():
+            combo = ab.a + p.cone.theta * ab.b
+            worst = int(np.argmin(np.minimum(ab.b + tol, combo + tol)))
+            raise ValueError(
+                "profile is not admissible near r={:.3e}: b={:.3e}, a+theta*b={:.3e}".format(
+                    p.r[worst], ab.b[worst], combo[worst])
+            )
 
     rw = p.r * p.dw
     s0, s1, s2 = rw[2], rw[1], rw[0]       # decreasing radius order
@@ -583,16 +562,17 @@ class GridField:
         if self.values.ndim not in (2, 3):
             raise ValueError("grid fields must be 2- or 3-dimensional")
         self._require_finite()
-        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise ValueError("spacing must be positive and finite")
+        # Bounded so that node distances and their squares stay normal floats.
+        if not 1e-50 <= self.spacing <= 1e50:
+            raise ValueError(f"spacing must lie in [1e-50, 1e50], got {self.spacing}")
         if self.origin is None:
             # Center the box on the coordinate origin by default.
             self.origin = -0.5 * self.spacing * (np.array(self.values.shape) - 1.0)
         self.origin = np.asarray(self.origin, dtype=float)
         if self.origin.shape != (self.values.ndim,):
             raise ValueError("origin length must match field dimension")
-        if not np.isfinite(self.origin).all():
-            raise ValueError("origin must be finite")
+        if not (np.abs(self.origin) <= 1e50).all():
+            raise ValueError("origin must lie in [-1e50, 1e50]")
 
     def _require_finite(self):
         """Raise ValueError naming the first node whose value is not finite.
@@ -721,7 +701,6 @@ class EnvelopeProfile:
     r: np.ndarray
     wtilde: np.ndarray
     r_attained: np.ndarray
-    provenance: dict
 
     def attained_samples(self):
         """Deduplicated (r_attained, wtilde) samples on a strictly increasing grid."""
@@ -789,27 +768,10 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
     # Ties keep the earlier bin, whose attaining node lies closer to the center.
     improved = np.r_[True, bin_max[1:] > running_max[:-1]]
     first = np.maximum.accumulate(np.where(improved, np.arange(len(radii)), 0))
-    return EnvelopeProfile(radii, running_max, bin_dist[first], {
-        "center": center.tolist(),
-        "shape": list(f.values.shape),
-        "spacing": f.spacing,
-    })
+    return EnvelopeProfile(radii, running_max, bin_dist[first])
 
 
-@dataclass
-class EnvelopeCheck:
-    r: np.ndarray
-    b: np.ndarray
-    combo: np.ndarray
-    tol: np.ndarray
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return len(self.violations) == 0
-
-
-def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams) -> EnvelopeCheck:
+def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams) -> list:
     """Discrete check of the envelope inequalities
 
         w~'/r - (w~')^2/2 >= 0   and   (w~'' + w~'/r) - (1-theta)(w~'/r - (w~')^2/2) >= 0
@@ -817,15 +779,17 @@ def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams) -> EnvelopeCh
     at interior nodes, with slack tau = DEFAULT_C_FD * h * max(1, (w~')^2).  The check
     runs on the attained-radius samples, which are free of the O(h) ball
     quantization lag.  Both inequalities are discrete surrogates for the
-    viscosity-sense statements; violations are listed with their magnitude.
+    viscosity-sense statements.  Returns the violations, each as (node,
+    r, inequality, margin); an empty list passes.
     """
     cone.require_supercritical()
     r, wt = e.attained_samples()
     if len(r) < 5:
         raise ValueError("envelope too short for a finite-difference check")
     d1, d2 = quadratic_fit_derivatives(r, wt)
-    b = d1 / r - 0.5 * d1**2
-    combo = (d2 + d1 / r) - (1.0 - cone.theta) * b
+    with np.errstate(over="ignore", invalid="ignore"):     # a b of -inf is a violation
+        b = d1 / r - 0.5 * d1**2
+        combo = (d2 + d1 / r) - (1.0 - cone.theta) * b
     tol = _fd_cone_slack(r, d1, _local_spacing(r))
     violations = []
     for i in range(1, len(r) - 1):
@@ -833,7 +797,7 @@ def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams) -> EnvelopeCh
             violations.append((int(i), float(r[i]), "b", float(b[i])))
         if combo[i] < -tol[i]:
             violations.append((int(i), float(r[i]), "a+theta*b", float(combo[i])))
-    return EnvelopeCheck(r, b, combo, tol, violations)
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -890,8 +854,10 @@ def load_profile_csv(path, n: int, k: int) -> RadialProfile:
     r = samples["r"]
     if len(r) == 0:
         raise ValueError(f"profile {path}: no data rows")
-    if r[0] <= 0.0:
-        raise ValueError(f"profile {path}: column r must be positive, data row 1 is {r[0]}")
+    bad = np.flatnonzero(~((r >= 1e-50) & (r <= 1e50)))
+    if len(bad):
+        raise ValueError(f"profile {path}: column r must lie in [1e-50, 1e50], "
+                         f"data row {bad[0] + 1} is {r[bad[0]]}")
     bad = np.flatnonzero(np.diff(r) <= 0.0)
     if len(bad):
         i = bad[0] + 1

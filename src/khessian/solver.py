@@ -494,6 +494,8 @@ class RadialSystem:
 
     # -- initial iterates ----------------------------------------------------
 
+    # A candidate whose stencil overflows fails the cone test, without a warning.
+    @np.errstate(over="ignore", invalid="ignore")
     def initial_guess(self):
         if self.kind == "sphere":
             return np.zeros(1)
@@ -607,6 +609,8 @@ def _newton_failure(system, rhs, w, history, step, what, t=None):
         diagnostics={"w_best": w.copy(), "floor": floor, "step": step})
 
 
+# As in _corrector, an overflow ends in SolverError, without a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _damped_newton(system: RadialSystem, rhs, w0, config: SolverConfig,
                    t=None) -> NewtonResult:
     """Cone-guarded damped Newton, with a t-dependent rhs taken at t when t is given.
@@ -708,7 +712,6 @@ def solve_subcritical(problem: RadialProblem, config: SolverConfig,
 class EigenResult:
     theta: float
     w: np.ndarray              # w = 0; every constant factor is a solution
-    r: np.ndarray
     residual_check: float      # sup norm of the residual at w with theta f
 
 
@@ -731,7 +734,7 @@ def solve_eigenvalue(problem: RadialProblem) -> EigenResult:
     theta = system.sigma_const / wgauge_rhs_amplitude(f, n, k)
     w = np.zeros(1)
     residual_check = float(np.abs(system.residual(w, vpower_rhs(theta * f, n, k, k))).max())
-    return EigenResult(theta, w, system.r, residual_check)
+    return EigenResult(theta, w, residual_check)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +763,6 @@ class Branch:
     samples: list
     folds: list
     termination: str
-    cone: ConeParams
     _system: RadialSystem = field(repr=False, default=None)
     _rhs: object = field(repr=False, default=None)
     _config: SolverConfig = field(repr=False, default=None)
@@ -1100,7 +1102,7 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
             termination = "solution norm blow-up"
             break
 
-    return Branch(samples, folds, termination, cone, system, rhs, config)
+    return Branch(samples, folds, termination, system, rhs, config)
 
 
 def continuation_supercritical(problem: RadialProblem, config: SolverConfig) -> Branch:

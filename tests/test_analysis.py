@@ -99,23 +99,19 @@ class TestPLaplacian:
         r = np.geomspace(0.05, 2.0, 60)
         p = RadialProfile.from_callables(r, 3, 2, lambda t: 2 * np.log(t),
                                          lambda t: 2.0 / t, lambda t: -2.0 / t**2)
-        rep = p_laplacian_check(p)
-        assert rep.p == pytest.approx(5.0)
-        assert rep.nonnegative and rep.inf_ratio >= 0.0
+        assert p_laplacian_check(p).min() >= 0.0
 
     def test_constant_u(self):
         r = np.geomspace(0.05, 2.0, 30)
         p = RadialProfile.from_callables(r, 3, 2, lambda t: 0 * t,
                                          lambda t: 0 * t, lambda t: 0 * t)
-        rep = p_laplacian_check(p)
-        assert np.abs(rep.ratio).max() == 0.0
+        assert np.abs(p_laplacian_check(p)).max() == 0.0
 
     def test_negative_control(self):
         r = np.geomspace(0.05, 2.0, 40)
         p = RadialProfile.from_callables(r, 3, 2, lambda t: -5 * t**2,
                                          lambda t: -10 * t, lambda t: -10 + 0 * t)
-        rep = p_laplacian_check(p)
-        assert not rep.nonnegative and rep.inf_ratio < 0.0
+        assert p_laplacian_check(p).min() < 0.0
 
     def test_k_equals_n_unsupported(self):
         r = np.geomspace(0.1, 1.0, 10)
@@ -864,7 +860,7 @@ class TestVolume:
         assert np.all(np.diff(curve.Q) <= 1e-9)
         res = end_count(curve)
         assert res.m == 1 and res.status == "converged"
-        assert res.residual <= 0.01
+        assert abs(res.ratio - res.m) <= 0.01
 
     def test_truncated_singularity_metric(self):
         # cap w = max(2 log rho, -K): flat near the origin, fundamental outside
@@ -882,7 +878,7 @@ class TestVolume:
     def test_euclidean_end_count(self):
         s = np.linspace(0.5, 4.0, 10)
         res = end_count(volume_ratio(lambda t: 0.0, 3, s))
-        assert res.m == 1 and res.residual <= 1e-9
+        assert res.m == 1 and abs(res.ratio - res.m) <= 1e-9
 
     def test_inconclusive_tail_flagged(self):
         s = np.linspace(0.2, 0.9, 12)

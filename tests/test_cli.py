@@ -147,6 +147,14 @@ class TestClassifyCommand:
         assert captured.out == ""
         assert "--n 4 --k 2: (n, k) = (4, 2) is not supercritical" in captured.err
 
+    def test_k_equal_to_n_exits_3(self, fundamental_csv, capsys):
+        # The Harnack and Holder statements hold for n/2 < k < n.
+        assert main(["classify", "--profile", str(fundamental_csv),
+                     "--n", "3", "--k", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n 3 --k 3: need k < n" in captured.err
+
 
 class TestSolveCommand:
     def test_eigenvalue_regime(self, tmp_path, capsys):
@@ -168,19 +176,19 @@ class TestSolveCommand:
         assert csv_lines[0] == "r,w,v,residual"
         assert [float(x) for x in csv_lines[1].split(",")] == [1.0, 0.0, 1.0, 0.0]
 
-    @pytest.mark.parametrize("rhs", [
-        {"f_const": 0.0},
-        {"f_const": -1.0},
-        {"f_table": [[0.0, 1.0], [1.0, -1.0], [2.0, 1.0]]},
+    @pytest.mark.parametrize("rhs, key", [
+        ({"f_const": 0.0}, "rhs.f_const"),
+        ({"f_const": -1.0}, "rhs.f_const"),
+        ({"f_table": [[0.0, 1.0], [1.0, -1.0], [2.0, 1.0]]}, "rhs.f_table"),
     ], ids=["zero", "negative", "table_negative_at_1"])
-    def test_eigenvalue_with_f_not_positive_exits_3(self, tmp_path, capsys, rhs):
+    def test_eigenvalue_with_f_not_positive_exits_3(self, tmp_path, capsys, rhs, key):
         spec = {"n": 3, "k": 2, "p": 2.0, "domain": {"type": "sphere_constant"},
                 "rhs": rhs, "solver": {"N": 1}}
         path = tmp_path / "eigen.json"
         path.write_text(json.dumps(spec))
         code = main(["solve", "--problem", str(path), "--out-prefix", str(tmp_path / "eig")])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: f must be positive")
+        assert capsys.readouterr().err.startswith(f"error: problem file {path}: key '{key}' must")
         assert not (tmp_path / "eig_summary.json").exists()
 
     @pytest.mark.parametrize("domain", [
@@ -417,7 +425,7 @@ class TestEnvelopeCommand:
         ("dims 2\nshape 3 four\nspacing 0.5\n" + "\n".join(GRID_ROWS), "malformed header"),
         ("dims 2\nshape 0 4\nspacing 0.5\n", "shape entries must be positive"),
         ("dims 2\nshape 3 4\nspacing inf\n" + "\n".join(GRID_ROWS),
-         "spacing must be positive and finite"),
+         "spacing must lie in [1e-50, 1e50], got inf"),
         (GRID_HEADER + "1 2 3 4\n5 abc 7 8\n9 10 11 12",
          "unparsable value 'abc' in data row 2, column 2"),
         (GRID_HEADER + "# comment\n1 2 3 4\n\n5 6 7\n9 10 11 12",
@@ -435,11 +443,15 @@ class TestEnvelopeCommand:
 
     @pytest.mark.parametrize("text, message", [
         (GRID_HEADER.replace("0.5", "0") + "\n".join(GRID_ROWS),
-         "spacing must be positive and finite"),
+         "spacing must lie in [1e-50, 1e50], got 0.0"),
         ("dims 1\nshape 3\nspacing 0.5\n1\n2\n3", "grid fields must be 2- or 3-dimensional"),
         (GRID_HEADER + "origin 0 0 0\n" + "\n".join(GRID_ROWS),
          "origin length must match field dimension"),
-    ], ids=["zero-spacing", "one-dimension", "origin-length"])
+        (GRID_HEADER.replace("0.5", "1e300") + "\n".join(GRID_ROWS),
+         "spacing must lie in [1e-50, 1e50], got 1e+300"),
+        (GRID_HEADER + "origin 0 -1e60\n" + "\n".join(GRID_ROWS),
+         "origin must lie in [-1e50, 1e50]"),
+    ], ids=["zero-spacing", "one-dimension", "origin-length", "huge-spacing", "huge-origin"])
     def test_field_faults_name_the_file(self, tmp_path, capsys, text, message):
         # Faults that GridField finds in a read field carry the file's name too.
         path = tmp_path / "bad.grid"
@@ -471,12 +483,17 @@ class TestEnvelopeCommand:
         (["--n", "3", "--k", "0"], "--k"),
         (["--n", "3", "--k", "5"], "--k"),
         (["--n", "4", "--k", "2"], "--k"),
+        (["--n", "3", "--k", "3"], "--n 3 --k 3: need k < n"),
         (["--n", "2", "--k", "2"], "--n"),
         (["--n", "3"], "--k"),
         (["--k", "2"], "--n"),
+        (["--center", "5,0", "--step", "0.1"], "--center 5,0 must be a point strictly inside"),
+        (["--center=-1e300,0", "--step", "0.1"], "--center -1e300,0 must be a point"),
+        (["--center", "0,0,0", "--step", "0.1"], "--center 0,0,0 must be a point"),
     ], ids=["step-0", "step-negative", "step-nan", "step-inf", "step-1e-300", "step-1e-9",
             "step-beyond-box", "center-letters",
-            "center-empty", "k-0", "k-5", "not-supercritical", "n-2", "n-alone", "k-alone"])
+            "center-empty", "k-0", "k-5", "not-supercritical", "k-equal-n", "n-2", "n-alone",
+            "k-alone", "center-outside", "center-far-outside", "center-3d"])
     def test_bad_flag_exits_3(self, tmp_path, capsys, monkeypatch, flags, named):
         # A flag is rejected before any array is sized by it.
         arange = np.arange
@@ -511,6 +528,13 @@ class TestHarnackCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--n 4 --k 2: (n, k) = (4, 2) is not supercritical" in captured.err
+
+    def test_k_equal_to_n_exits_3(self, fundamental_csv, capsys):
+        assert main(["harnack", "--profile", str(fundamental_csv),
+                     "--n", "3", "--k", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n 3 --k 3: need k < n" in captured.err
 
     def test_analytic_family(self, tmp_path, capsys):
         r = geometric_grid(1.0, 1e-8, 0.8)
@@ -559,8 +583,12 @@ class TestHarnackCommand:
         ("r,x\n1,2\n2,3\n3,4\n", "no column w"),
         ("r,w\n2,2\n1,3\n3,4\n", "column r must be strictly increasing, data row 2 is 1.0 after 2.0"),
         ("r,w\n1,2\n2,3\n2,4\n", "column r must be strictly increasing, data row 3 is 2.0 after 2.0"),
-        ("r,w\n-1,2\n1,3\n3,4\n", "column r must be positive, data row 1 is -1.0"),
+        ("r,w\n-1,2\n1,3\n3,4\n", "column r must lie in [1e-50, 1e50], data row 1 is -1.0"),
         ("r,w\n1,2\n2,3\n", "finite-difference mode needs at least 3 nodes"),
+        ("r,w\n1,2\n2,3\n1e60,4\n", "column r must lie in [1e-50, 1e50], data row 3 is 1e+60"),
+        ("r,w\n1e-60,2\n2,3\n3,4\n", "column r must lie in [1e-50, 1e50], data row 1 is 1e-60"),
+        ("r,w\n1,0\n1.0000000000000002,1e300\n3,0\n",
+         "finite-difference derivatives overflow a float"),
         ("r,w\n1,2,3\n2,3\n", "Some errors were detected !\n    Line #2 (got 3 columns instead of 2)"),
     ])
     def test_profile_fault_names_the_file(self, tmp_path, capsys, command, text, fault):
@@ -702,13 +730,13 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("module, name, broken, check", [
         ("radial", "check_rw_monotone",
-         lambda f: lambda p: dataclasses.replace(f(p), monotone_ok=False),
+         lambda f: lambda p: False,
          "fundamental solution a=b=sigma=0 and classify"),
         ("conformal", "jet_from_radial",
          lambda f: lambda gauge, r, w, dw, d2w, bg: f(gauge, r, w, dw, d2w * (1 + 1e-6), bg),
          "fundamental solution a=b=sigma=0 and classify"),
         ("analysis", "p_laplacian_check",
-         lambda f: lambda p: (lambda rep: dataclasses.replace(rep, ratio=rep.ratio + 1e-9))(f(p)),
+         lambda f: lambda p: f(p) + 1e-9,
          "Pucci annihilates the barrier"),
         ("conformal", "schouten_eigenvalues",
          lambda f: lambda jet: f(jet) + 1e-14,

@@ -14,9 +14,16 @@ A defaulted parameter of a public function, method or class (a dataclass
 field is a parameter of its class) that some call in src/ or perfbench/
 reaches must be passed, by keyword or by position, by at least one of those
 calls; a value nothing sets is a module constant, not a parameter.
+
+A field of a dataclass in a module's `__all__`, unless its name starts with
+`_`, must be read as an attribute in src/ or perfbench/ on a receiver other
+than `self` or `cls`; a value no caller reads is not returned.  Like the
+other checks this one matches names, so a read of a same-named attribute of
+another class counts.
 """
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -57,6 +64,14 @@ KEEP_PARAMS = {
                                                "maximum acceptance tests need",
     "analysis.u_field_admissible_mask.strict": "the open cone Gamma_k, which tests check "
                                                "beside the closed one",
+}
+
+# Dataclass fields kept although nothing in src/ or perfbench/ reads them,
+# each with the reason.  An entry that gains a reader, or is deleted, fails
+# test_keep_fields_list_is_needed.
+KEEP_FIELDS = {
+    "solver.BranchSample.tangent_t": "tests locate the fold bracket by the sign change of "
+                                     "the tangent's t-component that _continue_branch tests",
 }
 
 
@@ -156,6 +171,31 @@ def _unset_parameters():
     return unset
 
 
+def _read_attributes(paths):
+    """Attribute names loaded in the files at paths on a receiver other than
+    self or cls."""
+    names = set()
+    for tree in _trees(paths):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                names.add(node.attr)
+    return names
+
+
+def _unread_fields():
+    names = _read_attributes(SOURCES + BENCH)
+    unread = []
+    for mod in MODULES:
+        layer = mod.__name__.rsplit(".", 1)[-1]
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+                unread += [f"{layer}.{name}.{fld.name}" for fld in dataclasses.fields(obj)
+                           if not fld.name.startswith("_") and fld.name not in names]
+    return unread
+
+
 def test_every_public_function_has_a_caller():
     unreached = [dotted for dotted in _unreached() if dotted not in KEEP]
     assert not unreached, "public code that only tests reach: " + ", ".join(unreached)
@@ -174,3 +214,13 @@ def test_every_parameter_is_set_by_a_caller():
 def test_keep_params_list_is_needed():
     stale = set(KEEP_PARAMS) - set(_unset_parameters())
     assert not stale, f"keep-params entries with a caller, or deleted: {sorted(stale)}"
+
+
+def test_every_field_is_read():
+    unread = [dotted for dotted in _unread_fields() if dotted not in KEEP_FIELDS]
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def test_keep_fields_list_is_needed():
+    stale = set(KEEP_FIELDS) - set(_unread_fields())
+    assert not stale, f"keep-fields entries with a reader, or deleted: {sorted(stale)}"
