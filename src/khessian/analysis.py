@@ -135,8 +135,8 @@ def mollify(f: GridField, eps: float) -> GridField:
 
     Lattice offsets are grouped by their leading coordinates: all offsets
     whose leading part has the same squared length share one 1-D kernel along
-    the last axis.  The output is computed in slabs of planes along axis 0 on
-    radial._in_order, one pinned thread per usable CPU.  For each group, a slab of
+    the last axis.  The output is computed in slabs of planes along axis 0 by
+    radial._over_slabs, one pinned thread per usable CPU.  For each group, a slab of
     output planes [i0, i1) correlates the input planes that the group's
     leading offsets reach, [i0 + m - r, i1 + m + r) with r <= m, into a
     slab-sized buffer, then adds one shifted view per leading offset into

@@ -410,8 +410,14 @@ def cmd_solve(args) -> int:
     except solver.SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    with np.errstate(over="ignore"):
+        exponent = -0.5 * (n - 2) * np.asarray(w)
+        v = np.exp(exponent)
+    if np.isposinf(v).any():
+        raise ValueError(f"problem file {args.problem}: key 'n': v = exp(-(n-2) w/2) = "
+                         f"exp({exponent.max():.4g}) of the solution overflows a float")
     _write_csv(args.out_prefix + "_solution.csv", ["r", "w", "v", "residual"],
-               [system.r, w, np.exp(-0.5 * (n - 2) * w), residual])
+               [system.r, w, v, residual])
     _write_json(args.out_prefix + "_summary.json", summary)
     print(json.dumps({k: v for k, v in summary.items() if k != "manifest"},
                      sort_keys=True, default=float))
@@ -887,7 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_continue)
 
     p = sub.add_parser("envelope", help="radial envelope of a grid field")
-    p.add_argument("--grid", required=True, help="raw grid file")
+    p.add_argument("--grid", required=True,
+                   help="grid file: an archive from GridField.save_raw, or text")
     p.add_argument("--center", required=True, help="comma-separated coordinates")
     p.add_argument("--step", type=float, help="radial step (default: grid spacing)")
     p.add_argument("--n", type=int)

@@ -22,6 +22,7 @@ import itertools
 import math
 import os
 import warnings
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -303,219 +304,67 @@ def _pin_each_worker():
     return pin
 
 
-def _in_order(work, items):
-    """Yield work(item) for each of items, in their order, from one thread per
-    usable CPU, each pinned to a CPU of its own; inline with one worker or one
-    item.  Each call runs in a copy of the caller's context, so np.errstate
-    applies in the workers too.  At most two items per worker are taken and
-    not yet yielded, so items may be read lazily.  An exception from work
-    reaches the caller, and the threads end with the generator.  work must
-    write disjoint parts of any shared output and call no public khessian
-    function: the benchmark's tracer wraps the public names and keeps a single
-    span stack."""
-    items = iter(items)
-    head = list(itertools.islice(items, 2))
+def _over_slabs(count: int, planes: int, work) -> None:
+    """Call work(i0, i1) on each axis-0 slab [i0, i1) of range(count), planes
+    thick, from one thread per usable CPU, each pinned to a CPU of its own;
+    inline with one worker or one slab.  Each call runs in a copy of the
+    caller's context, so np.errstate applies in the workers too.  The first
+    exception in slab order reaches the caller, slabs not yet started are
+    dropped, and no thread outlives the call.  work must write disjoint parts
+    of any shared output and call no public khessian function: the
+    benchmark's tracer wraps the public names and keeps a single span stack."""
+    slabs = [(i, min(i + planes, count)) for i in range(0, count, planes)]
     workers = _workers()
-    if workers <= 1 or len(head) <= 1:
-        yield from map(work, itertools.chain(head, items))
+    if workers <= 1 or len(slabs) <= 1:
+        for slab in slabs:
+            work(*slab)
         return
     pool = ThreadPoolExecutor(workers, initializer=_pin_each_worker())
-    pending = []
     try:
-        for item in itertools.chain(head, items):
-            pending.append(pool.submit(contextvars.copy_context().run, work, item))
-            if len(pending) == 2 * workers:
-                yield pending.pop(0).result()
-        while pending:
-            yield pending.pop(0).result()
+        for done in [pool.submit(contextvars.copy_context().run, work, *slab) for slab in slabs]:
+            done.result()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _over_slabs(count: int, planes: int, work) -> None:
-    """Call work(i0, i1) on the axis-0 slabs [i0, i1) of range(count), by _in_order."""
-    for _ in _in_order(lambda i: work(i, min(i + planes, count)), range(0, count, planes)):
-        pass
+# The members of a save_raw archive, with the dimensions each may have.
+_MEMBERS = {"origin.npy": (1,), "spacing.npy": (0,), "values.npy": (2, 3)}
+# What zipfile and np.load raise on a damaged archive: a bad or truncated
+# zip structure, an unknown compression method or flag, an encrypted member.
+_ARCHIVE_FAULTS = (ValueError, zipfile.BadZipFile, EOFError, OSError, NotImplementedError,
+                   RuntimeError)
 
 
-# save_raw's layout: each value as "%.16e", then a space, or a newline after
-# every prod(shape[1:]) values.  _decode and _format read and write it exactly
-# (see load_raw and _format for why), in pieces of at most _CHUNK_BYTES of
-# text, in np.longdouble arithmetic that needs a 64-bit significand.
-# _POW10[q - _QMIN] is 10^q rounded once (numpy reads "1e<q>" with strtold),
-# for the q of 17-digit mantissas with exponents of up to three digits.
-_CHUNK_BYTES = 1 << 20
-_KERNELS = np.finfo(np.longdouble).nmant >= 63
-_QMIN = -1015
-_POW10 = np.array([f"1e{q}" for q in range(_QMIN, 984)]).astype(np.longdouble)
-# _EXPONENTS[o][q + 400]: "e+dd " (o = 0) or "e+ddd " (o = 1) for the exponent
-# q, as the last bytes of a uint64 word.
-_EXPONENTS = [np.frombuffer("".join(f"e{q:+0{3 + o}d} ".rjust(8) for q in range(-400, 400))
-                            .encode(), "<u8") for o in (0, 1)]
-
-
-def _in_range(z, carry, mask):
-    """Whether text words z less their templates hold their fields: no bit of
-    mask in z or z + carry, as a byte below its template wraps into mask and
-    a digit less "0" plus 6 stays below 16 (Lemire, Softw. Pract. Exp. 51, 2021)."""
-    return not ((z | (z + carry)) & mask).any()
-
-
-def _decode(text):
-    """The values of text, whole tokens each followed by a space or a newline,
-    and the indices of those followed by a newline; None when text is not in
-    save_raw's layout."""
-    buf = np.frombuffer(text, np.uint8)
-    sep = buf[22::23]                                       # a token takes 23 bytes or more
-    if len(buf) % 23 == 0 and ((sep == 32) | (sep == 10)).all():
-        # 23-byte records: any other token puts a character at byte 22 of its record.
-        win = buf.reshape(-1, 23)
-        neg = wide = np.zeros(len(win), bool)
-    else:
-        ends = np.flatnonzero(buf <= 32)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        neg = buf[starts] == 45
-        starts += neg
-        wide = ends - starts == 23                          # a 3-digit exponent
-        sep = buf[ends]
-        if not (((sep == 32) | (sep == 10)).all() and (wide | (ends - starts == 22)).all()):
-            return None
-        # The same 23 bytes of each token, from its first digit.
-        win = np.lib.stride_tricks.sliding_window_view(buf, 23)[starts]
-    # Each record's fields as little-endian words less their templates: "d."
-    # with the leading digit, 16 fraction digits, and "e+dd" or "e-dd".
-    head = np.ndarray(len(win), "<u2", win, 0, (23,)) - np.uint16(0x2E30)
-    w = np.ndarray((2, len(win)), "<u8", win, 2, (8, 23)).copy() - 0x3030303030303030
-    tail = np.ndarray(len(win), "<u4", win, 18, (23,)) - np.uint32(0x30302B65)
-    third = win[wide, 22] - np.uint8(48)                    # of a 3-digit exponent
-    if not (_in_range(head, 6, 0xFFF0) and _in_range(tail, 0x06060000, 0xF0F0FDFF)
-            and _in_range(w, 0x0606060606060606, 0xF0F0F0F0F0F0F0F0)
-            and _in_range(third, 6, 0xF0)):
-        return None
-    exp = (tail >> 16 & 0xFF) * 10 + (tail >> 24)
-    if len(third):
-        exp[wide] = 10 * exp[wide] + third
-    # Each 8 fraction digits as an integer by three in-place multiply-shift steps (ibid.).
-    t = w >> 8
-    w *= 10
-    w += t
-    np.right_shift(w, 16, out=t)
-    t &= 0x000000FF000000FF
-    t *= 1 + (10000 << 32)
-    w &= 0x000000FF000000FF
-    w *= 100 + (1000000 << 32)
-    w += t
-    w >>= 32
-    m = w[0] * np.uint64(10**8) + w[1] + head * np.uint64(10**16)
-    v = m * _POW10[exp.astype(np.int32) * (1 - (tail >> 8 & 2).astype(np.int32)) - (16 + _QMIN)]
-    with np.errstate(over="ignore"):
-        x = v.astype(float)
-    # float() reads v within 2^-9 ulp of a rounding midpoint: |v - x| over
-    # 0.5 - 2^-9 of the ulp 2^(E - 1075) of nextafter(x, 0), E its biased
-    # exponent.  The bound, of biased exponent E - 54 and fraction 0xFE << 44,
-    # is negative or NaN for x <= 2^-969, where |v - x| keeps too few bits.
-    gap = np.abs(np.subtract(v, x, out=v).astype(float))
-    bound = (((x.view(np.int64) - 1) & -1 << 52) + ((0xFE << 44) - (54 << 52))).view(float)
-    for i in np.flatnonzero(~(gap <= bound) & (m != 0)):
-        x[i] = float(win[i, :22 + wide[i]].tobytes())
-    return np.negative(x, out=x, where=neg), np.flatnonzero(sep == 10)
-
-
-def _load_rows(path, start, shape):
-    """The data rows from byte start of a grid file whose header gives shape
-    (words), by _decode on _in_order, each piece placed once its row ends are
-    where the row length puts them; None unless the text is in save_raw's layout."""
-    if not (_KERNELS and shape and all(s.isdecimal() and int(s) > 0 for s in shape)):
-        return None
-    rows, count = int(shape[0]), math.prod(map(int, shape))
-    with open(path, "rb") as fh:
-        # Each value takes 23 to 25 bytes with its separator.
-        end = fh.seek(0, io.SEEK_END)
-        if not 23 * count <= end - start <= 25 * count:
-            return None
-        fh.seek(start)
-
-        def pieces():
-            while block := fh.read(_CHUNK_BYTES):
-                cut = max(block.rfind(b" "), block.rfind(b"\n")) + 1
-                fh.seek(cut - len(block), io.SEEK_CUR)
-                if not cut:
-                    return
-                yield memoryview(block)[:cut]
-
-        out, done = np.empty(count), 0
-        for piece in _in_order(_decode, pieces()):
-            if piece is None:
-                return None
-            x, ends = piece
-            if done + len(x) > count or not np.array_equal(
-                    ends, np.arange((-done - 1) % (count // rows), len(x), count // rows)):
-                return None
-            out[done:done + len(x)] = x
-            done += len(x)
-        return out.reshape(rows, -1) if done == count and fh.tell() == end else None
-
-
-def _format(x, ncols, start):
-    """save_raw's text of finite values x, x[0] at flat index start: each as
-    "%.16e", then a space, or a newline at the end of a row of ncols values.
-
-    The digits are M = rint(p), p = |x| 10^(16-e) with e from log10, the
-    product taken again only where log10 was one off.  It errs by under 2^-63
-    relative, 0.011 below 10^17, so floor(64 p) gives the correctly rounded M
-    unless p's fraction lies within 1/64 of .5; those values take M and e from
-    one "%.16e" call on all of them.  M's 16 fraction digits go out as two
-    unaligned 8-byte words of ASCII digits, the inverse of _decode's steps.
-    A piece of nonnegative values with 2-digit exponents fills fixed 23-byte
-    rows, any other piece 25-byte rows that a mask compresses.
-    """
-    ax = np.abs(x)
-    zero = ax == 0.0
-    e = np.floor(np.log10(np.where(zero, 1.0, ax))).astype(np.int64)
-    ax = ax.astype(np.longdouble)
-    p = ax * _POW10[16 - e - _QMIN]
-    off = np.flatnonzero((p >= 1e17) | (p < 1e16))          # log10 may be one off
-    e[off] += np.where(p[off] >= 1e17, 1, -1)
-    p[off] = ax[off] * _POW10[16 - e[off] - _QMIN]
-    t = (p * 64).astype(np.uint64)                          # floor(64 p), as 64 p < 2^63
-    m = (t + 32) >> 6
-    slow = ~zero & ((((t - 31) & 63) < 2) | (m - 10**16 > 9 * 10**16))
-    up = m == 10**17                                        # rounded up to the next decade
-    m[up] = 10**16
-    e = np.where(zero, 0, e + up)
-    if slow.any():
-        text = "%.16e " * np.count_nonzero(slow) % tuple(np.abs(x[slow]).tolist())
-        m[slow], e[slow] = np.fromstring(text.replace(".", "").replace("e", " "),
-                                         np.int64, sep=" ").reshape(-1, 2).T
-    neg, big = np.signbit(x), np.abs(e) >= 100
-    o = int(neg.any() or big.any())                         # room for a sign and a 3rd digit
-    hi = m // 10**8
-    lead = hi // 10**8
-    w = np.stack([hi - lead * 10**8, m - hi * 10**8], axis=1)
-    # Each 8 digits in halves, quarters and bytes by multiply-shift steps, the
-    # quotients of 10^4, 100 and 10 exact below 10^8, 10^4 and 100 (ibid.).
-    for mul, shift, mask, d, lane in ((3518437209, 45, 0x3FFF, 10**4, 32),
-                                      (10486, 20, 0x0000007F0000007F, 100, 16),
-                                      (103, 10, 0x000F000F000F000F, 10, 8)):
-        t = w * mul >> shift & mask
-        w -= t * d
-        w <<= lane
-        w += t
-    w += 0x3030303030303030
-    # Each row as words: its last 8 bytes from _EXPONENTS, then the fraction
-    # digits over the first of those, then the leading digit and ".".
-    row = 23 + 2 * o
-    buf = np.empty((len(x), row), np.uint8)
-    np.ndarray(len(x), "<u8", buf, row - 8, (row,))[...] = _EXPONENTS[o][e + 400]
-    np.ndarray((len(x), 2), "<u8", buf, o + 2, (row, 8))[...] = w
-    np.ndarray(len(x), "<u2", buf, o, (row,))[...] = lead + 0x2E30
-    buf[(-start - 1) % ncols::ncols, -1] = 10
-    if not o:
-        return buf
-    buf[:, 0] = 45
-    keep = np.ones(buf.shape, bool)
-    keep[:, 0], keep[:, 21] = neg, big
-    return buf[keep]
+def _read_archive(fh):
+    """(spacing, values, origin) of a save_raw archive, by np.load.  Each
+    member's .npy header is checked before its array is read: a real dtype,
+    the dimensions of _MEMBERS, and the stored size its shape and dtype
+    need, so a header that lies allocates nothing.  Raises ValueError (or
+    the zipfile error of a damaged archive) naming the member at fault."""
+    with np.load(fh, allow_pickle=False) as npz:
+        names = sorted(npz.zip.namelist())
+        if names != sorted(_MEMBERS):
+            raise ValueError(f"archive members {', '.join(names) or 'none'}, "
+                             f"expected {', '.join(_MEMBERS)}")
+        for name, ndims in _MEMBERS.items():
+            with npz.zip.open(name) as member:
+                # np.save writes version 1.0 for every real dtype.
+                version = np.lib.format.read_magic(member)
+                if version != (1, 0):
+                    raise ValueError(f"member {name}: .npy version {version}, expected (1, 0)")
+                shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+                stored = npz.zip.getinfo(name).file_size - member.tell()
+            if not np.can_cast(dtype, float):
+                raise ValueError(f"member {name}: dtype {dtype} is not a real number type")
+            if len(shape) not in ndims:
+                raise ValueError(f"member {name}: shape {shape} has {len(shape)} dimensions, "
+                                 f"expected {' or '.join(map(str, ndims))}")
+            if min(shape, default=1) < 1:
+                raise ValueError(f"member {name}: shape {shape} entries must be positive")
+            if math.prod(shape) * dtype.itemsize != stored:
+                raise ValueError(f"member {name}: shape {shape} of {dtype} does not fit "
+                                 f"its {stored} stored bytes")
+        return float(npz["spacing"]), npz["values"], npz["origin"]
 
 
 def _data_fault(lines):
@@ -601,45 +450,38 @@ class GridField:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def save_raw(self, path):
-        """Write the grid file load_raw reads.  The data rows are the bytes of
-        np.savetxt(fmt="%.16e"), by _format in pieces on _in_order, or by
-        np.savetxt itself when a value is not finite or the kernels are not usable."""
-        shape, flat = self.values.shape, self.values.ravel()
+        """Write the grid file load_raw reads: an uncompressed np.savez
+        archive of values, spacing and origin, under path as given."""
         with open(path, "wb") as fh:
-            fh.write(f"dims {self.dims}\nshape {' '.join(map(str, shape))}\n"
-                     f"spacing {self.spacing:.16e}\n"
-                     f"origin {' '.join(f'{x:.16e}' for x in self.origin)}\n".encode())
-            if not (_KERNELS and np.isfinite(flat).all()):
-                return np.savetxt(fh, flat.reshape(shape[0], -1), fmt="%.16e", delimiter=" ")
-            step = _CHUNK_BYTES // 25
-            for text in _in_order(lambda i: _format(flat[i:i + step], flat.size // shape[0], i),
-                                  range(0, flat.size, step)):
-                fh.write(text)
+            np.savez(fh, values=self.values, spacing=self.spacing, origin=self.origin)
 
     @classmethod
     def load_raw(cls, path) -> "GridField":
-        """Read a grid file: `dims`, `shape`, `spacing` and optional `origin`
-        header lines, then the values in row-major order.
+        """Read a grid file: an archive that save_raw writes, or text.
 
-        Raises ValueError naming the file and the fault: a missing or
-        malformed header line, an unparsable value or a data row of the wrong
-        length, `dims` disagreeing with `shape`, a value count other than the
-        product of `shape`, the first non-finite value (data rows and columns
-        are 1-based), or a spacing, dimension or origin GridField rejects.
+        A file that begins with the zip magic PK\\x03\\x04 is an archive,
+        read by np.load, whose members values, spacing and origin must have
+        a real dtype and 2 or 3, 0 and 1 dimensions (see _read_archive).  Any
+        other file is text: `dims`, `shape`, `spacing` and optional `origin`
+        header lines, then the values in row-major order, read by np.loadtxt.
 
-        Data in save_raw's layout is decoded by numpy kernels (_decode) in
-        pieces of 1 MiB on _in_order, as 23-byte records where a piece's
-        values are all nonnegative with 2-digit exponents.  A 17-digit
-        mantissa times a power of ten in a 64-bit-significand np.longdouble
-        errs by under 2^-10 double ulp, so one rounding gives np.loadtxt's
-        value bit for bit; values within 2^-9 ulp of a rounding midpoint, or
-        of at most 2^-969, go through float().  Other text (a comment or blank
-        line, CRLF, other spacing or number forms), and all text where
-        np.longdouble is narrower, goes to np.loadtxt with the same messages.
-        A 128^3 file takes about 0.09 s as records and 0.12 s with signs on
-        two CPUs, 0.7 s with a comment.
+        Raises ValueError naming the file and the fault: an archive zipfile
+        cannot read, a missing or extra member, or a member of another dtype,
+        dimension or stored size; a missing or malformed header line, an
+        unparsable value or a data row of the wrong length, `dims`
+        disagreeing with `shape`, or a value count other than the product of
+        `shape`; and a non-finite value (in text, by its 1-based data row and
+        column), a spacing, dimension or origin GridField rejects.
         """
-        with open(path) as fh:
+        with open(path, "rb") as fh:
+            if fh.read(4) == b"PK\x03\x04":
+                fh.seek(0)
+                try:
+                    return cls(*_read_archive(fh))
+                except _ARCHIVE_FAULTS as exc:
+                    raise ValueError(f"grid file {path}: {exc}") from None
+        # Undecodable bytes become U+FFFD, which no number or header word holds.
+        with open(path, errors="replace") as fh:
             header = {}
             pos = fh.tell()
             for _ in range(4):
@@ -653,13 +495,11 @@ class GridField:
             with warnings.catch_warnings():
                 # An empty data section is reported below by the value count.
                 warnings.simplefilter("ignore", UserWarning)
-                data = _load_rows(path, pos, header.get("shape", ()))
-                if data is None:
-                    try:
-                        data = np.loadtxt(fh, ndmin=2)
-                    except ValueError as exc:
-                        fh.seek(pos)
-                        raise ValueError(f"grid file {path}: {_data_fault(fh) or exc}") from None
+                try:
+                    data = np.loadtxt(fh, ndmin=2)
+                except ValueError as exc:
+                    fh.seek(pos)
+                    raise ValueError(f"grid file {path}: {_data_fault(fh) or exc}") from None
         for key in ("dims", "shape", "spacing"):
             if key not in header:
                 raise ValueError(f"grid file {path}: missing header line '{key}'")
@@ -703,9 +543,12 @@ class EnvelopeProfile:
     r_attained: np.ndarray
 
     def attained_samples(self):
-        """Deduplicated (r_attained, wtilde) samples on a strictly increasing grid."""
-        keep = np.r_[True, np.diff(self.r_attained) > 1e-12]
-        keep &= self.r_attained > 1e-12
+        """Deduplicated (r_attained, wtilde) samples on a strictly increasing
+        grid: a sample within 1e-12 times the largest radius of the one
+        before it, or of zero, is dropped."""
+        tol = 1e-12 * self.r[-1]
+        keep = np.r_[True, np.diff(self.r_attained) > tol]
+        keep &= self.r_attained > tol
         return self.r_attained[keep], self.wtilde[keep]
 
 
@@ -716,7 +559,8 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
     with the inf-over-sublevel-boundary-distance definition for upper
     semi-continuous fields; the result is non-decreasing in r by
     construction.  Radii must not exceed the distance from the center to the
-    box boundary.
+    box boundary; the default radii are the multiples of the grid spacing up
+    to it, so the center must lie at least one spacing inside.
 
     Each node is binned into the first requested ball that contains it; the
     per-bin maximum and the least distance of a node attaining it, followed
@@ -737,6 +581,9 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
         raise ValueError("center must lie strictly inside the box")
     r_boundary = float(min((center - lo).min(), (hi - center).min()))
     if radii is None:
+        if r_boundary < f.spacing:
+            raise ValueError(f"center lies within one grid spacing ({f.spacing:.4g}) of the box "
+                             f"boundary, at distance {r_boundary:.4g}: no default radius fits")
         radii = f.spacing * np.arange(1, int(r_boundary / f.spacing) + 1)
     radii = np.asarray(radii, dtype=float)
     if len(radii) == 0:

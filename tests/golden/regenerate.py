@@ -8,8 +8,9 @@ directory:
   * `khessian volume --metric metric.json --out out_curve.csv
     --summary out_summary.json`;
   * `khessian envelope --grid grid.txt --center ... --step ... --n ... --k ...
-    --out out_envelope.csv`, the grid file written here from a quadratic
-    field (see _grid_text), or by GridField.save_raw (see _grid_field);
+    --out out_envelope.csv`, the grid file written here as text from a
+    quadratic field (see _grid_text), or as GridField.save_raw's archive,
+    still named grid.txt (see _grid_field);
   * `khessian harnack --profile profile.csv --n ... --k ... --min-sep ...
     --out out_harnack.json`;
   * `khessian sigma --lambda ... --k ...`, or `--csv eigenvalues.csv` with
@@ -104,8 +105,7 @@ VOLUME_METRICS = {
 
 
 # Envelope grids: u = c0 + sum_d c_d x_d^2 + c_xy x_0 x_1 on a uniform box.
-# The 3-d grid is over 1 MB of text, with a comment and a blank line among
-# its rows, so a reader that splits large files meets both.
+# The text grids have a comment and a blank line among their rows.
 ENVELOPE_GRIDS = {
     "envelope_quadratic_2d": {"shape": [9, 11], "spacing": 0.25, "origin": [-1.0, -1.25],
                               "coeffs": [2.0, 1.0, 0.5, 0.25], "center": [0.1, -0.05],
@@ -114,9 +114,7 @@ ENVELOPE_GRIDS = {
                               "origin": [-1.075, -1.075, -1.075],
                               "coeffs": [6.5, 0.7, 0.9, 0.6, 0.2], "center": [0.05, -0.1, 0.025],
                               "step": 0.05, "n": 3, "k": 2},
-    # Written by GridField.save_raw: nonnegative values with 2-digit exponents
-    # over two 1 MiB pieces, which the reader takes as 23-byte records, and a
-    # field with negative values, whose text it cuts at the separators.
+    # Written by GridField.save_raw, as archives.
     "envelope_saved_records_3d": {"shape": [40, 42, 44], "spacing": 0.05,
                                   "origin": [-0.975, -1.025, -1.075],
                                   "coeffs": [3.25, 0.8, 0.6, 0.9, -0.15],

@@ -1,7 +1,9 @@
 import dataclasses
+import io
 import json
 import math
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -257,6 +259,23 @@ class TestSolveCommand:
         assert summary["floor_limited"] is False
         assert summary["residual"] <= 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    def test_v_that_overflows_exits_3_without_a_csv(self, tmp_path, capsys, monkeypatch):
+        # w = -2000 on the sphere gives v = exp(2000) at n = 4.
+        solve = cli.solver.solve_eigenvalue
+        monkeypatch.setattr(cli.solver, "solve_eigenvalue",
+                            lambda problem: dataclasses.replace(solve(problem), w=np.array([-2e3])))
+        spec = {"n": 4, "k": 3, "p": 3.0, "domain": {"type": "sphere_constant"},
+                "solver": {"N": 1}}
+        path = tmp_path / "eigen.json"
+        path.write_text(json.dumps(spec))
+        code = main(["solve", "--problem", str(path), "--out-prefix", str(tmp_path / "eig")])
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: problem file {path}: key 'n': v = "
+                                           "exp(-(n-2) w/2) = exp(2000) of the solution "
+                                           "overflows a float\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["eigen.json"]
+
     def test_terminal_order_reads_residuals_clear_of_the_floor(self):
         from khessian.cli import _terminal_order
         history = [1.0, 1e-1, 1e-3, 1.3e-7, 2e-14]
@@ -460,6 +479,88 @@ class TestEnvelopeCommand:
                      "--out", str(tmp_path / "env.csv")])
         assert code == 3
         assert capsys.readouterr().err == f"error: grid file {path}: {message}\n"
+
+    @staticmethod
+    def damage(data, fault):
+        """The bytes of save_raw's archive data with one fault, and the
+        start of the message that names it."""
+        if fault == "truncated":
+            return data[:len(data) // 2], ""
+        if fault == "bad-crc":
+            i = data.index(b"values.npy") + len(b"values.npy") + 200
+            return (data[:i] + bytes([data[i] ^ 1]) + data[i + 1:],
+                    "Bad CRC-32 for file 'values.npy'")
+        out = io.BytesIO()
+        with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(out, "w") as zf:
+            for name in src.namelist():
+                member = src.read(name)
+                if fault == "lying-shape" and name == "values.npy":
+                    # The header keeps its length: 10 more digits, 10 fewer pad spaces.
+                    member = member.replace(b"(3, 4)", b"(30000000000, 4)", 1).replace(
+                        b" " * 10 + b"\n", b"\n", 1)
+                if fault != "no-origin" or name != "origin.npy":
+                    zf.writestr(name, member)
+        return out.getvalue(), {
+            "lying-shape": "member values.npy: shape (30000000000, 4) of float64 does not fit "
+                           "its 96 stored bytes",
+            "no-origin": "archive members spacing.npy, values.npy, expected origin.npy, "
+                         "spacing.npy, values.npy"}[fault]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fault", ["truncated", "bad-crc", "lying-shape", "no-origin"])
+    def test_damaged_archive_exits_3(self, tmp_path, capsys, fault):
+        # zipfile's faults and a values header that lies end in exit 3, not a traceback.
+        from khessian.radial import GridField
+        path = tmp_path / "bad.grid"
+        GridField(0.5, np.arange(12.0).reshape(3, 4)).save_raw(path)
+        data, message = self.damage(path.read_bytes(), fault)
+        path.write_bytes(data)
+        code = main(["envelope", "--grid", str(path), "--center", "0,0",
+                     "--out", str(tmp_path / "env.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid file {path}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "env.csv").exists()
+
+    def test_archive_and_text_of_a_field_give_one_csv(self, tmp_path):
+        from khessian.radial import GridField
+        i = np.arange(21) - 10
+        f = GridField(0.05, np.hypot(i[:, None], i[None, :] / 2) ** 0.5)
+        f.save_raw(tmp_path / "a.grid")
+        (tmp_path / "t.grid").write_text(
+            f"dims 2\nshape 21 21\nspacing {f.spacing!r}\n"
+            f"origin {' '.join(map(repr, f.origin.tolist()))}\n"
+            + "".join(" ".join(map(repr, row.tolist())) + "\n" for row in f.values))
+        for name in ("a", "t"):
+            assert main(["envelope", "--grid", str(tmp_path / f"{name}.grid"), "--center", "0,0",
+                         "--n", "3", "--k", "2", "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+    @staticmethod
+    def sqrt_index_grid(spacing, origin=None):
+        """A 15 x 15 field |i|^(1/2) of the node index i about its centre node."""
+        from khessian.radial import GridField
+        i = np.arange(15) - 7
+        return GridField(spacing, np.hypot(i[:, None], i[None, :]) ** 0.5, origin)
+
+    def test_centre_within_one_spacing_of_the_edge_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "g.grid"
+        self.sqrt_index_grid(0.1, origin=[0.0, 0.0]).save_raw(path)
+        code = main(["envelope", "--grid", str(path), "--center=0.05,0.7",
+                     "--out", str(tmp_path / "env.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: center lies within one grid spacing (0.1) of "
+                                           "the box boundary, at distance 0.05: no default "
+                                           "radius fits\n")
+        assert not (tmp_path / "env.csv").exists()
+
+    def test_viscosity_verdict_does_not_depend_on_the_scale(self, tmp_path, capsys):
+        # At spacing 1e-13 every attained radius lies below 1e-12.
+        for spacing in (1e-11, 1e-13):
+            self.sqrt_index_grid(spacing).save_raw(tmp_path / "g.grid")
+            assert main(["envelope", "--grid", str(tmp_path / "g.grid"), "--center", "0,0",
+                         "--n", "3", "--k", "2", "--out", str(tmp_path / "env.csv")]) == 0
+            assert capsys.readouterr().out == "viscosity check: 0 violation(s)\n"
 
     @pytest.mark.parametrize("step", [[], ["--step", "0.1"]])
     def test_non_finite_center_exits_3(self, tmp_path, capsys, step):

@@ -6,10 +6,10 @@ The numeric fields of p < k ball and annulus problem files and of metric
 files are drawn from ordinary values and from the whole float range (nan and
 inf included, which the loaders reject); `solve` and `volume` end in exit 0,
 2 or 3.  So are the values of the profile CSVs that `classify` and `harnack`
-read (columns r,w or r,w,dw,d2w), of small grid files for `envelope`, and
-the --n and --k flags; those commands end in exit 0 or 3.  Grid sizes,
-iteration limits and radius counts stay small, so every example runs in
-milliseconds.
+read (columns r,w or r,w,dw,d2w), of small grid files for `envelope` (text,
+or archives, some of them damaged), and the --n and --k flags; those
+commands end in exit 0 or 3.  Grid sizes, iteration limits and radius
+counts stay small, so every example runs in milliseconds.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ import math
 import pathlib
 import tempfile
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -113,13 +114,54 @@ def profiles(draw):
     return (command, text, *flags)
 
 
+def npy(array, **header):
+    """The .npy bytes of array, with entries of its header (such as shape) replaced."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {**np.lib.format.header_data_from_array_1_0(array), **header})
+    return out.getvalue() + array.tobytes()
+
+
+ARCHIVE_FAULTS = ["truncate", "flip", "drop", "add", "complex", "string", "lie"]
+
+
+@st.composite
+def archives(draw, values, spacing, origin):
+    """The bytes of a zip archive of values, spacing and origin, as
+    GridField.save_raw writes it, in half the examples with one fault of
+    ARCHIVE_FAULTS: cut at a byte, a byte flipped, a member dropped or added,
+    values stored as complex numbers or strings, or a values header that
+    declares more values than it holds."""
+    fault = draw(st.one_of(st.none(), st.sampled_from(ARCHIVE_FAULTS)))
+    members = {"values": values, "spacing": np.float64(spacing), "origin": np.array(origin)}
+    if fault == "drop":
+        del members[draw(st.sampled_from(sorted(members)))]
+    elif fault == "add":
+        members["extra"] = np.zeros(2)
+    elif fault in ("complex", "string"):
+        members["values"] = values.astype(complex if fault == "complex" else str)
+    lie = {}
+    if fault == "lie":
+        lie["shape"] = (values.shape[0] * draw(st.integers(2, 2**40)), *values.shape[1:])
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for name, member in members.items():
+            zf.writestr(name + ".npy", npy(member, **(lie if name == "values" else {})))
+    data = bytearray(out.getvalue())
+    if fault == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif fault == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
 @st.composite
 def grids(draw):
-    """("envelope", grid file text, flags...).  The geometry and the values
-    are each wild in half the examples: a wild geometry may have one
-    dimension, one node along an axis, any spacing and origin, and --center
-    anywhere."""
-    wild, wild_values = draw(st.booleans()), draw(st.booleans())
+    """("envelope", grid file text or archive bytes, flags...).  The geometry
+    and the values are each wild in half the examples: a wild geometry may
+    have one dimension, one node along an axis, any spacing and origin, and
+    --center anywhere.  Half the files are archives (see archives)."""
+    archive, wild, wild_values = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
     dims = draw(st.integers(1 if wild else 2, 3))
     shape = draw(st.lists(st.integers(1 if wild else 3, 9 if dims == 2 else 5),
                           min_size=dims, max_size=dims))
@@ -127,10 +169,13 @@ def grids(draw):
     origin = draw(numbers(dims, wild=wild))
     values = draw(numbers(math.prod(shape), wild=wild_values))
     width = math.prod(shape[1:])
-    text = (f"dims {dims}\nshape {' '.join(map(str, shape))}\nspacing {spacing!r}\n"
-            f"origin {' '.join(map(repr, origin))}\n"
-            + "".join(" ".join(map(repr, values[i:i + width])) + "\n"
-                      for i in range(0, len(values), width)))
+    if archive:
+        content = draw(archives(np.reshape(values, shape), spacing, origin))
+    else:
+        content = (f"dims {dims}\nshape {' '.join(map(str, shape))}\nspacing {spacing!r}\n"
+                   f"origin {' '.join(map(repr, origin))}\n"
+                   + "".join(" ".join(map(repr, values[i:i + width])) + "\n"
+                             for i in range(0, len(values), width)))
     if wild and draw(st.booleans()):
         center = draw(numbers(dims, wild=True))
     else:
@@ -141,7 +186,7 @@ def grids(draw):
         flags.append(f"--step={draw(numbers(1, 1e-3, 1.0, wild))[0]!r}")
     if draw(st.booleans()):
         flags += draw(cone_flags())
-    return ("envelope", text, *flags)
+    return ("envelope", content, *flags)
 
 
 def problem(command="solve", **keys):
@@ -162,13 +207,17 @@ def annulus(r0, r1, bc=(0.0, 0.0)):
 def run(case):
     """(exit code, stderr, RuntimeWarnings) of the command on the case's file.
 
-    A case is (command, input, flags...), where input is the text of the file
-    or, for `solve`, `continue` and `volume`, the JSON object it holds."""
+    A case is (command, input, flags...), where input is the text or the
+    bytes of the file or, for `solve`, `continue` and `volume`, the JSON
+    object it holds."""
     command, content, *flags = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         path = tmp / "input"
-        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
         argv = {"solve": ["--problem", path, "--out-prefix", tmp / "out"],
                 "continue": ["--problem", path, "--out-prefix", tmp / "out"],
                 "volume": ["--metric", path, "--out", tmp / "q.csv"],

@@ -1,10 +1,10 @@
-import decimal
 import io
 import math
 import sys
 import threading
 import time
-from fractions import Fraction
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -428,17 +428,6 @@ class TestEnvelopeExactness:
         assert env.r_attained[0] > radii[0]
 
 
-def line_by_line_save(f, path):
-    """Reference grid writer (the package's former implementation)."""
-    with open(path, "w") as fh:
-        fh.write(f"dims {f.dims}\n")
-        fh.write("shape " + " ".join(str(s) for s in f.values.shape) + "\n")
-        fh.write(f"spacing {f.spacing:.16e}\n")
-        fh.write("origin " + " ".join(f"{x:.16e}" for x in f.origin) + "\n")
-        for row in f.values.reshape(f.values.shape[0], -1):
-            fh.write(" ".join(f"{x:.16e}" for x in row) + "\n")
-
-
 class TestGridFieldIO:
     def test_raw_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -458,6 +447,32 @@ class TestGridFieldIO:
         assert g.values.shape == (3, 3, 3)
         assert np.array_equal(g.values, f.values)
 
+    def test_large_field_roundtrip(self, tmp_path):
+        # Stored, not compressed: the file is the values' bytes and a few headers.
+        f = GridField(0.01, np.random.default_rng(11).normal(size=(40, 60, 50)))
+        f.save_raw(tmp_path / "big.grid")
+        assert f.values.nbytes < (tmp_path / "big.grid").stat().st_size < f.values.nbytes + 4096
+        assert GridField.load_raw(tmp_path / "big.grid").values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(9, 7), (1, 1), (5, 4, 3), (2, 1, 6)])
+    def test_archive_roundtrip_is_bit_identical(self, tmp_path, monkeypatch, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = [1e300, -1e300, 5e-324, -0.0, 0.0, -2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308]
+        values.ravel()[:len(special)] = special[:values.size]
+        f = GridField(0.1234567, values, origin=np.r_[-0.0, rng.uniform(-1.0, 1.0, len(shape) - 1)])
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+        f.save_raw(tmp_path / "f.grid")
+        g = GridField.load_raw(tmp_path / "f.grid")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.grid"]
+        with zipfile.ZipFile(tmp_path / "f.grid") as zf:
+            assert sorted(zf.namelist()) == ["origin.npy", "spacing.npy", "values.npy"]
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        for got, want in ((g.values, f.values), (g.origin, f.origin), (g.spacing, f.spacing)):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_one_finiteness_scan_per_read(self, tmp_path, monkeypatch):
         f = GridField(0.1, np.arange(60.0).reshape(3, 4, 5))
         f.save_raw(tmp_path / "f.grid")
@@ -473,21 +488,6 @@ class TestGridFieldIO:
         assert np.array_equal(g.values, f.values)
         assert scans == [(3, 4, 5)]
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("shape", [(9, 7), (1, 1), (5, 4, 3), (2, 1, 6)])
-    def test_writer_bytes_unchanged(self, tmp_path, shape):
-        rng = np.random.default_rng(sum(shape))
-        values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-        special = [1e300, -1e-300, 5e-324, -0.0, 0.0, 2.2250738585072014e-308,
-                   -1.7976931348623157e308, np.pi]
-        values.ravel()[:len(special)] = special[:values.size]
-        f = GridField(0.1234567, values, origin=-rng.uniform(0.0, 1.0, len(shape)))
-        f.save_raw(tmp_path / "new.grid")
-        line_by_line_save(f, tmp_path / "old.grid")
-        assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
-        g = GridField.load_raw(tmp_path / "new.grid")
-        assert np.array_equal(g.values, f.values) and np.array_equal(g.origin, f.origin)
-
     def test_minimal_header_without_origin(self, tmp_path):
         # origin line is optional; the box then centers on the origin
         path = tmp_path / "min.grid"
@@ -498,84 +498,141 @@ class TestGridFieldIO:
         assert np.allclose(g.origin, [-0.5, -0.5])
 
 
+def npy(array, version=(1, 0), **header):
+    """The .npy bytes of a C-ordered array, in .npy format version, with
+    entries of its header (such as shape) replaced."""
+    out = io.BytesIO()
+    write = {(1, 0): np.lib.format.write_array_header_1_0,
+             (2, 0): np.lib.format.write_array_header_2_0}[version]
+    write(out, {**np.lib.format.header_data_from_array_1_0(array), **header})
+    return out.getvalue() + array.tobytes()
+
+
+# Archives with one fault: (members that replace those of a good archive,
+# None dropping one, and the message).
+ARCHIVE_FAULTS = {
+    "no-origin": ({"origin": None}, "archive members spacing.npy, values.npy, "
+                  "expected origin.npy, spacing.npy, values.npy"),
+    "no-values": ({"values": None}, "archive members origin.npy, spacing.npy, "
+                  "expected origin.npy, spacing.npy, values.npy"),
+    "extra-member": ({"note": np.zeros(1)}, "archive members note.npy, origin.npy, spacing.npy, "
+                     "values.npy, expected origin.npy, spacing.npy, values.npy"),
+    "object-values": ({"values": np.array([[1.0, None]], dtype=object)},
+                      "member values.npy: dtype object is not a real number type"),
+    "complex-values": ({"values": np.ones((3, 4), complex)},
+                       "member values.npy: dtype complex128 is not a real number type"),
+    "string-values": ({"values": np.full((3, 4), "1.5")},
+                      "member values.npy: dtype <U3 is not a real number type"),
+    "complex-spacing": ({"spacing": np.complex128(0.5)},
+                        "member spacing.npy: dtype complex128 is not a real number type"),
+    "string-origin": ({"origin": np.array(["0", "0"])},
+                      "member origin.npy: dtype <U1 is not a real number type"),
+    "vector-spacing": ({"spacing": np.array([0.5])},
+                       "member spacing.npy: shape (1,) has 1 dimensions, expected 0"),
+    "matrix-origin": ({"origin": np.zeros((1, 2))},
+                      "member origin.npy: shape (1, 2) has 2 dimensions, expected 1"),
+    "empty-origin": ({"origin": np.zeros(0)},
+                     "member origin.npy: shape (0,) entries must be positive"),
+    "1d-values": ({"values": np.arange(5.0)},
+                  "member values.npy: shape (5,) has 1 dimensions, expected 2 or 3"),
+    "4d-values": ({"values": np.ones((2, 2, 2, 2))},
+                  "member values.npy: shape (2, 2, 2, 2) has 4 dimensions, expected 2 or 3"),
+    "empty-values": ({"values": np.ones((0, 3))},
+                     "member values.npy: shape (0, 3) entries must be positive"),
+    "lying-shape": ({"values": npy(np.ones(1), shape=(2**26, 2**10))}, "member values.npy: "
+                    "shape (67108864, 1024) of float64 does not fit its 8 stored bytes"),
+    "lying-shape-8MB": ({"values": npy(np.ones(1), shape=(1024, 1024))}, "member values.npy: "
+                        "shape (1024, 1024) of float64 does not fit its 8 stored bytes"),
+    "short-member": ({"values": npy(np.ones(12), shape=(3, 5))}, "member values.npy: "
+                     "shape (3, 5) of float64 does not fit its 96 stored bytes"),
+    "long-member": ({"values": npy(np.ones(12), shape=(3, 3))}, "member values.npy: "
+                    "shape (3, 3) of float64 does not fit its 96 stored bytes"),
+    "npy-version-2": ({"values": npy(np.ones((3, 4)), version=(2, 0))},
+                      "member values.npy: .npy version (2, 0), expected (1, 0)"),
+    "origin-length": ({"origin": np.zeros(3)}, "origin length must match field dimension"),
+    "zero-spacing": ({"spacing": np.float64(0.0)}, "spacing must lie in [1e-50, 1e50], got 0.0"),
+    "inf-spacing": ({"spacing": np.float64(np.inf)}, "spacing must lie in [1e-50, 1e50], got inf"),
+    "nan-origin": ({"origin": np.array([0.0, np.nan])}, "origin must lie in [-1e50, 1e50]"),
+    "non-finite": ({"values": np.array([[1.0, 2.0], [np.nan, 4.0]])},
+                   "grid field value nan at node (1, 0) is not finite"),
+}
+
+
+class TestArchiveFaults:
+    @pytest.mark.parametrize("name", ["good", *ARCHIVE_FAULTS])
+    def test_fault_names_the_file_and_member(self, tmp_path, name):
+        changed, message = ARCHIVE_FAULTS.get(name, ({}, None))
+        members = {"values": np.arange(12.0).reshape(3, 4), "spacing": np.float64(0.5),
+                   "origin": np.array([-0.5, -0.75]), **changed}
+        path = tmp_path / "f.grid"
+        with zipfile.ZipFile(path, "w") as zf:
+            for key, member in members.items():
+                if member is not None:
+                    zf.writestr(key + ".npy", member if isinstance(member, bytes) else npy(member))
+        if message is None:
+            assert GridField.load_raw(path).values.tobytes() == members["values"].tobytes()
+            return
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                GridField.load_raw(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"grid file {path}: {message}"
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("values", [
+        np.arange(30).reshape(5, 6) % 7,
+        np.linspace(-1.0, 1.0, 30, dtype=np.float32).reshape(5, 6),
+        np.asfortranarray(np.linspace(-1.0, 1.0, 30).reshape(5, 6) ** 3),
+    ], ids=["int64", "float32", "fortran-order"])
+    def test_other_real_arrays_from_np_savez(self, tmp_path, values):
+        # Archives that np.savez writes of arrays other than save_raw's
+        # C-ordered float64: read as float64, with the same envelope.
+        path = tmp_path / "f.grid"
+        with open(path, "wb") as fh:
+            np.savez(fh, values=values, spacing=0.5, origin=[-1.0, -1.25])
+        g = GridField.load_raw(path)
+        want = GridField(0.5, np.array(values, dtype=float, order="C"), origin=[-1.0, -1.25])
+        assert g.values.dtype == np.float64 and np.array_equal(g.values, want.values)
+        got, ref = radial_envelope(g, [0.25, 0.0]), radial_envelope(want, [0.25, 0.0])
+        assert np.array_equal(got.wtilde, ref.wtilde)
+        assert np.array_equal(got.r_attained, ref.r_attained)
+
+    @pytest.mark.filterwarnings("error")
+    def test_damaged_archives_name_the_file(self, tmp_path):
+        # Every truncation and many byte flips: zipfile's own faults (a bad
+        # CRC or magic number, an unknown compression method or flag, a
+        # truncated or encrypted member) become ValueError, and so does text
+        # that no longer begins with the zip magic.
+        GridField(0.5, np.arange(12.0).reshape(3, 4)).save_raw(tmp_path / "ok.grid")
+        data = (tmp_path / "ok.grid").read_bytes()
+        damaged = [data[:n] for n in range(len(data))]
+        damaged += [data[:i] + bytes([data[i] ^ m]) + data[i + 1:]
+                    for i in range(len(data)) for m in (0x01, 0xFF)]
+        path = tmp_path / "bad.grid"
+        for text in damaged:
+            path.write_bytes(text)
+            try:
+                GridField.load_raw(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"grid file {path}: "), text
+
+
 # ---------------------------------------------------------------------------
-# Grid text kernels against np.loadtxt and np.savetxt
+# Hand-written text grids, read by np.loadtxt
 # ---------------------------------------------------------------------------
 
 def savetxt_bytes(rows):
-    """np.savetxt's text of rows in save_raw's format."""
+    """np.savetxt's text of rows, each value as "%.16e"."""
     out = io.BytesIO()
     np.savetxt(out, rows, fmt="%.16e", delimiter=" ")
     return out.getvalue()
 
 
-def written(tmp_path, values):
-    """The data text that save_raw writes for values (after its 4 header lines)."""
-    GridField(0.5, values).save_raw(tmp_path / "w.grid")
-    return (tmp_path / "w.grid").read_bytes().split(b"\n", 4)[4]
-
-
-def decoded(tmp_path, text, shape):
-    """Data text as the kernel decodes it (None when it declines the text),
-    and as np.loadtxt reads it."""
-    path = tmp_path / "data.txt"
-    path.write_bytes(text)
-    return radial._load_rows(path, 0, [str(s) for s in shape]), np.loadtxt(path, ndmin=2)
-
-
-def random_doubles(seed, size):
-    """Finite doubles from random bit patterns: every exponent, subnormals, both signs."""
-    bits = np.random.default_rng(seed).integers(0, 2**64, size=2 * size, dtype=np.uint64)
-    x = bits.view(float)
-    return x[np.isfinite(x)][:size]
-
-
-SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
-           1e-300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1e-100,
-           9.999999999999999e99, 1e100, 9.999999999999999e-100, 1e22, 1e23, 1.0, -0.1,
-           np.pi, 2.0**53 + 2.0, 1e16, 9.999999999999998e16,
-           # Doubles just below a power of ten that "%.16e" rounds up to it.
-           1e-305, -1e-79]
-
-
-def token(d):
-    """A Decimal of at most 17 significant digits as a "%.16e" token."""
-    sign, digits, _ = d.as_tuple()
-    digits = "".join(map(str, digits)).ljust(17, "0")
-    return f"{'-' if sign else ''}{digits[0]}.{digits[1:]}e{d.adjusted():+03d}"
-
-
-def midpoint_tokens(seed, size):
-    """The 17-digit decimals just below and above the midpoint between random
-    doubles and the next ones up: of random bit patterns, of subnormals and
-    of doubles above 10^16, where the midpoint is an integer of 17 digits
-    and the two tokens are that exact tie."""
-    rng = np.random.default_rng(seed)
-    x = np.concatenate([random_doubles(seed, size), rng.integers(2**40, 2**52, size) * 5e-324,
-                        rng.uniform(1e16, 1e17, size)])
-    tokens = []
-    for v in x[np.abs(x) < 1e308]:
-        mid = (Fraction(v) + Fraction(np.nextafter(v, np.inf))) / 2
-        with decimal.localcontext(prec=800):
-            exact = decimal.Decimal(mid.numerator) / decimal.Decimal(mid.denominator)
-        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
-            with decimal.localcontext(prec=17, rounding=rounding):
-                tokens.append(token(+exact))
-    return tokens
-
-
-# 17-digit decimals within 2^-10 ulp of a rounding midpoint between doubles of
-# [2^-1022, 2^-1021), whose ulp is 5e-324: there |v - x| as a double is a whole
-# number of ulps, and cannot tell such a decimal from one beside its double.
-LOWEST_BINADE_MIDPOINTS = [
-    "3.9087601499078454e-308", "3.7268064407723409e-308", "4.3905779172389733e-308",
-    "3.3970955495685076e-308", "3.7744429646268851e-308", "3.4993300468604970e-308",
-    "2.8373633034635231e-308", "2.5890927437097000e-308", "2.9953838362341648e-308",
-    "4.0703030905748272e-308"]
-
-
 def layout_text(values):
-    """The header of a grid file of values, and its data text in save_raw's layout."""
+    """The header of a text grid file of values, and its data text as np.savetxt writes it."""
     head = f"dims 2\nshape {values.shape[0]} {values.shape[1]}\nspacing 0.5\norigin 0 0\n"
     return head.encode(), savetxt_bytes(values)
 
@@ -593,7 +650,7 @@ def first_token(text, fmt):
     return fmt(float(tok)).encode() + b" " + rest
 
 
-# Data text that np.loadtxt reads but save_raw does not write.
+# Data text in other layouts than np.savetxt's, which np.loadtxt reads.
 NON_CANONICAL = {
     "comment": lambda t: t.replace(b"\n", b"\n# a comment line\n", 1),
     "blank-line": lambda t: t.replace(b"\n", b"\n\n", 1),
@@ -619,7 +676,7 @@ def newline_one_token_later(text):
     return text[:i] + b" " + text[i + 1:j] + b"\n" + text[j + 1:]
 
 
-# Faults in otherwise canonical data: (data text transform, message).
+# Faults in np.savetxt's data text: (data text transform, message).
 FAULTS = {
     "nan": (lambda t: t.replace(b"1.0000000000000001e-05", b"nan"),
             "non-finite value nan in data row 2, column 4"),
@@ -644,123 +701,62 @@ FAULTS = {
 }
 
 
-class TestGridTextKernels:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_bits_match_loadtxt_and_savetxt(self, tmp_path, seed):
-        values = random_doubles(seed, 40000).reshape(-1, 40)
-        text = savetxt_bytes(values)
-        assert written(tmp_path, values) == text
-        got, want = decoded(tmp_path, text, values.shape)
-        assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
+def former_save_raw(f, path):
+    """The text grid file that save_raw wrote before it wrote archives."""
+    with open(path, "w") as fh:
+        fh.write(f"dims {f.dims}\n")
+        fh.write("shape " + " ".join(str(s) for s in f.values.shape) + "\n")
+        fh.write(f"spacing {f.spacing:.16e}\n")
+        fh.write("origin " + " ".join(f"{x:.16e}" for x in f.origin) + "\n")
+        for row in f.values.reshape(f.values.shape[0], -1):
+            fh.write(" ".join(f"{x:.16e}" for x in row) + "\n")
 
-    @pytest.mark.parametrize("shape", [(2, 12), (24, 1), (1, 24)])
-    def test_subnormals_zeros_and_3_digit_exponents(self, tmp_path, shape):
-        values = np.array(SPECIAL).reshape(shape)
-        text = savetxt_bytes(values)
-        assert written(tmp_path, values) == text
-        got, want = decoded(tmp_path, text, shape)
-        assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, "lowest-binade"])
-    def test_17_digit_decimals_at_and_beside_midpoints(self, tmp_path, seed):
-        tokens = (LOWEST_BINADE_MIDPOINTS if seed == "lowest-binade"
-                  else midpoint_tokens(seed, 1500))
-        tokens = tokens[:len(tokens) // 10 * 10]
-        text = "".join(t + ("\n" if i % 10 == 9 else " ") for i, t in enumerate(tokens))
-        got, want = decoded(tmp_path, text.encode(), (len(tokens) // 10, 10))
-        assert got is not None and got.tobytes() == want.tobytes()
+def random_doubles(seed, size):
+    """Finite doubles from random bit patterns: every exponent, subnormals, both signs."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=2 * size, dtype=np.uint64)
+    x = bits.view(float)
+    return x[np.isfinite(x)][:size]
 
-    def test_writer_ties(self, tmp_path):
-        # m/4 and m/8 for odd m of 16 digits have 18 significant digits, the
-        # last a 5: "%.16e" rounds the exact tie at the 17th to even.
-        rng = np.random.default_rng(17)
-        quarters = (rng.integers(4 * 10**15, 9 * 10**15, 400) | 1) / 4.0
-        eighths = (rng.integers(8 * 10**14, 8 * 10**15, 400) | 1) / 8.0
-        values = np.concatenate([quarters, -eighths]).reshape(-1, 20)
-        assert all(len(f"{x:.30e}".split("e")[0].rstrip("0").replace(".", "").lstrip("-")) == 18
-                   for x in values.ravel())
-        assert written(tmp_path, values) == savetxt_bytes(values)
 
-    @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5), (9, 1)])
-    def test_pieces_split_anywhere(self, tmp_path, monkeypatch, shape):
-        # Pieces of a few values each: rows and tokens cross piece boundaries.
-        monkeypatch.setattr(radial, "_CHUNK_BYTES", 64)
-        values = np.r_[SPECIAL, random_doubles(1, 100)][:math.prod(shape)].reshape(shape)
-        f = GridField(0.5, values)
-        f.save_raw(tmp_path / "f.grid")
-        line_by_line_save(f, tmp_path / "old.grid")
-        assert (tmp_path / "f.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
-        assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == values.tobytes()
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+           1e-300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1e-100,
+           9.999999999999999e99, 1e100, 9.999999999999999e-100, 1e22, 1e23, 1.0, -0.1,
+           np.pi, 2.0**53 + 2.0, 1e16, 9.999999999999998e16,
+           # Doubles just below a power of ten that "%.16e" rounds up to it.
+           1e-305, -1e-79]
 
-    def test_records_skip_the_scan(self, tmp_path, monkeypatch):
-        # Nonnegative values with 2-digit exponents take 23 bytes each, and
-        # pieces of them are read as records, with no token gathered.
-        rng = np.random.default_rng(23)
-        values = rng.uniform(1.0, 10.0, (30, 40)) * 10.0 ** rng.integers(-99, 100, (30, 40))
-        values[0, :3] = 0.0, 1.0, 9.999999999999999e99
-        text = written(tmp_path, values)
-        assert len(text) == 23 * values.size
 
-        def gather(*args):
-            raise AssertionError("a piece of records was cut at its separators")
+# Fields whose "%.16e" text holds every token form: (values, spacing).
+FORMER_FIELDS = {
+    **{f"random-{seed}": (random_doubles(seed, 6000).reshape(-1, 30, 20), 0.1234567)
+       for seed in range(4)},
+    **{f"special-{a}x{b}": (np.array(SPECIAL).reshape(a, b), 0.1) for a, b in
+       [(2, 12), (24, 1), (1, 24)]},
+}
 
-        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", gather)
-        for chunk in (64, 23 * 40 + 22, 1 << 20):
-            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
-            got, want = decoded(tmp_path, text, values.shape)
-            assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
 
-    def test_records_between_other_tokens(self, tmp_path, monkeypatch):
-        # 23 negative values, 24 x 23 bytes of text that are not records, then
-        # runs of 23 values read as records between values with signs or
-        # 3-digit exponents, read in pieces of several sizes.
-        # One worker: the spies tell pieces apart by the order of their calls.
-        monkeypatch.setattr(radial, "_workers", lambda: 1)
-        rng = np.random.default_rng(29)
-        fixed = rng.uniform(1.0, 10.0, (9, 23)) * 10.0 ** rng.integers(-99, 100, (9, 23))
-        other = np.array(SPECIAL)[rng.integers(0, len(SPECIAL), (8, 5))]
-        values = np.concatenate([-fixed[0]] + [np.r_[f, o] for f, o in zip(fixed[1:], other)])
-        values = values.reshape(13, 19)
-        text = written(tmp_path, values)
-        pieces, decode, gather = [], radial._decode, np.lib.stride_tricks.sliding_window_view
+class TestGridText:
+    """Text grids in other layouts than np.savetxt's, and faults with their messages."""
 
-        def spy_decode(piece, *args):
-            pieces.append([len(piece), 0])
-            return decode(piece, *args)
-
-        def spy_gather(*args):
-            pieces[-1][1] = 1                               # the piece was cut at its separators
-            return gather(*args)
-
-        monkeypatch.setattr(radial, "_decode", spy_decode)
-        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", spy_gather)
-        for chunk in (64, 23 * 10 + 3, 24 * 23, 1 << 20):
-            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
-            got, want = decoded(tmp_path, text, values.shape)
-            assert got is not None and got.tobytes() == want.tobytes() == values.tobytes()
-        assert [24 * 23, 1] in pieces
-        assert {scanned for _, scanned in pieces} == {0, 1}
-
-    def test_large_field_roundtrip(self, tmp_path, monkeypatch):
-        pieces, decode = [], radial._decode
-        monkeypatch.setattr(radial, "_decode", lambda *a: pieces.append(1) or decode(*a))
-        f = GridField(0.01, np.random.default_rng(11).normal(size=(40, 60, 50)))
-        f.save_raw(tmp_path / "big.grid")
-        assert (tmp_path / "big.grid").stat().st_size > radial._CHUNK_BYTES
-        line_by_line_save(f, tmp_path / "old.grid")
-        assert (tmp_path / "big.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
-        assert GridField.load_raw(tmp_path / "big.grid").values.tobytes() == f.values.tobytes()
-        assert len(pieces) > 1
+    @pytest.mark.parametrize("name", sorted(FORMER_FIELDS))
+    def test_files_of_the_former_writer_are_read_bit_for_bit(self, tmp_path, name):
+        values, spacing = FORMER_FIELDS[name]
+        f = GridField(spacing, values, origin=-np.linspace(0.1, 0.9, values.ndim))
+        former_save_raw(f, tmp_path / "f.grid")
+        g = GridField.load_raw(tmp_path / "f.grid")
+        for got, want in ((g.values, f.values), (g.origin, f.origin), (g.spacing, f.spacing)):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("name", sorted(NON_CANONICAL))
     def test_other_layouts_are_read_by_loadtxt(self, tmp_path, name):
         head, text = layout_text(LAYOUT_VALUES)
-        assert decoded(tmp_path, text, LAYOUT_VALUES.shape)[0] is not None
-        text = NON_CANONICAL[name](text)
-        got, want = decoded(tmp_path, text, LAYOUT_VALUES.shape)
-        assert got is None
         path = tmp_path / "f.grid"
         path.write_bytes(head + text)
+        assert GridField.load_raw(path).values.tobytes() == LAYOUT_VALUES.tobytes()
+        text = NON_CANONICAL[name](text)
+        path.write_bytes(head + text)
+        want = np.loadtxt(io.BytesIO(text), ndmin=2)
         assert GridField.load_raw(path).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(FAULTS))
@@ -773,67 +769,18 @@ class TestGridTextKernels:
             GridField.load_raw(path)
         assert str(err.value) == f"grid file {path}: {message}"
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_random_edits_read_as_without_the_kernels(self, tmp_path, monkeypatch, seed):
-        # Bytes replaced, inserted or deleted in the data: the kernels give the
-        # values, or the message, that np.loadtxt alone gives.
-        head, text = layout_text(LAYOUT_VALUES)
-        rng = np.random.default_rng(seed)
-        path = tmp_path / "edited.grid"
-
-        def outcome(kernels):
-            monkeypatch.setattr(radial, "_KERNELS", kernels)
-            try:
-                return GridField.load_raw(path).values.tobytes()
-            except ValueError as exc:
-                return str(exc)
-
-        alphabet = b" \n\t\r+-.eE0123456789x#,"
-        for _ in range(150):
-            data = bytearray(text)
-            for _ in range(rng.integers(1, 4)):
-                i, byte = int(rng.integers(len(data))), alphabet[rng.integers(len(alphabet))]
-                edit = rng.integers(3)
-                if edit == 0:
-                    data[i] = byte
-                elif edit == 1:
-                    data.insert(i, byte)
-                else:
-                    del data[i]
-            path.write_bytes(head + bytes(data))
-            assert outcome(True) == outcome(False), bytes(data)
-
     def test_rows_beyond_the_shape(self, tmp_path):
-        # Two more values of a 30 x 2 field keep within 25 bytes a value.
         values = np.arange(1.0, 63.0).reshape(31, 2)
         path = tmp_path / "long.grid"
         path.write_bytes(b"dims 2\nshape 30 2\nspacing 0.5\n" + savetxt_bytes(values))
         with pytest.raises(ValueError, match="62 values, shape 30 2 needs 60"):
             GridField.load_raw(path)
 
-    def test_without_the_kernels(self, tmp_path, monkeypatch):
-        # A platform whose long double has no 64-bit significand.
-        values = random_doubles(3, 600).reshape(20, 30)
-        text = written(tmp_path, values)
-        monkeypatch.setattr(radial, "_KERNELS", False)
-        assert written(tmp_path, values) == text == savetxt_bytes(values)
-        assert decoded(tmp_path, text, values.shape)[0] is None
-        assert GridField.load_raw(tmp_path / "w.grid").values.tobytes() == values.tobytes()
-
-    def test_non_finite_values_are_written_by_savetxt(self, tmp_path):
-        f = GridField(0.5, np.arange(12.0).reshape(3, 4) - 5.5)
-        f.values[1, 2], f.values[2, 0] = np.nan, -np.inf
-        f.save_raw(tmp_path / "f.grid")
-        data = (tmp_path / "f.grid").read_bytes().split(b"\n", 4)[4]
-        assert data == savetxt_bytes(f.values)
-        with pytest.raises(ValueError, match="non-finite value nan in data row 2, column 3"):
-            GridField.load_raw(tmp_path / "f.grid")
-
 
 @pytest.fixture(params=[1, 2, 3], ids=["one_worker", "two_workers", "three_workers"])
 def workers(request, monkeypatch):
     """radial._workers reports request.param CPUs; threads switch often, so
-    that pieces placed out of order or a lost write would show."""
+    that a slab run twice or lost would show."""
     monkeypatch.setattr(radial, "_workers", lambda: request.param)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -843,137 +790,62 @@ def workers(request, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def every_token_form(size):
-    """size values with signs, subnormals, 3-digit exponents and writer ties."""
-    rng = np.random.default_rng(size)
-    ties = (rng.integers(4 * 10**15, 9 * 10**15, 200) | 1) / 4.0 * rng.choice([-1.0, 1.0], 200)
-    return np.r_[SPECIAL, ties, random_doubles(size, size)][:size]
+class TestOverSlabs:
+    """radial._over_slabs, the driver of mollify and the u-gauge kernels."""
 
+    @pytest.mark.parametrize("count, planes", [(40, 3), (12, 4)])
+    def test_every_slab_once(self, workers, count, planes):
+        seen, threads = [], set()
 
-# (_CHUNK_BYTES, shape): pieces of two or three values, and pieces of 1 MiB.
-PIECES = [(64, (6, 10, 12)), (None, (80, 50, 40))]
+        def work(i0, i1):
+            time.sleep(0.001 * (i0 % 3))        # later slabs may finish first
+            seen.append((i0, i1))
+            threads.add(threading.get_ident())
 
-
-class TestGridTextOnWorkers:
-    """save_raw formats and load_raw decodes their pieces on radial._in_order:
-    the bytes of np.savetxt and the bits of np.loadtxt on any number of
-    workers, and faults with their messages."""
-
-    @pytest.mark.parametrize("chunk, shape", PIECES, ids=["64_bytes", "1_MiB"])
-    def test_bytes_and_bits(self, tmp_path, monkeypatch, workers, chunk, shape):
-        if chunk is not None:
-            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
-        values = every_token_form(math.prod(shape)).reshape(shape)
-        f = GridField(0.5, values)
-        f.save_raw(tmp_path / "f.grid")
-        data = (tmp_path / "f.grid").read_bytes().split(b"\n", 4)[4]
-        assert data == savetxt_bytes(values.reshape(shape[0], -1))
-        assert len(data) > 3 * radial._CHUNK_BYTES
-        assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == values.tobytes()
-
-    @pytest.mark.parametrize("chunk, repeat", [(64, 1), (None, 80)], ids=["64_bytes", "1_MiB"])
-    def test_midpoint_tokens(self, tmp_path, monkeypatch, workers, chunk, repeat):
-        if chunk is not None:
-            monkeypatch.setattr(radial, "_CHUNK_BYTES", chunk)
-        tokens = (midpoint_tokens(5, 300) + LOWEST_BINADE_MIDPOINTS) * repeat
-        tokens = tokens[:len(tokens) // 20 * 20]
-        text = "".join(t + ("\n" if i % 20 == 19 else " ") for i, t in enumerate(tokens)).encode()
-        assert len(text) > 3 * radial._CHUNK_BYTES
-        path = tmp_path / "m.grid"
-        path.write_bytes(f"dims 2\nshape {len(tokens) // 20} 20\nspacing 0.5\n".encode() + text)
-        want = np.loadtxt(io.BytesIO(text), ndmin=2)
-        assert GridField.load_raw(path).values.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("fault, message", [
-        (lambda t: t[:-23] + b"7.0000000000000000x+00\n",
-         "unparsable value '7.0000000000000000x+00' in data row 6, column 120"),
-        (lambda t: t[:-23] + b"nan\n", "non-finite value nan in data row 6, column 120"),
-        (lambda t: t[:-24] + b"\n", "data row 6 has 119 values, expected 120"),
-        (lambda t: t[:-24] + b"\n" + t[-23:-1] + b" ", "data row 6 has 119 values, expected 120"),
-        (lambda t: t + t[:23 * 120], "840 values, shape 6 10 12 needs 720"),
-    ], ids=["unparsable", "nan", "ragged", "moved-newline", "long"])
-    def test_fault_in_the_last_piece(self, tmp_path, monkeypatch, workers, fault, message):
-        monkeypatch.setattr(radial, "_CHUNK_BYTES", 23 * 7)
-        values = np.random.default_rng(7).uniform(1.0, 9.0, (6, 10, 12))
-        path = tmp_path / "bad.grid"
-        GridField(0.5, values).save_raw(path)
-        head, text = path.read_bytes().split(b"spacing", 1)
-        lines = (b"spacing" + text).split(b"\n", 2)
-        path.write_bytes(head + b"\n".join(lines[:2]) + b"\n" + fault(lines[2]))
-        with pytest.raises(ValueError) as err:
-            GridField.load_raw(path)
-        assert str(err.value) == f"grid file {path}: {message}"
-
-
-class TestInOrder:
-    """radial._in_order, the driver of the grid kernels."""
-
-    def test_results_in_order_and_few_in_flight(self, workers):
-        taken, given = [], []
-
-        def items():
-            for i in range(40):
-                taken.append(i)
-                yield i
-
-        def work(i):
-            time.sleep(0.001 * (i % 3))         # later items may finish first
-            return i * i, threading.get_ident()
-
-        for result, _ in radial._in_order(work, items()):
-            given.append(result)
-            assert len(taken) - len(given) <= 2 * workers
-        assert given == [i * i for i in range(40)]
+        radial._over_slabs(count, planes, work)
+        assert sorted(seen) == [(i, min(i + planes, count)) for i in range(0, count, planes)]
+        assert len(threads) <= workers
 
     @pytest.mark.parametrize("count", [0, 1, 5])
-    def test_inline_with_one_worker_or_item(self, monkeypatch, count):
+    def test_inline_with_one_worker_or_slab(self, monkeypatch, count):
         monkeypatch.setattr(radial, "_workers", lambda: 1 if count == 5 else 3)
-        caller = threading.get_ident()
-        got = list(radial._in_order(lambda i: (i, threading.get_ident()), range(count)))
-        assert got == [(i, caller) for i in range(count)]
+        caller, seen = threading.get_ident(), []
+        radial._over_slabs(count, 1 if count == 5 else 4,
+                           lambda i0, i1: seen.append((i0, i1, threading.get_ident())))
+        want = [(i, i + 1, caller) for i in range(5)] if count == 5 else [(0, 1, caller)] * count
+        assert seen == want
 
     def test_calls_run_in_the_callers_context(self, workers):
+        seen = []
         with np.errstate(divide="raise", over="ignore"):
-            seen = list(radial._in_order(lambda i: np.geterr(), range(7)))
+            radial._over_slabs(7, 1, lambda i0, i1: seen.append(np.geterr()))
         assert [(e["divide"], e["over"]) for e in seen] == [("raise", "ignore")] * 7
 
     def test_exception_reaches_the_caller(self, workers):
         before = threading.active_count()
 
-        def work(i):
-            if i == 7:
-                raise ZeroDivisionError(f"item {i}")
-            return i
+        def work(i0, i1):
+            if i0 == 7:
+                raise ZeroDivisionError(f"slab {i0}")
 
-        with pytest.raises(ZeroDivisionError, match="^item 7$"):
-            list(radial._in_order(work, range(20)))
+        with pytest.raises(ZeroDivisionError, match="^slab 7$"):
+            radial._over_slabs(20, 1, work)
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_a_grid_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(radial, "_workers", lambda: 3)
-        monkeypatch.setattr(radial, "_CHUNK_BYTES", 64)
+    def test_first_exception_in_slab_order(self, workers):
+        # With two or more workers slab 12 fails while slab 3 sleeps; slab 3
+        # comes first in slab order, so its exception reaches the caller.
         before = threading.active_count()
-        f = GridField(0.5, np.random.default_rng(9).normal(size=(5, 6, 7)))
-        f.save_raw(tmp_path / "f.grid")
-        assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == f.values.tobytes()
-        assert threading.active_count() == before
-        # A fault in a worker, and a piece that ends the read early.
-        real = radial._format
-        pieces = []
 
-        def failing(x, ncols, start):
-            pieces.append(start)
-            if len(pieces) == 4:
-                raise MemoryError("fourth piece")
-            return real(x, ncols, start)
+        def work(i0, i1):
+            if i0 == 3:
+                time.sleep(0.02)
+                raise KeyError(i0)
+            if i0 == 12:
+                raise ZeroDivisionError(i0)
 
-        monkeypatch.setattr(radial, "_format", failing)
-        with pytest.raises(MemoryError, match="^fourth piece$"):
-            f.save_raw(tmp_path / "g.grid")
-        text = (tmp_path / "f.grid").read_bytes()
-        (tmp_path / "f.grid").write_bytes(text[:len(text) // 2] + b"x" + text[len(text) // 2:])
-        with pytest.raises(ValueError, match="unparsable value"):
-            GridField.load_raw(tmp_path / "f.grid")
+        with pytest.raises(KeyError, match="^3$"):
+            radial._over_slabs(16, 1, work)
         assert threading.active_count() == before
 
 
