@@ -595,7 +595,7 @@ class VolumeCurve:
     n: int
 
 
-def _w_callable(w, n: int):
+def _w_callable(w):
     if callable(w):
         return w
     if isinstance(w, RadialProfile):
@@ -649,7 +649,7 @@ def volume_ratio(w, n: int, s_values, mode: str = "origin",
     Cost grows linearly with the number of radii: 25 radii on the
     fundamental end take about 3 800 evaluations of w.
     """
-    wf = _w_callable(w, n)
+    wf = _w_callable(w)
     omega = sphere_area(n)
     s_values = np.asarray(s_values, dtype=float)
     if np.any(s_values <= 0.0) or np.any(np.diff(s_values) <= 0.0):
@@ -740,7 +740,7 @@ def annulus_volume(w, r1: float, r2: float, n: int) -> float:
     """Volume of the annulus r1 < |x| < r2 in the metric e^{-2w} g_e."""
     if not 0.0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
-    wf = _w_callable(w, n)
+    wf = _w_callable(w)
     omega = sphere_area(n)
     return _quad(lambda t: omega * math.exp(-n * wf(t)) * t ** (n - 1), r1, r2)
 

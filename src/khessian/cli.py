@@ -277,7 +277,8 @@ def _load_problem_spec(path, continuation=False):
     # sigma_k_radial multiplies float arrays by ints up to k C(n-1, k-1).
     if cone.k * math.comb(cone.n - 1, cone.k - 1) > sys.float_info.max:
         src.fail(f"key 'n': C({cone.n - 1}, {cone.k - 1}) of the radial sigma_k overflows a float")
-    p = get(spec, "", "p", "number")
+    # |p| <= 1e6 keeps the sphere's Newton step, about k/|a|, far above the step test.
+    p = get(spec, "", "p", "number", within=("in [-1e6, 1e6]", lambda v: abs(v) <= 1e6))
     dom_spec = get(spec, "", "domain", "object")
     kind = get(dom_spec, "domain", "type", "string").lower()
     if kind not in _DOMAIN_KEYS:

@@ -78,10 +78,8 @@ class SolverError(RuntimeError):
 
 
 class AdmissibilityError(SolverError):
-    def __init__(self, message, node=None, values=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.node = node
-        self.values = values
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +235,23 @@ class ContinuationRHS:
                 scale * (k * b * delta * e_delta + (k - p) * b * e_power),
                 self.conv * (delta * e_delta + e_power + t * self.ddelta_dt(t) * e_delta))
 
+    def second_derivatives(self, r, w, t):
+        """(d2phi/dw2, d2phi/dwdt), which only fold refinement needs."""
+        k, p, b = self.cone.k, self.p, self.beta
+        e_delta = k * b * _exp(k * b * w)
+        e_power = (k - p) * b * _fv(self.f, r) * _exp((k - p) * b * w)
+        return (t * self.conv * (k * b * self.delta(t) * e_delta + (k - p) * b * e_power),
+                self.conv * ((self.delta(t) + t * self.ddelta_dt(t)) * e_delta + e_power))
+
 
 class GeneralVRHS:
     """w-gauge form of sigma_k(lambda(V)) = t * phi_v(r, v) for a user phi_v."""
 
-    def __init__(self, cone: ConeParams, phi_v, dphi_v_dv):
+    def __init__(self, cone: ConeParams, phi_v, dphi_v_dv, d2phi_v_dv2):
         self.cone = cone
         self.phi_v = phi_v
         self.dphi_v_dv = dphi_v_dv
+        self.d2phi_v_dv2 = d2phi_v_dv2
         self.conv = wgauge_rhs_amplitude(1.0, cone.n, cone.k)
         self.beta = 0.5 * (cone.n - 2)
 
@@ -256,6 +263,15 @@ class GeneralVRHS:
         scale = t * self.conv * base
         return (scale * pv, scale * (k * b * pv - b * v * self.dphi_v_dv(r, v)),
                 self.conv * base * pv)
+
+    def second_derivatives(self, r, w, t):
+        """(d2phi/dw2, d2phi/dwdt), which only fold refinement needs."""
+        k, b = self.cone.k, self.beta
+        v = _exp(-b * w)
+        base = self.conv * _exp(k * b * w)
+        pv, dpv, d2pv = self.phi_v(r, v), v * self.dphi_v_dv(r, v), v * v * self.d2phi_v_dv2(r, v)
+        return (t * base * b * b * (k * k * pv - (2 * k - 1) * dpv + d2pv),
+                base * b * (k * pv - dpv))
 
 
 def validate_growth(phi_v, k: int, growth_class: str, c0: float = 0.0):
@@ -373,10 +389,7 @@ class RadialSystem:
         if bad[worst] < 0.0:
             raise AdmissibilityError(
                 f"iterate leaves the admissible cone at r={r[worst]:.6g} "
-                f"(b={ab.b[worst]:.3e}, a+theta*b={combo[worst]:.3e})",
-                node=self.rows.start + worst,
-                values=(float(ab.b[worst]), float(combo[worst])),
-            )
+                f"(b={ab.b[worst]:.3e}, a+theta*b={combo[worst]:.3e})")
 
     # -- residual and Jacobian ----------------------------------------------
 
@@ -388,13 +401,13 @@ class RadialSystem:
         G = sigma^{1/k} - phi^{1/k} when root is set (None otherwise); the
         tridiagonal Jacobian of that form in solve_banded layout (upper,
         diagonal, lower) when jac is set (None otherwise); dphi/dt at the
-        equation rows; and the stencil's (a, b).  Boundary rows are w - data
-        in both forms.
+        equation rows; and the stencil (w', w'', (a, b)).  Boundary rows are
+        w - data in both forms.
         """
         k, rows = self.cone.k, self.rows
         phi, phi_w, phi_t = (rhs.evaluate(self.r_eq, w[rows]) if t is None
                              else rhs.evaluate(self.r_eq, w[rows], t))
-        d1, _, ab = self._stencil(w)
+        d1, _, ab = stencil = self._stencil(w)
         sig = sigma_k_radial(ab, self.cone)
         F = np.empty(self.N)
         F[rows] = sig - phi
@@ -410,7 +423,7 @@ class RadialSystem:
             if jac:
                 J = np.zeros((3, 1))
                 J[1, 0] = -phi_w0
-            return F, G, J, phi_t, ab
+            return F, G, J, phi_t, stencil
         if root:
             G = F.copy()
             G[rows] = np.maximum(sig, 0.0) ** (1.0 / k) - np.maximum(phi, 0.0) ** (1.0 / k)
@@ -421,25 +434,48 @@ class RadialSystem:
                 scale = (1.0 / k) * np.maximum(sig, 1e-300) ** (1.0 / k - 1.0)
                 sa, sb = scale * sa, scale * sb
                 phi_w = (1.0 / k) * np.maximum(phi, 1e-300) ** (1.0 / k - 1.0) * phi_w
-            J = self._jacobian(d1, sa, sb, phi_w)
-        return F, G, J, phi_t, ab
+            J = self._jacobian(d1, sa, sb * (1.0 / self.r_eq - d1), phi_w)
+            for i, _ in self.dirichlet:
+                J[1, i] = 1.0
+        return F, G, J, phi_t, stencil
 
-    def _jacobian(self, d1, sa, sb, phi_w):
-        """Tridiagonal Jacobian from dsigma/da, dsigma/db and dphi/dw at the rows."""
+    def _jacobian(self, d1, sa, c1, phi_w):
+        """Band of psi -> sa (psi'' + d1 psi') + c1 psi' - phi_w psi, zero on Dirichlet rows."""
         h, rows, N = self.h, self.rows, self.N
-        bcoef = sb * (1.0 / self.r_eq - d1)
         J = np.zeros((3, N))
         J[1, rows] = -2.0 * sa / h**2 - phi_w
-        J[0, rows.start + 1:rows.stop + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + bcoef / (2 * h)
-        sub = sa * (1.0 / h**2 - d1 / (2 * h)) - bcoef / (2 * h)
+        J[0, rows.start + 1:rows.stop + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + c1 / (2 * h)
+        sub = sa * (1.0 / h**2 - d1 / (2 * h)) - c1 / (2 * h)
         if self.kind == "ball":
             # Fold the ghost coefficient of row 0 into its diagonal.
             J[1, 0] += sub[0]
             sub = sub[1:]
         J[2, :N - 2] = sub
-        for i, _ in self.dirichlet:
-            J[1, i] = 1.0
         return J
+
+    def _fold_blocks(self, w, rhs, t, ph, stencil):
+        """Exact d(J ph)/dw, in J's layout, and d(J ph)/dt of the plain Jacobian.
+
+        sigma_k is linear in a, so with da = psi'' + w' psi' and db = (1/r - w') psi'
+        d(J ph)/dw psi = sigma_ab (da[ph] db + db[ph] da) + sigma_bb db[ph] db
+        + (sigma_a - sigma_b) ph' psi' - phi_ww ph psi, an operator of _jacobian's form.
+        The a-term of sigma_bb, (k-1)(k-2) C(n-1,k-1) a b^(k-3), vanishes at k = 2.
+        """
+        rows, n, k = self.rows, self.cone.n, self.cone.k
+        phi_ww, phi_wt = rhs.second_derivatives(self.r_eq, w[rows], t)
+        Jph_t = np.zeros(self.N)
+        Jph_t[rows] = -phi_wt * ph[rows]
+        if self.kind == "sphere":
+            return np.array([[0.0], [-phi_ww[0] * ph[0]], [0.0]]), Jph_t
+        (d1, _, ab), (p1, p2, _) = stencil, self._stencil(ph)
+        sa, sb = sigma_k_radial_gradients(ab, self.cone)
+        s_ab = (k - 1) * math.comb(n - 1, k - 1) * ab.b ** (k - 2)
+        s_bb = (k * (k - 1) * math.comb(n - 1, k) * ab.b ** (k - 2) + (k - 1) * (k - 2)
+                * math.comb(n - 1, k - 1) * ab.a * ab.b ** max(k - 3, 0))
+        db = (1.0 / self.r_eq - d1) * p1
+        return self._jacobian(d1, s_ab * db, (s_ab * (p2 + d1 * p1) + s_bb * db)
+                              * (1.0 / self.r_eq - d1) + (sa - sb) * p1,
+                              phi_ww * ph[rows]), Jph_t
 
     def residual(self, w, rhs, t=None):
         return self._assemble(w, rhs, t=t)[0]
@@ -459,21 +495,23 @@ class RadialSystem:
         return G, J, F
 
     def residual_jacobian(self, w, rhs, check_cone: bool = False, t=None,
-                          with_ab: bool = False):
+                          with_ab: bool = False, ph=None):
         """Residual and Jacobian.  With t, rhs is a t-dependent RHS taken at t,
-        and dF/dt, from the same evaluation, is returned third.  With with_ab,
-        the stencil's (a, b) at w, also from that evaluation, is returned last:
-        `radial_admissible(ab, cone, strict=True)` is then the test of
-        `admissible(w)`."""
+        and dF/dt, from the same evaluation, is returned third; with ph, the
+        exact d(J ph)/dw and d(J ph)/dt follow (see _fold_blocks).  With
+        with_ab, the stencil's (a, b) at w, from that evaluation too, is
+        returned last: `radial_admissible(ab, cone, strict=True)` tests `admissible(w)`."""
         if check_cone:
             self._cone_guard(w)
-        F, _, J, phi_t, ab = self._assemble(w, rhs, jac=True, t=t)
+        F, _, J, phi_t, stencil = self._assemble(w, rhs, jac=True, t=t)
         out = (F, J)
         if t is not None:
             Ft = np.zeros(self.N)
             Ft[self.rows] = -phi_t
             out += (Ft,)
-        return out + (ab,) if with_ab else out
+        if ph is not None:
+            out += self._fold_blocks(w, rhs, t, ph, stencil)
+        return out + (stencil[2],) if with_ab else out
 
     def residual_floor(self, w, rhs):
         """Residual at w and its rounding floor (see _rounding_floor), from one
@@ -541,8 +579,8 @@ def assemble(problem: RadialProblem, w, rhs, N: int | None = None,
              check_cone: bool = True):
     """Residual and tridiagonal Jacobian of a problem at the iterate w.
 
-    Raises AdmissibilityError (carrying the worst node) when w leaves the
-    closed cone beyond a finite-difference margin.
+    Raises AdmissibilityError, naming r, b and a + theta b at the worst node,
+    when w leaves the closed cone beyond a finite-difference margin.
     """
     w = np.asarray(w, dtype=float)
     system = RadialSystem(problem, N if N is not None else len(w))
@@ -937,90 +975,49 @@ def _corrector(system, rhs, w_pred, t_pred, tau, config, max_iter=12):
     return w, t, it, jac_t
 
 
-def _dJphi_dw(system, rhs, w, J, phi, eps, t):
-    """Tridiagonal d(J phi)/dw by a 3-colour Curtis-Powell-Reid difference.
-
-    Row i of J depends on w[i-1 : i+2] only, so nodes i, i+3, i+6, ... can be
-    perturbed together: three assemblies recover every column.  J is the
-    Jacobian at (w, t); the result is in the same solve_banded layout.
-    """
-    N = system.N
-    base = _band_matvec(J, 1, 1, phi)
-    H = np.zeros((3, N))
-    rows = np.arange(N)
-    for colour in range(min(3, N)):
-        wp = w.copy()
-        wp[colour::3] += eps
-        Jp = system.residual_jacobian(wp, rhs, t=t)[1]
-        diff = (_band_matvec(Jp, 1, 1, phi) - base) / eps
-        # The perturbed column of row i is the j in {i-1, i, i+1} with j = colour mod 3.
-        off = (colour - rows + 1) % 3 - 1
-        cols = rows + off
-        ok = (cols >= 0) & (cols < N)
-        H[1 - off[ok], cols[ok]] = diff[ok]
-    return H
-
-
-def _refine_fold(system, rhs, w, t, phi0, config):
-    """Newton on the Moore-Spence extended fold system [F; J phi; c.phi - 1] = 0.
-
-    (w, t) is the last branch sample before the fold and phi0 the w-part of
-    its tangent (Moore and Spence, SIAM J. Numer. Anal. 17, 1980).  Returns
-    (w, t, phi, ok).
+def _refine_fold(system, rhs, w, t, phi0):
+    """Newton on the Moore-Spence extended fold system [F; J phi; c.phi - 1] = 0
+    (Moore and Spence, SIAM J. Numer. Anal. 17, 1980) from the last branch
+    sample (w, t) before the fold, with phi0 the w-part of its tangent.
+    Returns (w, t, ok).
 
     Interleaving the unknowns as (w_0, phi_0, w_1, phi_1, ...) makes the
     (2N+1) Newton matrix a band (kl = 3, ku = 2) bordered by the t column and
-    the c row, so an iteration costs five assemblies and one O(N) solve.
-
-    |G| cannot fall below the rounding floor of the stencil, about
-    eps |w| max|dsigma/da| / h^2 = eps |w| max|J_ii| / 2.  Refinement succeeds
-    by _stop, with a fixed bound as the tolerance: |G| within that bound or a
-    small multiple of the floor, or a Newton step within a few ulps of w and
-    t.  It also succeeds once a Newton step stops halving |G| close to the
-    larger of the bound and the floor.
+    the c row.  Its exact blocks d(J phi)/dw and d(J phi)/dt come with F and J
+    from one assembly, so an iteration costs one assembly and one O(N) solve.
+    It stops by _stop, as the other Newton loops do: |G| within the rounding
+    floor of the stencil, or a Newton step within a few ulps of w and t.
     """
     N = system.N
     c = phi0 / np.linalg.norm(phi0)
-    w, t = np.asarray(w, dtype=float), float(t)
     ph = phi0 / max(float(c @ phi0), 1e-300)
     G = np.empty(2 * N + 1)
     band = np.zeros((6, 2 * N))
     col = np.empty(2 * N)
     row = np.zeros(2 * N)
     row[1::2] = c
-    prev = math.inf
     for _ in range(30):
-        F, J, Ft = system.residual_jacobian(w, rhs, t=t)
-        Jph = _band_matvec(J, 1, 1, ph)
+        F, J, Ft, Jph_w, Jph_t = system.residual_jacobian(w, rhs, t=t, ph=ph)
         G[:-1:2] = F
-        G[1:-1:2] = Jph
+        G[1:-1:2] = _band_matvec(J, 1, 1, ph)
         G[-1] = c @ ph - 1.0
-        gnorm = float(np.abs(G).max())
-        bound = 1e-12 * max(1.0, float(np.abs(F).max())) + 1e-13
-        if _stop(w, gnorm, bound, J) or (
-                gnorm > 0.5 * prev and gnorm <= 100.0 * max(bound, _rounding_floor(w, J))):
-            return w, t, ph, True
-        prev = gnorm
-        eps = 1e-7 * max(1.0, float(np.abs(w).max()))
-        te = 1e-7 * max(1.0, abs(t))
-        _, Jt, _ = system.residual_jacobian(w, rhs, t=t + te)
+        if _stop(w, float(np.abs(G).max()), J=J):
+            return w, t, True
         # Row 2i holds F_i and row 2i+1 (J phi)_i: J sits in band rows 0, 2, 4
         # under both the w and the phi columns, d(J phi)/dw in rows 1, 3, 5.
         band[0::2, 0::2] = J
         band[0::2, 1::2] = J
-        band[1::2, 0::2] = _dJphi_dw(system, rhs, w, J, ph, eps, t)
+        band[1::2, 0::2] = Jph_w
         col[0::2] = Ft
-        col[1::2] = (_band_matvec(Jt, 1, 1, ph) - Jph) / te
+        col[1::2] = Jph_t
         dz, dt = _bordered_solve(band, 3, 2, col, row, 0.0, -G[:-1], -G[-1])
-        dw = dz[0::2]
-        w_new = w + dw
-        if not system.admissible(w_new):
-            return w, t, ph, False
-        step_stop = _stop(w, step=float(np.abs(dw).max()), t=t, dt=dt)
-        w, t, ph = w_new, t + dt, ph + dz[1::2]
+        step_stop = _stop(w, step=float(np.abs(dz[0::2]).max()), t=t, dt=dt)
+        w, t, ph = w + dz[0::2], t + dt, ph + dz[1::2]
+        if not system.admissible(w):
+            return w, t, False
         if step_stop:
-            return w, t, ph, True
-    return w, t, ph, False
+            return w, t, True
+    return w, t, False
 
 
 def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branch:
@@ -1074,7 +1071,7 @@ def _continue_branch(problem: RadialProblem, rhs, config: SolverConfig) -> Branc
             # The fold lies between the samples (w, t) and (w_new, t_new).
             fold = FoldMarker(t, w, False) if t >= t_new else FoldMarker(t_new, w_new, False)
             try:
-                wf, tf, _, ok = _refine_fold(system, rhs, w, t, tau[:-1], config)
+                wf, tf, ok = _refine_fold(system, rhs, w, t, tau[:-1])
             except SolverError:
                 ok = False
             # In the bracket: t* not below it, up to rounding, and the fold
@@ -1113,10 +1110,11 @@ def continuation_supercritical(problem: RadialProblem, config: SolverConfig) -> 
     return _continue_branch(problem, rhs, config)
 
 
-def general_rhs_continuation(problem: RadialProblem, phi_v, dphi_v_dv,
+def general_rhs_continuation(problem: RadialProblem, phi_v, dphi_v_dv, d2phi_v_dv2,
                              growth_class: str, config: SolverConfig,
                              c0: float = 0.0) -> Branch:
-    """Continuation for sigma_k(lambda(V)) = t phi_v(x, v) with a declared growth class."""
+    """Continuation for sigma_k(lambda(V)) = t phi_v(x, v) with a declared growth
+    class; fold refinement needs phi_v's second v-derivative besides the first."""
     validate_growth(phi_v, problem.cone.k, growth_class, c0=c0)
-    rhs = GeneralVRHS(problem.cone, phi_v, dphi_v_dv)
+    rhs = GeneralVRHS(problem.cone, phi_v, dphi_v_dv, d2phi_v_dv2)
     return _continue_branch(problem, rhs, config)

@@ -713,7 +713,7 @@ def former_volume_ratio(w, n, s_values, mode="origin", rho_ref=1.0):
     bracket probe and every brentq iterate integrates the length density over
     the full range from the center (or from the reference sphere), and so
     does the volume at each root.  Returns Q."""
-    wf = _w_callable(w, n)
+    wf = _w_callable(w)
     omega = sphere_area(n)
     length = lambda t: math.exp(-wf(t))
     volden = lambda t: omega * math.exp(-n * wf(t)) * t ** (n - 1)

@@ -340,10 +340,10 @@ class TestContinueCommand:
                                           monkeypatch, failure):
         from khessian import solver
 
-        def refine(system, rhs, w, t, phi0, config):
+        def refine(system, rhs, w, t, phi0):
             if failure == "raises":
                 raise solver.SolverError("refinement failed")
-            return w, t, phi0, False
+            return w, t, False
 
         monkeypatch.setattr(solver, "_refine_fold", refine)
         code = main(["continue", "--problem", str(scalar_problem_json),

@@ -2,13 +2,16 @@
 every command that reads one ends in an exit code and never raises or prints
 a numpy RuntimeWarning.
 
-The numeric fields of p < k ball and annulus problem files and of metric
-files are drawn from ordinary values and from the whole float range (nan and
-inf included, which the loaders reject); `solve` and `volume` end in exit 0,
-2 or 3.  So are the values of the profile CSVs that `classify` and `harnack`
-read (columns r,w or r,w,dw,d2w), of small grid files for `envelope` (text,
-or archives, some of them damaged), and the --n and --k flags; those
-commands end in exit 0 or 3.  Grid sizes, iteration limits and radius
+The numeric fields of problem files and of metric files are drawn from
+ordinary values and from the whole float range (nan and inf included, which
+the loaders reject); `solve`, `continue` and `volume` end in exit 0, 2 or 3.
+Problem files are p < k `solve` problems, and p >= k `solve` and `continue`
+problems with a continuation section, on a ball, an annulus or the sphere;
+about one example in ten runs a continuation through a refined fold.
+So are the values of the profile CSVs that `classify` and `harnack` read
+(columns r,w or r,w,dw,d2w), of small grid files for `envelope` (text, or
+archives, some of them damaged), and the --n and --k flags; those commands
+end in exit 0 or 3.  Grid sizes, iteration limits and radius
 counts stay small, so every example runs in milliseconds.
 """
 
@@ -40,20 +43,69 @@ def problems(draw):
     k = draw(st.integers(1, n))
     p = draw(st.one_of(st.floats(-5.0, k, exclude_max=True),
                        st.floats(max_value=k, exclude_max=True)))
-    if draw(st.booleans()):
-        domain = {"type": "ball", "r1": draw(POSITIVE), "bc": draw(NUMBER)}
-    else:
-        domain = {"type": "annulus", "r0": draw(POSITIVE), "r1": draw(POSITIVE),
-                  "bc": [draw(NUMBER), draw(NUMBER)]}
-    if draw(st.booleans()):
-        rhs = {"f_const": draw(POSITIVE)}
-    else:
-        rows = draw(st.integers(1, 4))
-        rhs = {"f_table": [[draw(NUMBER), draw(POSITIVE)] for _ in range(rows)]}
-    spec = {"n": n, "k": k, "p": p, "domain": domain, "rhs": rhs,
+    spec = {"n": n, "k": k, "p": p, "domain": draw(domains()), "rhs": draw(rhs_sections()),
             "solver": {"N": draw(st.integers(2, 48)), "tol": draw(POSITIVE),
                        "max_iter": draw(st.integers(1, 60))}}
     return "solve", spec
+
+
+def domains():
+    """A ball, an annulus or the sphere reduction, with any numbers."""
+    return st.one_of(
+        st.builds(lambda r1, bc: {"type": "ball", "r1": r1, "bc": bc}, POSITIVE, NUMBER),
+        st.builds(lambda r0, r1, bc: {"type": "annulus", "r0": r0, "r1": r1, "bc": bc},
+                  POSITIVE, POSITIVE, st.lists(NUMBER, min_size=2, max_size=2)),
+        st.just({"type": "sphere_constant"}))
+
+
+def rhs_sections(f=POSITIVE):
+    """{"f_const": f} or an f_table of one to four rows."""
+    table = st.lists(st.tuples(NUMBER, f).map(list), min_size=1, max_size=4)
+    return st.one_of(st.builds(lambda v: {"f_const": v}, f),
+                     st.builds(lambda rows: {"f_table": rows}, table))
+
+
+def capped(ordinary):
+    """ordinary values, or one time in three a value that no key of the
+    continuation section accepts; the continuation then stays short."""
+    return st.one_of(ordinary, ordinary, st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+
+
+@st.composite
+def branches(draw):
+    """("continue" or "solve", spec) of a p >= k problem file on the sphere,
+    a ball or an annulus, with a continuation section.  In half the examples
+    every number is wild (k and p any, radii and data any, section values
+    out of range one time in three); in the others the problem lies in the
+    paper's range with data near a solvable one.  N, the steps and t_max
+    stay small, so that a branch takes tens of steps."""
+    wild = draw(st.booleans())
+    n = draw(st.integers(3, 60 if wild else 8))
+    k = draw(st.integers(1, n) if wild else st.integers(n // 2 + 1, n))
+    p = draw(st.one_of(st.just(float(k)), st.floats()) if wild
+             else st.floats(0.25, 6.0).map(lambda dp: k + dp))
+    if wild:
+        domain, rhs = draw(domains()), draw(rhs_sections(NUMBER))
+    else:
+        r0, width, w0 = (draw(st.floats(0.1, 1.0)), draw(st.floats(0.2, 3.0)),
+                         draw(st.floats(-3.0, 3.0)))
+        # 0 < w1 - w0 < 2 ln(r1/r0) keeps annulus data inside the cone.
+        slope = draw(st.floats(0.05, 0.95)) * 2.0 * math.log1p(width / r0)
+        domain = draw(st.sampled_from([
+            {"type": "sphere_constant"}, {"type": "ball", "r1": r0 + width, "bc": w0},
+            {"type": "annulus", "r0": r0, "r1": r0 + width, "bc": [w0, w0 + slope]}]))
+        rhs = {"f_const": draw(st.floats(0.1, 10.0))}
+    ranges = {"delta0": st.floats(1e-3, 1.0), "step": st.floats(0.02, 0.3),
+              "min_step": st.floats(1e-4, 1e-2), "t_start": st.floats(1e-3, 0.1),
+              "t_max": st.floats(0.5, 5.0), "after_fold_frac": st.floats(0.3, 0.9)}
+    continuation = {key: draw(capped(values) if wild else values)
+                    for key, values in ranges.items() if draw(st.booleans())}
+    spec = {"n": n, "k": k, "p": p, "domain": domain, "rhs": rhs,
+            "continuation": continuation,
+            "solver": {"N": draw(st.integers(1 if wild else 3, 16)),
+                       "tol": draw(POSITIVE if wild else st.floats(1e-12, 1e-6)),
+                       "max_iter": draw(st.integers(1 if wild else 20, 30))}}
+    return draw(st.sampled_from(["continue", "solve"])), spec
 
 
 @st.composite
@@ -253,6 +305,11 @@ FORMER_CRASHES = [
     (problem(p=2.0, domain={"type": "sphere_constant"}, rhs={"f_const": -1.0}),
      3, "rhs.f_const"),
     (problem("continue", p=2.0), 3, "p"),
+    # Exit 0 with a residual of 7.7e169 and an overflow warning: the
+    # root-form Newton step, 3e-94, passed the step test at once.
+    (problem(k=3, p=-4.662974732294732e138, domain={"type": "sphere_constant"},
+             rhs={"f_const": 9.502878447915867e-136},
+             solver={"N": 2, "tol": 0.0625, "max_iter": 1}), 3, "p"),
 ]
 
 # Extreme data that once printed numpy RuntimeWarnings before the solver
@@ -264,7 +321,7 @@ WARNED = [
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.one_of(problems(), metrics()))
+@given(st.one_of(problems(), metrics(), branches(), branches()))
 @example(FORMER_CRASHES[0][0])
 @example(FORMER_CRASHES[1][0])
 @example(FORMER_CRASHES[2][0])

@@ -123,9 +123,9 @@ class TestAssemble:
         dom = Annulus(0.5, 2.0, 0.0, -2.0)   # decreasing data: b < 0
         problem = RadialProblem(CONE32, dom, p=0.0, f=None)
         w = np.linspace(0.0, -2.0, 64)
-        with pytest.raises(AdmissibilityError) as err:
+        with pytest.raises(AdmissibilityError,
+                           match=r"leaves the admissible cone at r=\S+ \(b=\S+, a\+theta\*b=\S+\)"):
             assemble(problem, w, ExpRHS(1.0, 0.0))
-        assert err.value.node is not None
 
     def test_assemble_public_wrapper(self):
         problem = manufactured_problem()
@@ -611,31 +611,101 @@ class TestBorderedBanded:
 
 
 class TestFoldRefinement:
-    @pytest.mark.parametrize("kind", ["annulus", "ball"])
-    def test_coloured_dJphi_dw_matches_columnwise(self, kind):
-        from khessian.solver import _dJphi_dw
-        N = 20
-        if kind == "annulus":
-            problem = RadialProblem(CONE32, Annulus(0.5, 2.0, W_STAR(0.5), W_STAR(2.0)),
-                                    p=4.0, f=1.0)
+    @pytest.mark.parametrize("rhs_kind", ["continuation", "general"])
+    @pytest.mark.parametrize("nk", [(3, 2), (5, 3), (5, 4)])
+    @pytest.mark.parametrize("kind", ["annulus", "ball", "sphere"])
+    def test_exact_dJphi_matches_central_differences(self, kind, nk, rhs_kind):
+        # k >= 3 exercises the a-term of sigma_bb; the ball's row 0 its ghost.
+        cone = ConeParams(*nk)
+        N = 1 if kind == "sphere" else 20
+        domain = {"annulus": Annulus(0.5, 2.0, 0.0, 0.0), "ball": Ball(1.0, 0.5),
+                  "sphere": SphereConstant()}[kind]
+        system = RadialSystem(RadialProblem(cone, domain, p=cone.k + 2.0, f=1.0), N)
+        rng = np.random.default_rng([len(kind), *nk, len(rhs_kind)])
+        r = system.r
+        w = {"annulus": 0.2 * r**2, "ball": 0.4 * r**2 + 0.1 * r**4,
+             "sphere": np.array([0.3])}[kind] + 1e-4 * rng.normal(size=N)
+        assert system.admissible(w)
+        if rhs_kind == "continuation":
+            f = lambda x: 1.0 + np.asarray(x, dtype=float) ** 2
+            rhs, t = ContinuationRHS(cone, cone.k + 2.0, f, delta0=0.3), 1.4
         else:
-            problem = RadialProblem(CONE32, Ball(1.0, 0.5), p=4.0, f=1.0)
-        system = RadialSystem(problem, N)
-        rhs, t = ContinuationRHS(CONE32, 4.0, 1.0, 1.0), 0.006
-        rng = np.random.default_rng(5)
-        w = W_STAR(system.r) + 0.01 * rng.normal(size=N)
-        phi = rng.normal(size=N)
-        eps = 1e-7
-        J = system.residual_jacobian(w, rhs, t=t)[1]
-        H = dense_jacobian(system, _dJphi_dw(system, rhs, w, J, phi, eps, t))
-        want = np.empty((N, N))
-        base = dense_jacobian(system, J) @ phi
+            rhs, t = GeneralVRHS(cone, lambda x, v: 1.0 + v**4 + v**0.5,
+                                 lambda x, v: 4.0 * v**3 + 0.5 * v**-0.5,
+                                 lambda x, v: 12.0 * v**2 - 0.25 * v**-1.5), 0.7
+        ph = rng.normal(size=N)
+        F, J, Ft, Jph_w, Jph_t = system.residual_jacobian(w, rhs, t=t, ph=ph)
+        assert_same_bits(J, system.residual_jacobian(w, rhs, t=t)[1])
+        eps = 1e-6
+        want_w, dFt_dw = np.empty((N, N)), np.empty((N, N))
         for j in range(N):
-            wp = w.copy()
+            wp, wm = w.copy(), w.copy()
             wp[j] += eps
-            Jp = system.residual_jacobian(wp, rhs, t=t)[1]
-            want[:, j] = (dense_jacobian(system, Jp) @ phi - base) / eps
-        assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
+            wm[j] -= eps
+            (_, Jp, Ftp), (_, Jm, Ftm) = (system.residual_jacobian(x, rhs, t=t)
+                                          for x in (wp, wm))
+            want_w[:, j] = (dense_jacobian(system, Jp) - dense_jacobian(system, Jm)) @ ph / (2 * eps)
+            dFt_dw[:, j] = (Ftp - Ftm) / (2 * eps)
+        # d(J ph)/dt = (d/dw dF/dt) ph: differencing dF/dt in w avoids the
+        # cancellation of J's O(1/h^2) entries in a difference in t.
+        want_t = dFt_dw @ ph
+        got_w = dense_jacobian(system, Jph_w)
+        # Agreement is 4e-13 to 2e-10, and 8e-8 on the stiffer (5, 4) ball,
+        # where the difference's truncation error falls as eps^2.
+        assert np.abs(got_w - want_w).max() <= 1e-6 * np.abs(want_w).max()
+        assert np.abs(Jph_t - want_t).max() <= 1e-8 * np.abs(want_t).max()
+
+    def test_moore_spence_residual_falls_quadratically(self, monkeypatch):
+        from khessian import solver
+        norms = []
+        assemble_once = RadialSystem.residual_jacobian
+
+        def recorded(self, w, rhs, *args, ph=None, **kwargs):
+            out = assemble_once(self, w, rhs, *args, ph=ph, **kwargs)
+            if ph is not None:
+                # c.ph - 1 is linear in ph: every Newton step zeroes it.
+                F, J = out[:2]
+                norms.append((max(np.abs(F).max(), np.abs(solver._band_matvec(J, 1, 1, ph)).max()),
+                              solver._rounding_floor(w, J)))
+            return out
+
+        monkeypatch.setattr(RadialSystem, "residual_jacobian", recorded)
+        branch, _ = annulus_fold_branch(96)
+        assert [f.refined for f in branch.folds] == [True]
+        g = [norm for norm, _ in norms]
+        # The first step starts from the tangent before the fold; from the
+        # second iterate on the residual squares until the last one, which
+        # stops by _stop within the rounding floor of the stencil.
+        assert len(g) <= 6
+        assert g[-1] <= norms[-1][1] < g[-2]
+        assert all(b <= a * a for a, b in zip(g[1:-2], g[2:-1]))
+        assert math.log(g[3] / g[2]) / math.log(g[2] / g[1]) >= 1.5
+
+    def test_each_iteration_assembles_once(self, monkeypatch):
+        from khessian import solver
+        calls = count_assemblies(monkeypatch)
+        refine, bordered_solve = solver._refine_fold, solver._bordered_solve
+        inside, solves = Counter(), []
+
+        def counted_refine(*args):
+            before = calls.copy()
+            out = refine(*args)
+            inside.update(calls - before)
+            return out
+
+        def counted_solve(band, kl, ku, *args):
+            solves.append(kl)
+            return bordered_solve(band, kl, ku, *args)
+
+        monkeypatch.setattr(solver, "_refine_fold", counted_refine)
+        monkeypatch.setattr(solver, "_bordered_solve", counted_solve)
+        branch, _ = annulus_fold_branch(96)
+        assert [f.refined for f in branch.folds] == [True]
+        # One assembly per Newton step (kl = 3 is the fold system's band), and
+        # one more whose residual stops on the floor.
+        iterations = solves.count(3)
+        assert 2 <= iterations <= 5
+        assert inside == {"residual_jacobian": iterations + 1}
 
     @pytest.mark.parametrize("N", [96, 192])
     def test_refined_at_rounding_floor(self, N):
@@ -667,16 +737,18 @@ class TestFoldRefinement:
 SPHERE_CONTINUE = ((3, 2, 4.0), (4, 3, 5.0), (5, 3, 4.0), (5, 4, 6.0))
 
 
-def sphere_fold_root_find(n, k, p, f):
-    """Largest t = A v^k / (1 + f v^p) over v > 0, A = C(n,k) ((n-2)/4)^k, by
-    brentq on the derivative of its logarithm."""
-    A = math.comb(n, k) * ((n - 2) / 4.0) ** k
-    dlog = lambda v: k / v - p * f * v ** (p - 1) / (1.0 + f * v**p)
-    hi = 1.0
-    while dlog(hi) > 0.0:
-        hi *= 2.0
-    v = brentq(dlog, 1e-6, hi, xtol=1e-15, rtol=8.9e-16)
-    return A * v**k / (1.0 + f * v**p)
+def sphere_t_of_w(n, k, p, f, w, delta0=1.0):
+    """t of the sphere branch of ContinuationRHS at w where delta = delta0:
+    C(n,k) 2^-k = t conv (delta0 e^{k beta w} + f e^{(k-p) beta w}), beta = (n-2)/2."""
+    beta, conv = 0.5 * (n - 2), wgauge_rhs_amplitude(1.0, n, k)
+    return math.comb(n, k) * 2.0**-k / (
+        conv * (delta0 * math.exp(k * beta * w) + f * math.exp((k - p) * beta * w)))
+
+
+def sphere_fold_closed_form(n, k, p, f, delta0=1.0):
+    """t* of that branch: the fold lies where e^{p beta w*} = (p-k) f / (k delta0)."""
+    w_star = math.log((p - k) * f / (k * delta0)) / (p * 0.5 * (n - 2))
+    return sphere_t_of_w(n, k, p, f, w_star, delta0)
 
 
 def sphere_continuation_cases():
@@ -703,19 +775,24 @@ class TestFoldLocation:
     """Refinement starts from the last sample before the fold; a failed
     refinement reports the bracket sample with the larger t."""
 
-    def test_sphere_folds_match_root_find(self):
+    def test_sphere_folds_match_closed_form(self):
         cases = list(sphere_continuation_cases())
         assert len(cases) == 124
         bad = []
         for seed, (n, k, p), f in cases:
             problem = RadialProblem(ConeParams(n, k), SphereConstant(), p=p, f=f)
-            branch = continuation_supercritical(problem, SolverConfig(
-                N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6))
-            want = sphere_fold_root_find(n, k, p, f)
+            config = SolverConfig(N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6)
+            branch = continuation_supercritical(problem, config)
+            want = sphere_fold_closed_form(n, k, p, f)
             if ([fold.refined for fold in branch.folds] != [True]
-                    or abs(branch.t_star - want) > 1e-12 * want
+                    or not within_ulps(branch.t_star, want, 4)
                     or max(s.t for s in branch.samples) != branch.t_star):
                 bad.append((seed, (n, k, p), f, branch.t_star, want))
+            if seed == 0:
+                # Every sample of the branch lies on t(w) within the corrector's tol.
+                off = [abs(s.t - sphere_t_of_w(n, k, p, f, float(s.w[0])))
+                       for s in branch.samples]
+                assert max(off) <= config.tol, ((n, k, p), max(off))
         assert not bad, bad
 
     @pytest.mark.parametrize("domain", ["sphere", "annulus"])
@@ -723,10 +800,10 @@ class TestFoldLocation:
     def test_failed_refinement_reports_the_bracket(self, monkeypatch, domain, failure):
         from khessian import solver
 
-        def refine(system, rhs, w, t, phi0, config):
+        def refine(system, rhs, w, t, phi0):
             if failure == "raises":
                 raise SolverError("refinement failed")
-            return w + 1e-3, t * 1.5, phi0, False
+            return w + 1e-3, t * 1.5, False
 
         monkeypatch.setattr(solver, "_refine_fold", refine)
         if domain == "sphere":
@@ -750,13 +827,13 @@ class TestFoldLocation:
         from khessian import solver
         refine = solver._refine_fold
 
-        def moved(system, rhs, w, t, phi0, config):
+        def moved(system, rhs, w, t, phi0):
             if move == "t below the bracket":
-                return w, t * (1.0 - 1e-6), phi0, True
-            wf, tf, ph, ok = refine(system, rhs, w, t, phi0, config)
+                return w, t * (1.0 - 1e-6), True
+            wf, tf, ok = refine(system, rhs, w, t, phi0)
             assert ok
             # The sphere's chords are at most ds_max = 0.3 long.
-            return wf + 1.0, tf, ph, ok
+            return wf + 1.0, tf, ok
 
         monkeypatch.setattr(solver, "_refine_fold", moved)
         problem = RadialProblem(CONE32, SphereConstant(), p=4.0, f=1.0)
@@ -1062,7 +1139,8 @@ def oracle_case(domain, rhs_kind, state):
     if rhs_kind == "continuation":
         rhs = ContinuationRHS(CONE32, 4.0, f, delta0=0.3)
         return system, w, rhs, FormerContinuationRHS(rhs), t
-    rhs = GeneralVRHS(CONE32, lambda x, v: 1.0 + v**4, lambda x, v: 4.0 * v**3)
+    rhs = GeneralVRHS(CONE32, lambda x, v: 1.0 + v**4, lambda x, v: 4.0 * v**3,
+                      lambda x, v: 12.0 * v**2)
     return system, w, rhs, FormerGeneralVRHS(rhs), t
 
 
@@ -1190,10 +1268,10 @@ class TestAssemblyCounts:
         # (507 with the residual each Jacobian assembled inside itself).
         calls = count_assemblies(monkeypatch)
         branch, _ = annulus_fold_branch(96)
-        # Refined from the last sample before the fold instead of a bisected
-        # start: t* moved by one ulp from 0.007103164721554383.
-        assert repr(branch.t_star) == "0.007103164721554382"
-        assert within_ulps(branch.t_star, 0.007103164721554383, 2)
+        # Exact Moore-Spence blocks and the shared stop: t* within 1e-13 of
+        # 0.007103164721554382, refined with finite-difference blocks.
+        assert repr(branch.t_star) == "0.0071031647215543834"
+        assert branch.t_star == pytest.approx(0.007103164721554382, rel=1e-13, abs=0.0)
         assert sum(calls.values()) < 262
         assert calls["residual"] == calls["root_residual"] == 0
 
@@ -1258,16 +1336,17 @@ class TestRoundingFloorStop:
 
         monkeypatch.setattr(solver, "_corrector", counted)
         # Fold refinement starts from the last sample before the fold, with no
-        # arclength bisection: the bisection's correctors are gone (former sums
-        # 112/120/150) and t* is within two ulps of its former pin.
-        want = {96: ("0.007103164721554382", 98, 0.007103164721554383),
-                192: ("0.0069900207462747915", 107, 0.0069900207462747915),
-                384: ("0.0069364026294268495", 135, 0.00693640262942685)}
+        # arclength bisection (former corrector sums 112/120/150).  Its exact
+        # Moore-Spence Newton puts t* within 1e-13 of the values refined with
+        # finite-difference blocks and a fixed bound; the correctors are unchanged.
+        want = {96: ("0.0071031647215543834", 98, 0.007103164721554382),
+                192: ("0.006990020746274123", 107, 0.0069900207462747915),
+                384: ("0.00693640262942685", 135, 0.0069364026294268495)}
         for N, (t_star, n_iters, former) in want.items():
             iters.clear()
             branch, _ = annulus_fold_branch(N)
             assert repr(branch.t_star) == t_star
-            assert within_ulps(branch.t_star, former, 2)
+            assert branch.t_star == pytest.approx(former, rel=1e-13, abs=0.0)
             assert sum(iters) == n_iters
 
     def test_diverging_prediction_rejected_early(self, monkeypatch):
@@ -1312,8 +1391,8 @@ class TestGeneralRHS:
         config = SolverConfig(N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6)
         b1 = continuation_supercritical(problem, config)
         b2 = general_rhs_continuation(problem, lambda r, v: 1.0 + v**4,
-                                      lambda r, v: 4.0 * v**3, "floor_super",
-                                      config, c0=0.5)
+                                      lambda r, v: 4.0 * v**3, lambda r, v: 12.0 * v**2,
+                                      "floor_super", config, c0=0.5)
         assert b1.t_star == pytest.approx(b2.t_star, rel=1e-10)
 
     def test_power_mixture_fold(self):
@@ -1326,6 +1405,7 @@ class TestGeneralRHS:
         branch = general_rhs_continuation(
             problem, lambda r, v: v**p1 + v**p2,
             lambda r, v: p1 * v ** (p1 - 1) + p2 * v ** (p2 - 1),
+            lambda r, v: p1 * (p1 - 1) * v ** (p1 - 2) + p2 * (p2 - 1) * v ** (p2 - 2),
             "crossing", config)
         t_of_v = lambda v: A32 * v**2 / (v**p1 + v**p2)
         res = minimize_scalar(lambda v: -t_of_v(v), bracket=(0.1, 1.0),
@@ -1341,6 +1421,7 @@ class TestGeneralRHS:
         branch = general_rhs_continuation(
             problem, lambda r, v: v**p1 + v**p2,
             lambda r, v: p1 * v ** (p1 - 1) + p2 * v ** (p2 - 1),
+            lambda r, v: p1 * (p1 - 1) * v ** (p1 - 2) + p2 * (p2 - 1) * v ** (p2 - 2),
             "crossing", config)
         assert not branch.folds
         assert branch.termination == "t_max reached"
