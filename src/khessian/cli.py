@@ -104,6 +104,14 @@ def cmd_sigma(args) -> int:
     if not 1 <= k <= len(lam):
         raise ValueError(f"k={k} out of range for {len(lam)} eigenvalues")
     e = symfunc.sigma_all(lam, k)
+    # in_sigma_delta adds the eigenvalues in numpy's order, which can overflow
+    # where sigma_1's running sum does not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(lam.sum())
+    for j in range(1, k + 1):
+        if not (math.isfinite(e[j]) and (j > 1 or math.isfinite(total))):
+            flag = "--lambda" if args.lam is not None else f"--csv file {args.csv}"
+            raise ValueError(f"{flag}: sigma_{j} of these eigenvalues overflows a double")
     for j in range(1, k + 1):
         print(f"sigma_{j} = {e[j]:.12g}")
     in_open = symfunc.in_gamma_k(lam, k)
@@ -272,7 +280,7 @@ def _load_problem_spec(path, continuation=False):
     get = src.get
     n = get(spec, "", "n", "integer", within=_at_least(3))
     k = get(spec, "", "k", "integer",
-            within=(f"in (n/2, n] = ({n / 2:g}, {n}]", lambda v: n / 2 < v <= n))
+            within=(f"in (n/2, n) = ({n / 2:g}, {n})", lambda v: n / 2 < v < n))
     cone = ConeParams(n, k)
     # sigma_k_radial multiplies float arrays by ints up to k C(n-1, k-1).
     if cone.k * math.comb(cone.n - 1, cone.k - 1) > sys.float_info.max:
@@ -930,6 +938,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
+    # argparse turns an option value of exactly "--" into an empty list.
+    if [] in vars(args).values():
+        print("error: '--' is not a value of any option", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

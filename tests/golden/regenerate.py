@@ -36,7 +36,8 @@ RESIDUAL_FLOOR.
 
 Usage, from the root of the repository (names regenerate only those cases;
 --check writes nothing, prints every case and key path that moved beyond
-that tolerance, and exits 1 if any did):
+that tolerance, then the largest relative difference it accepted within REL
+and its key path, and exits 1 if any moved):
 
     PYTHONPATH=src python tests/golden/regenerate.py [--check] [case ...]
 """
@@ -366,24 +367,30 @@ def _dumps(value, indent=""):
     return json.dumps(value)
 
 
-def mismatches(got, want, where, residual=False):
-    """Descriptions of every difference between got and want, by key path."""
+def mismatches(got, want, where, residual=False, accepted=None):
+    """Descriptions of every difference between got and want, by key path.
+    accepted, a list, receives (relative difference, key path) of every
+    number that differs within REL."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or set(got) != set(want):
             return [f"{where}: keys {sorted(got) if isinstance(got, dict) else got!r} "
                     f"!= {sorted(want)}"]
         return [m for key in sorted(want)
                 for m in mismatches(got[key], want[key], f"{where}.{key}",
-                                    residual or key == "residual")]
+                                    residual or key == "residual", accepted)]
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             return [f"{where}: length {len(got) if isinstance(got, list) else got!r} "
                     f"!= {len(want)}"]
         return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in mismatches(g, w, f"{where}[{i}]", residual)]
+                for m in mismatches(g, w, f"{where}[{i}]", residual, accepted)]
     if _is_number(want) and _is_number(got):
         scale = max(abs(got), abs(want))
-        if abs(got - want) <= REL * scale or (residual and scale <= RESIDUAL_FLOOR):
+        if abs(got - want) <= REL * scale:
+            if accepted is not None and got != want:
+                accepted.append((abs(got - want) / scale, where))
+            return []
+        if residual and scale <= RESIDUAL_FLOOR:
             return []
         return [f"{where}: {got!r} != {want!r}"]
     return [] if got == want and type(got) is type(want) else [f"{where}: {got!r} != {want!r}"]
@@ -402,17 +409,17 @@ def csv_residuals(record):
     return record
 
 
-def moved(name, workdir) -> list:
+def moved(name, workdir, accepted=None) -> list:
     """Every key path of golden case name that a re-run in the empty
     directory workdir moves beyond the tolerance, and its input if that
-    differs at all from the one recorded."""
+    differs at all from the one recorded (accepted: see mismatches)."""
     path = HERE / f"{name}.json"
     if not path.exists():
         return [f"{name}: no golden file"]
     want = json.loads(path.read_text())
     got = json.loads(_dumps(run_case(*cases()[name], workdir)))
     found = [] if got.pop("problem") == want.pop("problem") else [f"{name}.problem: changed"]
-    return found + mismatches(csv_residuals(got), csv_residuals(want), name)
+    return found + mismatches(csv_residuals(got), csv_residuals(want), name, accepted=accepted)
 
 
 def main(names=(), check=False):
@@ -420,17 +427,21 @@ def main(names=(), check=False):
     unknown = sorted(set(names) - set(known))
     if unknown:
         raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
-    found = []
+    found, accepted = [], []
     for name in names or known:
         with tempfile.TemporaryDirectory() as workdir:
             if check:
-                found += moved(name, workdir)
+                found += moved(name, workdir, accepted)
             else:
                 record = run_case(*known[name], workdir)
                 (HERE / f"{name}.json").write_text(_dumps(record) + "\n")
                 print(f"{name}: exit {record['exit']}")
     if check:
         print("\n".join(found) or "no golden case moved")
+        if accepted:
+            print("largest relative difference accepted within REL: %.3g at %s" % max(accepted))
+        else:
+            print("no number differs")
     return 1 if found else 0
 
 

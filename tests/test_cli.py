@@ -923,6 +923,18 @@ class TestProblemLoader:
         assert capsys.readouterr().err == f"error: problem file {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "continue"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_k_equal_to_n_is_named(self, tmp_path, capsys, command, n):
+        # The paper's range is n/2 < k < n: (3, 3) used to exit 2 after 50
+        # Newton iterations, and (5, 5) to exit 0.
+        spec = dict(sphere_spec(), n=n, k=n, p=n + 1.0)
+        code, path = run_problem(tmp_path, command, spec)
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: problem file {path}: key 'k' must be in "
+                                           f"(n/2, n) = ({n / 2:g}, {n}), got {n}\n")
+        assert not (tmp_path / "out_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
     @pytest.mark.parametrize("section, key", [
         ("", "tolerance"),
         ("solver", "tolerance"),
@@ -1185,3 +1197,15 @@ class TestBatchedConeCheck:
 
 def test_unknown_command_exits_3(capsys):
     assert main(["bogus"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--lambda=--", "--k=2"],
+    ["envelope", "--grid", "grid.txt", "--center=--", "--out", "env.csv"],
+    ["classify", "--profile=--", "--n=3", "--k=2"],
+], ids=["sigma", "envelope", "classify"])
+def test_double_dash_value_exits_3(capsys, argv):
+    # argparse gives "--" as an empty list, which reached the commands as a
+    # list and ended in an AttributeError traceback.
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: '--' is not a value of any option\n"

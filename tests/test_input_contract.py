@@ -11,8 +11,11 @@ about one example in ten runs a continuation through a refined fold.
 So are the values of the profile CSVs that `classify` and `harnack` read
 (columns r,w or r,w,dw,d2w), of small grid files for `envelope` (text, or
 archives, some of them damaged), and the --n and --k flags; those commands
-end in exit 0 or 3.  Grid sizes, iteration limits and radius
-counts stay small, so every example runs in milliseconds.
+end in exit 0 or 3.  So do the eigenvalues that `sigma` reads from --lambda
+or from a one-row or one-column --csv file, huge, tiny, empty and
+non-numeric entries included, with --k from -1 to n + 1.  Grid sizes,
+iteration limits and radius counts stay small, so every example runs in
+milliseconds.
 """
 
 import contextlib
@@ -81,7 +84,7 @@ def branches(draw):
     stay small, so that a branch takes tens of steps."""
     wild = draw(st.booleans())
     n = draw(st.integers(3, 60 if wild else 8))
-    k = draw(st.integers(1, n) if wild else st.integers(n // 2 + 1, n))
+    k = draw(st.integers(1, n) if wild else st.integers(n // 2 + 1, n - 1))
     p = draw(st.one_of(st.just(float(k)), st.floats()) if wild
              else st.floats(0.25, 6.0).map(lambda dp: k + dp))
     if wild:
@@ -241,6 +244,32 @@ def grids(draw):
     return ("envelope", content, *flags)
 
 
+# An eigenvalue as --lambda or a CSV file spells it: an ordinary number or
+# one near the largest or the smallest double, and in wild inputs also any
+# float (nan and inf included) or a word that is no number.
+FINITE_EIGENVALUES = st.one_of(
+    st.floats(-10.0, 10.0), st.floats(1e300, 1.7e308), st.floats(-1.7e308, -1e300),
+    st.floats(-1e-300, 1e-300)).map(repr)
+WILD_EIGENVALUES = st.one_of(
+    FINITE_EIGENVALUES, st.floats().map(repr),
+    st.sampled_from(["", " ", "1e400", "-1e400", "x", "1,5", "0x10", "--"]))
+
+
+@st.composite
+def eigenvalue_inputs(draw):
+    """("sigma", CSV text or None, flags...): one to eight eigenvalues, wild
+    in half the examples, as --lambda or as a one-row or one-column --csv
+    file, and --k in [-1, n + 1]."""
+    words = draw(st.lists(draw(st.sampled_from([FINITE_EIGENVALUES, WILD_EIGENVALUES])),
+                          min_size=1, max_size=8))
+    k = f"--k={draw(st.integers(-1, len(words) + 1))}"
+    layout = draw(st.sampled_from(["lambda", "row", "column"]))
+    if layout == "lambda":
+        return ("sigma", None, f"--lambda={','.join(words)}", k)
+    text = ",".join(words) + "\n" if layout == "row" else "".join(w + "\n" for w in words)
+    return ("sigma", text, k)
+
+
 def problem(command="solve", **keys):
     """(command, spec) of the (3, 2, 0.5) ball problem file with keys replaced."""
     spec = {"n": 3, "k": 2, "p": 0.5, "domain": {"type": "ball", "r1": 1.0, "bc": 0.0},
@@ -261,21 +290,22 @@ def run(case):
 
     A case is (command, input, flags...), where input is the text or the
     bytes of the file or, for `solve`, `continue` and `volume`, the JSON
-    object it holds."""
+    object it holds; `sigma` reads no file when it is None."""
     command, content, *flags = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         path = tmp / "input"
         if isinstance(content, bytes):
             path.write_bytes(content)
-        else:
+        elif content is not None:
             path.write_text(content if isinstance(content, str) else json.dumps(content))
         argv = {"solve": ["--problem", path, "--out-prefix", tmp / "out"],
                 "continue": ["--problem", path, "--out-prefix", tmp / "out"],
                 "volume": ["--metric", path, "--out", tmp / "q.csv"],
                 "classify": ["--profile", path],
                 "harnack": ["--profile", path],
-                "envelope": ["--grid", path, "--out", tmp / "env.csv"]}[command]
+                "envelope": ["--grid", path, "--out", tmp / "env.csv"],
+                "sigma": [] if content is None else ["--csv", path]}[command]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
@@ -305,9 +335,10 @@ FORMER_CRASHES = [
     (problem(p=2.0, domain={"type": "sphere_constant"}, rhs={"f_const": -1.0}),
      3, "rhs.f_const"),
     (problem("continue", p=2.0), 3, "p"),
-    # Exit 0 with a residual of 7.7e169 and an overflow warning: the
-    # root-form Newton step, 3e-94, passed the step test at once.
-    (problem(k=3, p=-4.662974732294732e138, domain={"type": "sphere_constant"},
+    # Drawn with (n, k) = (3, 3), now refused by the k range: exit 0 with a
+    # residual of 7.7e169 and an overflow warning, because the root-form
+    # Newton step, 3e-94, passed the step test at once.
+    (problem(n=4, k=3, p=-4.662974732294732e138, domain={"type": "sphere_constant"},
              rhs={"f_const": 9.502878447915867e-136},
              solver={"N": 2, "tol": 0.0625, "max_iter": 1}), 3, "p"),
 ]
@@ -378,6 +409,38 @@ def test_any_profile_or_grid_ends_in_an_exit_code(case):
     code, err, warned = run(case)
     assert code in (0, 3), (code, err)
     assert not warned, [str(w.message) for w in warned]
+
+
+# Eigenvalues whose sigma_j overflow: exit 0 with inf, nan and a numpy
+# RuntimeWarning before this test.
+SIGMA_OVERFLOWS = [
+    (("sigma", None, "--lambda=1e308,1e308,1e308", "--k=2"), "--lambda", 1),
+    (("sigma", None, "--lambda=1e200,1e200,-1e200", "--k=3"), "--lambda", 2),
+    (("sigma", "1e200\n1e200\n-1e200\n", "--k=3"), "--csv file", 2),
+    # sigma_1's running sum is finite; numpy's order of additions overflows.
+    (("sigma", None, "--lambda=-1e308,0,1e308,1e308,0,0,0,0", "--k=2"), "--lambda", 1),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(eigenvalue_inputs())
+@example(SIGMA_OVERFLOWS[0][0])
+@example(SIGMA_OVERFLOWS[1][0])
+@example(SIGMA_OVERFLOWS[2][0])
+@example(SIGMA_OVERFLOWS[3][0])
+def test_any_eigenvalues_end_in_an_exit_code(case):
+    code, err, warned = run(case)
+    assert code in (0, 3), (code, err)
+    assert "Traceback" not in err, err
+    assert not warned, [str(w.message) for w in warned]
+
+
+@pytest.mark.parametrize("case, flag, j", SIGMA_OVERFLOWS,
+                         ids=["inf", "nan", "csv-nan", "numpy-sum"])
+def test_sigma_overflow_names_flag_and_order(case, flag, j):
+    code, err, warned = run(case)
+    assert code == 3 and not warned, err
+    assert err.startswith(f"error: {flag}") and f"sigma_{j} " in err, err
 
 
 @pytest.mark.parametrize("case, code, key", FORMER_CRASHES)

@@ -200,6 +200,16 @@ class TestNewton:
             newton_solve(problem, manufactured_rhs(1.0),
                          SolverConfig(N=32), w0=np.linspace(0.0, -1.0, 32))
 
+    @pytest.mark.parametrize("pivot", [0.0, -math.inf, math.nan])
+    def test_sphere_newton_system_refuses_a_bad_pivot(self, pivot):
+        # The 1x1 system is divided out, so a zero or non-finite pivot raises
+        # as solve_banded does for N >= 2, instead of giving inf or NaN.
+        system = RadialSystem(RadialProblem(CONE32, SphereConstant(), p=0.0, f=1.0), 1)
+        J = np.array([[0.0], [pivot], [0.0]])
+        with pytest.raises(SolverError, match="^Newton system: "):
+            system.solve_linear(J, np.array([1.0]))
+        assert system.solve_linear(np.array([[0.0], [-4.0], [0.0]]), np.array([1.0]))[0] == -0.25
+
 
 class TestSubcritical:
     def test_manufactured_vform(self):
@@ -549,7 +559,7 @@ class TestBorderedBanded:
         got, want = np.append(x, y), np.append(xr, yr)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
     @pytest.mark.parametrize("kl,ku", [(1, 1), (3, 2)])
     def test_random_systems(self, n, kl, ku):
         rng = np.random.default_rng([n, kl, ku])
@@ -558,7 +568,13 @@ class TestBorderedBanded:
             self.check(band, kl, ku, rng.normal(size=n), rng.normal(size=n),
                        float(rng.normal()), rng.normal(size=n), float(rng.normal()))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_random_tridiagonal_at_continuation_size(self):
+        # Random (3, 2) bands of this size draw condition numbers up to 6e7,
+        # beyond what a 1e-10 agreement of two backward-stable solves allows;
+        # random tridiagonal ones stay below 3e5.
+        self.test_random_systems(384, 1, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 384])
     @pytest.mark.parametrize("kl,ku", [(1, 1), (3, 2)])
     @pytest.mark.parametrize("corner", [0.0, 0.7])
     def test_zero_pivot_is_deflated(self, n, kl, ku, corner):
@@ -571,7 +587,7 @@ class TestBorderedBanded:
         rng = np.random.default_rng([n, kl, ku])
         self.check(band, kl, ku, e0, e0, corner, rng.normal(size=n), float(rng.normal()))
 
-    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 384])
     @pytest.mark.parametrize("kl,ku", [(1, 1), (3, 2)])
     def test_regular_shift_border(self, n, kl, ku):
         # A has ones on its super-diagonal, so its first pivot is zero; with
@@ -596,6 +612,27 @@ class TestBorderedBanded:
         band[1, 2:] = 1.0
         with pytest.raises(SolverError, match="singular bordered system"):
             _bordered_solve(band, 1, 1, np.ones(6), np.ones(6), 0.0, np.ones(6), 1.0)
+
+    def test_tridiagonal_blocks_skip_the_band_lu(self, monkeypatch):
+        # kl = ku = 1 with n >= 3 goes through dgttrf/dgttrs, in one bordered
+        # solve and in a whole annulus continuation; only the fold system's
+        # (3, 2) band reaches the band LU.
+        from scipy.linalg import lapack
+        band_lu, shapes = lapack.dgbtrf, []
+
+        def tridiagonal_refused(ab, kl, ku, **kwargs):
+            if kl == ku == 1:
+                raise AssertionError("band LU called on a tridiagonal block")
+            shapes.append((kl, ku))
+            return band_lu(ab, kl, ku, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgbtrf", tridiagonal_refused)
+        rng = np.random.default_rng(11)
+        self.check(rng.normal(size=(3, 3)), 1, 1, rng.normal(size=3), rng.normal(size=3),
+                   0.4, rng.normal(size=3), 1.0)
+        branch, _ = annulus_fold_branch(48)
+        assert [f.refined for f in branch.folds] == [True]
+        assert set(shapes) == {(3, 2)}
 
     def test_fold_state_of_annulus_branch(self):
         branch, problem = annulus_fold_branch(48)
