@@ -115,14 +115,31 @@ def _bump_offsets(dims: int, spacing: float, eps: float):
     return m, offsets, w / w.sum()
 
 
-# Bytes of one float array of a slab in the grid-field kernels: the ten or
-# so arrays a u-gauge slab works on then about fill a core's 2 MB L2 cache.
-_SLAB_BYTES = 1 << 18
+# Two values below this in magnitude have a finite sum; mollify's weighted
+# sums of such pair sums stay below it, since the weights add up to one.
+_PAIR_SUM_LIMIT = 2.0 ** 1023
 
 
-def _slab_planes(plane) -> int:
-    """Axis-0 planes per slab for planes of the given shape."""
-    return max(1, _SLAB_BYTES // (8 * max(1, math.prod(plane))))
+def _bump_groups(dims: int, spacing: float, eps: float):
+    """The bump kernel of mollify, grouped by the leading part of its offsets.
+
+    Returns m, the taps and the leads.  taps[q] lists the weights w(q + k^2)
+    of the offsets whose leading part has squared length q, for last
+    coordinates k = 0, 1, ..., in ascending q; every group has k = 0.
+    leads[q] lists those leading parts with a nonnegative first coordinate,
+    in lexicographic order.  The kernel is even in every coordinate, so
+    these carry all of its weights.
+    """
+    m, offsets, weights = _bump_offsets(dims, spacing, eps)
+    taps, leads = {}, {}
+    for off, wgt in zip(offsets, weights):
+        q = sum(o * o for o in off[:-1])
+        if off[-1] >= 0:
+            taps.setdefault(q, {})[off[-1]] = wgt
+        if off[-1] == 0 and off[0] >= 0:
+            leads.setdefault(q, []).append(off[:-1])
+    taps = {q: [taps[q][k] for k in range(len(taps[q]))] for q in sorted(taps)}
+    return m, taps, {q: leads[q] for q in taps}
 
 
 def mollify(f: GridField, eps: float) -> GridField:
@@ -133,53 +150,85 @@ def mollify(f: GridField, eps: float) -> GridField:
     output lives on the inner box with an eps-margin removed; on a flat
     background the u-gauge admissible cone is preserved.
 
-    Lattice offsets are grouped by their leading coordinates: all offsets
-    whose leading part has the same squared length share one 1-D kernel along
-    the last axis.  The output is computed in slabs of planes along axis 0 by
-    radial._over_slabs, one pinned thread per usable CPU.  For each group, a slab of
-    output planes [i0, i1) correlates the input planes that the group's
-    leading offsets reach, [i0 + m - r, i1 + m + r) with r <= m, into a
-    slab-sized buffer, then adds one shifted view per leading offset into
-    its part of the output.  Groups and offsets come in the same order in
-    every slab, so each output value is the same sum in the same order
-    whatever the slabs and threads.
-    """
-    from scipy import ndimage
+    The kernel is even in every coordinate and its weights depend on the
+    squared offset length only, so each value is one fixed sum of four
+    stages (_bump_groups names the groups and leads), over the last axis j:
+      1. pair sums S_k = v[j + k] + v[j - k] for k = 1..m;
+      2. for each group q, in ascending q, its line
+         w_0 v + w_1 S_1 + w_2 S_2 + ... over the group's nonzero taps;
+      3. disc sums P_a for a = 0..m: each group's line, shifted along the
+         middle axis by the lead's second coordinate (3-D), added into
+         P_a of each of its leads (a, ...), in group and lead order;
+      4. output plane i = the sum over o_0 = -a_max..a_max, ascending, of
+         P_|o_0| of input plane i + m + o_0.
+    The output planes are cut into one axis-0 slab per worker of
+    radial._over_slabs.  A slab walks its input planes in ascending order,
+    a few at a time, so that a chunk's pair sums, lines and disc sums stay
+    in cache, and adds each chunk's disc sums into the output planes they
+    reach, in ascending o_0.  Each slab recomputes the 2 a_max input planes
+    it shares with its neighbours.  Every output value is the same sum in
+    the same order whatever the slabs, chunks and threads.
 
-    f._require_finite()
+    Values must be finite and below 2^1023 (about 8.99e307) in magnitude,
+    so that no pair sum overflows; a value outside is refused, naming its
+    node.
+    """
+    values = f.values
+    if not max(values.max(), -values.min()) < _PAIR_SUM_LIMIT:
+        f._require_finite()
+        node = np.unravel_index(int(np.argmax(np.abs(values) >= _PAIR_SUM_LIMIT)), values.shape)
+        raise ValueError(f"grid field value {values[node]} at node {tuple(map(int, node))} "
+                         f"is too large to mollify: |value| must be below 2^1023")
     if eps < 2.0 * f.spacing:
         raise ValueError("mollification radius must be at least two grid cells")
-    m, offsets, weights = _bump_offsets(f.dims, f.spacing, eps)
-    values = f.values
+    m, taps, leads = _bump_groups(f.dims, f.spacing, eps)
     shape = values.shape
     inner_shape = tuple(s - 2 * m for s in shape)
     if any(s < 3 for s in inner_shape):
         raise ValueError("field is too small for the requested mollification margin")
-    kernels, leads = {}, {}
-    for off, wgt in zip(offsets, weights):
-        q = sum(o * o for o in off[:-1])
-        kernels.setdefault(q, np.zeros(2 * m + 1))[off[-1] + m] = wgt
-        leads.setdefault(q, {})[off[:-1]] = None
-    # A group whose leading offsets reach r planes along axis 0 needs 2r
-    # input planes beyond a slab's own.
-    reach = {q: max(abs(lead[0]) for lead in group) for q, group in leads.items()}
+    a_max = max(lead[0] for group in leads.values() for lead in group)
+    width, plane = shape[-1], math.prod(shape[1:])
+    cols = slice(m, width - m)
+    planes = -(-inner_shape[0] // radial._workers())
+    # Chunks of twice the slab bytes of the other kernels: fewer, longer numpy
+    # calls hand the GIL between the workers less often (on a 2-CPU Xeon
+    # virtual machine a 128^3 field took 55 ms in 4-plane chunks, 68 ms in
+    # 2-plane chunks).  The 2m + 2 buffers of a slab hold no more planes
+    # than its output.
+    chunk = max(1, min(2 * radial._slab_planes(shape[1:]), planes // (2 * m + 2)))
     out = np.zeros(inner_shape)
-    last = slice(m, shape[-1] - m)
-    # A slab also correlates up to 2m planes of its neighbours; at 4m planes
-    # or more that adds at most half to the correlation work.
-    planes = max(_slab_planes(shape[1:]), 4 * m)
 
     def slab(i0, i1):
-        dst = out[i0:i1]
-        buf = np.empty((i1 - i0 + 2 * max(reach.values()),) + shape[1:])
-        for q, kernel in kernels.items():
-            r = reach[q]
-            line = buf[:i1 - i0 + 2 * r]
-            ndimage.correlate1d(values[i0 + m - r:i1 + m + r], kernel, axis=-1, output=line)
-            for lead in leads[q]:
-                sl = (slice(r + lead[0], r + lead[0] + i1 - i0),) + tuple(
-                    slice(m + o, s - m + o) for o, s in zip(lead[1:], shape[1:-1]))
-                dst += line[sl + (last,)]
+        # Pair sums and lines run over whole flattened rows: their first and
+        # last m columns mix neighbouring rows and are never read.
+        pairs = np.zeros((m, chunk * plane))
+        line, tmp = np.empty((2, chunk * plane))
+        discs = np.empty((a_max + 1, chunk) + inner_shape[1:-1] + (width,))
+        for p0 in range(i0 + m - a_max, i1 + m + a_max, chunk):
+            p1 = min(p0 + chunk, i1 + m + a_max)
+            size = (p1 - p0) * plane
+            v = values[p0:p1].reshape(-1)
+            for k in range(1, m + 1):
+                np.add(v[m + k:size - m + k], v[m - k:size - m - k], out=pairs[k - 1, m:size - m])
+            rows = line[:size].reshape((p1 - p0,) + shape[1:])
+            started = set()
+            for q, weights in taps.items():
+                np.multiply(v, weights[0], out=line[:size])
+                for k, w in enumerate(weights[1:]):
+                    line[:size] += np.multiply(pairs[k, :size], w, out=tmp[:size])
+                for lead in leads[q]:
+                    part = rows[(slice(None),) + tuple(
+                        slice(m + o, s - m + o) for o, s in zip(lead[1:], shape[1:-1]))]
+                    disc = discs[lead[0], :p1 - p0]
+                    if lead[0] in started:
+                        disc += part
+                    else:
+                        np.copyto(disc, part)
+                        started.add(lead[0])
+            for o0 in range(-a_max, a_max + 1):
+                lo, hi = max(p0, i0 + m + o0), min(p1, i1 + m + o0)
+                if lo < hi:
+                    out[lo - m - o0:hi - m - o0] += discs[abs(o0), lo - p0:hi - p0, ..., cols]
 
     radial._over_slabs(inner_shape[0], planes, slab)
     return GridField(f.spacing, out, f.origin + m * f.spacing)
@@ -307,7 +356,7 @@ def _over_sigma_slabs(f: GridField, k: int, shape, store) -> None:
     """Call store(i0, i1, [sigma_1..sigma_k]) on each slab [i0, i1) of the
     interior planes, in the worker threads of radial._over_slabs."""
     values, h = f.values, f.spacing
-    radial._over_slabs(shape[0], _slab_planes(shape[1:]),
+    radial._over_slabs(shape[0], radial._slab_planes(shape[1:]),
                        lambda i0, i1: store(i0, i1, _u_sigma_slab(values[i0:i1 + 2], h, k)))
 
 

@@ -104,8 +104,8 @@ def cmd_sigma(args) -> int:
     if not 1 <= k <= len(lam):
         raise ValueError(f"k={k} out of range for {len(lam)} eigenvalues")
     e = symfunc.sigma_all(lam, k)
-    # in_sigma_delta adds the eigenvalues in numpy's order, which can overflow
-    # where sigma_1's running sum does not.
+    # numpy's sum of the eigenvalues, which may overflow where sigma_1's
+    # running sum does not.
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(lam.sum())
     for j in range(1, k + 1):
@@ -603,7 +603,7 @@ def _cone_rows(lam, k, delta):
     n = lam.shape[1]
     e = symfunc.sigma_rows(lam, n)[:, 1:]
     gamma = ((e > 0) | (np.arange(1, n + 1) > k[:, None])).all(axis=1)
-    sigma_delta = (lam > -delta[:, None] * lam.sum(axis=1, keepdims=True)).all(axis=1)
+    sigma_delta = (lam > symfunc._delta_floor(lam, delta[:, None])).all(axis=1)
     return gamma, sigma_delta
 
 

@@ -304,6 +304,16 @@ def _pin_each_worker():
     return pin
 
 
+# Bytes of one float array of a slab in the grid-field kernels: the ten or
+# so arrays a u-gauge slab works on then about fill a core's 2 MB L2 cache.
+_SLAB_BYTES = 1 << 18
+
+
+def _slab_planes(plane) -> int:
+    """Axis-0 planes per slab for planes of the given shape."""
+    return max(1, _SLAB_BYTES // (8 * max(1, math.prod(plane))))
+
+
 def _over_slabs(count: int, planes: int, work) -> None:
     """Call work(i0, i1) on each axis-0 slab [i0, i1) of range(count), planes
     thick, from one thread per usable CPU, each pinned to a CPU of its own;
@@ -568,6 +578,13 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
     wtilde and r_attained without sorting the nodes.  When no node lies
     within radii[0], the balls up to the first nonempty one report the node
     nearest the center.
+
+    The binning runs in cache-sized axis-0 slabs on the threads of
+    _over_slabs.  Each slab computes its own node distances, bins, per-bin
+    maxima, the least distance attaining each and its nearest node.  The
+    slabs combine in slab order with exact max and min, the earliest slab
+    winning a tie for the nearest node as argmin would, so the result has
+    the bits of one pass over the whole field.
     """
     f._require_finite()
     center = np.asarray(center, dtype=float)
@@ -594,27 +611,45 @@ def radial_envelope(f: GridField, center, radii=None) -> EnvelopeProfile:
         raise ValueError(
             f"radius {radii[-1]:.4g} exceeds distance {r_boundary:.4g} to the box boundary")
 
-    # The node distances of node_coordinates(), summed over an open mesh.
-    dist = np.sqrt(sum(np.ix_(*[(x - c) ** 2 for x, c in zip(f.axes(), center)]))).ravel()
-    vals = f.values.ravel()
-    # Each node joins the first ball that contains it; bin len(radii) holds
-    # the nodes outside every ball.
-    bins = np.searchsorted(radii, dist, side="left")
-    bin_max = np.full(len(radii), -np.inf)
-    bin_dist = np.full(len(radii), np.inf)
-    nearest = int(np.argmin(dist))
-    if bins[nearest] > 0:
+    squares = [(x - c) ** 2 for x, c in zip(f.axes(), center)]
+    values = f.values
+    count = len(radii)
+    planes = _slab_planes(values.shape[1:])
+    slabs = -(-values.shape[0] // planes)
+    slab_max, slab_dist = np.empty((2, slabs, count))
+    near_dist, near_val = np.empty((2, slabs))
+    near_bin = np.empty(slabs, dtype=int)
+
+    def slab(i0, i1):
+        s = i0 // planes
+        # The node distances of node_coordinates(), summed over an open mesh.
+        dist = np.sqrt(sum(np.ix_(squares[0][i0:i1], *squares[1:]))).ravel()
+        vals = values[i0:i1].ravel()
+        # Each node joins the first ball that contains it; bin `count` holds
+        # the nodes outside every ball.
+        bins = np.searchsorted(radii, dist, side="left")
+        bin_max = np.full(count + 1, -np.inf)
+        np.maximum.at(bin_max, bins, vals)
+        top = vals == bin_max[bins]
+        bin_dist = np.full(count + 1, np.inf)
+        np.minimum.at(bin_dist, bins[top], dist[top])
+        slab_max[s], slab_dist[s] = bin_max[:count], bin_dist[:count]
+        near = int(np.argmin(dist))
+        near_dist[s], near_val[s], near_bin[s] = dist[near], vals[near], bins[near]
+
+    _over_slabs(values.shape[0], planes, slab)
+    bin_max = slab_max.max(axis=0)
+    bin_dist = np.where(slab_max == bin_max, slab_dist, np.inf).min(axis=0)
+    # argmin takes the earliest slab among equally near ones, as it would
+    # take the first node of the whole field.
+    near = int(np.argmin(near_dist))
+    if near_bin[near] > 0:
         # No node lies within radii[0]: the first balls use the node nearest the center.
-        bin_max[0], bin_dist[0] = vals[nearest], dist[nearest]
-    inside = bins < len(radii)
-    bins, dist, vals = bins[inside], dist[inside], vals[inside]
-    np.maximum.at(bin_max, bins, vals)
-    top = vals == bin_max[bins]
-    np.minimum.at(bin_dist, bins[top], dist[top])
+        bin_max[0], bin_dist[0] = near_val[near], near_dist[near]
     running_max = np.maximum.accumulate(bin_max)
     # Ties keep the earlier bin, whose attaining node lies closer to the center.
     improved = np.r_[True, bin_max[1:] > running_max[:-1]]
-    first = np.maximum.accumulate(np.where(improved, np.arange(len(radii)), 0))
+    first = np.maximum.accumulate(np.where(improved, np.arange(count), 0))
     return EnvelopeProfile(radii, running_max, bin_dist[first])
 
 

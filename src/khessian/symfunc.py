@@ -150,12 +150,32 @@ def in_gamma_k(lam, k: int) -> bool:
     return all(s > 0.0 for s in _sigmas(lam.tolist(), k)[1:])
 
 
+def _delta_floor(lam: np.ndarray, delta) -> np.ndarray:
+    """-delta * (sum of lam over the last axis, kept): the bound that every
+    entry of a point of Sigma_delta exceeds.  Where numpy's sum overflows,
+    the sum is taken of lam * 2^-c instead, with 2^c > 2n so that it cannot,
+    and the bound is scaled back by 2^c; elsewhere it is the plain
+    -delta * lam.sum(), so the answer of the test is unchanged there."""
+    with np.errstate(over="ignore"):
+        total = lam.sum(axis=-1, keepdims=True)
+        over = ~np.isfinite(total)
+        if not over.any():
+            return -delta * total
+        c = (2 * lam.shape[-1]).bit_length()
+        rescaled = np.ldexp(-delta * np.ldexp(lam, -c).sum(axis=-1, keepdims=True), c)
+        return np.where(over, rescaled, -delta * np.where(over, 0.0, total))
+
+
 def in_sigma_delta(lam, delta: float) -> bool:
-    """Membership in the cone {lambda_i > -delta * sum_j lambda_j}."""
+    """Membership in the cone {lambda_i > -delta * sum_j lambda_j}.
+
+    The bound comes from _delta_floor: numpy's sum where it is finite, and
+    otherwise a sum of the scaled eigenvalues that cannot overflow.
+    """
     lam = _as_vector(lam)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return bool((lam > -delta * lam.sum()).all())
+    return bool((lam > _delta_floor(lam, delta)).all())
 
 
 def _require_symmetric(S) -> np.ndarray:

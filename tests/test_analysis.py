@@ -7,10 +7,13 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage, optimize
+from test_radial import binned_envelope
 
 from khessian import analysis, radial
 from khessian.analysis import (
@@ -223,7 +226,7 @@ def random_u_field(seed, shape=(11, 12, 13), h=0.1):
 
 @pytest.mark.filterwarnings("error")
 class TestGridFieldExactness:
-    """The grouped mollifier and the entrywise sigma_j agree with the former
+    """The streamed mollifier and the entrywise sigma_j agree with the former
     shifted-add and stacked-matrix implementations."""
 
     @pytest.mark.parametrize("shape", [(23, 19), (15, 14, 16)])
@@ -292,6 +295,41 @@ def grouped_mollify(f, eps):
     return out
 
 
+def pair_sum_mollify(f, eps):
+    """Reference mollifier in the package's order, on whole arrays with no
+    slabs, chunks or threads.  The offsets are grouped by the squared length
+    q of their leading part, in ascending q.  Pair sums S_k = v[j + k] +
+    v[j - k] along the last axis; each group's line w_0 v + w_1 S_1 + ...
+    over its nonzero taps; disc sums P_a, the lines shifted by the leads
+    (a, ...) with a >= 0, in group order and then lexicographic lead order;
+    and the output as the sum of P_|o_0| of plane i + m + o_0 over
+    ascending o_0."""
+    m, offsets, weights = _bump_offsets(f.dims, f.spacing, eps)
+    v, shape = f.values, f.values.shape
+    width = shape[-1]
+    pairs = [v[..., m + k:width - m + k] + v[..., m - k:width - m - k] for k in range(1, m + 1)]
+    groups = {}
+    for off, wgt in zip(offsets, weights):
+        groups.setdefault(sum(o * o for o in off[:-1]), {})[off] = wgt
+    discs = {}
+    for q in sorted(groups):
+        group = groups[q]
+        leads = sorted(off[:-1] for off in group if off[-1] == 0 and off[0] >= 0)
+        taps = [group[leads[0] + (k,)] for k in range(m + 1) if leads[0] + (k,) in group]
+        line = taps[0] * v[..., m:width - m]
+        for wgt, pair in zip(taps[1:], pairs):
+            line = line + wgt * pair
+        for lead in leads:
+            part = line[(slice(None),) + tuple(
+                slice(m + o, s - m + o) for o, s in zip(lead[1:], shape[1:-1]))]
+            discs[lead[0]] = discs[lead[0]] + part if lead[0] in discs else part
+    out = np.zeros(tuple(s - 2 * m for s in shape))
+    a_max = max(discs)
+    for o0 in range(-a_max, a_max + 1):
+        out += discs[abs(o0)][m + o0:shape[0] - m + o0]
+    return out
+
+
 def whole_array_u_sigma(f, k):
     """Reference sigma_1..sigma_k (the package's former implementation):
     central differences and the entries of M over the whole interior."""
@@ -324,8 +362,9 @@ def whole_array_u_sigma(f, k):
 
 # Axis-0 slab layouts the shapes below produce with the default slab size:
 # (21, 64, 64) and (37, 41, 29) end in a partial slab, (15, 14, 16) and the
-# 2-D (130, 70) are thinner than one slab.  "thin" slabs are one plane thick
-# for the u-gauge kernels and 4m planes for mollify.
+# 2-D (130, 70) are thinner than one slab.  mollify cuts one slab per worker
+# and walks it in chunks of planes.  "thin" slabs are one plane thick for the
+# u-gauge kernels, and mollify's chunks at most two planes.
 SLAB_SHAPES_3D = [(21, 64, 64), (37, 41, 29), (15, 14, 16)]
 
 
@@ -340,7 +379,7 @@ class TestSlabKernels:
         workers, slab_bytes = request.param
         monkeypatch.setattr(radial, "_workers", lambda: workers)
         if slab_bytes is not None:
-            monkeypatch.setattr(analysis, "_SLAB_BYTES", slab_bytes)
+            monkeypatch.setattr(radial, "_SLAB_BYTES", slab_bytes)
         # Frequent thread switches, so that a slab written by two workers
         # or a lost write would show in the bits.
         interval = sys.getswitchinterval()
@@ -373,7 +412,7 @@ class TestSlabKernels:
         f = GridField(h, rng.normal(size=shape) + 3.0)
         for cells in (2.0, 2.5, 4.0):
             got = mollify(f, cells * h)
-            assert np.array_equal(got.values, grouped_mollify(f, cells * h))
+            assert np.array_equal(got.values, pair_sum_mollify(f, cells * h))
 
     @pytest.mark.parametrize("shape", SLAB_SHAPES_3D)
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -465,6 +504,7 @@ class TestSlabKernels:
         f = random_u_field(3, (21, 64, 64))
         analysis.u_field_admissible_mask(analysis.mollify(f, 0.2), CONE32)
         analysis.u_field_sigma(f, ConeParams(3, 3))
+        radial.radial_envelope(f, np.zeros(3))
         f.save_raw(tmp_path / "f.grid")
         assert GridField.load_raw(tmp_path / "f.grid").values.tobytes() == f.values.tobytes()
         assert callers == {threading.get_ident()}
@@ -487,6 +527,47 @@ class TestSlabKernels:
         assert peak(lambda: u_field_admissible_mask(f, CONE32)) <= 4.0
         assert peak(lambda: mollify(f, 4 * f.spacing)) <= min(
             1.7, peak(lambda: grouped_mollify(f, 4 * f.spacing)))
+
+
+@st.composite
+def slab_draws(draw):
+    """(field, eps, centre, workers, slab bytes): a random 2-D or 3-D field
+    of 5 to 40 nodes per axis, eps of 2 to 4.5 cells, an envelope centre
+    more than a cell inside the box, 1 to 3 workers, and the default slabs
+    or one-plane slabs."""
+    shape = tuple(draw(st.lists(st.integers(5, 40), min_size=2, max_size=3)))
+    h = 0.05
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = GridField(h, rng.normal(size=shape) + 3.0)
+    eps = draw(st.floats(2.0, 4.5)) * h
+    centre = f.origin + h * np.array([draw(st.floats(1.25, s - 2.25)) for s in shape])
+    return f, eps, centre, draw(st.integers(1, 3)), draw(st.sampled_from([None, 1]))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(slab_draws())
+def test_slab_kernels_do_not_depend_on_the_workers(case):
+    """mollify gives the same bits on one worker and on the drawn workers
+    and slabs, within 1e-13 of the shifted adds, and radial_envelope the
+    bits of the whole-array binning; no draw raises a numpy warning."""
+    f, eps, centre, workers, slab_bytes = case
+    outputs = []
+    for count, size in ((1, radial._SLAB_BYTES), (workers, slab_bytes or radial._SLAB_BYTES)):
+        with mock.patch.object(radial, "_workers", lambda: count), \
+                mock.patch.object(radial, "_SLAB_BYTES", size):
+            try:
+                outputs.append(mollify(f, eps).values)
+            except ValueError as exc:
+                assert str(exc) == "field is too small for the requested mollification margin"
+            env = radial_envelope(f, centre)
+    if outputs:
+        assert np.array_equal(outputs[0], outputs[1])
+        want = shifted_mollify(f, eps)
+        assert np.abs(outputs[1] - want).max() <= 1e-13 * np.abs(want).max()
+    wtilde, r_attained = binned_envelope(f, centre, env.r)
+    assert np.array_equal(env.wtilde, wtilde)
+    assert np.array_equal(env.r_attained, r_attained)
 
 
 class TestPointwiseMax:
@@ -953,3 +1034,19 @@ class TestNonFiniteFields:
         f.values[0, 3, 8] = bad
         with pytest.raises(ValueError, match=r"at node \(0, 3, 8\) is not finite"):
             self.CALLS[call](f)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mollify_refuses_values_whose_pair_sums_overflow(self, sign):
+        # Values up to just below 2^1023 mollify to finite values; a larger
+        # one is named, as its pair sums would overflow.
+        f = GridField(0.25, np.full((9, 9, 9), sign * 8.98e307))
+        g = mollify(f, 0.5)
+        assert np.isfinite(g.values).all()
+        f.values[2, 3, 4] = sign * 1e308
+        f.values[5, 5, 5] = np.nan
+        with pytest.raises(ValueError, match=r"at node \(5, 5, 5\) is not finite"):
+            mollify(f, 0.5)
+        f.values[5, 5, 5] = 1.0
+        with pytest.raises(ValueError, match=r"at node \(2, 3, 4\) is too large to mollify"):
+            mollify(f, 0.5)

@@ -68,6 +68,17 @@ class TestSigmaCommand:
         assert main(["sigma", "--lambda", "1,2,3", "--k", "2"]) == 0
         assert "sigma_2 = 11" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_wide_range_eigenvalues_keep_the_embedding(self, capsys, k):
+        # Entries 550 decades apart with a finite sum: Gamma_k lies in
+        # Sigma_delta, also for delta = 0 at k = n.
+        assert main(["sigma", "--lambda=1e300,1e-250,1e-250", "--k", str(k)]) == 0
+        out = capsys.readouterr().out
+        assert f"in Gamma_{k}: true" in out
+        delta = ConeParams(3, k).delta_gv
+        assert f"in Sigma_delta (delta={delta:.6g}): true" in out
+
     def test_malformed_input_exits_3(self, capsys):
         assert main(["sigma", "--lambda", "1,abc", "--k", "2"]) == 3
         assert main(["sigma", "--lambda", "1,2", "--k", "5"]) == 3
@@ -1150,6 +1161,23 @@ class TestBatchedConeCheck:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 17 and lines[-1] == "all checks passed"
         assert lines[2] == "[PASS] Gamma_k in Sigma_delta embedding: 0 failures / 10000"
+
+    def test_cone_rows_sum_does_not_overflow(self):
+        # Finite rows whose sum in numpy's order once overflowed (the class
+        # turns warnings into errors), in both orders, next to unit rows;
+        # with delta = 0, tiny entries keep their sign whether or not the
+        # row's sum overflows.
+        lam = np.array([[-1e308, 0, 1e308, 1e308, 0, 0, 0, 0],
+                        [-1e308, 1e308, 1e308, 0, 0, 0, 0, 0],
+                        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.5],
+                        [0.0] * 8,
+                        [1e300, 1e-250, 1e-250, 1e-250, 1e-250, 1e-250, 1e-250, 1e-250],
+                        [1e308, 1e308, 1e-300, 5e-324, 1.0, 1.0, 1.0, 1.0],
+                        [1e308, 1e308, -5e-324, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        delta = np.array([0.09375] * 4 + [0.0] * 3)
+        _, sigma_delta = cli._cone_rows(lam, np.full(len(lam), 2), delta)
+        assert sigma_delta.tolist() == [False, False, True, False, True, True, False]
+        assert sigma_delta.tolist() == [in_sigma_delta(x, d) for x, d in zip(lam, delta)]
 
     def test_cone_rows_match_the_scalar_tests(self):
         # Unit-scale rows, and integer rows in -2..2: those have exact zero

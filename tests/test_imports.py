@@ -65,6 +65,23 @@ def test_sigma_classify_harnack_envelope_load_no_scipy(tmp_path):
     assert fresh(RUN_COMMANDS, json.dumps(argvs)) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
+def test_mollify_mask_and_envelope_load_no_scipy():
+    code = """
+import json, sys
+import numpy as np
+from khessian import analysis, radial
+from khessian.symfunc import ConeParams
+f = radial.GridField(0.1, np.zeros((21, 22, 23)))
+f.values = (2.0 + (f.node_coordinates() ** 2).sum(axis=1)).reshape(f.values.shape)
+g = analysis.mollify(f, 0.25)
+ok, _ = analysis.u_field_admissible_mask(g, ConeParams(3, 2))
+env = radial.radial_envelope(g, np.zeros(3))
+print(json.dumps({"in_cone": bool(ok.all()), "radii": len(env.r),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+    assert fresh(code) == {"in_cone": True, "radii": 8, "scipy": []}
+
+
 def test_solve_and_continue_load_only_scipy_linalg(tmp_path):
     solve = {"n": 3, "k": 2, "p": 0.5, "domain": {"type": "ball", "r1": 1.0, "bc": 0.0},
              "rhs": {"f_const": 1.0}, "solver": {"N": 32}}

@@ -428,6 +428,114 @@ class TestEnvelopeExactness:
         assert env.r_attained[0] > radii[0]
 
 
+def binned_envelope(f, center, radii):
+    """Reference envelope (the package's former implementation): node
+    distances, searchsorted bins, per-bin maxima and least attaining
+    distances over the whole array at once, with no slabs or threads.
+    Returns (wtilde, r_attained)."""
+    dist = np.sqrt(sum(np.ix_(*[(x - c) ** 2 for x, c in zip(f.axes(), center)]))).ravel()
+    vals = f.values.ravel()
+    bins = np.searchsorted(radii, dist, side="left")
+    bin_max = np.full(len(radii), -np.inf)
+    bin_dist = np.full(len(radii), np.inf)
+    nearest = int(np.argmin(dist))
+    if bins[nearest] > 0:
+        bin_max[0], bin_dist[0] = vals[nearest], dist[nearest]
+    inside = bins < len(radii)
+    bins, dist, vals = bins[inside], dist[inside], vals[inside]
+    np.maximum.at(bin_max, bins, vals)
+    top = vals == bin_max[bins]
+    np.minimum.at(bin_dist, bins[top], dist[top])
+    running_max = np.maximum.accumulate(bin_max)
+    improved = np.r_[True, bin_max[1:] > running_max[:-1]]
+    first = np.maximum.accumulate(np.where(improved, np.arange(len(radii)), 0))
+    return running_max, bin_dist[first]
+
+
+def dyadic_field(shape):
+    """Zero field of spacing 0.5 with node coordinates -5, -4.5, ...: node
+    distances from dyadic centres are exact, so ties are exact."""
+    return GridField(0.5, np.zeros(shape), origin=np.full(len(shape), -5.0))
+
+
+@pytest.mark.filterwarnings("error")
+class TestEnvelopeSlabs:
+    """radial_envelope bins each axis-0 slab on its own and combines the
+    slabs in order; it gives the bits of the whole-array binning on one to
+    three workers, with the default slabs and with one-plane slabs."""
+
+    @pytest.fixture(autouse=True, params=[False, True], ids=["default_slabs", "thin_slabs"])
+    def slabs(self, request, workers, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(radial, "_SLAB_BYTES", 1)
+
+    @staticmethod
+    def check(f, center, radii=None):
+        env = radial_envelope(f, center, radii)
+        wtilde, r_attained = binned_envelope(f, np.asarray(center, dtype=float), env.r)
+        if radii is not None:
+            assert np.array_equal(env.r, np.asarray(radii, dtype=float))
+        assert np.array_equal(env.wtilde, wtilde)
+        assert np.array_equal(env.r_attained, r_attained)
+        return env
+
+    @pytest.mark.parametrize("kind", ENVELOPE_FIELDS)
+    @pytest.mark.parametrize("shape, center", [
+        ((40, 37), (0.0, 0.0)),
+        ((41, 41), (0.0123, -0.0311)),
+        ((16, 19, 20), (0.0, 0.0, 0.0)),
+        ((17, 17, 17), (0.021, -0.013, 0.04)),
+    ])
+    def test_matches_whole_array_binning(self, kind, shape, center):
+        f = envelope_field(kind, shape, seed=len(shape) + shape[0])
+        env = self.check(f, center)
+        self.check(f, center, np.linspace(0.3 * env.r[-1], env.r[-1], 5))
+
+    @pytest.mark.parametrize("shape", [(21, 21), (21, 21, 21)])
+    def test_bin_maximum_tied_across_slabs(self, shape):
+        # The field's maximum, 9, at two nodes of the ball (3, 3.8] about
+        # the centre, on planes 3 and 17; the bin reports the nearer node,
+        # on the later plane.
+        f = dyadic_field(shape)
+        f.values = np.random.default_rng(7).uniform(-1.0, 1.0, shape)
+        rest = (10,) * (len(shape) - 2)
+        f.values[(3, 10) + rest] = 9.0       # at distance 3.75
+        f.values[(17, 9) + rest] = 9.0       # at distance hypot(3.25, 0.5) = 3.29
+        center = (0.25,) + (0.0,) * (len(shape) - 1)
+        env = self.check(f, center, [1.0, 3.0, 3.8, 4.5])
+        assert env.wtilde.tolist()[2:] == [9.0, 9.0]
+        assert env.r_attained[2] == math.sqrt(3.25**2 + 0.5**2)
+
+    @pytest.mark.parametrize("shape", [(21, 21), (21, 21, 21)])
+    def test_nearest_node_tied_across_slabs(self, shape):
+        # Nodes (10, 10, ...) and (11, 10, ...) are both nearest to the
+        # centre, at 0.25, and no node lies within radii[0]: the first ball
+        # reports the first of the two, as argmin over the whole field would.
+        f = dyadic_field(shape)
+        f.values = np.random.default_rng(8).uniform(-1.0, 1.0, shape)
+        rest = (10,) * (len(shape) - 2)
+        f.values[(10, 10) + rest] = 1.5
+        f.values[(11, 10) + rest] = 2.5
+        center = (0.25,) + (0.0,) * (len(shape) - 1)
+        env = self.check(f, center, [0.1, 0.2, 1.0, 2.0])
+        assert env.wtilde[0] == 1.5 and env.r_attained[0] == 0.25
+
+    @pytest.mark.parametrize("shape", [(24, 24), (12, 13, 14)])
+    @pytest.mark.parametrize("kind", ENVELOPE_FIELDS)
+    def test_no_node_within_the_first_radius(self, shape, kind):
+        f = envelope_field(kind, shape, seed=5)
+        center = (0.011, 0.007, -0.003)[:len(shape)]
+        env = self.check(f, center, np.r_[0.001, 0.002, np.linspace(0.05, 0.25, 10)])
+        assert env.r_attained[0] > 0.001
+
+    @pytest.mark.parametrize("shape", [(33, 30), (15, 16, 17)])
+    @pytest.mark.parametrize("kind", ENVELOPE_FIELDS)
+    def test_non_uniform_radii(self, shape, kind):
+        f = envelope_field(kind, shape, seed=9)
+        center = (0.013, -0.021, 0.002)[:len(shape)]
+        self.check(f, center, np.r_[np.geomspace(0.004, 0.1, 9), 0.13, 0.2, 0.3])
+
+
 class TestGridFieldIO:
     def test_raw_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

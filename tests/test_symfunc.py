@@ -125,6 +125,42 @@ class TestCones:
         assert in_sigma_delta([-0.3, 1.0, 1.0], delta)      # -0.3 > -1.7/3
         assert not in_sigma_delta([-0.6, 1.0, 1.0], delta)  # -0.6 < -1.4/3
 
+    @pytest.mark.filterwarnings("error")
+    def test_sigma_delta_sum_does_not_overflow(self):
+        # The sum is 1e308 in exact arithmetic; numpy's order of additions
+        # once overflowed in the first order only, and answered True there.
+        for lam in ([-1e308, 0, 1e308, 1e308, 0, 0, 0, 0],
+                    [-1e308, 1e308, 1e308, 0, 0, 0, 0, 0]):
+            assert not in_sigma_delta(lam, 0.09375)
+            assert in_sigma_delta(lam, 1.5)
+        assert in_sigma_delta([1e308] * 8, 0.0)
+        assert in_sigma_delta([], 0.5)
+        # An overflowing sum leaves the entries themselves alone: tiny
+        # positive entries still pass delta = 0, tiny negative ones fail it.
+        assert in_sigma_delta([1e308, 1e308, 1e-300, 5e-324], 0.0)
+        assert not in_sigma_delta([1e308, 1e308, -5e-324], 0.0)
+        assert in_sigma_delta([1e308, 1e308, -5e-324], 1e-300)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sigma_delta_keeps_finite_answers_over_wide_ranges(self):
+        # Where numpy's sum is finite, the answer is the plain test's, also
+        # for entries hundreds of decades apart, which scaling all of lam
+        # by max|lam| would flush to zero.
+        assert in_sigma_delta([1e300, 1e-250, 1e-250], 0.0)
+        assert in_sigma_delta([1e300, 1e-250, 1e-250], 0.5)
+        assert not in_sigma_delta([1e300, -1e-250, 1e-250], 0.0)
+        rng = np.random.default_rng(5)
+        for _ in range(4000):
+            n = int(rng.integers(1, 9))
+            if rng.random() < 0.5:      # integer rows: entries on the boundary
+                lam = rng.integers(-2, 3, size=n) * [1.0, 2.0**-1000, 3e-300, 1e300][int(rng.integers(0, 4))]
+            else:
+                lam = rng.choice([-1.0, 0.0, 1.0, 1.0], size=n) * 10.0 ** rng.uniform(-320, 300, size=n)
+            delta = [0.0, 0.125, 0.5, 1.0 / 6.0][int(rng.integers(0, 4))]
+            total = lam.sum()
+            assert np.isfinite(total)
+            assert in_sigma_delta(lam, delta) == bool((lam > -delta * total).all())
+
     def test_gamma_k_embeds_in_sigma_delta(self):
         rng = np.random.default_rng(4)
         count = 0
