@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfunc import sym_eigenvalues
+from .symfunc import _scale, _square, sym_eigenvalues
 
 __all__ = [
     "Gauge",
@@ -65,7 +65,11 @@ class Background:
 
 @dataclass(frozen=True)
 class ConformalJet:
-    """Value, gradient and Hessian of a conformal factor in a declared gauge."""
+    """Value, gradient and Hessian of a conformal factor in a declared gauge.
+
+    A stack of jets on one background has value (...), grad (..., n) and
+    hess (..., n, n); a single jet is the case with no leading axes.
+    """
 
     gauge: Gauge
     value: float
@@ -76,37 +80,58 @@ class ConformalJet:
     def __post_init__(self):
         g = np.asarray(self.grad, dtype=float)
         H = np.asarray(self.hess, dtype=float)
-        n = g.shape[0]
-        if H.shape != (n, n):
+        n = g.shape[-1]
+        if H.shape != g.shape + (n,):
             raise ValueError("hessian shape does not match gradient length")
+        if np.shape(self.value) != g.shape[:-1]:
+            raise ValueError("jet values do not match the leading axes of the gradient")
         if self.background.n != n:
             raise ValueError("background dimension does not match jet dimension")
-        scale = max(1.0, float(np.abs(H).max()))
-        if np.abs(H - H.T).max() > 1e-10 * scale:
+        HT = H.swapaxes(-1, -2)
+        if (np.abs(H - HT).max(axis=(-2, -1)) > 1e-10 * _scale(H)).any():
             raise ValueError("jet hessian must be symmetric")
-        if self.gauge in _POSITIVE_GAUGES and not self.value > 0.0:
+        if self.gauge in _POSITIVE_GAUGES and not np.all(np.greater(self.value, 0.0)):
             raise ValueError(f"{self.gauge.value}-gauge value must be positive")
+        if g.ndim > 1:
+            object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
         object.__setattr__(self, "grad", g)
-        object.__setattr__(self, "hess", 0.5 * (H + H.T))
+        object.__setattr__(self, "hess", 0.5 * (H + HT))
 
     @property
     def n(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
 
-def _log_jet(value: float, grad, hess, factor: float):
+def _outer(g: np.ndarray) -> np.ndarray:
+    """g x g of each gradient of a stack (..., n), as np.outer gives it."""
+    return g[..., :, None] * g[..., None, :]
+
+
+def _dot(g: np.ndarray) -> np.ndarray:
+    """|g|^2 of each gradient of a stack (..., n), by the dot product that
+    g @ g takes for one vector."""
+    return np.matmul(g[..., None, :], g[..., :, None])[..., 0, 0]
+
+
+def _scalars(x, axes: int) -> np.ndarray:
+    """Values of shape (...) as an array of shape (..., 1, ...) with `axes`
+    trailing axes of length 1, to scale vectors (1) or matrices (2)."""
+    return np.asarray(x)[(...,) + (None,) * axes]
+
+
+def _log_jet(value, grad, hess, factor: float):
     """Jet of factor*log(value) given the jet of value (value > 0)."""
     w = factor * np.log(value)
-    gw = (factor / value) * grad
-    Hw = factor * (hess / value - np.outer(grad, grad) / value**2)
+    gw = _scalars(factor / np.asarray(value), 1) * grad
+    Hw = factor * (hess / _scalars(value, 2) - _outer(grad) / _scalars(_square(value), 2))
     return w, gw, Hw
 
 
-def _exp_jet(w: float, gw, Hw, factor: float):
+def _exp_jet(w, gw, Hw, factor: float):
     """Jet of exp(factor*w) given the jet of w."""
     val = np.exp(factor * w)
-    g = factor * val * gw
-    H = val * (factor * Hw + factor**2 * np.outer(gw, gw))
+    g = _scalars(factor * val, 1) * gw
+    H = _scalars(val, 2) * (factor * Hw + factor**2 * _outer(gw))
     return val, g, H
 
 
@@ -124,7 +149,7 @@ def _to_w(jet: ConformalJet):
 
 def _from_w(w, gw, Hw, target: Gauge, n: int):
     if target is Gauge.W:
-        return float(w), np.array(gw, dtype=float), np.array(Hw, dtype=float)
+        return w, np.array(gw, dtype=float), np.array(Hw, dtype=float)
     if target is Gauge.U:
         return _exp_jet(w, gw, Hw, 1.0)
     if target is Gauge.V:
@@ -135,12 +160,13 @@ def _from_w(w, gw, Hw, target: Gauge, n: int):
 
 
 def convert_gauge(jet: ConformalJet, target: Gauge) -> ConformalJet:
-    """Convert a jet between gauges by the exact chain rule."""
+    """Convert a jet, or a stack of jets, between gauges by the exact chain rule."""
     if target is jet.gauge:
         return jet
     w, gw, Hw = _to_w(jet)
     val, g, H = _from_w(w, gw, Hw, target, jet.n)
-    return ConformalJet(target, float(val), g, H, jet.background)
+    val = float(val) if np.ndim(val) == 0 else np.asarray(val, dtype=float)
+    return ConformalJet(target, val, g, H, jet.background)
 
 
 def matrix_W(jet: ConformalJet) -> np.ndarray:
@@ -148,17 +174,18 @@ def matrix_W(jet: ConformalJet) -> np.ndarray:
     if jet.gauge is not Gauge.W:
         raise ValueError("matrix_W expects a w-gauge jet")
     g, H = jet.grad, jet.hess
-    return H + np.outer(g, g) - 0.5 * float(g @ g) * np.eye(jet.n) + jet.background.schouten
+    return (H + _outer(g) - _scalars(0.5 * _dot(g), 2) * np.eye(jet.n)
+            + jet.background.schouten)
 
 
 def matrix_U(jet: ConformalJet) -> np.ndarray:
     """U = hess(u) - |grad u|^2/(2u) I + u A_{g0} (u-gauge jet, u > 0)."""
     if jet.gauge is not Gauge.U:
         raise ValueError("matrix_U expects a u-gauge jet")
-    u, g, H = jet.value, jet.grad, jet.hess
-    if not u > 0.0:
+    u, g, H = _scalars(jet.value, 2), jet.grad, jet.hess
+    if not np.all(u > 0.0):
         raise ValueError("u must be positive")
-    return H - float(g @ g) / (2.0 * u) * np.eye(jet.n) + u * jet.background.schouten
+    return H - _scalars(_dot(g), 2) / (2.0 * u) * np.eye(jet.n) + u * jet.background.schouten
 
 
 def matrix_V(jet: ConformalJet) -> np.ndarray:
@@ -169,14 +196,14 @@ def matrix_V(jet: ConformalJet) -> np.ndarray:
     """
     if jet.gauge is not Gauge.V:
         raise ValueError("matrix_V expects a v-gauge jet")
-    v, g, H = jet.value, jet.grad, jet.hess
+    v, g, H = _scalars(jet.value, 2), jet.grad, jet.hess
     n = jet.n
-    if not v > 0.0:
+    if not np.all(v > 0.0):
         raise ValueError("v must be positive")
     return (
         -H
-        + (n / (n - 2)) * np.outer(g, g) / v
-        - float(g @ g) / ((n - 2) * v) * np.eye(n)
+        + (n / (n - 2)) * _outer(g) / v
+        - _scalars(_dot(g), 2) / ((n - 2) * v) * np.eye(n)
         + 0.5 * (n - 2) * v * jet.background.schouten
     )
 
@@ -188,7 +215,7 @@ def schouten_eigenvalues(jet: ConformalJet) -> np.ndarray:
     """
     jw = convert_gauge(jet, Gauge.W)
     lam = sym_eigenvalues(matrix_W(jw))
-    return np.exp(2.0 * jw.value) * lam
+    return _scalars(np.exp(2.0 * np.asarray(jw.value)), 1) * lam
 
 
 def kelvin_transform(r, v, n: int):

@@ -8,6 +8,7 @@ tests compare against zero exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,22 +179,31 @@ def in_sigma_delta(lam, delta: float) -> bool:
     return bool((lam > _delta_floor(lam, delta)).all())
 
 
+def _scale(S: np.ndarray) -> np.ndarray:
+    """max(1, max |S_ij|) of each matrix of a stack (..., n, n)."""
+    return np.maximum(1.0, np.abs(S).max(axis=(-2, -1)))
+
+
 def _require_symmetric(S) -> np.ndarray:
+    """S symmetrised, after the size, finiteness and symmetry checks; S is one
+    matrix or a stack (..., n, n), and each matrix is checked against its
+    own scale."""
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise ValueError("expected a square matrix")
-    if S.shape[0] > MAX_MATRIX_DIM:
+    if S.shape[-1] > MAX_MATRIX_DIM:
         raise ValueError(f"matrices larger than {MAX_MATRIX_DIM}x{MAX_MATRIX_DIM} are unsupported")
     if not np.isfinite(S).all():
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > 1e-10 * scale:
+    ST = S.swapaxes(-1, -2)
+    if (np.abs(S - ST).max(axis=(-2, -1)) > 1e-10 * _scale(S)).any():
         raise ValueError("matrix is not symmetric to tolerance")
-    return 0.5 * (S + S.T)
+    return 0.5 * (S + ST)
 
 
 def sym_eigenvalues(S) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix, in ascending order.
+    """Eigenvalues of a small symmetric matrix, in ascending order; of a stack
+    (..., n, n), those of each matrix, shape (..., n).
 
     Computed by LAPACK `syevd` through `np.linalg.eigvalsh` after the
     symmetry, size and finiteness checks; diagonal input gives its sorted
@@ -202,21 +212,44 @@ def sym_eigenvalues(S) -> np.ndarray:
     return np.linalg.eigvalsh(_require_symmetric(S))
 
 
-def sigma_of_matrix(S, k: int) -> float:
-    """sigma_k of the eigenvalues of a symmetric matrix (sum of principal k-minors)."""
-    return sigma(sym_eigenvalues(S), k)
+def _sigma_last(lam: np.ndarray, j: int):
+    """sigma_j over the last axis of lam through `sigma_rows`: a float, as
+    `sigma` gives, for one vector, and an array of shape lam.shape[:-1] for
+    a stack, each entry bit for bit `sigma` of its vector."""
+    n = lam.shape[-1]
+    # sigma_rows checks finiteness before the order is checked, as sigma does.
+    e = sigma_rows(lam.reshape(math.prod(lam.shape[:-1]), n), min(max(j, 0), n))
+    if not 0 <= j <= n:
+        raise ValueError(f"sigma order j={j} out of range for {n} eigenvalues")
+    out = e[:, j].reshape(lam.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
-def _is_arrow(S, tol: float) -> bool:
-    n = S.shape[0]
+def sigma_of_matrix(S, k: int):
+    """sigma_k of the eigenvalues of a symmetric matrix (sum of principal
+    k-minors); of a stack (..., n, n), an array of shape (...)."""
+    return _sigma_last(sym_eigenvalues(S), k)
+
+
+def _is_arrow(S: np.ndarray, tol) -> np.ndarray:
+    """Whether each matrix of the stack S is diagonal but for its last row
+    and column, to its tolerance in tol."""
+    n = S.shape[-1]
     if n < 2:
-        return True
-    body = S[: n - 1, : n - 1]
-    off = body - np.diag(np.diag(body))
-    return np.abs(off).max() <= tol
+        return np.ones(S.shape[:-2], dtype=bool)
+    off = np.where(np.eye(n - 1, dtype=bool), 0.0, S[..., : n - 1, : n - 1])
+    return np.abs(off).max(axis=(-2, -1)) <= tol
 
 
-def bordered_minor_identity_residual(S, k: int) -> float:
+def _square(x) -> np.ndarray:
+    """x ** 2 of each entry as a float or a numpy float64 squares it, by the C
+    library's pow; numpy's array square, x * x, differs from that in the
+    last bit for about one value in a thousand."""
+    x = np.asarray(x, dtype=float)
+    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def bordered_minor_identity_residual(S, k: int):
     """Residual of the arrow-matrix minor identity.
 
     For S diagonal except along the last row/column,
@@ -225,20 +258,23 @@ def bordered_minor_identity_residual(S, k: int) -> float:
                           - sum_{i<n} sigma_{k-2}(diag S without rows i, n) * S[i, n]^2.
 
     The left side is evaluated through the eigensolver, the right side through
-    the diagonal data; their absolute difference is returned.
+    the diagonal data; their absolute difference is returned.  For a stack
+    (..., n, n) of arrow matrices the residuals have shape (...).
     """
     S = _require_symmetric(S)
-    n = S.shape[0]
+    n = S.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
-    scale = max(1.0, float(np.abs(S).max()))
-    if not _is_arrow(S, 1e-13 * scale):
+    if not _is_arrow(S, 1e-13 * _scale(S)).all():
         raise ValueError("matrix does not have arrow (diagonal plus last row/column) structure")
-    lhs = sigma(np.linalg.eigvalsh(S), k)      # S is already validated
-    d = np.diag(S).copy()
-    rhs = sigma(d, k)
+    lhs = _sigma_last(np.linalg.eigvalsh(S), k)      # S is already validated
+    d = np.diagonal(S, axis1=-2, axis2=-1)
+    rhs = _sigma_last(d, k)
     if k >= 2:
+        # Row i of others: 0, ..., n-2 without i; so column i of terms
+        # holds sigma_{k-2} of the diagonal without entries i and n.
+        others = np.arange(n - 2) + (np.arange(n - 2) >= np.arange(n - 1)[:, None])
+        terms = _sigma_last(d[..., others], k - 2) * _square(S[..., : n - 1, n - 1])
         for i in range(n - 1):
-            rest = np.delete(d, [i, n - 1])
-            rhs -= sigma(rest, k - 2) * S[i, n - 1] ** 2
+            rhs -= terms[..., i]
     return abs(lhs - rhs)

@@ -257,7 +257,9 @@ def cases():
         out[name] = ("sigma", dict(eigenvalues))
     for name, profile in CLASSIFY_PROFILES.items():
         out[name] = ("classify", dict(profile))
-    out["verify_seed_7"] = ("verify", {"seed": 7})
+    # Two seeds, so that a moved random stream shows at more than one.
+    for seed in (7, 11):
+        out[f"verify_seed_{seed}"] = ("verify", {"seed": seed})
     return out
 
 

@@ -7,7 +7,7 @@ Criterion 7 (manufactured solve) is test_solver.py's
 TestNewton::test_manufactured_convergence_order.
 
 Criteria 12 and 13 stay here: they take about 0.10 s and 0.05 s, against the
-0.105 s of a whole `khessian verify` run, which the benchmark times.
+0.053 s of a whole `khessian verify` run, which the benchmark times.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines
 alongside the pytest verdicts.

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from khessian import cli
+from khessian import cli, conformal, radial, symfunc
 from khessian.cli import main
 from khessian.radial import RadialProfile, geometric_grid, save_profile_csv
 from khessian.symfunc import ConeParams, in_gamma_k, in_sigma_delta, sigma_rows
@@ -1221,6 +1222,147 @@ class TestBatchedConeCheck:
         former = former_cone_check(np.random.default_rng(3))
         assert 300 <= batched <= 700 and 300 <= former <= 700
         assert abs(batched - former) <= 5 * math.sqrt(batched + former)
+
+
+# The former scalar loops of verify's sampled checks 1, 2, 4, 5, 6 and 8,
+# kept as oracles: each evaluates one sample at a time through the
+# single-matrix and single-jet routes, and returns its verify line(s).
+
+def former_recurrence_check(rng):
+    worst = 0.0
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        lam = rng.normal(size=n) * rng.uniform(0.5, 2.0)
+        j = int(rng.integers(0, n + 1))
+        brute = sum(math.prod(c) for c in itertools.combinations(lam, j)) if j else 1.0
+        scale = max(1.0, sum(abs(math.prod(c)) for c in itertools.combinations(np.abs(lam), j))
+                    if j else 1.0)
+        worst = max(worst, abs(symfunc.sigma(lam, j) - brute) / scale)
+    return [f"[PASS] sigma recurrence vs enumeration: max rel diff {worst:.2e}"]
+
+
+def former_gradient_check(rng):
+    worst = 0.0
+    for _ in range(100):
+        n = int(rng.integers(2, 8))
+        lam = rng.normal(size=n)
+        k = int(rng.integers(1, n + 1))
+        grad = symfunc.sigma_gradient(lam, k)
+        oracle = np.array([symfunc.sigma(np.delete(lam, i), k - 1) for i in range(n)])
+        worst = max(worst, np.abs(grad - oracle).max())
+    return [f"[PASS] sigma gradient vs deletion oracle: max diff {worst:.2e}"]
+
+
+def former_invariance_check(rng):
+    worst = 0.0
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        S = rng.normal(size=(n, n))
+        S = 0.5 * (S + S.T)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        k = int(rng.integers(1, n + 1))
+        s1 = symfunc.sigma_of_matrix(S, k)
+        s2 = symfunc.sigma_of_matrix(Q @ S @ Q.T, k)
+        worst = max(worst, abs(s1 - s2) / max(1.0, abs(s1)))
+    return [f"[PASS] sigma_of_matrix orthogonal invariance: max rel diff {worst:.2e}"]
+
+
+def former_arrow_check(rng):
+    worst = 0.0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        S = np.diag(rng.normal(size=n))
+        S[:-1, -1] = rng.normal(size=n - 1)
+        S[-1, :-1] = S[:-1, -1]
+        k = int(rng.integers(1, n + 1))
+        worst = max(worst, symfunc.bordered_minor_identity_residual(S, k))
+    return [f"[PASS] bordered minor identity: max residual {worst:.2e}"]
+
+
+def former_gauge_check(rng):
+    worst_rt = worst_v = worst_u = 0.0
+    for _ in range(200):
+        n = int(rng.integers(3, 6))
+        bg = [conformal.Background.flat(n), conformal.Background.round_sphere(n)][int(rng.integers(2))]
+        H = rng.normal(size=(n, n))
+        jet = conformal.ConformalJet(conformal.Gauge.W, float(rng.normal()),
+                                     rng.normal(size=n), 0.5 * (H + H.T), bg)
+        ju = conformal.convert_gauge(jet, conformal.Gauge.U)
+        jv = conformal.convert_gauge(jet, conformal.Gauge.V)
+        back = conformal.convert_gauge(conformal.convert_gauge(ju, conformal.Gauge.CHI),
+                                       conformal.Gauge.W)
+        worst_rt = max(worst_rt, abs(back.value - jet.value),
+                       np.abs(back.hess - jet.hess).max())
+        W = conformal.matrix_W(jet)
+        V = conformal.matrix_V(jv)
+        U = conformal.matrix_U(ju)
+        sc = max(1.0, np.abs(V).max())
+        worst_v = max(worst_v, np.abs(V - 0.5 * (n - 2) * jv.value * W).max() / sc)
+        worst_u = max(worst_u, np.abs(U - math.exp(jet.value) * W).max()
+                      / max(1.0, np.abs(U).max()))
+    return [f"[PASS] gauge round trips: max diff {worst_rt:.2e}",
+            f"[PASS] V = (n-2)/2 v W identity: max rel diff {worst_v:.2e}",
+            f"[PASS] U = e^w W identity: max rel diff {worst_u:.2e}"]
+
+
+def former_radial_check(rng):
+    worst = 0.0
+    for _ in range(400):
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(1, n + 1))
+        a, b = rng.normal(size=2) * rng.uniform(0.5, 2.0)
+        direct = float(radial.sigma_k_radial(radial.RadialAB(np.array([a]), np.array([b])),
+                                             ConeParams(n, k))[0])
+        mat = symfunc.sigma_of_matrix(np.diag([b] * (n - 1) + [a]), k)
+        worst = max(worst, abs(direct - mat) / max(1.0, abs(mat)))
+    return [f"[PASS] radial sigma_k vs matrix route: max rel diff {worst:.2e}"]
+
+
+# Index of the first verify line of each former check.
+FORMER_CHECKS = {0: former_recurrence_check, 1: former_gradient_check,
+                 3: former_invariance_check, 4: former_arrow_check,
+                 5: former_gauge_check, 9: former_radial_check}
+
+
+class TestStackedVerifyChecks:
+    """Verify's sampled checks draw their samples one at a time, as the former
+    loops did, and evaluate them in stacks: same draws, same lines."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 7, 11, 24])
+    def test_lines_and_draws_equal_the_former_loops(self, monkeypatch, seed):
+        # Record the generator's state after each line, which is where the
+        # next check starts drawing.
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        lines, states = [], [real(seed).bit_generator.state]
+        for name, ok, detail in cli._verify_checks(seed):
+            lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+            states.append(made[0].bit_generator.state)
+        for first, former in FORMER_CHECKS.items():
+            rng = real(0)
+            rng.bit_generator.state = states[first]
+            want = former(rng)
+            assert lines[first:first + len(want)] == want
+            assert rng.bit_generator.state == states[first + len(want)]
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        assert main(["sigma", "--lambda=1,2,3", "--k=2"]) == 0
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["sigma", "--lambda=1,2,3", "--k=1"]) == 0
+        assert main(["bogus"]) == 3
+        assert capsys.readouterr().out.count("sigma_1 = 6") == 2
+
+    def test_dispatch_reaches_the_current_binding(self, monkeypatch, capsys):
+        # perfbench's tracer rebinds cmd_* names after the parser may have
+        # been built; the rebound function must be the one that runs.
+        main(["verify", "--help"])
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.seed) or 5)
+        assert main(["verify", "--seed", "3"]) == 5
+        assert seen == [3]
 
 
 def test_unknown_command_exits_3(capsys):

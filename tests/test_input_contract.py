@@ -417,8 +417,9 @@ SIGMA_OVERFLOWS = [
     (("sigma", None, "--lambda=1e308,1e308,1e308", "--k=2"), "--lambda", 1),
     (("sigma", None, "--lambda=1e200,1e200,-1e200", "--k=3"), "--lambda", 2),
     (("sigma", "1e200\n1e200\n-1e200\n", "--k=3"), "--csv file", 2),
-    # sigma_1's running sum is finite; numpy's order of additions overflows.
-    (("sigma", None, "--lambda=-1e308,0,1e308,1e308,0,0,0,0", "--k=2"), "--lambda", 1),
+    # sigma_1's running sum is finite, though numpy's order of additions
+    # overflows; sigma_2 is not.
+    (("sigma", None, "--lambda=-1e308,0,1e308,1e308,0,0,0,0", "--k=2"), "--lambda", 2),
 ]
 
 
@@ -441,6 +442,16 @@ def test_sigma_overflow_names_flag_and_order(case, flag, j):
     code, err, warned = run(case)
     assert code == 3 and not warned, err
     assert err.startswith(f"error: {flag}") and f"sigma_{j} " in err, err
+
+
+@pytest.mark.parametrize("order", ["-1e308,0,1e308,1e308,0,0,0,0",
+                                   "-1e308,1e308,1e308,0,0,0,0,0"])
+def test_finite_sigma_1_is_printed_in_either_order(order, capsys):
+    # numpy's sum of the first order overflows; sigma_1 does not, in either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sigma", f"--lambda={order}", "--k=1"]) == 0
+    assert capsys.readouterr() == ("sigma_1 = 1e+308\nin Gamma_1: true\n", "")
 
 
 @pytest.mark.parametrize("case, code, key", FORMER_CRASHES)

@@ -547,3 +547,133 @@ class TestSigmaRows:
     def test_sigma_all_still_rejects_rows(self):
         with pytest.raises(ValueError, match="eigenvalue input must be one-dimensional"):
             sigma_all(np.ones((2, 2)), 1)
+
+
+def symmetric_stacks(seed):
+    """(kind, stack) with stacks of shape (5, n, n) for n = 2..6: symmetric,
+    diagonal and arrow matrices, at unit scale and scaled by 1e150 and
+    1e-150, one of each also with two leading axes."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, 7):
+        for scale in (1.0, 1e150, 1e-150):
+            A = rng.normal(size=(5, n, n))
+            S = scale * 0.5 * (A + A.swapaxes(-1, -2))
+            D = np.zeros((5, n, n))
+            D[:, range(n), range(n)] = scale * rng.normal(size=(5, n))
+            R = D.copy()
+            R[:, :-1, -1] = R[:, -1, :-1] = scale * rng.normal(size=(5, n - 1))
+            for kind, stack in (("symmetric", S), ("diagonal", D), ("arrow", R)):
+                yield kind, stack
+                yield kind, stack[:4].reshape(2, 2, n, n)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStackedMatrices:
+    """sym_eigenvalues, sigma_of_matrix and bordered_minor_identity_residual
+    take a stack (..., n, n): each entry equals the call on its matrix bit for
+    bit, and each matrix is validated against its own scale."""
+
+    def test_each_entry_is_its_own_call(self):
+        with np.errstate(over="ignore", invalid="ignore"):     # the 1e150 minors overflow
+            for kind, stack in symmetric_stacks(50):
+                n = stack.shape[-1]
+                single = stack.reshape(-1, n, n)
+                got = sym_eigenvalues(stack)
+                assert got.shape == stack.shape[:-1]
+                for S, lam in zip(single, got.reshape(-1, n)):
+                    assert same_bits(lam, sym_eigenvalues(S))
+                for k in range(n + 1):
+                    got = sigma_of_matrix(stack, k)
+                    assert got.shape == stack.shape[:-2]
+                    want = [sigma_of_matrix(S, k) for S in single]
+                    assert all(type(x) is float for x in want)
+                    assert same_bits(got.ravel(), want)
+                if kind == "symmetric":
+                    continue
+                for k in range(1, n + 1):
+                    got = bordered_minor_identity_residual(stack, k)
+                    assert got.shape == stack.shape[:-2]
+                    want = [bordered_minor_identity_residual(S, k) for S in single]
+                    assert same_bits(got.ravel(), np.array(want, dtype=float))
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 3, 3))
+        assert sym_eigenvalues(empty).shape == (0, 3)
+        assert sigma_of_matrix(empty, 2).shape == (0,)
+        assert bordered_minor_identity_residual(empty, 2).shape == (0,)
+
+    def test_one_matrix_keeps_its_types(self):
+        S = np.diag([1.0, 2.0, 3.0])
+        S[:-1, -1] = S[-1, :-1] = [0.5, 0.25]
+        assert type(sigma_of_matrix(S, 2)) is float
+        assert type(bordered_minor_identity_residual(S, 1)) is float
+        assert type(bordered_minor_identity_residual(S, 2)) is np.float64
+
+    def test_one_matrix_keeps_the_former_formula(self):
+        # Before stacks, sigma_of_matrix(S, k) was sigma(sym_eigenvalues(S), k).
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, stack in symmetric_stacks(53):
+                n = stack.shape[-1]
+                for S in stack.reshape(-1, n, n):
+                    lam = sym_eigenvalues(S)
+                    for k in range(n + 1):
+                        assert same_bits(sigma_of_matrix(S, k), sigma(lam, k))
+
+    def test_border_squares_by_pow(self):
+        # The former single-matrix formula squared each border entry as a
+        # numpy float64, by pow; for these entries x * x differs in the last bit.
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=100000)
+        odd = [v for v in x.tolist() if v ** 2 != v * v][:30]
+        assert len(odd) == 30
+        for n, k in ((3, 2), (4, 3), (6, 2)):
+            stack = np.zeros((10, n, n))
+            stack[:, range(n), range(n)] = rng.normal(size=(10, n))
+            stack[:, :-1, -1] = stack[:, -1, :-1] = np.resize(odd, (10, n - 1))
+            for S, got in zip(stack, bordered_minor_identity_residual(stack, k)):
+                d = np.diag(S).copy()
+                rhs = sigma(d, k)
+                for i in range(n - 1):
+                    rhs -= sigma(np.delete(d, [i, n - 1]), k - 2) * S[i, n - 1] ** 2
+                assert got == abs(sigma(np.linalg.eigvalsh(S), k) - rhs)
+
+    @pytest.mark.parametrize("call, fault, message", [
+        (sym_eigenvalues, "asymmetric", "matrix is not symmetric to tolerance"),
+        (sym_eigenvalues, "nan", "matrix entries must be finite"),
+        (lambda S: sigma_of_matrix(S, 2), "asymmetric", "matrix is not symmetric to tolerance"),
+        (lambda S: bordered_minor_identity_residual(S, 2), "inf", "matrix entries must be finite"),
+        (lambda S: bordered_minor_identity_residual(S, 2), "off-arrow",
+         "matrix does not have arrow (diagonal plus last row/column) structure"),
+        (lambda S: bordered_minor_identity_residual(S, 5), None, "order k=5 out of range for n=4"),
+    ])
+    def test_one_bad_matrix_raises_the_single_message(self, call, fault, message):
+        # Matrix 0 is scaled by 1e6; matrix 2 has the fault at unit scale, where
+        # a tolerance taken from the whole stack would accept the first two.
+        rng = np.random.default_rng(51)
+        stack = np.zeros((4, 4, 4))
+        stack[:, range(4), range(4)] = rng.normal(size=(4, 4))
+        stack[:, :-1, -1] = stack[:, -1, :-1] = rng.normal(size=(4, 3))
+        stack[0] *= 1e6
+        if fault is not None:
+            call(stack)
+            i, j, value = {"asymmetric": (0, 1, 1e-8), "off-arrow": (0, 1, 1e-11),
+                           "nan": (1, 1, np.nan), "inf": (3, 0, np.inf)}[fault]
+            stack[2, i, j] += value
+            if fault == "off-arrow":
+                stack[2, j, i] += value
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(stack[2])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(stack)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((3, 2, 3)), "expected a square matrix"),
+        (np.zeros((2, 17, 17)), "matrices larger than 16x16 are unsupported"),
+    ])
+    def test_stack_shape_errors(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sym_eigenvalues(bad)
