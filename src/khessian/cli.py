@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -27,8 +28,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_INPUT = 3
-
-_FMT = "{:.16e}"
 
 
 def _manifest(command: str, args: dict, seed=None) -> dict:
@@ -58,11 +57,13 @@ def _print_report(payload: dict, out) -> int:
 
 
 def _write_csv(path, header, columns):
-    rows = len(columns[0])
+    """Write the columns under header, one row per entry, every value as
+    "%.16e", which is the text of "{:.16e}".format for every double."""
+    table = np.column_stack(columns)
+    template = ",".join(["%.16e"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_FMT.format(c[i]) for c in columns) + "\n")
+        fh.write(template * len(table) % tuple(table.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +441,10 @@ def cmd_continue(args) -> int:
     rows_d = [s.delta_t for s in branch.samples]
     rows_v = [s.v_probe for s in branch.samples]
     rows_it = [float(s.newton_iters) for s in branch.samples]
-    fold_ts = {round(f.t_star, 15) for f in branch.folds}
-    rows_fold = [1.0 if round(s.t, 15) in fold_ts else 0.0 for s in branch.samples]
+    # A fold's t_star is the t of one sample: the refined fold's own sample,
+    # or the bracket sample of an unrefined one.
+    fold_ts = {f.t_star for f in branch.folds}
+    rows_fold = [1.0 if s.t in fold_ts else 0.0 for s in branch.samples]
     _write_csv(args.out_prefix + "_branch.csv",
                ["t", "delta_t", "v_at_probe", "newton_iters", "fold_flag"],
                [rows_t, rows_d, rows_v, rows_it, rows_fold])
@@ -974,6 +977,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args):
+    """Refuse, before any computation, an output flag whose directory is
+    missing, or a file flag that names a directory."""
+    for flag in ("out_prefix", "out", "summary"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        name, folder = "--" + flag.replace("_", "-"), os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"{name} {path}: {folder} is not a directory")
+        if flag != "out_prefix" and (not path or os.path.isdir(path)):
+            raise ValueError(f"{name} {path!r} names a directory, not a file")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  It names the subcommand only:
@@ -992,6 +1009,7 @@ def main(argv=None) -> int:
         print("error: '--' is not a value of any option", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
+        _check_outputs(args)
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ Three regimes:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -521,17 +522,24 @@ class RadialSystem:
         return F, _rounding_floor(w, J)
 
     def solve_linear(self, J, rhs_vec):
-        """J^-1 rhs_vec; SolverError when J is singular or not finite."""
+        """J^-1 rhs_vec; SolverError when J is singular or not finite.
+
+        N >= 2 calls LAPACK's tridiagonal solve dgtsv (partial pivoting) with
+        the arguments scipy.linalg.solve_banded passes it for a (1, 1) band,
+        without that wrapper's validation; the f2py dgtsv rejects N = 1, whose
+        pivot divides out."""
+        if not (np.isfinite(J).all() and np.isfinite(rhs_vec).all()):
+            raise SolverError("Newton system: array must not contain infs or NaNs")
         if self.N == 1:
             pivot = float(J[1, 0])
-            if pivot == 0.0 or not math.isfinite(pivot):
-                raise SolverError(f"Newton system: 1x1 pivot {pivot} is zero or not finite")
+            if pivot == 0.0:
+                raise SolverError(f"Newton system: 1x1 pivot {pivot} is zero")
             return rhs_vec / pivot
-        from scipy.linalg import solve_banded
-        try:
-            return solve_banded((1, 1), J, rhs_vec)
-        except ValueError as exc:          # numpy's LinAlgError included
-            raise SolverError(f"Newton system: {exc}") from exc
+        from scipy.linalg.lapack import dgtsv
+        *_, x, info = dgtsv(J[2, :-1], J[1], J[0, 1:], rhs_vec)
+        if info > 0:
+            raise SolverError("Newton system: singular matrix")
+        return x
 
     # -- initial iterates ----------------------------------------------------
 
@@ -541,26 +549,28 @@ class RadialSystem:
         if self.kind == "sphere":
             return np.zeros(1)
         dom = self.problem.domain
-        theta = self.cone.theta
         r = self.r
-        candidates = []
-        if self.kind == "annulus":
-            lin = dom.w0 + (dom.w1 - dom.w0) * (np.log(r / dom.r0) / math.log(dom.r1 / dom.r0))
-            candidates.append(lin)
-            scale = math.exp(min(max(np.mean(lin), -50.0), 50.0))
-            for j in range(-2, 12):
-                c = scale * 2.0**j / dom.r1**2
-                candidates.append(np.log(_exp(lin) + c * r**2))
-            c0 = 1.6 * dom.r1 ** (theta - 1.0)
-            ref = (c0 / (1.0 - theta)) * r ** (1.0 - theta)
-            ref += 0.5 * (dom.w0 + dom.w1) - ref.mean()
-            candidates.append(ref)
-        else:
-            base = np.full(self.N, dom.w1)
-            candidates.append(base)
-            for j in range(-2, 12):
-                c = math.exp(min(max(dom.w1, -50.0), 50.0)) * 2.0**j / dom.r1**2
-                candidates.append(np.log(math.exp(min(dom.w1, _EXP_CLIP)) + c * r**2))
+
+        def candidates():
+            """The starting shapes in the order they are tried, each built
+            only when its predecessors all failed."""
+            if self.kind == "annulus":
+                lin = dom.w0 + (dom.w1 - dom.w0) * (np.log(r / dom.r0) / math.log(dom.r1 / dom.r0))
+                yield lin
+                scale = math.exp(min(max(np.mean(lin), -50.0), 50.0))
+                for j in range(-2, 12):
+                    c = scale * 2.0**j / dom.r1**2
+                    yield np.log(_exp(lin) + c * r**2)
+                theta = self.cone.theta
+                c0 = 1.6 * dom.r1 ** (theta - 1.0)
+                ref = (c0 / (1.0 - theta)) * r ** (1.0 - theta)
+                ref += 0.5 * (dom.w0 + dom.w1) - ref.mean()
+                yield ref
+            else:
+                yield np.full(self.N, dom.w1)
+                for j in range(-2, 12):
+                    c = math.exp(min(max(dom.w1, -50.0), 50.0)) * 2.0**j / dom.r1**2
+                    yield np.log(math.exp(min(dom.w1, _EXP_CLIP)) + c * r**2)
         # Near-extremal boundary data can leave every candidate a hair outside
         # the open cone; a small inward nudge (decreasing perturbation raises b
         # and a) recovers strict admissibility without moving off the basin.
@@ -570,7 +580,7 @@ class RadialSystem:
         else:
             nudges = [0.0]
             nudge_shape = np.zeros_like(r)
-        for w in candidates:
+        for w in candidates():
             for eps in nudges:
                 trial = w + eps * nudge_shape
                 if self.admissible(trial):
@@ -852,8 +862,12 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     A is given in solve_banded layout with kl sub- and ku super-diagonals and
     factored once with partial pivoting: by LAPACK's tridiagonal LU
     (dgttrf/dgttrs) when kl = ku = 1 and n >= 3, at a third to a half of the
-    cost of its band LU (dgbtrf/dgbtrs), which takes every other shape (the
-    f2py dgttrf rejects n = 2).  The border is removed by mixed block elimination
+    cost of its band LU (dgbtrf/dgbtrs), which takes the other shapes with
+    n >= 2: the ball's Newton matrix at N = 2 (the f2py dgttrf rejects n = 2)
+    and the fold system's (3, 2) band.  A 1x1 A with a nonzero pivot, the
+    sphere's tangent and corrector system, is solved in Python floats with
+    the operations that the band LU and np.dot make on it, in the same order.
+    The border is removed by mixed block elimination
     (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993; Govaerts,
     Numerical Methods for Bifurcations of Dynamical Equilibria, ch. 3), which
     stays accurate where A is nearly singular, as the continuation Jacobian is
@@ -866,52 +880,64 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     only when the bordered matrix itself is singular.
     """
     n = band.shape[1]
-    if kl == ku == 1 and n >= 3:
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        *lu, piv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
-
-        def trs(lu, kl, ku, b, piv, trans=0):       # dgbtrs's signature
-            return dgttrs(*lu, piv, b, "T" if trans else "N")
+    if n == 1 and band[ku, 0] != 0.0:
+        a = float(band[ku, 0])
+        solve = lambda b, trans=0: b / a
+        matvec, dot = (lambda x: a * x), operator.mul
+        band_sq = sum(b * b for b in band[:, 0].tolist())
+        col, row, corner, f, g = float(col[0]), float(row[0]), float(corner), float(f[0]), float(g)
     else:
-        from scipy.linalg.lapack import dgbtrf, dgbtrs as trs
-        ab = np.zeros((2 * kl + ku + 1, n), order="F")
-        ab[kl:] = band
-        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-    if info != 0:
-        M = np.empty((n + 1, n + 1))
-        M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
-        M[:n, n], M[n, :n], M[n, n] = col, row, corner
-        try:
-            z = np.linalg.solve(M, np.append(f, g))
-        except np.linalg.LinAlgError:
-            raise SolverError("singular bordered system") from None
-        return z[:n], float(z[n])
-    v = trs(lu, kl, ku, row, piv, trans=1)[0]
-    w = trs(lu, kl, ku, col, piv)[0]
-    schur_v = corner - v.dot(col)
-    schur_w = corner - row.dot(w)
+        if kl == ku == 1 and n >= 3:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+            *lu, piv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+
+            def solve(b, trans=0):
+                return dgttrs(*lu, piv, b, "T" if trans else "N")[0]
+        else:
+            from scipy.linalg.lapack import dgbtrf, dgbtrs
+            ab = np.zeros((2 * kl + ku + 1, n), order="F")
+            ab[kl:] = band
+            lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+
+            def solve(b, trans=0):
+                return dgbtrs(lu, kl, ku, b, piv, trans=trans)[0]
+        if info != 0:
+            M = np.empty((n + 1, n + 1))
+            M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
+            M[:n, n], M[n, :n], M[n, n] = col, row, corner
+            try:
+                z = np.linalg.solve(M, np.append(f, g))
+            except np.linalg.LinAlgError:
+                raise SolverError("singular bordered system") from None
+            return z[:n], float(z[n])
+        matvec, dot = (lambda x: _band_matvec(band, kl, ku, x)), np.dot
+        band_sq = np.vdot(band, band)
+    v = solve(row, trans=1)
+    w = solve(col)
+    schur_v = corner - dot(v, col)
+    schur_w = corner - dot(row, w)
     if schur_v == 0.0 or schur_w == 0.0:
         raise SolverError("singular bordered system")
 
     def eliminate(f, g):
-        y1 = (g - v.dot(f)) / schur_v
-        x = trs(lu, kl, ku, f - y1 * col, piv)[0]
-        y2 = (g - row.dot(x) - corner * y1) / schur_w
+        y1 = (g - dot(v, f)) / schur_v
+        x = solve(f - y1 * col)
+        y2 = (g - dot(row, x) - corner * y1) / schur_w
         return x - y2 * w, y1 + y2
 
     x, y = eliminate(f, g)
-    r_top = f - _band_matvec(band, kl, ku, x) - y * col
-    r_bot = g - row.dot(x) - corner * y
-    resid = math.sqrt(r_top.dot(r_top) + r_bot * r_bot)
+    r_top = f - matvec(x) - y * col
+    r_bot = g - dot(row, x) - corner * y
+    resid = math.sqrt(dot(r_top, r_top) + r_bot * r_bot)
     if not math.isfinite(resid):
         raise SolverError("bordered solve is not finite")
     # Backward error |r| / (|M| |z| + |rhs|), |M| in the Frobenius norm (Rigal & Gaches).
-    norm_m = math.sqrt(np.vdot(band, band) + col.dot(col) + row.dot(row) + corner * corner)
-    size = norm_m * math.sqrt(x.dot(x) + y * y) + math.sqrt(f.dot(f) + g * g)
+    norm_m = math.sqrt(band_sq + dot(col, col) + dot(row, row) + corner * corner)
+    size = norm_m * math.sqrt(dot(x, x) + y * y) + math.sqrt(dot(f, f) + g * g)
     if resid > _REFINE_ULPS * _EPS * size:
         dx, dy = eliminate(r_top, r_bot)
         x, y = x + dx, y + dy
-    return x, float(y)
+    return np.atleast_1d(x), float(y)
 
 
 def _tangent(system, rhs, w, t, prev=None, jac_t=None):

@@ -1379,3 +1379,99 @@ def test_double_dash_value_exits_3(capsys, argv):
     # list and ended in an AttributeError traceback.
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: '--' is not a value of any option\n"
+
+
+def former_write_csv(path, header, columns):
+    """The former cli._write_csv, kept as an oracle: one format call per value."""
+    rows = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(rows):
+            fh.write(",".join("{:.16e}".format(c[i]) for c in columns) + "\n")
+
+
+SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+                   1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                   0.1, 1.0 / 3.0, 1e16, 123456789.0, -2.5]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_same_bytes_as_the_per_value_writer(self, tmp_path, as_list):
+        rng = np.random.default_rng(36)
+        # Every bit pattern is a double: signs, exponents and payloads alike.
+        drawn = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([SPECIAL_DOUBLES * 3, drawn])
+        columns = [values, values[::-1].copy(), rng.permutation(values)]
+        if as_list:
+            columns = [c.tolist() for c in columns]
+        header = ["a", "b", "c"]
+        cli._write_csv(tmp_path / "got.csv", header, columns)
+        former_write_csv(tmp_path / "want.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_mixed_columns_and_no_rows(self, tmp_path):
+        for columns in ([np.array([-0.0, 1e308]), [math.inf, 5e-324], (math.nan, 2.0)],
+                        [np.array([]), []]):
+            header = ["x"] * len(columns)
+            cli._write_csv(tmp_path / "got.csv", header, columns)
+            former_write_csv(tmp_path / "want.csv", header, columns)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_fold_below_1e_15_flags_one_row(tmp_path, capsys):
+    # t* = 9.375e-17: rounding t to 15 decimal places flagged every sample.
+    spec = dict(sphere_spec(), rhs={"f_const": 1e30},
+                continuation={"step": 0.02, "t_start": 1e-19, "after_fold_frac": 0.6})
+    code, _ = run_problem(tmp_path, "continue", spec)
+    assert code == 0
+    summary = json.loads((tmp_path / "out_summary.json").read_text())
+    assert summary["t_star"] == pytest.approx(9.375e-17, rel=1e-9)
+    lines = (tmp_path / "out_branch.csv").read_text().splitlines()[1:]
+    flagged = [float(line.split(",")[0]) for line in lines if line.endswith(",1.0000000000000000e+00")]
+    assert len(lines) == 37 and flagged == [summary["t_star"]]
+
+
+OUTPUT_COMMANDS = {
+    "solve": ["--problem", "problem.json", "--out-prefix"],
+    "continue": ["--problem", "problem.json", "--out-prefix"],
+    "envelope": ["--grid", "grid.txt", "--center", "0,0", "--out"],
+    "volume": ["--metric", "metric.json", "--out"],
+    "harnack": ["--profile", "profile.csv", "--n", "3", "--k", "2", "--out"],
+    "classify": ["--profile", "profile.csv", "--n", "3", "--k", "2", "--out"],
+}
+
+
+class TestOutputPaths:
+    # A prefix may be a directory's name or empty; a file flag may not.
+    @pytest.mark.parametrize("command, where", [
+        (command, where) for command in OUTPUT_COMMANDS
+        for where in ("missing directory", "file as directory", "directory", "empty")
+        if OUTPUT_COMMANDS[command][-1] == "--out" or where.endswith(" directory")])
+    def test_fault_names_the_flag_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                  command, where):
+        *argv, flag = OUTPUT_COMMANDS[command]
+        (tmp_path / "plain").write_text("")
+        path = {"missing directory": tmp_path / "missing" / "x",
+                "file as directory": tmp_path / "plain" / "x",
+                "directory": tmp_path, "empty": ""}[where]
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: pytest.fail("command ran"))
+        assert main([command, *argv, flag, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
+
+    def test_volume_summary_is_checked_too(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "cmd_volume", lambda args: pytest.fail("command ran"))
+        assert main(["volume", "--metric", "m.json", "--out", str(tmp_path / "q.csv"),
+                     "--summary", str(tmp_path / "missing" / "s.json")]) == 3
+        assert capsys.readouterr().err.startswith("error: --summary ")
+
+    def test_solve_out_prefix_in_a_missing_directory(self, tmp_path, capsys):
+        code, _ = run_problem(tmp_path, "solve", sphere_spec())
+        assert code == 0
+        path = tmp_path / "nonexistent" / "x"
+        assert main(["solve", "--problem", str(tmp_path / "problem.json"),
+                     "--out-prefix", str(path)]) == 3
+        assert capsys.readouterr().err.endswith(
+            f"error: --out-prefix {path}: {path.parent} is not a directory\n")

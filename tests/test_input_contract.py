@@ -13,7 +13,10 @@ So are the values of the profile CSVs that `classify` and `harnack` read
 archives, some of them damaged), and the --n and --k flags; those commands
 end in exit 0 or 3.  So do the eigenvalues that `sigma` reads from --lambda
 or from a one-row or one-column --csv file, huge, tiny, empty and
-non-numeric entries included, with --k from -1 to n + 1.  Grid sizes,
+non-numeric entries included, with --k from -1 to n + 1.  `verify --seed`
+is drawn as any text, and the output flag of each command that writes files
+as a new file, a missing directory, a directory or a plain file in the place
+of a directory; those end in exit 0, 2 or 3.  Grid sizes,
 iteration limits and radius counts stay small, so every example runs in
 milliseconds.
 """
@@ -488,3 +491,59 @@ def test_found_faults_end_without_a_warning(case):
     code, err, warned = run(case)
     assert code in (0, 3) and "Maximum allowed size" not in err, err
     assert not warned, [str(w.message) for w in warned]
+
+
+# verify --seed as any text: negative, zero, beyond 2^64, or no integer.
+SEEDS = st.one_of(st.integers(max_value=-1).map(str), st.just("0"),
+                  st.integers(2**64, 2**256).map(str), st.text(max_size=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(SEEDS)
+@example("-1")
+@example(str(2**64 + 1))
+@example("7.5")
+def test_any_verify_seed_ends_in_an_exit_code(seed):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", f"--seed={seed}"])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# (input file, flags) of one quick run of each command that writes files.
+QUICK_RUNS = {
+    "solve": ({"n": 3, "k": 2, "p": 2.0, "domain": {"type": "sphere_constant"},
+               "rhs": {"f_const": 1.0}, "solver": {"N": 1}}, ["--out-prefix"]),
+    "continue": ({"n": 3, "k": 2, "p": 4.0, "domain": {"type": "sphere_constant"},
+                  "rhs": {"f_const": 1.0}, "solver": {"N": 1},
+                  "continuation": {"step": 0.1, "t_start": 0.01}}, ["--out-prefix"]),
+    "volume": ({"kind": "euclidean", "n": 3, "num": 3}, ["--out"]),
+    "envelope": ("dims 2\nshape 3 3\nspacing 1\norigin 0 0\n1 1 1\n1 0 1\n1 1 1\n",
+                 ["--center=1,1", "--out"]),
+    "harnack": ("r,w\n1,0\n2,1\n3,1.5\n", ["--n=3", "--k=2", "--out"]),
+    "classify": ("r,w\n0.001,1\n0.01,2\n0.1,3\n", ["--n=3", "--k=2", "--out"]),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(sorted(QUICK_RUNS)),
+       st.sampled_from(["new file", "missing directory", "directory", "file as directory"]))
+def test_any_output_path_ends_in_an_exit_code(command, where):
+    content, flags = QUICK_RUNS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "input").write_text(content if isinstance(content, str) else json.dumps(content))
+        (tmp / "plain").write_text("")
+        (tmp / "dir").mkdir()
+        out = {"new file": tmp / "out", "missing directory": tmp / "missing" / "out",
+               "directory": tmp / "dir", "file as directory": tmp / "plain" / "out"}[where]
+        input_flag = {"solve": "--problem", "continue": "--problem",
+                      "volume": "--metric", "envelope": "--grid"}.get(command, "--profile")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, input_flag, str(tmp / "input"), *flags, str(out)])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if where in ("missing directory", "file as directory"):
+        assert code == 3 and err.getvalue().startswith(f"error: {flags[-1]} "), err.getvalue()

@@ -203,7 +203,7 @@ class TestNewton:
     @pytest.mark.parametrize("pivot", [0.0, -math.inf, math.nan])
     def test_sphere_newton_system_refuses_a_bad_pivot(self, pivot):
         # The 1x1 system is divided out, so a zero or non-finite pivot raises
-        # as solve_banded does for N >= 2, instead of giving inf or NaN.
+        # as dgtsv's route does for N >= 2, instead of giving inf or NaN.
         system = RadialSystem(RadialProblem(CONE32, SphereConstant(), p=0.0, f=1.0), 1)
         J = np.array([[0.0], [pivot], [0.0]])
         with pytest.raises(SolverError, match="^Newton system: "):
@@ -1542,3 +1542,327 @@ class TestBallDomain:
         system = RadialSystem(problem, 33)
         assert system.r[0] > 0.0
         assert system.r[-1] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The former routes of the Newton system, of the bordered solve and of the
+# initial iterate, kept as oracles: the direct dgtsv call, the scalar 1x1
+# bordered solve and the lazy candidates must give the same bits, and the
+# same errors, as the routes they replaced.
+# ---------------------------------------------------------------------------
+
+def former_solve_linear(J, rhs_vec):
+    """The former RadialSystem.solve_linear at N >= 2: scipy's solve_banded."""
+    from scipy.linalg import solve_banded
+    try:
+        return solve_banded((1, 1), J, rhs_vec)
+    except ValueError as exc:          # numpy's LinAlgError included
+        raise SolverError(f"Newton system: {exc}") from exc
+
+
+def former_bordered_solve(band, kl, ku, col, row, corner, f, g, seen=None):
+    """The former _bordered_solve: a 1x1 band through dgbtrf/dgbtrs and numpy.
+    seen, a Counter, counts the dense fallbacks and the refinement steps."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+    from khessian.solver import _REFINE_ULPS, _EPS, _band_matvec
+    seen = Counter() if seen is None else seen
+    n = band.shape[1]
+    if kl == ku == 1 and n >= 3:
+        *lu, piv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+
+        def trs(lu, kl, ku, b, piv, trans=0):
+            return dgttrs(*lu, piv, b, "T" if trans else "N")
+    else:
+        trs = dgbtrs
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        ab[kl:] = band
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info != 0:
+        seen["dense"] += 1
+        M = np.empty((n + 1, n + 1))
+        M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
+        M[:n, n], M[n, :n], M[n, n] = col, row, corner
+        try:
+            z = np.linalg.solve(M, np.append(f, g))
+        except np.linalg.LinAlgError:
+            raise SolverError("singular bordered system") from None
+        return z[:n], float(z[n])
+    v = trs(lu, kl, ku, row, piv, trans=1)[0]
+    w = trs(lu, kl, ku, col, piv)[0]
+    schur_v = corner - v.dot(col)
+    schur_w = corner - row.dot(w)
+    if schur_v == 0.0 or schur_w == 0.0:
+        raise SolverError("singular bordered system")
+
+    def eliminate(f, g):
+        y1 = (g - v.dot(f)) / schur_v
+        x = trs(lu, kl, ku, f - y1 * col, piv)[0]
+        y2 = (g - row.dot(x) - corner * y1) / schur_w
+        return x - y2 * w, y1 + y2
+
+    x, y = eliminate(f, g)
+    r_top = f - _band_matvec(band, kl, ku, x) - y * col
+    r_bot = g - row.dot(x) - corner * y
+    resid = math.sqrt(r_top.dot(r_top) + r_bot * r_bot)
+    if not math.isfinite(resid):
+        raise SolverError("bordered solve is not finite")
+    norm_m = math.sqrt(np.vdot(band, band) + col.dot(col) + row.dot(row) + corner * corner)
+    size = norm_m * math.sqrt(x.dot(x) + y * y) + math.sqrt(f.dot(f) + g * g)
+    if resid > _REFINE_ULPS * _EPS * size:
+        seen["refined"] += 1
+        dx, dy = eliminate(r_top, r_bot)
+        x, y = x + dx, y + dy
+    return x, float(y)
+
+
+def former_initial_guess(system):
+    """The former RadialSystem.initial_guess: every candidate built before the
+    first one is tested."""
+    from khessian.solver import _EXP_CLIP, _exp
+    dom, theta, r = system.problem.domain, system.cone.theta, system.r
+    candidates = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        if system.kind == "annulus":
+            lin = dom.w0 + (dom.w1 - dom.w0) * (np.log(r / dom.r0) / math.log(dom.r1 / dom.r0))
+            candidates.append(lin)
+            scale = math.exp(min(max(np.mean(lin), -50.0), 50.0))
+            for j in range(-2, 12):
+                c = scale * 2.0**j / dom.r1**2
+                candidates.append(np.log(_exp(lin) + c * r**2))
+            c0 = 1.6 * dom.r1 ** (theta - 1.0)
+            ref = (c0 / (1.0 - theta)) * r ** (1.0 - theta)
+            ref += 0.5 * (dom.w0 + dom.w1) - ref.mean()
+            candidates.append(ref)
+            nudges = [0.0] + [10.0**j for j in range(-8, -1)]
+            nudge_shape = (dom.r1 / r) ** 2
+        else:
+            candidates.append(np.full(system.N, dom.w1))
+            for j in range(-2, 12):
+                c = math.exp(min(max(dom.w1, -50.0), 50.0)) * 2.0**j / dom.r1**2
+                candidates.append(np.log(math.exp(min(dom.w1, _EXP_CLIP)) + c * r**2))
+            nudges = [0.0]
+            nudge_shape = np.zeros_like(r)
+        for w in candidates:
+            for eps in nudges:
+                trial = w + eps * nudge_shape
+                if system.admissible(trial):
+                    return trial
+    raise SolverError("no strictly admissible initial iterate found")
+
+
+def outcome(solve, *args):
+    """solve(*args) as a tuple of arrays and floats, or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            got = solve(*args)
+    except SolverError as exc:
+        return ("error", str(exc))
+    return tuple(np.asarray(x, dtype=float) for x in (got if isinstance(got, tuple) else (got,)))
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_bits(a, b)
+
+
+def ball_system(N):
+    return RadialSystem(RadialProblem(CONE32, Ball(1.0, 0.0), p=0.5, f=1.0), N)
+
+
+class TestNewtonSystemRoute:
+    """solve_linear calls dgtsv itself: the bits and errors of solve_banded."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 17, 64, 129, 1024, 4096])
+    def test_random_tridiagonal_systems(self, N):
+        rng = np.random.default_rng([N, 24])
+        system = ball_system(N)
+        for draw in range(6):
+            J = rng.normal(size=(3, N))
+            if draw == 1:
+                J[1] += 4.0 * np.sign(J[1])             # diagonally dominant
+            elif draw == 2:
+                J[2] *= 1e3                             # every column pivots
+            elif draw == 3:
+                J *= 10.0 ** rng.uniform(-150, 150, size=(3, N))
+            elif draw == 4:
+                J[1, ::2] = 0.0                         # zero diagonal entries
+            rhs = rng.normal(size=N) * 10.0 ** rng.uniform(-5, 5)
+            assert_same_outcome(outcome(system.solve_linear, J, rhs),
+                                outcome(former_solve_linear, J, rhs))
+
+    @pytest.mark.parametrize("N", [2, 3, 64])
+    @pytest.mark.parametrize("zero", ["all", "first column", "last row"])
+    def test_singular_band(self, N, zero):
+        rng = np.random.default_rng(N)
+        J = rng.normal(size=(3, N))
+        if zero == "all":
+            J[:] = 0.0
+        elif zero == "first column":
+            J[1, 0] = J[2, 0] = 0.0
+        else:
+            J[1, -1] = J[2, -2] = 0.0
+        rhs = rng.normal(size=N)
+        got = outcome(ball_system(N).solve_linear, J, rhs)
+        assert got == outcome(former_solve_linear, J, rhs)
+        assert got == ("error", "Newton system: singular matrix")
+
+    @pytest.mark.parametrize("N", [2, 3, 64])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, -1), (0, -1), "rhs"])
+    def test_non_finite_band_or_rhs(self, N, bad, where):
+        rng = np.random.default_rng(N)
+        J, rhs = rng.normal(size=(3, N)), rng.normal(size=N)
+        if where == "rhs":
+            rhs[-1] = bad
+        else:
+            J[where] = bad
+        got = outcome(ball_system(N).solve_linear, J, rhs)
+        assert got == outcome(former_solve_linear, J, rhs)
+        assert got == ("error", "Newton system: array must not contain infs or NaNs")
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_one_finiteness_contract_at_every_size(self, N, bad):
+        # N = 1 divided a non-finite right-hand side without raising.
+        system = (RadialSystem(RadialProblem(CONE32, SphereConstant(), p=0.0, f=1.0), 1)
+                  if N == 1 else ball_system(N))
+        J = np.zeros((3, N))
+        J[1] = -4.0
+        rhs = np.ones(N)
+        rhs[0] = bad
+        with pytest.raises(SolverError) as info:
+            system.solve_linear(J, rhs)
+        assert str(info.value) == "Newton system: array must not contain infs or NaNs"
+
+    def test_rhs_is_left_untouched(self):
+        rng = np.random.default_rng(5)
+        J, rhs = rng.normal(size=(3, 64)), rng.normal(size=64)
+        J0, rhs0 = J.copy(), rhs.copy()
+        ball_system(64).solve_linear(J, rhs)
+        assert_same_bits(J, J0)
+        assert_same_bits(rhs, rhs0)
+
+
+class TestScalarBorderedSolve:
+    """The 1x1 bordered solve in Python floats against the former band-LU route."""
+
+    def test_random_systems(self):
+        from khessian.solver import _bordered_solve
+        rng = np.random.default_rng(2024)
+        draws = 10_000
+        # Entries 120 decades apart: 78 of these systems take the refinement step.
+        z = rng.normal(size=(draws, 8)) * 10.0 ** rng.uniform(-60, 60, size=(draws, 8))
+        kind = rng.integers(0, 8, size=draws)
+        seen, errors = Counter(), Counter()
+        for i in range(draws):
+            band = np.array([[z[i, 0]], [z[i, 1]], [z[i, 2]]])
+            col, row, f = z[i, 3:4].copy(), z[i, 4:5].copy(), z[i, 5:6].copy()
+            corner, g = float(z[i, 6]), float(z[i, 7])
+            if kind[i] == 0:        # the sphere's band: no off-diagonal entries
+                band[0, 0] = band[2, 0] = 0.0
+            elif kind[i] == 1:      # a zero pivot: the dense fallback
+                band[1, 0] = 0.0
+            elif kind[i] == 2:      # a zero Schur complement
+                corner = float(row[0]) / float(band[1, 0]) * float(col[0])
+            elif kind[i] == 3:      # a nearly zero one
+                corner = float(row[0]) / float(band[1, 0]) * float(col[0]) * (1.0 + 1e-9 * rng.normal())
+            elif kind[i] == 4:      # a result that overflows
+                band[1, 0], f[0] = 1e-300 * np.sign(band[1, 0]), 1e300
+            elif kind[i] == 5:      # a zero border
+                col[0] = row[0] = 0.0
+            want = outcome(former_bordered_solve, band, 1, 1, col, row, corner, f, g, seen)
+            got = outcome(_bordered_solve, band, 1, 1, col, row, corner, f, g)
+            assert_same_outcome(got, want)
+            if want[0] == "error":
+                errors[want[1]] += 1
+            else:
+                assert got[0].shape == (1,) and got[1].shape == ()
+        assert seen["dense"] >= 500 and seen["refined"] >= 50, seen
+        assert errors["singular bordered system"] >= 500
+        assert errors["bordered solve is not finite"] >= 500
+
+    @pytest.mark.parametrize("pivot", [math.nan, math.inf, -0.0, 5e-324])
+    def test_special_pivots(self, pivot):
+        from khessian.solver import _bordered_solve
+        band = np.array([[0.0], [pivot], [0.0]])
+        args = (band, 1, 1, np.array([0.5]), np.array([2.0]), 3.0, np.array([1.0]), -1.0)
+        assert_same_outcome(outcome(_bordered_solve, *args),
+                            outcome(former_bordered_solve, *args))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 384])
+    @pytest.mark.parametrize("kl,ku", [(1, 1), (3, 2)])
+    def test_other_shapes_are_unchanged(self, n, kl, ku):
+        from khessian.solver import _bordered_solve
+        rng = np.random.default_rng([n, kl, ku, 36])
+        for _ in range(5):
+            args = (rng.normal(size=(kl + ku + 1, n)), kl, ku, rng.normal(size=n),
+                    rng.normal(size=n), float(rng.normal()), rng.normal(size=n),
+                    float(rng.normal()))
+            assert_same_outcome(outcome(_bordered_solve, *args),
+                                outcome(former_bordered_solve, *args))
+
+    def test_sphere_continuations_are_unchanged(self, monkeypatch):
+        from khessian import solver
+        for (n, k, p), f in {(3, 2, 4.0): 1.0, (4, 3, 5.0): 0.8, (5, 3, 4.0): 1.4,
+                             (5, 4, 6.0): 0.6}.items():
+            problem = RadialProblem(ConeParams(n, k), SphereConstant(), p=p, f=f)
+            config = SolverConfig(N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6)
+            got = continuation_supercritical(problem, config)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_bordered_solve", former_bordered_solve)
+                want = continuation_supercritical(problem, config)
+            assert len(got.samples) == len(want.samples)
+            for a, b in zip(got.samples, want.samples):
+                assert_same_bits([a.t, a.v_probe, a.tangent_t, *a.w],
+                                 [b.t, b.v_probe, b.tangent_t, *b.w])
+            assert_same_bits(got.t_star, want.t_star)
+
+
+# (domain, N) of initial iterates: the manufactured annulus and ball data,
+# annulus data that take a later candidate with an inward nudge, and data
+# that no candidate fits.
+INITIAL_GUESS_CASES = [
+    *[(Annulus(0.5, 2.0, W_STAR(0.5), W_STAR(2.0)), N) for N in (3, 4, 17, 64, 1024)],
+    *[(Ball(1.0, 0.5), N) for N in (2, 3, 17, 64, 1024)],
+    (Annulus(0.8319432152802452, 7.68070698391985, 1.066357757671799, 2.294965609839984), 33),
+    (Annulus(0.2034393699528147, 1.549258553659298, 4.274239286245599, 4.679261899246464), 33),
+    (Annulus(0.5372518229486102, 4.850037039890916, 4.340435159562496, -1.4220480329092977), 33),
+    (Annulus(0.5, 2.0, 0.0, 50.0), 64),
+    (Annulus(0.5, 2.0, 0.0, 3.2e209), 17),
+    (Ball(1e-150, 60.0), 9),
+]
+
+
+class TestLazyInitialGuess:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("domain, N", INITIAL_GUESS_CASES)
+    def test_same_trials_and_iterate_as_the_eager_guess(self, domain, N):
+        system = RadialSystem(RadialProblem(CONE32, domain, p=0.5, f=1.0), N)
+        admissible, trials = system.admissible, {"got": [], "want": []}
+
+        def run(guess, key):
+            system.admissible = lambda w: trials[key].append(w.tobytes()) or admissible(w)
+            return outcome(guess)
+
+        got = run(system.initial_guess, "got")
+        want = run(lambda: former_initial_guess(system), "want")
+        assert_same_outcome(got, want)
+        assert trials["got"] == trials["want"]
+
+    def test_cases_cover_nudges_and_failures(self):
+        nudged = failed = 0
+        for domain, N in INITIAL_GUESS_CASES:
+            system = RadialSystem(RadialProblem(CONE32, domain, p=0.5, f=1.0), N)
+            try:
+                w = system.initial_guess()
+            except SolverError as exc:
+                assert str(exc) == "no strictly admissible initial iterate found"
+                failed += 1
+                continue
+            if system.kind == "annulus":
+                nudged += (w[0] - domain.w0) != 0.0
+        assert nudged >= 3 and failed == 2
