@@ -11,6 +11,7 @@ large-radius limit counts singular ends in units of omega_n / n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -662,17 +663,28 @@ _END_TAIL_FRAC = 0.25
 _END_SLOPE_TOL = 0.05
 
 
+def _quiet_quadrature(fn):
+    """fn with scipy's IntegrationWarning ignored, one filter per call of fn:
+    _quad reports divergence through its accuracy check instead."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        from scipy import integrate
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return fn(*args, **kwargs)
+    return quiet
+
+
 def _quad(fn, a: float, b: float) -> float:
+    """Integral of fn over [a, b]; call it inside a _quiet_quadrature function."""
     from scipy import integrate
-    with warnings.catch_warnings():
-        # divergence is reported through the accuracy check below
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, a, b, limit=400, epsabs=1e-13, epsrel=1e-11)
+    val, err = integrate.quad(fn, a, b, limit=400, epsabs=1e-13, epsrel=1e-11)
     if not np.isfinite(val) or err > max(1e-8 * abs(val), 1e-9):
         raise ValueError(f"quadrature did not converge on [{a:.3g}, {b:.3g}]")
     return val
 
 
+@_quiet_quadrature
 def volume_ratio(w, n: int, s_values, mode: str = "origin",
                  rho_ref: float = 1.0) -> VolumeCurve:
     """Volume ratio curve Q(s) = Vol(B_s) / s^n of the metric e^{-2w} g_e.
@@ -785,6 +797,7 @@ def volume_ratio(w, n: int, s_values, mode: str = "origin",
     return VolumeCurve(s_values, Q, omega, n)
 
 
+@_quiet_quadrature
 def annulus_volume(w, r1: float, r2: float, n: int) -> float:
     """Volume of the annulus r1 < |x| < r2 in the metric e^{-2w} g_e."""
     if not 0.0 < r1 < r2:

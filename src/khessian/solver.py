@@ -231,10 +231,14 @@ class ContinuationRHS:
         e_delta = _exp(k * b * w)
         e_power = _fv(self.f, r) * _exp((k - p) * b * w)
         delta = self.delta(t)
+        both = delta * e_delta + e_power
         scale = t * self.conv
-        return (scale * (delta * e_delta + e_power),
+        # Off the bridge (1, 2), t delta'(t) e_delta is +-0.0, and `both` is
+        # never -0.0 (delta > 0, e_delta > 0): adding it changes no bit.
+        t_ddelta = t * self.ddelta_dt(t)
+        return (scale * both,
                 scale * (k * b * delta * e_delta + (k - p) * b * e_power),
-                self.conv * (delta * e_delta + e_power + t * self.ddelta_dt(t) * e_delta))
+                self.conv * (both + t_ddelta * e_delta if t_ddelta != 0.0 else both))
 
     def second_derivatives(self, r, w, t):
         """(d2phi/dw2, d2phi/dwdt), which only fold refinement needs."""
@@ -353,6 +357,20 @@ class RadialSystem:
         self.rows = {"sphere": slice(0, 1), "annulus": slice(1, self.N - 1),
                      "ball": slice(0, self.N - 1)}[self.kind]
         self.r_eq = self.r[self.rows]
+        # The cone's binomials C(n-1, k) and C(n-1, k-1) of sigma_k and its
+        # gradients, and the grid's constants, computed once.
+        n, k = self.cone.n, self.cone.k
+        self._c1, self._c2 = math.comb(n - 1, k), math.comb(n - 1, k - 1)
+        if self.kind == "sphere":
+            self._sphere_sigma = sigma_k_radial(self._sphere_stencil[2], self.cone)
+        else:
+            self._h2 = float(self.h**2)
+            if self._h2 == 0.0:
+                raise ValueError(f"{dom!r} with N = {N}: grid spacing h = {self.h:.3g} is "
+                                 "too fine for floats, h**2 underflows to 0")
+            self._2h = float(2 * self.h)
+            self._inv_h2 = 1.0 / self._h2
+            self._inv_r = 1.0 / self.r_eq
 
     # -- finite differences ------------------------------------------------
 
@@ -369,8 +387,8 @@ class RadialSystem:
             wm, wc, wp = w[:-2], w[1:-1], w[2:]
         else:
             wm, wc, wp = np.concatenate((w[:1], w[:-2])), w[:-1], w[1:]
-        d1 = (wp - wm) / (2 * self.h)
-        d2 = (wp - 2 * wc + wm) / self.h**2
+        d1 = (wp - wm) / self._2h
+        d2 = (wp - 2 * wc + wm) / self._h2
         half_sq = 0.5 * d1**2
         return d1, d2, RadialAB(d2 + half_sq, d1 / self.r_eq - half_sq)
 
@@ -383,7 +401,7 @@ class RadialSystem:
         a finite-difference-aware margin."""
         d1, _, ab = self._stencil(w)
         r = self.r_eq
-        margin = 10.0 * self.h**2 * np.maximum(1.0, d1**2) * (1.0 + 1.0 / r**2)
+        margin = 10.0 * self._h2 * np.maximum(1.0, d1**2) * (1.0 + 1.0 / r**2)
         combo = ab.a + self.cone.theta * ab.b
         bad = np.minimum(ab.b + margin, combo + margin)
         worst = int(np.argmin(bad))
@@ -409,13 +427,12 @@ class RadialSystem:
         phi, phi_w, phi_t = (rhs.evaluate(self.r_eq, w[rows]) if t is None
                              else rhs.evaluate(self.r_eq, w[rows], t))
         d1, _, ab = stencil = self._stencil(w)
-        sig = sigma_k_radial(ab, self.cone)
         F = np.empty(self.N)
-        F[rows] = sig - phi
         for i, value in self.dirichlet:
             F[i] = w[i] - value
         G = J = None
         if self.kind == "sphere":
+            F[rows] = self._sphere_sigma - phi
             # Python scalar powers: numpy's vector pow may differ by an ulp.
             phi0, phi_w0 = float(phi[0]), float(phi_w[0])
             if root:
@@ -425,28 +442,39 @@ class RadialSystem:
                 J = np.zeros((3, 1))
                 J[1, 0] = -phi_w0
             return F, G, J, phi_t, stencil
+        # sigma_k = C(n-1,k) b^(k-1) b + C(n-1,k-1) a b^(k-1), as radial.sigma_k_radial
+        # and its gradients compute it, from one power b^(k-1).
+        a, b = ab.a, ab.b
+        bk = b ** (k - 1)
+        c2a = self._c2 * a
+        sig = self._c1 * bk * b + c2a * bk
+        F[rows] = sig - phi
         if root:
             G = F.copy()
             G[rows] = np.maximum(sig, 0.0) ** (1.0 / k) - np.maximum(phi, 0.0) ** (1.0 / k)
         if jac:
-            sa, sb = sigma_k_radial_gradients(ab, self.cone)
+            # b^0 is exactly 1, so at k = 2 the a-term of d sigma/d b is C(n-1,k-1) a.
+            sa = self._c2 * bk
+            sb = k * self._c1 * bk + (c2a if k == 2 else
+                                      (k - 1) * self._c2 * a * b ** (k - 2))
             if root:
                 # Chain rule on the 1/k powers.
                 scale = (1.0 / k) * np.maximum(sig, 1e-300) ** (1.0 / k - 1.0)
                 sa, sb = scale * sa, scale * sb
                 phi_w = (1.0 / k) * np.maximum(phi, 1e-300) ** (1.0 / k - 1.0) * phi_w
-            J = self._jacobian(d1, sa, sb * (1.0 / self.r_eq - d1), phi_w)
+            J = self._jacobian(d1, sa, sb * (self._inv_r - d1), phi_w)
             for i, _ in self.dirichlet:
                 J[1, i] = 1.0
         return F, G, J, phi_t, stencil
 
     def _jacobian(self, d1, sa, c1, phi_w):
         """Band of psi -> sa (psi'' + d1 psi') + c1 psi' - phi_w psi, zero on Dirichlet rows."""
-        h, rows, N = self.h, self.rows, self.N
+        rows, N = self.rows, self.N
         J = np.zeros((3, N))
-        J[1, rows] = -2.0 * sa / h**2 - phi_w
-        J[0, rows.start + 1:rows.stop + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + c1 / (2 * h)
-        sub = sa * (1.0 / h**2 - d1 / (2 * h)) - c1 / (2 * h)
+        J[1, rows] = -2.0 * sa / self._h2 - phi_w
+        d1_2h, c1_2h = d1 / self._2h, c1 / self._2h
+        J[0, rows.start + 1:rows.stop + 1] = sa * (self._inv_h2 + d1_2h) + c1_2h
+        sub = sa * (self._inv_h2 - d1_2h) - c1_2h
         if self.kind == "ball":
             # Fold the ghost coefficient of row 0 into its diagonal.
             J[1, 0] += sub[0]
@@ -473,10 +501,10 @@ class RadialSystem:
         s_ab = (k - 1) * math.comb(n - 1, k - 1) * ab.b ** (k - 2)
         s_bb = (k * (k - 1) * math.comb(n - 1, k) * ab.b ** (k - 2) + (k - 1) * (k - 2)
                 * math.comb(n - 1, k - 1) * ab.a * ab.b ** max(k - 3, 0))
-        db = (1.0 / self.r_eq - d1) * p1
-        return self._jacobian(d1, s_ab * db, (s_ab * (p2 + d1 * p1) + s_bb * db)
-                              * (1.0 / self.r_eq - d1) + (sa - sb) * p1,
-                              phi_ww * ph[rows]), Jph_t
+        db_dw1 = self._inv_r - d1
+        db = db_dw1 * p1
+        return self._jacobian(d1, s_ab * db, (s_ab * (p2 + d1 * p1) + s_bb * db) * db_dw1
+                              + (sa - sb) * p1, phi_ww * ph[rows]), Jph_t
 
     def residual(self, w, rhs, t=None):
         return self._assemble(w, rhs, t=t)[0]
@@ -634,17 +662,19 @@ def _stop(w, norm=math.inf, tol=0.0, J=None, step=math.inf, t=0.0, dt=0.0):
     Nonlinear Equations with Newton's Method, SIAM 2003).
 
     Returns "tol" when the residual sup norm is within tol, "floor" when it is
-    within the rounding floor of the stencil (J given), "step" when the Newton
-    correction sup norm, and |dt| in the corrector, are within a few ulps of
-    |w| and |t|, and None when the loop must go on.  A "floor" or "step" stop
-    is floor-limited: this grid cannot resolve a residual below tol.
+    within the rounding floor of the stencil (J given), "step" when |dt| in
+    the corrector, and the Newton correction sup norm, are within a few ulps
+    of |t| and |w|, and None when the loop must go on.  A "floor" or "step"
+    stop is floor-limited: this grid cannot resolve a residual below tol.
+    The scalar |dt| test comes first: most corrector iterations fail it and
+    skip max|w|.
     """
     if norm <= tol:
         return "tol"
     if J is not None and norm <= _rounding_floor(w, J):
         return "floor"
-    if (step <= _STEP_ULPS * _EPS * max(1.0, float(np.abs(w).max()))
-            and abs(dt) <= _STEP_ULPS * _EPS * max(1.0, abs(t))):
+    if (abs(dt) <= _STEP_ULPS * _EPS * max(1.0, abs(t))
+            and step <= _STEP_ULPS * _EPS * max(1.0, float(np.abs(w).max()))):
         return "step"
     return None
 
@@ -860,26 +890,67 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     """Solve [[A, col], [row, corner]] [x; y] = [f; g] for a banded A in O(n).
 
     A is given in solve_banded layout with kl sub- and ku super-diagonals and
-    factored once with partial pivoting: by LAPACK's tridiagonal LU
-    (dgttrf/dgttrs) when kl = ku = 1 and n >= 3, at a third to a half of the
-    cost of its band LU (dgbtrf/dgbtrs), which takes the other shapes with
-    n >= 2: the ball's Newton matrix at N = 2 (the f2py dgttrf rejects n = 2)
-    and the fold system's (3, 2) band.  A 1x1 A with a nonzero pivot, the
-    sphere's tangent and corrector system, is solved in Python floats with
-    the operations that the band LU and np.dot make on it, in the same order.
-    The border is removed by mixed block elimination
-    (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993; Govaerts,
-    Numerical Methods for Bifurcations of Dynamical Equilibria, ch. 3), which
-    stays accurate where A is nearly singular, as the continuation Jacobian is
-    at a fold, provided the bordered matrix is regular.  One step of iterative
-    refinement follows unless the normwise backward error of the first
-    solution is already at rounding level.
+    factored once with partial pivoting.  The border is removed by mixed
+    block elimination (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993;
+    Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
+    ch. 3), which stays accurate where A is nearly singular, as the
+    continuation Jacobian is at a fold, provided the bordered matrix is
+    regular.  One step of iterative refinement follows unless the normwise
+    backward error of the first solution is already at rounding level.
+
+    Three routes make the same operations in the same order:
+      * kl = ku = 1 and n >= 3, the tangent and corrector systems of the
+        annulus and the ball: LAPACK's tridiagonal LU (dgttrf/dgttrs), at a
+        third to a half of the cost of its band LU, with the elimination
+        written out once, the tridiagonal product inline, and the scalars
+        in Python floats from the same dot products;
+      * a 1x1 A with a nonzero pivot, the sphere's tangent and corrector
+        system, in Python floats with the operations that the band LU and
+        np.dot make on it;
+      * every other shape through the band LU (dgbtrf/dgbtrs): the ball's
+        Newton matrix at N = 2 (the f2py dgttrf rejects n = 2) and the fold
+        system's (3, 2) band.
 
     An exactly zero pivot of the LU, which no radial solve meets, sends
     the whole bordered matrix to a dense LU instead: O(n^3), but it raises
     only when the bordered matrix itself is singular.
     """
     n = band.shape[1]
+    if kl == ku == 1 and n >= 3:
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        sub, diag, sup = band[2, :-1], band[1], band[0, 1:]
+        dl, d, du, du2, piv, info = dgttrf(sub, diag, sup)
+        if info != 0:
+            return _dense_bordered_solve(band, kl, ku, col, row, corner, f, g)
+        corner, g = float(corner), float(g)
+        v = dgttrs(dl, d, du, du2, piv, row, "T")[0]
+        w = dgttrs(dl, d, du, du2, piv, col, "N")[0]
+        schur_v = corner - float(v.dot(col))
+        schur_w = corner - float(row.dot(w))
+        if schur_v == 0.0 or schur_w == 0.0:
+            raise SolverError("singular bordered system")
+        y1 = (g - float(v.dot(f))) / schur_v
+        x = dgttrs(dl, d, du, du2, piv, f - y1 * col, "N")[0]
+        y2 = (g - float(row.dot(x)) - corner * y1) / schur_w
+        x, y = x - y2 * w, y1 + y2
+        # r_top = f - A x - y col, A x as _band_matvec forms it.
+        ax = diag * x
+        ax[:-1] += sup * x[1:]
+        ax[1:] += sub * x[:-1]
+        r_top = f - ax - y * col
+        r_bot = g - float(row.dot(x)) - corner * y
+        resid = math.sqrt(float(r_top.dot(r_top)) + r_bot * r_bot)
+        if not math.isfinite(resid):
+            raise SolverError("bordered solve is not finite")
+        norm_m = math.sqrt(float(np.vdot(band, band)) + float(col.dot(col))
+                           + float(row.dot(row)) + corner * corner)
+        size = norm_m * math.sqrt(float(x.dot(x)) + y * y) + math.sqrt(float(f.dot(f)) + g * g)
+        if resid > _REFINE_ULPS * _EPS * size:
+            y1 = (r_bot - float(v.dot(r_top))) / schur_v
+            dx = dgttrs(dl, d, du, du2, piv, r_top - y1 * col, "N")[0]
+            y2 = (r_bot - float(row.dot(dx)) - corner * y1) / schur_w
+            x, y = x + (dx - y2 * w), y + (y1 + y2)
+        return x, y
     if n == 1 and band[ku, 0] != 0.0:
         a = float(band[ku, 0])
         solve = lambda b, trans=0: b / a
@@ -887,29 +958,15 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
         band_sq = sum(b * b for b in band[:, 0].tolist())
         col, row, corner, f, g = float(col[0]), float(row[0]), float(corner), float(f[0]), float(g)
     else:
-        if kl == ku == 1 and n >= 3:
-            from scipy.linalg.lapack import dgttrf, dgttrs
-            *lu, piv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
-
-            def solve(b, trans=0):
-                return dgttrs(*lu, piv, b, "T" if trans else "N")[0]
-        else:
-            from scipy.linalg.lapack import dgbtrf, dgbtrs
-            ab = np.zeros((2 * kl + ku + 1, n), order="F")
-            ab[kl:] = band
-            lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-
-            def solve(b, trans=0):
-                return dgbtrs(lu, kl, ku, b, piv, trans=trans)[0]
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        ab[kl:] = band
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info != 0:
-            M = np.empty((n + 1, n + 1))
-            M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
-            M[:n, n], M[n, :n], M[n, n] = col, row, corner
-            try:
-                z = np.linalg.solve(M, np.append(f, g))
-            except np.linalg.LinAlgError:
-                raise SolverError("singular bordered system") from None
-            return z[:n], float(z[n])
+            return _dense_bordered_solve(band, kl, ku, col, row, corner, f, g)
+
+        def solve(b, trans=0):
+            return dgbtrs(lu, kl, ku, b, piv, trans=trans)[0]
         matvec, dot = (lambda x: _band_matvec(band, kl, ku, x)), np.dot
         band_sq = np.vdot(band, band)
     v = solve(row, trans=1)
@@ -938,6 +995,19 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
         dx, dy = eliminate(r_top, r_bot)
         x, y = x + dx, y + dy
     return np.atleast_1d(x), float(y)
+
+
+def _dense_bordered_solve(band, kl, ku, col, row, corner, f, g):
+    """The bordered system by a dense LU, for a band whose LU meets a zero pivot."""
+    n = band.shape[1]
+    M = np.empty((n + 1, n + 1))
+    M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
+    M[:n, n], M[n, :n], M[n, n] = col, row, corner
+    try:
+        z = np.linalg.solve(M, np.append(f, g))
+    except np.linalg.LinAlgError:
+        raise SolverError("singular bordered system") from None
+    return z[:n], float(z[n])
 
 
 def _tangent(system, rhs, w, t, prev=None, jac_t=None):

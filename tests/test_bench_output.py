@@ -44,3 +44,22 @@ def test_smoke_run_ends_with_a_result_line(workload):
     for name in ("pass_s", "setup_s", "peak_rss_mb"):
         value = result["metrics"][name]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)
+
+
+@pytest.mark.parametrize("workload", ["annulus_fold", "banded_newton"])
+def test_traced_smoke_run_ends_with_a_result_line(workload):
+    # The traced path wraps the solver by name: a renamed stage shows as an
+    # "absent" line, a broken wrapper as a run without a result line.
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+         "--workload", workload, "--smoke", "--trace", "1"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    result = strict_json(lines[-1])
+    assert result["correct"] is True, proc.stdout
+    assert result["failed"] == 0 and result["attempted"] > 0
+    assert not any(line.startswith("absent") for line in lines), proc.stdout
+    assert result["metrics"]
+    for name, metric in result["metrics"].items():
+        assert math.isfinite(metric["value"]), (name, metric)

@@ -1866,3 +1866,203 @@ class TestLazyInitialGuess:
             if system.kind == "annulus":
                 nudged += (w[0] - domain.w0) != 0.0
         assert nudged >= 3 and failed == 2
+
+
+class TestGridTooFine:
+    @pytest.mark.parametrize("domain, N", [(Ball(1e-170, 0.0), 9),
+                                           (Annulus(1e-170, 2e-170, 0.0, 0.0), 9)])
+    def test_underflowing_spacing_is_refused(self, domain, N):
+        with pytest.raises(ValueError, match=r"grid spacing h = .* underflows to 0") as info:
+            RadialSystem(RadialProblem(CONE32, domain, p=0.5, f=1.0), N)
+        assert repr(domain) in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# The per-call assembly, continuation RHS and tridiagonal bordered route
+# against the code they replaced, kept verbatim apart from `self` becoming
+# `system`: the same bits, and the same errors.
+# ---------------------------------------------------------------------------
+
+def former_stencil(system, w):
+    if system.kind == "sphere":
+        return system._stencil(w)
+    if system.kind == "annulus":
+        wm, wc, wp = w[:-2], w[1:-1], w[2:]
+    else:
+        wm, wc, wp = np.concatenate((w[:1], w[:-2])), w[:-1], w[1:]
+    d1 = (wp - wm) / (2 * system.h)
+    d2 = (wp - 2 * wc + wm) / system.h**2
+    half_sq = 0.5 * d1**2
+    return d1, d2, RadialAB(d2 + half_sq, d1 / system.r_eq - half_sq)
+
+
+def former_jacobian(system, d1, sa, c1, phi_w):
+    h, rows, N = system.h, system.rows, system.N
+    J = np.zeros((3, N))
+    J[1, rows] = -2.0 * sa / h**2 - phi_w
+    J[0, rows.start + 1:rows.stop + 1] = sa * (1.0 / h**2 + d1 / (2 * h)) + c1 / (2 * h)
+    sub = sa * (1.0 / h**2 - d1 / (2 * h)) - c1 / (2 * h)
+    if system.kind == "ball":
+        J[1, 0] += sub[0]
+        sub = sub[1:]
+    J[2, :N - 2] = sub
+    return J
+
+
+def former_assemble(system, w, rhs, root=False, jac=False, t=None):
+    k, rows = system.cone.k, system.rows
+    phi, phi_w, phi_t = (rhs.evaluate(system.r_eq, w[rows]) if t is None
+                         else rhs.evaluate(system.r_eq, w[rows], t))
+    d1, _, ab = stencil = former_stencil(system, w)
+    sig = sigma_k_radial(ab, system.cone)
+    F = np.empty(system.N)
+    F[rows] = sig - phi
+    for i, value in system.dirichlet:
+        F[i] = w[i] - value
+    G = J = None
+    if system.kind == "sphere":
+        phi0, phi_w0 = float(phi[0]), float(phi_w[0])
+        if root:
+            G = np.array([system.sigma_const ** (1.0 / k) - max(phi0, 0.0) ** (1.0 / k)])
+            phi_w0 = (1.0 / k) * max(phi0, 1e-300) ** (1.0 / k - 1.0) * phi_w0
+        if jac:
+            J = np.zeros((3, 1))
+            J[1, 0] = -phi_w0
+        return F, G, J, phi_t, stencil
+    if root:
+        G = F.copy()
+        G[rows] = np.maximum(sig, 0.0) ** (1.0 / k) - np.maximum(phi, 0.0) ** (1.0 / k)
+    if jac:
+        sa, sb = sigma_k_radial_gradients(ab, system.cone)
+        if root:
+            scale = (1.0 / k) * np.maximum(sig, 1e-300) ** (1.0 / k - 1.0)
+            sa, sb = scale * sa, scale * sb
+            phi_w = (1.0 / k) * np.maximum(phi, 1e-300) ** (1.0 / k - 1.0) * phi_w
+        J = former_jacobian(system, d1, sa, sb * (1.0 / system.r_eq - d1), phi_w)
+        for i, _ in system.dirichlet:
+            J[1, i] = 1.0
+    return F, G, J, phi_t, stencil
+
+
+def former_continuation_evaluate(rhs, r, w, t):
+    from khessian.solver import _exp, _fv
+    k, p, b = rhs.cone.k, rhs.p, rhs.beta
+    e_delta = _exp(k * b * w)
+    e_power = _fv(rhs.f, r) * _exp((k - p) * b * w)
+    delta = rhs.delta(t)
+    scale = t * rhs.conv
+    return (scale * (delta * e_delta + e_power),
+            scale * (k * b * delta * e_delta + (k - p) * b * e_power),
+            rhs.conv * (delta * e_delta + e_power + t * rhs.ddelta_dt(t) * e_delta))
+
+
+def assembly_outcome(assemble, *args, **kwargs):
+    F, G, J, phi_t, (d1, d2, ab) = assemble(*args, **kwargs)
+    return [x for x in (F, G, J, phi_t, d1, d2, ab.a, ab.b) if x is not None]
+
+
+# (n, k) cones with k = 2, 3 and 4.
+ORACLE_CONES = [(3, 2), (4, 3), (5, 3), (5, 4), (7, 4)]
+
+
+def random_admissible_iterate(system, rng):
+    """w = c r^2 + const plus noise below the stencil's resolution: b = 2c(1 - c r^2)
+    and a = 2c(1 + c r^2) stay positive for 0 < c r1^2 < 1."""
+    r, h = system.r, system.h
+    c = rng.uniform(0.05, 0.9) / r[-1] ** 2
+    return c * r**2 + rng.normal() + 1e-3 * c * h**2 * rng.normal(size=system.N)
+
+
+class TestPerCallAssemblyOracle:
+    @pytest.mark.parametrize("N", [3, 4, 17, 96, 384, 4096])
+    @pytest.mark.parametrize("domain", ["annulus", "ball"])
+    @pytest.mark.parametrize("nk", ORACLE_CONES)
+    def test_assemble_bits(self, N, domain, nk):
+        rng = np.random.default_rng([N, len(domain), *nk])
+        cone = ConeParams(*nk)
+        for _ in range(3):
+            r0 = rng.uniform(0.1, 1.0)
+            dom = (Annulus(r0, r0 + rng.uniform(0.5, 3.0), rng.normal(), rng.normal())
+                   if domain == "annulus" else Ball(rng.uniform(0.5, 3.0), rng.normal()))
+            system = RadialSystem(RadialProblem(cone, dom, p=cone.k + 2.0, f=1.0), N)
+            w = random_admissible_iterate(system, rng)
+            assert system.admissible(w)
+            f = lambda x: 1.0 + np.asarray(x) ** 2
+            for rhs, t in ((ContinuationRHS(cone, cone.k + 2.0, f, delta0=0.3), 1.4),
+                           (ExpRHS(1.3, 0.7), None)):
+                for root in (False, True):
+                    for jac in (False, True):
+                        got = assembly_outcome(system._assemble, w, rhs, root=root, jac=jac, t=t)
+                        want = assembly_outcome(former_assemble, system, w, rhs,
+                                                root=root, jac=jac, t=t)
+                        assert len(got) == len(want)
+                        for a, b in zip(got, want):
+                            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("nk", ORACLE_CONES)
+    def test_sphere_assemble_bits(self, nk):
+        cone = ConeParams(*nk)
+        system = RadialSystem(RadialProblem(cone, SphereConstant(), p=cone.k + 2.0, f=1.0), 1)
+        rhs = ContinuationRHS(cone, cone.k + 2.0, 0.8, delta0=0.3)
+        for w0 in (-3.0, 0.3, 800.0):
+            for root in (False, True):
+                for jac in (False, True):
+                    got = assembly_outcome(system._assemble, np.array([w0]), rhs,
+                                           root=root, jac=jac, t=1.4)
+                    want = assembly_outcome(former_assemble, system, np.array([w0]), rhs,
+                                            root=root, jac=jac, t=1.4)
+                    for a, b in zip(got, want):
+                        assert_same_bits(a, b)
+
+    def test_continuation_rhs_bits(self):
+        rng = np.random.default_rng(37)
+        ts = [-0.5, 0.0, 0.3, 1.0, 1.4, 1.999, 2.0, 2.5, 40.0, math.inf, -math.inf,
+              math.nan, *rng.uniform(-1.0, 3.0, 200)]
+        r = np.linspace(0.5, 2.0, 64)
+        for delta0 in (0.3, 1e-3, 1.0):
+            for f in (1.0, lambda x: 1.0 + x**2):
+                rhs = ContinuationRHS(CONE32, 4.0, f, delta0=delta0)
+                w = rng.normal(scale=3.0, size=64)
+                w[:3] = (-800.0, 800.0, np.nan)
+                with np.errstate(all="ignore"):
+                    for t in ts:
+                        got = rhs.evaluate(r, w, t)
+                        want = former_continuation_evaluate(rhs, r, w, t)
+                        for a, b in zip(got, want):
+                            assert_same_bits(a, b)
+
+
+class TestTridiagonalBorderedRoute:
+    """kl = ku = 1, n >= 3 in Python floats without closures, against the
+    former closure route (former_bordered_solve)."""
+
+    def test_random_systems(self):
+        from khessian.solver import _bordered_solve
+        rng = np.random.default_rng(3803)
+        seen, errors = Counter(), Counter()
+        for i in range(10_000):
+            n, kind = int(rng.integers(3, 12)), i % 8
+            # Entries 120 decades apart make some systems take the refinement step.
+            z = rng.normal(size=(6, n))
+            if kind >= 5:
+                z *= 10.0 ** rng.uniform(-60, 60, size=(6, n))
+            band, col, row, f = z[:3], z[3], z[4], z[5]
+            corner, g = float(rng.normal()), float(rng.normal())
+            if kind == 1:           # a zero pivot: the dense fallback
+                band[1, 0] = band[2, 0] = 0.0
+            elif kind == 2:         # a zero Schur complement
+                col[:] = 0.0
+                corner = 0.0
+            elif kind == 3:         # a result that overflows
+                band[1] *= 1e-300
+                f *= 1e300
+            elif kind == 4:         # a zero border
+                col[:] = row[:] = 0.0
+            want = outcome(former_bordered_solve, band, 1, 1, col, row, corner, f, g, seen)
+            got = outcome(_bordered_solve, band, 1, 1, col, row, corner, f, g)
+            assert_same_outcome(got, want)
+            if isinstance(want[0], str):
+                errors[want[1]] += 1
+        assert seen["dense"] >= 500 and seen["refined"] >= 50, seen
+        assert errors["singular bordered system"] >= 500, errors
+        assert errors["bordered solve is not finite"] >= 100, errors
