@@ -11,7 +11,6 @@ large-radius limit counts singular ends in units of omega_n / n.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -663,20 +662,10 @@ _END_TAIL_FRAC = 0.25
 _END_SLOPE_TOL = 0.05
 
 
-def _quiet_quadrature(fn):
-    """fn with scipy's IntegrationWarning ignored, one filter per call of fn:
-    _quad reports divergence through its accuracy check instead."""
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        from scipy import integrate
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            return fn(*args, **kwargs)
-    return quiet
-
-
 def _quad(fn, a: float, b: float) -> float:
-    """Integral of fn over [a, b]; call it inside a _quiet_quadrature function."""
+    """Integral of fn over [a, b].  Call it with scipy's IntegrationWarning
+    ignored, as volume_ratio and annulus_volume do once per call: divergence
+    is reported through the accuracy check below."""
     from scipy import integrate
     val, err = integrate.quad(fn, a, b, limit=400, epsabs=1e-13, epsrel=1e-11)
     if not np.isfinite(val) or err > max(1e-8 * abs(val), 1e-9):
@@ -684,7 +673,6 @@ def _quad(fn, a: float, b: float) -> float:
     return val
 
 
-@_quiet_quadrature
 def volume_ratio(w, n: int, s_values, mode: str = "origin",
                  rho_ref: float = 1.0) -> VolumeCurve:
     """Volume ratio curve Q(s) = Vol(B_s) / s^n of the metric e^{-2w} g_e.
@@ -718,93 +706,98 @@ def volume_ratio(w, n: int, s_values, mode: str = "origin",
     length = lambda t: math.exp(-wf(t))
     volden = lambda t: omega * math.exp(-n * wf(t)) * t ** (n - 1)
 
-    if mode == "origin":
-        # The length density is positive: a probe integral that is not
-        # positive and finite, or does not converge, diverges at the center.
+    from scipy import integrate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        if mode == "origin":
+            # The length density is positive: a probe integral that is not
+            # positive and finite, or does not converge, diverges at the center.
+            try:
+                probe = _quad(length, 0.0, min(1e-3, 0.1 * rho_ref))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError("length density is not integrable at the center") from exc
+            if not 0.0 < probe < math.inf:
+                raise ValueError("length density is not integrable at the center")
+            outward, rho = 1.0, 0.0
+        elif mode == "end":
+            outward, rho = -1.0, float(rho_ref)
+        else:
+            raise ValueError("mode must be 'origin' or 'end'")
+
+        def integral(fn, x, y):
+            """Integral of fn over the segment from x to y, positive when y lies
+            beyond x in the marching direction."""
+            part = _quad(fn, min(x, y), max(x, y))
+            return part if (y - x) * outward > 0.0 else -part
+
+        Q = np.empty(len(s_values))
+        S = V = 0.0
         try:
-            probe = _quad(length, 0.0, min(1e-3, 0.1 * rho_ref))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError("length density is not integrable at the center") from exc
-        if not 0.0 < probe < math.inf:
-            raise ValueError("length density is not integrable at the center")
-        outward, rho = 1.0, 0.0
-    elif mode == "end":
-        outward, rho = -1.0, float(rho_ref)
-    else:
-        raise ValueError("mode must be 'origin' or 'end'")
-
-    def integral(fn, x, y):
-        """Integral of fn over the segment from x to y, positive when y lies
-        beyond x in the marching direction."""
-        part = _quad(fn, min(x, y), max(x, y))
-        return part if (y - x) * outward > 0.0 else -part
-
-    Q = np.empty(len(s_values))
-    S = V = 0.0
-    try:
-        for idx, s in enumerate(s_values):
-            # Bracket: `a` has S(a) < s, `b` has S(b) >= s.
-            a, Sa = rho, S
-            if outward > 0.0:
-                b = 2.0 * rho if rho > 0.0 else max(2.0 * s, 1e-3)
-            else:
-                b = 0.5 * rho
-            while True:
-                Sb = Sa + integral(length, a, b)
-                if Sb >= s:
-                    break
-                a, Sa = b, Sb
+            for idx, s in enumerate(s_values):
+                # Bracket: `a` has S(a) < s, `b` has S(b) >= s.
+                a, Sa = rho, S
                 if outward > 0.0:
-                    b *= 2.0
-                    if b > 1e12:
-                        raise ValueError("geodesic radius unreachable; metric compactifies")
+                    b = 2.0 * rho if rho > 0.0 else max(2.0 * s, 1e-3)
                 else:
-                    b *= 0.5
-                    if b < 1e-300:
-                        raise ValueError("geodesic radius unreachable from the reference sphere")
-            # Start from the end closer to s; never from the center itself.
-            x, Sx = (b, Sb) if a == 0.0 or Sb - s < s - Sa else (a, Sa)
-            last = abs(b - a)
-            while True:
-                slope = outward * length(x)
-                dx = (s - Sx) / slope if 0.0 < abs(slope) < math.inf else math.nan
-                tol = _ROOT_ULPS * _EPS * abs(x)
-                lo, hi = min(a, b), max(a, b)
-                if not (abs(dx) <= tol or lo < x + dx < hi and abs(2.0 * dx) <= last):
-                    dx = 0.5 * (lo + hi) - x
-                if abs(dx) <= tol:
-                    break
-                last = abs(dx)
-                x += dx
-                # Integrate from the nearer end of the bracket, so that the
-                # error of a segment across a kink of w does not carry over.
-                near, S_near = (a, Sa) if abs(x - a) <= abs(x - b) else (b, Sb)
-                Sx = S_near + integral(length, near, x)
-                if Sx < s:
-                    a, Sa = x, Sx
-                else:
-                    b, Sb = x, Sx
-            V += integral(volden, rho, x)
-            rho, S = x, Sx
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                Q[idx] = V / s**n
-            if not np.isfinite(Q[idx]):
-                raise ValueError(f"volume ratio is not finite at s = {s:.6g}")
-            if Q[idx] == 0.0:
-                raise ValueError(f"volume ratio underflows to 0 at s = {s:.6g}")
-    except OverflowError as exc:
-        raise ValueError(f"volume ratio overflows at s = {s:.6g}") from exc
+                    b = 0.5 * rho
+                while True:
+                    Sb = Sa + integral(length, a, b)
+                    if Sb >= s:
+                        break
+                    a, Sa = b, Sb
+                    if outward > 0.0:
+                        b *= 2.0
+                        if b > 1e12:
+                            raise ValueError("geodesic radius unreachable; metric compactifies")
+                    else:
+                        b *= 0.5
+                        if b < 1e-300:
+                            raise ValueError("geodesic radius unreachable from the reference sphere")
+                # Start from the end closer to s; never from the center itself.
+                x, Sx = (b, Sb) if a == 0.0 or Sb - s < s - Sa else (a, Sa)
+                last = abs(b - a)
+                while True:
+                    slope = outward * length(x)
+                    dx = (s - Sx) / slope if 0.0 < abs(slope) < math.inf else math.nan
+                    tol = _ROOT_ULPS * _EPS * abs(x)
+                    lo, hi = min(a, b), max(a, b)
+                    if not (abs(dx) <= tol or lo < x + dx < hi and abs(2.0 * dx) <= last):
+                        dx = 0.5 * (lo + hi) - x
+                    if abs(dx) <= tol:
+                        break
+                    last = abs(dx)
+                    x += dx
+                    # Integrate from the nearer end of the bracket, so that the
+                    # error of a segment across a kink of w does not carry over.
+                    near, S_near = (a, Sa) if abs(x - a) <= abs(x - b) else (b, Sb)
+                    Sx = S_near + integral(length, near, x)
+                    if Sx < s:
+                        a, Sa = x, Sx
+                    else:
+                        b, Sb = x, Sx
+                V += integral(volden, rho, x)
+                rho, S = x, Sx
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    Q[idx] = V / s**n
+                if not np.isfinite(Q[idx]):
+                    raise ValueError(f"volume ratio is not finite at s = {s:.6g}")
+                if Q[idx] == 0.0:
+                    raise ValueError(f"volume ratio underflows to 0 at s = {s:.6g}")
+        except OverflowError as exc:
+            raise ValueError(f"volume ratio overflows at s = {s:.6g}") from exc
     return VolumeCurve(s_values, Q, omega, n)
 
 
-@_quiet_quadrature
 def annulus_volume(w, r1: float, r2: float, n: int) -> float:
     """Volume of the annulus r1 < |x| < r2 in the metric e^{-2w} g_e."""
     if not 0.0 < r1 < r2:
         raise ValueError("need 0 < r1 < r2")
     wf = _w_callable(w)
     omega = sphere_area(n)
-    return _quad(lambda t: omega * math.exp(-n * wf(t)) * t ** (n - 1), r1, r2)
+    from scipy import integrate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return _quad(lambda t: omega * math.exp(-n * wf(t)) * t ** (n - 1), r1, r2)
 
 
 @dataclass

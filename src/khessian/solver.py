@@ -361,10 +361,10 @@ class RadialSystem:
         # gradients, and the grid's constants, computed once.
         n, k = self.cone.n, self.cone.k
         self._c1, self._c2 = math.comb(n - 1, k), math.comb(n - 1, k - 1)
+        self._h2 = float(self.h**2)
         if self.kind == "sphere":
             self._sphere_sigma = sigma_k_radial(self._sphere_stencil[2], self.cone)
         else:
-            self._h2 = float(self.h**2)
             if self._h2 == 0.0:
                 raise ValueError(f"{dom!r} with N = {N}: grid spacing h = {self.h:.3g} is "
                                  "too fine for floats, h**2 underflows to 0")
@@ -898,77 +898,66 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     regular.  One step of iterative refinement follows unless the normwise
     backward error of the first solution is already at rounding level.
 
-    Three routes make the same operations in the same order:
-      * kl = ku = 1 and n >= 3, the tangent and corrector systems of the
-        annulus and the ball: LAPACK's tridiagonal LU (dgttrf/dgttrs), at a
-        third to a half of the cost of its band LU, with the elimination
-        written out once, the tridiagonal product inline, and the scalars
-        in Python floats from the same dot products;
-      * a 1x1 A with a nonzero pivot, the sphere's tangent and corrector
-        system, in Python floats with the operations that the band LU and
-        np.dot make on it;
-      * every other shape through the band LU (dgbtrf/dgbtrs): the ball's
-        Newton matrix at N = 2 (the f2py dgttrf rejects n = 2) and the fold
-        system's (3, 2) band.
+    A is factored by LAPACK's tridiagonal LU (dgttrf/dgttrs) when kl = ku = 1
+    and n >= 3, the tangent and corrector systems of the annulus and the
+    ball, at a third to a half of the cost of its band LU (dgbtrf/dgbtrs),
+    which takes the other shapes with n >= 2: the ball's Newton matrix at
+    N = 2 (the f2py dgttrf rejects n = 2) and the fold system's (3, 2) band.
+    A 1x1 A with a nonzero pivot, the sphere's tangent and corrector system,
+    is solved with the operations that the band LU makes on it.  Each route
+    supplies only its solve and band product to the one elimination below;
+    the scalars are Python floats, taken from the same dot products, in the
+    same order.
 
     An exactly zero pivot of the LU, which no radial solve meets, sends
     the whole bordered matrix to a dense LU instead: O(n^3), but it raises
     only when the bordered matrix itself is singular.
     """
     n = band.shape[1]
-    if kl == ku == 1 and n >= 3:
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        sub, diag, sup = band[2, :-1], band[1], band[0, 1:]
-        dl, d, du, du2, piv, info = dgttrf(sub, diag, sup)
-        if info != 0:
-            return _dense_bordered_solve(band, kl, ku, col, row, corner, f, g)
-        corner, g = float(corner), float(g)
-        v = dgttrs(dl, d, du, du2, piv, row, "T")[0]
-        w = dgttrs(dl, d, du, du2, piv, col, "N")[0]
-        schur_v = corner - float(v.dot(col))
-        schur_w = corner - float(row.dot(w))
-        if schur_v == 0.0 or schur_w == 0.0:
-            raise SolverError("singular bordered system")
-        y1 = (g - float(v.dot(f))) / schur_v
-        x = dgttrs(dl, d, du, du2, piv, f - y1 * col, "N")[0]
-        y2 = (g - float(row.dot(x)) - corner * y1) / schur_w
-        x, y = x - y2 * w, y1 + y2
-        # r_top = f - A x - y col, A x as _band_matvec forms it.
-        ax = diag * x
-        ax[:-1] += sup * x[1:]
-        ax[1:] += sub * x[:-1]
-        r_top = f - ax - y * col
-        r_bot = g - float(row.dot(x)) - corner * y
-        resid = math.sqrt(float(r_top.dot(r_top)) + r_bot * r_bot)
-        if not math.isfinite(resid):
-            raise SolverError("bordered solve is not finite")
-        norm_m = math.sqrt(float(np.vdot(band, band)) + float(col.dot(col))
-                           + float(row.dot(row)) + corner * corner)
-        size = norm_m * math.sqrt(float(x.dot(x)) + y * y) + math.sqrt(float(f.dot(f)) + g * g)
-        if resid > _REFINE_ULPS * _EPS * size:
-            y1 = (r_bot - float(v.dot(r_top))) / schur_v
-            dx = dgttrs(dl, d, du, du2, piv, r_top - y1 * col, "N")[0]
-            y2 = (r_bot - float(row.dot(dx)) - corner * y1) / schur_w
-            x, y = x + (dx - y2 * w), y + (y1 + y2)
-        return x, y
     if n == 1 and band[ku, 0] != 0.0:
         a = float(band[ku, 0])
         solve = lambda b, trans=0: b / a
         matvec, dot = (lambda x: a * x), operator.mul
         band_sq = sum(b * b for b in band[:, 0].tolist())
-        col, row, corner, f, g = float(col[0]), float(row[0]), float(corner), float(f[0]), float(g)
+        col, row, f = float(col[0]), float(row[0]), float(f[0])
     else:
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
-        ab = np.zeros((2 * kl + ku + 1, n), order="F")
-        ab[kl:] = band
-        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
-        if info != 0:
-            return _dense_bordered_solve(band, kl, ku, col, row, corner, f, g)
+        if kl == ku == 1 and n >= 3:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+            sub, diag, sup = band[2, :-1], band[1], band[0, 1:]
+            dl, d, du, du2, piv, info = dgttrf(sub, diag, sup)
 
-        def solve(b, trans=0):
-            return dgbtrs(lu, kl, ku, b, piv, trans=trans)[0]
-        matvec, dot = (lambda x: _band_matvec(band, kl, ku, x)), np.dot
-        band_sq = np.vdot(band, band)
+            def solve(b, trans=0):
+                return dgttrs(dl, d, du, du2, piv, b, "T" if trans else "N")[0]
+
+            def matvec(x):
+                # _band_matvec's products and sums, in its order
+                y = diag * x
+                y[:-1] += sup * x[1:]
+                y[1:] += sub * x[:-1]
+                return y
+        else:
+            from scipy.linalg.lapack import dgbtrf, dgbtrs
+            ab = np.zeros((2 * kl + ku + 1, n), order="F")
+            ab[kl:] = band
+            lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+
+            def solve(b, trans=0):
+                return dgbtrs(lu, kl, ku, b, piv, trans=trans)[0]
+
+            def matvec(x):
+                return _band_matvec(band, kl, ku, x)
+        if info != 0:
+            M = np.empty((n + 1, n + 1))
+            M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
+            M[:n, n], M[n, :n], M[n, n] = col, row, corner
+            try:
+                z = np.linalg.solve(M, np.append(f, g))
+            except np.linalg.LinAlgError:
+                raise SolverError("singular bordered system") from None
+            return z[:n], float(z[n])
+        dot = lambda a, b: float(a.dot(b))
+        band_sq = float(np.vdot(band, band))
+    corner, g = float(corner), float(g)
     v = solve(row, trans=1)
     w = solve(col)
     schur_v = corner - dot(v, col)
@@ -994,20 +983,7 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     if resid > _REFINE_ULPS * _EPS * size:
         dx, dy = eliminate(r_top, r_bot)
         x, y = x + dx, y + dy
-    return np.atleast_1d(x), float(y)
-
-
-def _dense_bordered_solve(band, kl, ku, col, row, corner, f, g):
-    """The bordered system by a dense LU, for a band whose LU meets a zero pivot."""
-    n = band.shape[1]
-    M = np.empty((n + 1, n + 1))
-    M[:n, :n] = np.transpose([_band_matvec(band, kl, ku, e) for e in np.eye(n)])
-    M[:n, n], M[n, :n], M[n, n] = col, row, corner
-    try:
-        z = np.linalg.solve(M, np.append(f, g))
-    except np.linalg.LinAlgError:
-        raise SolverError("singular bordered system") from None
-    return z[:n], float(z[n])
+    return np.atleast_1d(x), y
 
 
 def _tangent(system, rhs, w, t, prev=None, jac_t=None):

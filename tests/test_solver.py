@@ -1944,6 +1944,19 @@ def former_assemble(system, w, rhs, root=False, jac=False, t=None):
     return F, G, J, phi_t, stencil
 
 
+def former_cone_guard(system, w):
+    d1, _, ab = former_stencil(system, w)
+    r = system.r_eq
+    margin = 10.0 * system.h**2 * np.maximum(1.0, d1**2) * (1.0 + 1.0 / r**2)
+    combo = ab.a + system.cone.theta * ab.b
+    bad = np.minimum(ab.b + margin, combo + margin)
+    worst = int(np.argmin(bad))
+    if bad[worst] < 0.0:
+        raise AdmissibilityError(
+            f"iterate leaves the admissible cone at r={r[worst]:.6g} "
+            f"(b={ab.b[worst]:.3e}, a+theta*b={combo[worst]:.3e})")
+
+
 def former_continuation_evaluate(rhs, r, w, t):
     from khessian.solver import _exp, _fv
     k, p, b = rhs.cone.k, rhs.p, rhs.beta
@@ -2014,6 +2027,35 @@ class TestPerCallAssemblyOracle:
                     for a, b in zip(got, want):
                         assert_same_bits(a, b)
 
+    @pytest.mark.parametrize("domain", [SphereConstant(), Annulus(0.5, 2.0, 0.1, -0.4),
+                                        Ball(1.5, 0.2)])
+    def test_public_assemble_guards_the_cone(self, domain):
+        """assemble(problem, w, rhs) with its default check_cone=True, the
+        sphere included: the former margin, message, F and J."""
+        rng = np.random.default_rng(38)
+        problem = RadialProblem(CONE32, domain, p=4.0, f=1.0)
+        system = RadialSystem(problem, 1 if isinstance(domain, SphereConstant) else 33)
+        rhs = ExpRHS(1.3, 0.7)
+        refused = 0
+        for sign in (1.0, -1.0, 1.0, -1.0):
+            w = sign * random_admissible_iterate(system, rng)
+            try:
+                former_cone_guard(system, w)
+            except AdmissibilityError as exc:
+                refused += 1
+                with pytest.raises(AdmissibilityError) as info:
+                    assemble(problem, w, rhs)
+                assert str(info.value) == str(exc)
+                continue
+            F, _, J, _, _ = former_assemble(system, w, rhs, jac=True)
+            got = assemble(problem, w, rhs)
+            assert len(got) == 2
+            assert_same_bits(got[0], F)
+            assert_same_bits(got[1], J)
+        # The sphere's stencil is the same for every w; a mirrored parabola
+        # leaves the cone on the annulus and the ball.
+        assert refused == (0 if system.kind == "sphere" else 2)
+
     def test_continuation_rhs_bits(self):
         rng = np.random.default_rng(37)
         ts = [-0.5, 0.0, 0.3, 1.0, 1.4, 1.999, 2.0, 2.5, 40.0, math.inf, -math.inf,
@@ -2033,8 +2075,8 @@ class TestPerCallAssemblyOracle:
 
 
 class TestTridiagonalBorderedRoute:
-    """kl = ku = 1, n >= 3 in Python floats without closures, against the
-    former closure route (former_bordered_solve)."""
+    """kl = ku = 1, n >= 3 with Python-float scalars and its own tridiagonal
+    product, against the former route (former_bordered_solve)."""
 
     def test_random_systems(self):
         from khessian.solver import _bordered_solve
