@@ -647,11 +647,7 @@ class VolumeCurve:
 def _w_callable(w):
     if callable(w):
         return w
-    if isinstance(w, RadialProfile):
-        from scipy import interpolate
-        interp = interpolate.PchipInterpolator(w.r, w.w, extrapolate=True)
-        return lambda t: interp(t)
-    raise TypeError("w must be a callable or a RadialProfile")
+    raise TypeError("w must be a callable of the radius")
 
 
 _EPS = float(np.finfo(float).eps)

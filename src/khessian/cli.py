@@ -56,16 +56,6 @@ def _print_report(payload: dict, out) -> int:
     return EXIT_OK
 
 
-def _write_csv(path, header, columns):
-    """Write the columns under header, one row per entry, every value as
-    "%.16e", which is the text of "{:.16e}".format for every double."""
-    table = np.column_stack(columns)
-    template = ",".join(["%.16e"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(template * len(table) % tuple(table.ravel().tolist()))
-
-
 # ---------------------------------------------------------------------------
 # sigma
 # ---------------------------------------------------------------------------
@@ -180,7 +170,10 @@ def _table(value):
     if type(value) is list and value and all(
             type(row) is list and len(row) == 2 and type(row[0]) in _NUMBER_TYPES
             and type(row[1]) in _NUMBER_TYPES for row in value):
-        table = np.asarray(value, dtype=float)
+        try:
+            table = np.asarray(value, dtype=float)
+        except OverflowError:               # an integer beyond the float range
+            return None
         if np.isfinite(table).all():
             return table
     return None
@@ -267,6 +260,10 @@ _DOMAIN_KEYS = {
 }
 # Domain radii: their squares, and those of grid spacings and r1/r0, stay normal.
 _RADIUS = ("in [1e-50, 1e50]", lambda v: 1e-50 <= v <= 1e50)
+# Largest grid, checked before it is allocated.  Past about 10^4 nodes the
+# rounding floor eps/h^2 exceeds the O(h^2) truncation error; a (3, 2, 0.5)
+# ball solve takes about 1 s and 100 MB at N = 10^5, 5 s and 500 MB at 10^6.
+_MAX_N = 10**5
 
 
 def _load_problem_spec(path, continuation=False):
@@ -276,12 +273,13 @@ def _load_problem_spec(path, continuation=False):
     spec = src.section(src.spec, "", _PROBLEM_KEYS[""])
     get = src.get
     n = get(spec, "", "n", "integer", within=_at_least(3))
-    k = get(spec, "", "k", "integer",
-            within=(f"in (n/2, n) = ({n / 2:g}, {n})", lambda v: n / 2 < v < n))
+    k = get(spec, "", "k", "integer", within=(      # in integers: n / 2 may overflow
+        f"in (n/2, n) = ({n // 2}{'.5' if n % 2 else ''}, {n})", lambda v: n < 2 * v < 2 * n))
     cone = ConeParams(n, k)
-    # sigma_k_radial multiplies float arrays by ints up to k C(n-1, k-1).
-    if cone.k * math.comb(cone.n - 1, cone.k - 1) > sys.float_info.max:
-        src.fail(f"key 'n': C({cone.n - 1}, {cone.k - 1}) of the radial sigma_k overflows a float")
+    # sigma_k_radial multiplies float arrays by ints up to k C(n-1, k-1), which is
+    # >= 2^j, j = min(k-1, n-k): past j = 1024 it overflows, and is not computed.
+    if min(k - 1, n - k) > 1024 or k * math.comb(n - 1, k - 1) > sys.float_info.max:
+        src.fail(f"key 'n': C({n - 1}, {k - 1}) of the radial sigma_k overflows a float")
     # |p| <= 1e6 keeps the sphere's Newton step, about k/|a|, far above the step test.
     p = get(spec, "", "p", "number", within=("in [-1e6, 1e6]", lambda v: abs(v) <= 1e6))
     dom_spec = get(spec, "", "domain", "object")
@@ -314,7 +312,7 @@ def _load_problem_spec(path, continuation=False):
         f = get(rhs_spec, "rhs", "f_const", "number", 1.0, _POSITIVE if p <= k else None)
     problem = solver.RadialProblem(cone, domain, p, f)
     sconf = src.section(get(spec, "", "solver", "object", {}), "solver", _PROBLEM_KEYS["solver"])
-    N = get(sconf, "solver", "N", "integer", 129)
+    N = get(sconf, "solver", "N", "integer", 129, (f"at most {_MAX_N}", lambda v: v <= _MAX_N))
     try:
         r = solver.RadialSystem(problem, N).r
     except ValueError as exc:
@@ -422,8 +420,8 @@ def cmd_solve(args) -> int:
     if np.isposinf(v).any():
         raise ValueError(f"problem file {args.problem}: key 'n': v = exp(-(n-2) w/2) = "
                          f"exp({exponent.max():.4g}) of the solution overflows a float")
-    _write_csv(args.out_prefix + "_solution.csv", ["r", "w", "v", "residual"],
-               [system.r, w, v, residual])
+    with open(args.out_prefix + "_solution.csv", "w") as fh:
+        radial.write_csv(fh, ["r", "w", "v", "residual"], [system.r, w, v, residual])
     _write_json(args.out_prefix + "_summary.json", summary)
     print(json.dumps({k: v for k, v in summary.items() if k != "manifest"},
                      sort_keys=True, default=float))
@@ -445,9 +443,9 @@ def cmd_continue(args) -> int:
     # or the bracket sample of an unrefined one.
     fold_ts = {f.t_star for f in branch.folds}
     rows_fold = [1.0 if s.t in fold_ts else 0.0 for s in branch.samples]
-    _write_csv(args.out_prefix + "_branch.csv",
-               ["t", "delta_t", "v_at_probe", "newton_iters", "fold_flag"],
-               [rows_t, rows_d, rows_v, rows_it, rows_fold])
+    with open(args.out_prefix + "_branch.csv", "w") as fh:
+        radial.write_csv(fh, ["t", "delta_t", "v_at_probe", "newton_iters", "fold_flag"],
+                         [rows_t, rows_d, rows_v, rows_it, rows_fold])
     summary = {
         "t_star": branch.t_star,
         "n_folds": len(branch.folds),
@@ -496,8 +494,8 @@ def cmd_envelope(args) -> int:
                              "from --center to the box boundary")
         radii = args.step * np.arange(1, int(count) + 1)
     env = radial.radial_envelope(field, center, radii=radii)
-    _write_csv(args.out, ["r", "wtilde", "r_attained"],
-               [env.r, env.wtilde, env.r_attained])
+    with open(args.out, "w") as fh:
+        radial.write_csv(fh, ["r", "wtilde", "r_attained"], [env.r, env.wtilde, env.r_attained])
     if cone is not None:
         violations = radial.envelope_viscosity_check(env, cone)
         print(f"viscosity check: {len(violations)} violation(s)")
@@ -528,6 +526,9 @@ def cmd_harnack(args) -> int:
     return _print_report(payload, args.out)
 
 
+# Most radii of a volume curve, checked before they are allocated: each
+# costs about 0.07 ms, so 10^5 of them take about 7 s.
+_MAX_RADII = 10**5
 # Keys of every metric file, and the extra keys of each metric kind.
 _METRIC_KEYS = {"kind", "n", "mode", "s_min", "s_max", "num", "rho_ref"}
 _METRIC_EXTRA_KEYS = {"sphere_stereographic": set(), "euclidean": set(),
@@ -560,14 +561,16 @@ def _load_metric_spec(path):
     s_min = src.get(spec, "", "s_min", "number", 0.05, _POSITIVE)
     s_max = src.get(spec, "", "s_max", "number", 0.5,
                     (f"greater than s_min = {s_min!r}", lambda v: v > s_min))
-    s = np.linspace(s_min, s_max, src.get(spec, "", "num", "integer", 25, _at_least(3)))
+    s = np.linspace(s_min, s_max, src.get(spec, "", "num", "integer", 25, (
+        f"in [3, {_MAX_RADII}]", lambda v: 3 <= v <= _MAX_RADII)))
     return n, w, mode, s, src.get(spec, "", "rho_ref", "number", 1.0, _POSITIVE)
 
 
 def cmd_volume(args) -> int:
     n, w, mode, s, rho_ref = _load_metric_spec(args.metric)
     curve = analysis.volume_ratio(w, n, s, mode=mode, rho_ref=rho_ref)
-    _write_csv(args.out, ["r", "Q"], [curve.r, curve.Q])
+    with open(args.out, "w") as fh:
+        radial.write_csv(fh, ["r", "Q"], [curve.r, curve.Q])
     q0, c2 = analysis.fit_volume_expansion(curve)
     ends = analysis.end_count(curve)
     payload = {
@@ -593,17 +596,6 @@ def cmd_volume(args) -> int:
 
 # Draws per batch of the Gamma_k in Sigma_delta check; about half lie in Gamma_k.
 _CONE_BATCH = 4096
-
-
-def _cone_rows(lam, k, delta):
-    """Row-wise (in Gamma_k, in Sigma_delta) of the (m, n) array lam, with
-    one order k and one delta per row: the tests of `symfunc.in_gamma_k` and
-    `symfunc.in_sigma_delta`, applied to every row at once."""
-    n = lam.shape[1]
-    e = symfunc.sigma_rows(lam, n)[:, 1:]
-    gamma = ((e > 0) | (np.arange(1, n + 1) > k[:, None])).all(axis=1)
-    sigma_delta = (lam > symfunc._delta_floor(lam, delta[:, None])).all(axis=1)
-    return gamma, sigma_delta
 
 
 def _by_key(draws):
@@ -664,8 +656,7 @@ def _verify_checks(seed: int):
     for (n, k), lams in _by_key(draws).items():
         grads = np.array([symfunc.sigma_gradient(lam, k) for lam in lams])
         others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-        deleted = np.array(lams)[:, others].reshape(-1, n - 1)
-        oracle = symfunc.sigma_rows(deleted, k - 1)[:, k - 1].reshape(grads.shape)
+        oracle = symfunc.sigma(np.array(lams)[:, others], k - 1)
         worst = max(worst, float(np.abs(grads - oracle).max()))
     yield "sigma gradient vs deletion oracle", worst <= 1e-12, f"max diff {worst:.2e}"
 
@@ -685,10 +676,10 @@ def _verify_checks(seed: int):
         outside = np.zeros(_CONE_BATCH, dtype=bool)
         for n in range(3, 7):
             rows = np.flatnonzero(ns == n)
-            k = ks[rows]
-            gamma, sigma_delta = _cone_rows(lams[rows, :n], k, delta[n, k])
+            k, batch = ks[rows], lams[rows, :n]
+            gamma = symfunc.in_gamma_k(batch, k)
             in_gamma[rows] = gamma
-            outside[rows] = gamma & ~sigma_delta
+            outside[rows] = gamma & ~symfunc.in_sigma_delta(batch, delta[n, k])
         first = np.flatnonzero(in_gamma)[:10000 - count]
         count += len(first)
         bad += int(outside[first].sum())
@@ -749,10 +740,10 @@ def _verify_checks(seed: int):
         V = conformal.matrix_V(jv)
         U = conformal.matrix_U(ju)
         vW = (0.5 * (n - 2) * jv.value)[:, None, None] * W
-        worst_v = max(worst_v, float((_abs_max(V - vW) / symfunc._scale(V)).max()))
+        worst_v = max(worst_v, float((_abs_max(V - vW) / np.maximum(1.0, _abs_max(V))).max()))
         # math.exp, one jet at a time: numpy's exp may differ in the last bit
         ewW = np.array([math.exp(x) for x in jet.value.tolist()])[:, None, None] * W
-        worst_u = max(worst_u, float((_abs_max(U - ewW) / symfunc._scale(U)).max()))
+        worst_u = max(worst_u, float((_abs_max(U - ewW) / np.maximum(1.0, _abs_max(U))).max()))
     yield "gauge round trips", worst_rt <= 1e-12, f"max diff {worst_rt:.2e}"
     yield "V = (n-2)/2 v W identity", worst_v <= 1e-12, f"max rel diff {worst_v:.2e}"
     yield "U = e^w W identity", worst_u <= 1e-12, f"max rel diff {worst_u:.2e}"

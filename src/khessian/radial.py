@@ -45,6 +45,7 @@ __all__ = [
     "envelope_viscosity_check",
     "quadratic_fit_derivatives",
     "geometric_grid",
+    "write_csv",
     "save_profile_csv",
     "load_profile_csv",
 ]
@@ -155,17 +156,6 @@ def sigma_k_radial(ab: RadialAB, cone: ConeParams) -> np.ndarray:
     n, k = cone.n, cone.k
     bk = ab.b ** (k - 1)
     return math.comb(n - 1, k) * bk * ab.b + math.comb(n - 1, k - 1) * ab.a * bk
-
-
-def sigma_k_radial_gradients(ab: RadialAB, cone: ConeParams):
-    """(d sigma/d a, d sigma/d b) of the radial sigma_k, used by solver Jacobians."""
-    n, k = cone.n, cone.k
-    b = ab.b
-    dsig_da = math.comb(n - 1, k - 1) * b ** (k - 1)
-    dsig_db = k * math.comb(n - 1, k) * b ** (k - 1)
-    if k >= 2:
-        dsig_db = dsig_db + (k - 1) * math.comb(n - 1, k - 1) * ab.a * b ** (k - 2)
-    return dsig_da, dsig_db
 
 
 def radial_admissible(ab: RadialAB, cone: ConeParams, strict: bool = False,
@@ -683,14 +673,22 @@ def envelope_viscosity_check(e: EnvelopeProfile, cone: ConeParams) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Profile CSV serialization (columns: r, w, dw, d2w)
+# CSV output, and profile CSV serialization (columns: r, w, dw, d2w)
 # ---------------------------------------------------------------------------
+
+def write_csv(fh, header, columns):
+    """Write the columns under header to the text file fh, one row per
+    entry, every value as "%.16e", which is the text of "{:.16e}".format
+    for every double.  The rows are formatted in one pass."""
+    table = np.column_stack(columns)
+    template = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    fh.write(",".join(header) + "\n")
+    fh.write(template * len(table) % tuple(table.ravel().tolist()))
+
 
 def save_profile_csv(p: RadialProfile, path):
     with open(path, "w") as fh:
-        fh.write("r,w,dw,d2w\n")
-        for i in range(len(p.r)):
-            fh.write(",".join(f"{x:.16e}" for x in (p.r[i], p.w[i], p.dw[i], p.d2w[i])) + "\n")
+        write_csv(fh, ["r", "w", "dw", "d2w"], [p.r, p.w, p.dw, p.d2w])
 
 
 def load_profile_csv(path, n: int, k: int) -> RadialProfile:

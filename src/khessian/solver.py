@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import wgauge_rhs_amplitude, wgauge_rhs_exponent
-from .radial import RadialAB, radial_admissible, sigma_k_radial, sigma_k_radial_gradients
+from .radial import RadialAB, radial_admissible
 from .symfunc import ConeParams
 
 __all__ = [
@@ -330,7 +330,8 @@ class RadialSystem:
             self.N = 1
             self.r = np.array([1.0])      # placeholder; the RHS ignores r
             self.h = 0.0
-            # sigma_k of the round-sphere matrix W = (1/2) I, independent of w.
+            # sigma_k of W = (1/2) I for every w, rounded once: the radial formula's two
+            # terms give its bits while C(n, k) < 2^53, and at most an ulp off beyond.
             self.sigma_const = math.comb(self.cone.n, self.cone.k) * 0.5**self.cone.k
             self.dirichlet = ()
             # The stencil's (w', w'', (a, b)), read-only: it is the same for every w.
@@ -362,9 +363,7 @@ class RadialSystem:
         n, k = self.cone.n, self.cone.k
         self._c1, self._c2 = math.comb(n - 1, k), math.comb(n - 1, k - 1)
         self._h2 = float(self.h**2)
-        if self.kind == "sphere":
-            self._sphere_sigma = sigma_k_radial(self._sphere_stencil[2], self.cone)
-        else:
+        if self.kind != "sphere":
             if self._h2 == 0.0:
                 raise ValueError(f"{dom!r} with N = {N}: grid spacing h = {self.h:.3g} is "
                                  "too fine for floats, h**2 underflows to 0")
@@ -420,8 +419,9 @@ class RadialSystem:
         G = sigma^{1/k} - phi^{1/k} when root is set (None otherwise); the
         tridiagonal Jacobian of that form in solve_banded layout (upper,
         diagonal, lower) when jac is set (None otherwise); dphi/dt at the
-        equation rows; and the stencil (w', w'', (a, b)).  Boundary rows are
-        w - data in both forms.
+        equation rows; the stencil (w', w'', (a, b)); and the plain gradients
+        (d sigma/d a, d sigma/d b) at the equation rows when jac is set off
+        the sphere (None otherwise).  Boundary rows are w - data in both forms.
         """
         k, rows = self.cone.k, self.rows
         phi, phi_w, phi_t = (rhs.evaluate(self.r_eq, w[rows]) if t is None
@@ -430,9 +430,9 @@ class RadialSystem:
         F = np.empty(self.N)
         for i, value in self.dirichlet:
             F[i] = w[i] - value
-        G = J = None
+        G = J = grads = None
         if self.kind == "sphere":
-            F[rows] = self._sphere_sigma - phi
+            F[rows] = self.sigma_const - phi
             # Python scalar powers: numpy's vector pow may differ by an ulp.
             phi0, phi_w0 = float(phi[0]), float(phi_w[0])
             if root:
@@ -441,9 +441,9 @@ class RadialSystem:
             if jac:
                 J = np.zeros((3, 1))
                 J[1, 0] = -phi_w0
-            return F, G, J, phi_t, stencil
+            return F, G, J, phi_t, stencil, grads
         # sigma_k = C(n-1,k) b^(k-1) b + C(n-1,k-1) a b^(k-1), as radial.sigma_k_radial
-        # and its gradients compute it, from one power b^(k-1).
+        # computes it, and its gradients, from one power b^(k-1).
         a, b = ab.a, ab.b
         bk = b ** (k - 1)
         c2a = self._c2 * a
@@ -457,6 +457,7 @@ class RadialSystem:
             sa = self._c2 * bk
             sb = k * self._c1 * bk + (c2a if k == 2 else
                                       (k - 1) * self._c2 * a * b ** (k - 2))
+            grads = sa, sb
             if root:
                 # Chain rule on the 1/k powers.
                 scale = (1.0 / k) * np.maximum(sig, 1e-300) ** (1.0 / k - 1.0)
@@ -465,7 +466,7 @@ class RadialSystem:
             J = self._jacobian(d1, sa, sb * (self._inv_r - d1), phi_w)
             for i, _ in self.dirichlet:
                 J[1, i] = 1.0
-        return F, G, J, phi_t, stencil
+        return F, G, J, phi_t, stencil, grads
 
     def _jacobian(self, d1, sa, c1, phi_w):
         """Band of psi -> sa (psi'' + d1 psi') + c1 psi' - phi_w psi, zero on Dirichlet rows."""
@@ -482,25 +483,26 @@ class RadialSystem:
         J[2, :N - 2] = sub
         return J
 
-    def _fold_blocks(self, w, rhs, t, ph, stencil):
-        """Exact d(J ph)/dw, in J's layout, and d(J ph)/dt of the plain Jacobian.
+    def _fold_blocks(self, w, rhs, t, ph, stencil, grads):
+        """Exact d(J ph)/dw, in J's layout, and d(J ph)/dt of the plain Jacobian,
+        from the stencil at w and the plain gradients (sigma_a, sigma_b) there.
 
         sigma_k is linear in a, so with da = psi'' + w' psi' and db = (1/r - w') psi'
         d(J ph)/dw psi = sigma_ab (da[ph] db + db[ph] da) + sigma_bb db[ph] db
         + (sigma_a - sigma_b) ph' psi' - phi_ww ph psi, an operator of _jacobian's form.
         The a-term of sigma_bb, (k-1)(k-2) C(n-1,k-1) a b^(k-3), vanishes at k = 2.
         """
-        rows, n, k = self.rows, self.cone.n, self.cone.k
+        rows, k = self.rows, self.cone.k
         phi_ww, phi_wt = rhs.second_derivatives(self.r_eq, w[rows], t)
         Jph_t = np.zeros(self.N)
         Jph_t[rows] = -phi_wt * ph[rows]
         if self.kind == "sphere":
             return np.array([[0.0], [-phi_ww[0] * ph[0]], [0.0]]), Jph_t
-        (d1, _, ab), (p1, p2, _) = stencil, self._stencil(ph)
-        sa, sb = sigma_k_radial_gradients(ab, self.cone)
-        s_ab = (k - 1) * math.comb(n - 1, k - 1) * ab.b ** (k - 2)
-        s_bb = (k * (k - 1) * math.comb(n - 1, k) * ab.b ** (k - 2) + (k - 1) * (k - 2)
-                * math.comb(n - 1, k - 1) * ab.a * ab.b ** max(k - 3, 0))
+        (d1, _, ab), (p1, p2, _), (sa, sb) = stencil, self._stencil(ph), grads
+        bk2 = ab.b ** (k - 2)
+        s_ab = (k - 1) * self._c2 * bk2
+        s_bb = (k * (k - 1) * self._c1 * bk2 + (k - 1) * (k - 2)
+                * self._c2 * ab.a * ab.b ** max(k - 3, 0))
         db_dw1 = self._inv_r - d1
         db = db_dw1 * p1
         return self._jacobian(d1, s_ab * db, (s_ab * (p2 + d1 * p1) + s_bb * db) * db_dw1
@@ -520,7 +522,7 @@ class RadialSystem:
 
     def root_residual_jacobian(self, w, rhs, t=None):
         """Root-form residual, its Jacobian and the plain residual, from one evaluation."""
-        F, G, J, _, _ = self._assemble(w, rhs, root=True, jac=True, t=t)
+        F, G, J = self._assemble(w, rhs, root=True, jac=True, t=t)[:3]
         return G, J, F
 
     def residual_jacobian(self, w, rhs, check_cone: bool = False, t=None,
@@ -532,14 +534,14 @@ class RadialSystem:
         returned last: `radial_admissible(ab, cone, strict=True)` tests `admissible(w)`."""
         if check_cone:
             self._cone_guard(w)
-        F, _, J, phi_t, stencil = self._assemble(w, rhs, jac=True, t=t)
+        F, _, J, phi_t, stencil, grads = self._assemble(w, rhs, jac=True, t=t)
         out = (F, J)
         if t is not None:
             Ft = np.zeros(self.N)
             Ft[self.rows] = -phi_t
             out += (Ft,)
         if ph is not None:
-            out += self._fold_blocks(w, rhs, t, ph, stencil)
+            out += self._fold_blocks(w, rhs, t, ph, stencil, grads)
         return out + (stencil[2],) if with_ab else out
 
     def residual_floor(self, w, rhs):

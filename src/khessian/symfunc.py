@@ -17,7 +17,6 @@ __all__ = [
     "ConeParams",
     "sigma",
     "sigma_all",
-    "sigma_rows",
     "sigma_gradient",
     "in_gamma_k",
     "in_sigma_delta",
@@ -71,17 +70,21 @@ class ConeParams:
         return self
 
 
-def _as_vector(lam) -> np.ndarray:
+def _as_vector(lam, stack: bool = False) -> np.ndarray:
+    """lam as floats, once it is one vector (n,) or, with stack, also a stack
+    (..., n), and every entry is finite."""
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1:
-        raise ValueError("eigenvalue input must be one-dimensional")
+    if lam.ndim != 1 and not (stack and lam.ndim > 1):
+        raise ValueError("eigenvalue input must be one-dimensional"
+                         + (" or a stack of vectors" if stack else ""))
     if not np.isfinite(lam).all():
         raise ValueError("eigenvalue entries must be finite")
     return lam
 
 
 def _sigmas(xs: list, kmax: int) -> list:
-    """[sigma_0, ..., sigma_kmax] of the Python floats xs (kmax >= 0).
+    """[sigma_0, ..., sigma_kmax] of the Python floats xs, or entry by entry
+    of the arrays xs (kmax >= 0).
 
     Uses e_j(x_1..x_m) = e_j(x_1..x_{m-1}) + x_m e_{j-1}(x_1..x_{m-1}),
     updating in place from the top index down.
@@ -94,40 +97,44 @@ def _sigmas(xs: list, kmax: int) -> list:
     return e
 
 
+def _sigma_stack(lams: np.ndarray, kmax: int) -> np.ndarray:
+    """[sigma_0, ..., sigma_kmax] of each vector of the checked stack lams
+    (..., n), shape (..., kmax+1).
+
+    The columns go through the same recurrence as one vector does, so each
+    vector's entries are bit-identical to `sigma_all` of it alone; overflow
+    gives the same inf and nan without a warning.
+    """
+    # One 2-D block: its columns are 1-D, which numpy's loops take fastest.
+    rows = lams.reshape(math.prod(lams.shape[:-1]), lams.shape[-1])
+    out = np.empty((len(rows), kmax + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, e in enumerate(_sigmas(list(rows.T), kmax)):
+            out[:, j] = e
+    return out.reshape(lams.shape[:-1] + (kmax + 1,))
+
+
 def sigma_all(lam, kmax: int) -> np.ndarray:
-    """Return [sigma_0, ..., sigma_kmax] by the stable one-pass recurrence."""
-    lam = _as_vector(lam)
+    """Return [sigma_0, ..., sigma_kmax] by the stable one-pass recurrence; of
+    a stack (..., n), those of each vector, shape (..., kmax+1)."""
+    lam = _as_vector(lam, stack=True)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if lam.ndim > 1:
+        return _sigma_stack(lam, kmax)
     return np.array(_sigmas(lam.tolist(), kmax))
 
 
-def sigma_rows(lams, kmax: int) -> np.ndarray:
-    """Row-wise [sigma_0, ..., sigma_kmax] of an (m, n) array, shape (m, kmax+1).
-
-    The columns go through the same recurrence as `sigma_all`, so each row is
-    bit-identical to `sigma_all(row, kmax)`; overflow gives the same inf and
-    nan without a warning.
-    """
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 2:
-        raise ValueError("eigenvalue rows must be a two-dimensional array")
-    if not np.isfinite(lams).all():
-        raise ValueError("eigenvalue entries must be finite")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    out = np.empty((lams.shape[0], kmax + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, e in enumerate(_sigmas(list(lams.T), kmax)):
-            out[:, j] = e
-    return out
-
-
-def sigma(lam, j: int) -> float:
-    """j-th elementary symmetric polynomial of the entries of lam (sigma_0 = 1)."""
-    lam = _as_vector(lam)
-    if not 0 <= j <= len(lam):
-        raise ValueError(f"sigma order j={j} out of range for {len(lam)} eigenvalues")
+def sigma(lam, j: int):
+    """j-th elementary symmetric polynomial of the entries of lam (sigma_0 = 1):
+    a float; of a stack (..., n), an array of shape (...), each entry bit for
+    bit the float of its vector."""
+    lam = _as_vector(lam, stack=True)
+    n = lam.shape[-1]
+    if not 0 <= j <= n:
+        raise ValueError(f"sigma order j={j} out of range for {n} eigenvalues")
+    if lam.ndim > 1:
+        return _sigma_stack(lam, j)[..., j]
     return _sigmas(lam.tolist(), j)[j]
 
 
@@ -141,14 +148,25 @@ def sigma_gradient(lam, k: int) -> np.ndarray:
     return np.array([_sigmas(xs[:i] + xs[i + 1:], k - 1)[k - 1] for i in range(n)])
 
 
-def in_gamma_k(lam, k: int) -> bool:
-    """Open-cone test: sigma_j(lam) > 0 for all 1 <= j <= k."""
-    lam = _as_vector(lam)
-    if len(lam) < 2:
+def in_gamma_k(lam, k):
+    """Open-cone test: sigma_j(lam) > 0 for all 1 <= j <= k.
+
+    Of a stack (..., n), one bool per vector, with k an order or an array of
+    orders broadcasting against the leading axes (...).
+    """
+    lam = _as_vector(lam, stack=True)
+    n = lam.shape[-1]
+    if n < 2:
         raise ValueError("cone membership needs at least two eigenvalues")
-    if not 1 <= k <= len(lam):
-        raise ValueError(f"cone order k={k} out of range for n={len(lam)}")
-    return all(s > 0.0 for s in _sigmas(lam.tolist(), k)[1:])
+    if lam.ndim == 1:
+        if not 1 <= k <= n:
+            raise ValueError(f"cone order k={k} out of range for n={n}")
+        return all(s > 0.0 for s in _sigmas(lam.tolist(), k)[1:])
+    k = np.asarray(k)
+    if not ((1 <= k) & (k <= n)).all():
+        raise ValueError(f"cone order k={k} out of range for n={n}")
+    e = _sigma_stack(lam, n)[..., 1:]
+    return ((e > 0.0) | (np.arange(1, n + 1) > k[..., None])).all(axis=-1)
 
 
 def _delta_floor(lam: np.ndarray, delta) -> np.ndarray:
@@ -167,16 +185,23 @@ def _delta_floor(lam: np.ndarray, delta) -> np.ndarray:
         return np.where(over, rescaled, -delta * np.where(over, 0.0, total))
 
 
-def in_sigma_delta(lam, delta: float) -> bool:
+def in_sigma_delta(lam, delta):
     """Membership in the cone {lambda_i > -delta * sum_j lambda_j}.
 
     The bound comes from _delta_floor: numpy's sum where it is finite, and
-    otherwise a sum of the scaled eigenvalues that cannot overflow.
+    otherwise a sum of the scaled eigenvalues that cannot overflow.  Of a
+    stack (..., n), one bool per vector, with delta a number or an array
+    broadcasting against the leading axes (...).
     """
-    lam = _as_vector(lam)
-    if delta < 0:
+    lam = _as_vector(lam, stack=True)
+    if lam.ndim == 1:
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
+        return bool((lam > _delta_floor(lam, delta)).all())
+    delta = np.asarray(delta, dtype=float)[..., None]
+    if (delta < 0).any():
         raise ValueError("delta must be nonnegative")
-    return bool((lam > _delta_floor(lam, delta)).all())
+    return (lam > _delta_floor(lam, delta)).all(axis=-1)
 
 
 def _scale(S: np.ndarray) -> np.ndarray:
@@ -212,23 +237,10 @@ def sym_eigenvalues(S) -> np.ndarray:
     return np.linalg.eigvalsh(_require_symmetric(S))
 
 
-def _sigma_last(lam: np.ndarray, j: int):
-    """sigma_j over the last axis of lam through `sigma_rows`: a float, as
-    `sigma` gives, for one vector, and an array of shape lam.shape[:-1] for
-    a stack, each entry bit for bit `sigma` of its vector."""
-    n = lam.shape[-1]
-    # sigma_rows checks finiteness before the order is checked, as sigma does.
-    e = sigma_rows(lam.reshape(math.prod(lam.shape[:-1]), n), min(max(j, 0), n))
-    if not 0 <= j <= n:
-        raise ValueError(f"sigma order j={j} out of range for {n} eigenvalues")
-    out = e[:, j].reshape(lam.shape[:-1])
-    return float(out) if out.ndim == 0 else out
-
-
 def sigma_of_matrix(S, k: int):
     """sigma_k of the eigenvalues of a symmetric matrix (sum of principal
     k-minors); of a stack (..., n, n), an array of shape (...)."""
-    return _sigma_last(sym_eigenvalues(S), k)
+    return sigma(sym_eigenvalues(S), k)
 
 
 def _is_arrow(S: np.ndarray, tol) -> np.ndarray:
@@ -267,14 +279,14 @@ def bordered_minor_identity_residual(S, k: int):
         raise ValueError(f"order k={k} out of range for n={n}")
     if not _is_arrow(S, 1e-13 * _scale(S)).all():
         raise ValueError("matrix does not have arrow (diagonal plus last row/column) structure")
-    lhs = _sigma_last(np.linalg.eigvalsh(S), k)      # S is already validated
+    lhs = sigma(np.linalg.eigvalsh(S), k)      # S is already validated
     d = np.diagonal(S, axis1=-2, axis2=-1)
-    rhs = _sigma_last(d, k)
+    rhs = sigma(d, k)
     if k >= 2:
         # Row i of others: 0, ..., n-2 without i; so column i of terms
         # holds sigma_{k-2} of the diagonal without entries i and n.
         others = np.arange(n - 2) + (np.arange(n - 2) >= np.arange(n - 1)[:, None])
-        terms = _sigma_last(d[..., others], k - 2) * _square(S[..., : n - 1, n - 1])
+        terms = sigma(d[..., others], k - 2) * _square(S[..., : n - 1, n - 1])
         for i in range(n - 1):
             rhs -= terms[..., i]
     return abs(lhs - rhs)

@@ -11,8 +11,8 @@ import pytest
 
 from khessian import cli, conformal, radial, symfunc
 from khessian.cli import main
-from khessian.radial import RadialProfile, geometric_grid, save_profile_csv
-from khessian.symfunc import ConeParams, in_gamma_k, in_sigma_delta, sigma_rows
+from khessian.radial import RadialProfile, geometric_grid, save_profile_csv, write_csv
+from khessian.symfunc import ConeParams, in_gamma_k, in_sigma_delta, sigma_all
 
 
 @pytest.fixture
@@ -781,9 +781,10 @@ class TestMetricLoader:
         ({"rho_ref": float("inf")}, "key 'rho_ref' must be a finite number"),
         ({"mode": 1}, "key 'mode' must be a string"),
         ({"mode": "middle"}, "key 'mode' must be 'origin' or 'end', got 'middle'"),
-        ({"num": 0}, "key 'num' must be at least 3, got 0"),
-        ({"num": 1}, "key 'num' must be at least 3, got 1"),
-        ({"num": 2}, "key 'num' must be at least 3, got 2"),
+        ({"num": 0}, "key 'num' must be in [3, 100000], got 0"),
+        ({"num": 1}, "key 'num' must be in [3, 100000], got 1"),
+        ({"num": 2}, "key 'num' must be in [3, 100000], got 2"),
+        ({"num": 100001}, "key 'num' must be in [3, 100000], got 100001"),
         ({"n": 0}, "key 'n' must be at least 3, got 0"),
         ({"n": 1}, "key 'n' must be at least 3, got 1"),
         ({"n": 344}, "key 'n' must be at most 343, got 344: the area of the unit sphere "
@@ -928,6 +929,10 @@ class TestProblemLoader:
         ({"domain": dict(BALL, r1=0.0)}, "key 'domain.r1' must be in [1e-50, 1e50], got 0.0"),
         ({"domain": dict(BALL, r1=2e50)}, "key 'domain.r1' must be in [1e-50, 1e50], got 2e+50"),
         ({"n": 2000, "k": 1001}, "key 'n': C(1999, 1000) of the radial sigma_k overflows a float"),
+        # Refused without computing C(999999, 500000), which takes seconds.
+        ({"n": 10**6, "k": 500001},
+         "key 'n': C(999999, 500000) of the radial sigma_k overflows a float"),
+        ({"solver": {"N": 100001}}, "key 'solver.N' must be at most 100000, got 100001"),
     ])
     def test_out_of_range_value_is_named(self, tmp_path, capsys, change, message):
         code, path = run_problem(tmp_path, "solve", dict(sphere_spec(), p=0.5, **change))
@@ -1163,11 +1168,11 @@ class TestBatchedConeCheck:
         assert len(lines) == 17 and lines[-1] == "all checks passed"
         assert lines[2] == "[PASS] Gamma_k in Sigma_delta embedding: 0 failures / 10000"
 
-    def test_cone_rows_sum_does_not_overflow(self):
+    def test_stacked_sigma_delta_sum_does_not_overflow(self):
         # Finite rows whose sum in numpy's order once overflowed (the class
         # turns warnings into errors), in both orders, next to unit rows;
         # with delta = 0, tiny entries keep their sign whether or not the
-        # row's sum overflows.
+        # row's sum overflows.  Check 3 tests its batches so.
         lam = np.array([[-1e308, 0, 1e308, 1e308, 0, 0, 0, 0],
                         [-1e308, 1e308, 1e308, 0, 0, 0, 0, 0],
                         [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.5],
@@ -1176,14 +1181,15 @@ class TestBatchedConeCheck:
                         [1e308, 1e308, 1e-300, 5e-324, 1.0, 1.0, 1.0, 1.0],
                         [1e308, 1e308, -5e-324, 1.0, 1.0, 1.0, 1.0, 1.0]])
         delta = np.array([0.09375] * 4 + [0.0] * 3)
-        _, sigma_delta = cli._cone_rows(lam, np.full(len(lam), 2), delta)
+        sigma_delta = in_sigma_delta(lam, delta)
         assert sigma_delta.tolist() == [False, False, True, False, True, True, False]
         assert sigma_delta.tolist() == [in_sigma_delta(x, d) for x, d in zip(lam, delta)]
 
-    def test_cone_rows_match_the_scalar_tests(self):
+    def test_stacked_cone_tests_match_the_scalar_tests(self):
         # Unit-scale rows, and integer rows in -2..2: those have exact zero
         # sigma_j (the Gamma_k boundary) and, for the dyadic deltas, entries
-        # equal to -delta sigma_1 (the Sigma_delta boundary).
+        # equal to -delta sigma_1 (the Sigma_delta boundary).  Check 3 tests
+        # its batches with one order and one delta per row.
         rng = np.random.default_rng(40)
         deltas = [0.0, 0.125, 0.25, 0.5, 1.0 / 6.0, 0.6]
         rows = zero_sigma = on_sigma_delta = 0
@@ -1196,12 +1202,12 @@ class TestBatchedConeCheck:
                     lam = rng.normal(size=(m, n)) + rng.uniform(0, 1.5, size=(m, 1))
                 k = rng.integers(1, n + 1, size=m)
                 delta = np.array(deltas)[rng.integers(0, len(deltas), size=m)]
-                gamma, sigma_delta = cli._cone_rows(lam, k, delta)
+                gamma, sigma_delta = in_gamma_k(lam, k), in_sigma_delta(lam, delta)
                 assert gamma.dtype == bool and sigma_delta.dtype == bool
                 assert gamma.tolist() == [in_gamma_k(x, int(j)) for x, j in zip(lam, k)]
                 assert sigma_delta.tolist() == [in_sigma_delta(x, d) for x, d in zip(lam, delta)]
                 rows += m
-                e = sigma_rows(lam, n)[:, 1:]
+                e = sigma_all(lam, n)[:, 1:]
                 zero_sigma += int(((e == 0.0) & (np.arange(1, n + 1) <= k[:, None])).any(axis=1).sum())
                 edge = lam == -delta[:, None] * lam.sum(axis=1, keepdims=True)
                 on_sigma_delta += int(edge.any(axis=1).sum())
@@ -1382,7 +1388,7 @@ def test_double_dash_value_exits_3(capsys, argv):
 
 
 def former_write_csv(path, header, columns):
-    """The former cli._write_csv, kept as an oracle: one format call per value."""
+    """The CLI's former CSV writer, kept as an oracle: one format call per value."""
     rows = len(columns[0])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -1393,6 +1399,19 @@ def former_write_csv(path, header, columns):
 SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
                    1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
                    0.1, 1.0 / 3.0, 1e16, 123456789.0, -2.5]
+
+
+def one_pass_csv(path, header, columns):
+    with open(path, "w") as fh:
+        write_csv(fh, header, columns)
+
+
+def former_save_profile_csv(p, path):
+    """The former radial.save_profile_csv, kept as an oracle."""
+    with open(path, "w") as fh:
+        fh.write("r,w,dw,d2w\n")
+        for i in range(len(p.r)):
+            fh.write(",".join(f"{x:.16e}" for x in (p.r[i], p.w[i], p.dw[i], p.d2w[i])) + "\n")
 
 
 class TestCsvWriter:
@@ -1406,7 +1425,7 @@ class TestCsvWriter:
         if as_list:
             columns = [c.tolist() for c in columns]
         header = ["a", "b", "c"]
-        cli._write_csv(tmp_path / "got.csv", header, columns)
+        one_pass_csv(tmp_path / "got.csv", header, columns)
         former_write_csv(tmp_path / "want.csv", header, columns)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -1414,8 +1433,21 @@ class TestCsvWriter:
         for columns in ([np.array([-0.0, 1e308]), [math.inf, 5e-324], (math.nan, 2.0)],
                         [np.array([]), []]):
             header = ["x"] * len(columns)
-            cli._write_csv(tmp_path / "got.csv", header, columns)
+            one_pass_csv(tmp_path / "got.csv", header, columns)
             former_write_csv(tmp_path / "want.csv", header, columns)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_profile_bytes_are_the_former_writers(self, tmp_path):
+        rng = np.random.default_rng(39)
+        drawn = rng.integers(0, 2**64, size=800, dtype=np.uint64).view(np.float64)
+        for m in (1, 3, 8000):
+            r = np.sort(np.abs(rng.normal(size=m))) + 1e-3
+            w, dw, d2w = (rng.permutation(np.resize(np.concatenate([SPECIAL_DOUBLES, drawn]), m))
+                          for _ in range(3))
+            # The constructor, not from_samples: the writer takes any double.
+            p = RadialProfile(r, w, dw, d2w, ConeParams(3, 2), True)
+            save_profile_csv(p, tmp_path / "got.csv")
+            former_save_profile_csv(p, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

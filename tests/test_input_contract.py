@@ -344,6 +344,17 @@ FORMER_CRASHES = [
     (problem(n=4, k=3, p=-4.662974732294732e138, domain={"type": "sphere_constant"},
              rhs={"f_const": 9.502878447915867e-136},
              solver={"N": 2, "tol": 0.0625, "max_iter": 1}), 3, "p"),
+    # JSON integers beyond the float range, or sizes past the stated bounds:
+    # an OverflowError (exit 1), a request for 7.28 TiB, or a refusal that
+    # named neither the file nor the key.  Each is refused before anything
+    # of its size is allocated.
+    (problem(rhs={"f_table": [[0.0, 10**400], [1.0, 1.0]]}), 3, "rhs.f_table"),
+    (problem(solver={"N": 10**400}), 3, "solver.N"),
+    (problem(solver={"N": 10**12}), 3, "solver.N"),
+    (problem(n=10**400), 3, "k"),
+    (problem(n=10**400, k=10**400 - 1), 3, "n"),
+    (("volume", {"kind": "euclidean", "num": 10**12}), 3, "num"),
+    (("volume", {"kind": "euclidean", "num": 10**400}), 3, "num"),
 ]
 
 # Extreme data that once printed numpy RuntimeWarnings before the solver

@@ -224,3 +224,36 @@ def test_every_field_is_read():
 def test_keep_fields_list_is_needed():
     stale = set(KEEP_FIELDS) - set(_unread_fields())
     assert not stale, f"keep-fields entries with a reader, or deleted: {sorted(stale)}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_names_read(path) -> list:
+    """Private names of the other package modules that the file at path
+    imports, or reads as an attribute of a name bound to such a module."""
+    layers = {mod.__name__.rsplit(".", 1)[-1] for mod in MODULES}
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}                      # local name -> package module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "khessian"
+                                                 or (node.module or "").startswith("khessian.")):
+            module = (node.module or "").removeprefix("khessian").lstrip(".")
+            for alias in node.names:
+                if not module and alias.name in layers:
+                    bound[alias.asname or alias.name] = alias.name
+                elif module and _is_private(alias.name):
+                    found.append(f"{module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in bound and _is_private(node.attr):
+            found.append(f"{bound[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """The CLI calls the other modules through their public names only."""
+    found = _private_names_read(PACKAGE / "cli.py")
+    assert not found, "private names the CLI reads: " + ", ".join(found)

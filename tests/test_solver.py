@@ -33,10 +33,23 @@ from khessian.solver import (
     validate_growth,
     vpower_rhs,
 )
-from khessian.radial import RadialAB, sigma_k_radial, sigma_k_radial_gradients
+from khessian.radial import RadialAB, sigma_k_radial
 from khessian.symfunc import ConeParams, sigma_of_matrix
 
 CONE32 = ConeParams(3, 2)
+
+
+def sigma_k_radial_gradients(ab, cone):
+    """The former radial.sigma_k_radial_gradients, kept as an oracle:
+    (d sigma/d a, d sigma/d b) of the radial sigma_k."""
+    n, k = cone.n, cone.k
+    b = ab.b
+    dsig_da = math.comb(n - 1, k - 1) * b ** (k - 1)
+    dsig_db = k * math.comb(n - 1, k) * b ** (k - 1)
+    if k >= 2:
+        dsig_db = dsig_db + (k - 1) * math.comb(n - 1, k - 1) * ab.a * b ** (k - 2)
+    return dsig_da, dsig_db
+
 A32 = 3.0 / 16.0      # C(n,k) ((n-2)/4)^k for n=3, k=2
 
 
@@ -746,7 +759,6 @@ class TestFoldRefinement:
 
     @pytest.mark.parametrize("N", [96, 192])
     def test_refined_at_rounding_floor(self, N):
-        from khessian.radial import sigma_k_radial_gradients
         branch, problem = annulus_fold_branch(N)
         assert [f.refined for f in branch.folds] == [True]
         fold = branch.folds[0]
@@ -1969,8 +1981,28 @@ def former_continuation_evaluate(rhs, r, w, t):
             rhs.conv * (delta * e_delta + e_power + t * rhs.ddelta_dt(t) * e_delta))
 
 
+def former_fold_blocks(system, w, rhs, t, ph):
+    """The former RadialSystem._fold_blocks: the gradients from the former
+    radial.sigma_k_radial_gradients, the binomials from math.comb."""
+    rows, n, k = system.rows, system.cone.n, system.cone.k
+    phi_ww, phi_wt = rhs.second_derivatives(system.r_eq, w[rows], t)
+    Jph_t = np.zeros(system.N)
+    Jph_t[rows] = -phi_wt * ph[rows]
+    if system.kind == "sphere":
+        return np.array([[0.0], [-phi_ww[0] * ph[0]], [0.0]]), Jph_t
+    (d1, _, ab), (p1, p2, _) = system._stencil(w), system._stencil(ph)
+    sa, sb = sigma_k_radial_gradients(ab, system.cone)
+    s_ab = (k - 1) * math.comb(n - 1, k - 1) * ab.b ** (k - 2)
+    s_bb = (k * (k - 1) * math.comb(n - 1, k) * ab.b ** (k - 2) + (k - 1) * (k - 2)
+            * math.comb(n - 1, k - 1) * ab.a * ab.b ** max(k - 3, 0))
+    db_dw1 = system._inv_r - d1
+    db = db_dw1 * p1
+    return system._jacobian(d1, s_ab * db, (s_ab * (p2 + d1 * p1) + s_bb * db) * db_dw1
+                            + (sa - sb) * p1, phi_ww * ph[rows]), Jph_t
+
+
 def assembly_outcome(assemble, *args, **kwargs):
-    F, G, J, phi_t, (d1, d2, ab) = assemble(*args, **kwargs)
+    F, G, J, phi_t, (d1, d2, ab) = assemble(*args, **kwargs)[:5]
     return [x for x in (F, G, J, phi_t, d1, d2, ab.a, ab.b) if x is not None]
 
 
@@ -2011,6 +2043,35 @@ class TestPerCallAssemblyOracle:
                         assert len(got) == len(want)
                         for a, b in zip(got, want):
                             assert_same_bits(a, b)
+                        # The plain gradients that _fold_blocks takes.
+                        grads = system._assemble(w, rhs, root=root, jac=jac, t=t)[5]
+                        if jac:
+                            want = sigma_k_radial_gradients(system._stencil(w)[2], cone)
+                            for a, b in zip(grads, want):
+                                assert_same_bits(a, b)
+                        else:
+                            assert grads is None
+
+    @pytest.mark.parametrize("N", [3, 4, 96, 4096])
+    @pytest.mark.parametrize("domain", ["annulus", "ball", "sphere"])
+    @pytest.mark.parametrize("nk", ORACLE_CONES)
+    def test_fold_blocks_bits(self, N, domain, nk):
+        rng = np.random.default_rng([N, len(domain), *nk, 39])
+        cone = ConeParams(*nk)
+        dom = {"annulus": Annulus(0.5, 0.5 + rng.uniform(0.5, 3.0), rng.normal(), rng.normal()),
+               "ball": Ball(rng.uniform(0.5, 3.0), rng.normal()), "sphere": SphereConstant()}
+        system = RadialSystem(RadialProblem(cone, dom[domain], p=cone.k + 2.0, f=1.0), N)
+        f = lambda x: 1.0 + np.asarray(x) ** 2
+        rhs = ContinuationRHS(cone, cone.k + 2.0, f, delta0=0.3)
+        for _ in range(3):
+            w = (random_admissible_iterate(system, rng) if domain != "sphere"
+                 else rng.normal(size=1))
+            ph = rng.normal(size=system.N)
+            for t in (0.4, 1.4):
+                got = system.residual_jacobian(w, rhs, t=t, ph=ph)
+                assert len(got) == 5
+                for a, b in zip(got[3:], former_fold_blocks(system, w, rhs, t, ph)):
+                    assert_same_bits(a, b)
 
     @pytest.mark.parametrize("nk", ORACLE_CONES)
     def test_sphere_assemble_bits(self, nk):

@@ -14,7 +14,6 @@ from khessian.symfunc import (
     sigma_all,
     sigma_gradient,
     sigma_of_matrix,
-    sigma_rows,
     sym_eigenvalues,
 )
 
@@ -468,7 +467,7 @@ class TestAgainstFormerKernels:
                     assert x in want and x in got
 
     @pytest.mark.parametrize("call, bad, message", [
-        (lambda v: sigma_all(v, 1), np.ones((2, 2)), "eigenvalue input must be one-dimensional"),
+        (lambda v: sigma_all(v, 1), 1.0, "eigenvalue input must be one-dimensional"),
         (lambda v: sigma(v, 1), [1.0, np.nan], "eigenvalue entries must be finite"),
         (lambda v: sigma_gradient(v, 1), [[1.0]], "eigenvalue input must be one-dimensional"),
         (lambda v: in_gamma_k(v, 1), [1.0, np.inf], "eigenvalue entries must be finite"),
@@ -509,44 +508,103 @@ def random_blocks(seed, rows=40):
 
 
 @pytest.mark.filterwarnings("error")
-class TestSigmaRows:
-    """sigma_rows runs the sigma_all recurrence on columns: every row equals
-    sigma_all of that row bit for bit, inf and nan included."""
+class TestStackedSigma:
+    """sigma_all and sigma of a stack (..., n) run the one-vector recurrence
+    on columns: every vector's values equal the one-vector call bit for bit,
+    inf and nan included."""
 
-    def test_rows_bit_identical_to_sigma_all(self):
+    def test_rows_bit_identical_to_one_vector(self):
         seen_nonfinite = 0
         for lams in random_blocks(30):
             n = lams.shape[1]
             for kmax in (0, n, n + 3):
-                got = sigma_rows(lams, kmax)
+                got = sigma_all(lams, kmax)
                 assert got.shape == (len(lams), kmax + 1)
                 for row, want in zip(got, (sigma_all(lam, kmax) for lam in lams)):
                     assert np.array_equal(row, want, equal_nan=True)
                 seen_nonfinite += int((~np.isfinite(got)).any())
+            for j in range(n + 1):
+                got = sigma(lams, j)
+                assert got.shape == (len(lams),)
+                assert np.array_equal(got, [sigma(lam, j) for lam in lams], equal_nan=True)
         assert seen_nonfinite > 0
 
+    def test_leading_axes(self):
+        lams = np.random.default_rng(31).normal(size=(2, 3, 4, 5))
+        flat = lams.reshape(-1, 5)
+        assert same_bits(sigma_all(lams, 4), sigma_all(flat, 4).reshape(2, 3, 4, 5))
+        assert same_bits(sigma(lams, 3), sigma(flat, 3).reshape(2, 3, 4))
+
     def test_zero_rows_and_zero_columns(self):
-        assert sigma_rows(np.zeros((0, 4)), 2).shape == (0, 3)
-        assert np.array_equal(sigma_rows(np.zeros((2, 0)), 2), [[1.0, 0.0, 0.0]] * 2)
+        assert sigma_all(np.zeros((0, 4)), 2).shape == (0, 3)
+        assert sigma(np.zeros((0, 4)), 2).shape == (0,)
+        assert np.array_equal(sigma_all(np.zeros((2, 0)), 2), [[1.0, 0.0, 0.0]] * 2)
+        assert np.array_equal(sigma(np.zeros((2, 0)), 0), [1.0, 1.0])
 
     def test_list_input(self):
-        assert np.array_equal(sigma_rows([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 3),
+        assert np.array_equal(sigma_all([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], 3),
                               [[1.0, 6.0, 11.0, 6.0], [1.0, 3.0, 3.0, 1.0]])
 
-    @pytest.mark.parametrize("bad, kmax, message", [
-        (np.ones(3), 1, "eigenvalue rows must be a two-dimensional array"),
-        (np.ones((2, 2, 2)), 1, "eigenvalue rows must be a two-dimensional array"),
-        (np.array([[1.0, np.nan]]), 1, "eigenvalue entries must be finite"),
-        (np.array([[1.0, 2.0], [np.inf, 0.0]]), 1, "eigenvalue entries must be finite"),
-        (np.ones((2, 3)), -1, "kmax must be nonnegative"),
+    @pytest.mark.parametrize("call, bad, message", [
+        (lambda v: sigma_all(v, 1), np.array([[1.0, np.nan]]), "eigenvalue entries must be finite"),
+        (lambda v: sigma_all(v, 1), np.array([[1.0, 2.0], [np.inf, 0.0]]),
+         "eigenvalue entries must be finite"),
+        (lambda v: sigma_all(v, -1), np.ones((2, 3)), "kmax must be nonnegative"),
+        (lambda v: sigma(v, 1), np.array([[[np.nan]]]), "eigenvalue entries must be finite"),
+        (lambda v: sigma(v, 4), np.ones((2, 3)), "sigma order j=4 out of range for 3 eigenvalues"),
+        (lambda v: sigma(v, -1), np.ones((2, 3)), "sigma order j=-1 out of range"),
+        (lambda v: sigma_all(v, 1), np.float64(2.0),
+         "eigenvalue input must be one-dimensional or a stack of vectors"),
     ])
-    def test_validation_errors(self, bad, kmax, message):
+    def test_validation_errors(self, call, bad, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            sigma_rows(bad, kmax)
+            call(bad)
 
-    def test_sigma_all_still_rejects_rows(self):
-        with pytest.raises(ValueError, match="eigenvalue input must be one-dimensional"):
-            sigma_all(np.ones((2, 2)), 1)
+    def test_finiteness_is_checked_before_the_order(self):
+        with pytest.raises(ValueError, match="eigenvalue entries must be finite"):
+            sigma(np.array([[np.nan, 1.0]]), 5)
+
+
+class TestStackedConeTests:
+    """in_gamma_k and in_sigma_delta of a stack (..., n): one bool per vector,
+    each the one-vector answer, with k and delta broadcast against the
+    leading axes."""
+
+    def test_each_vector_is_its_own_test(self):
+        rng = np.random.default_rng(32)
+        for n in range(2, 8):
+            lams = rng.integers(-2, 3, size=(3, 50, n)).astype(float)
+            lams[0] = rng.normal(size=(50, n)) + rng.uniform(0, 1.5, size=(50, 1))
+            for k in (1, n, rng.integers(1, n + 1, size=(3, 50)), rng.integers(1, n + 1, size=50)):
+                got = in_gamma_k(lams, k)
+                assert got.dtype == bool and got.shape == (3, 50)
+                ks = np.broadcast_to(k, (3, 50))
+                assert got.tolist() == [[in_gamma_k(lam, int(j)) for lam, j in zip(row, krow)]
+                                        for row, krow in zip(lams, ks)]
+            for delta in (0.25, np.array([0.0, 0.125, 1.0 / 6.0])[:, None]):
+                got = in_sigma_delta(lams, delta)
+                assert got.dtype == bool and got.shape == (3, 50)
+                ds = np.broadcast_to(delta, (3, 50))
+                assert got.tolist() == [[in_sigma_delta(lam, float(d)) for lam, d in zip(row, drow)]
+                                        for row, drow in zip(lams, ds)]
+
+    def test_one_vector_answers_a_bool(self):
+        assert in_gamma_k(np.array([1.0, 2.0, 3.0]), 3) is True
+        assert in_sigma_delta(np.array([1.0, -0.1, 3.0]), 0.1) is True
+
+    @pytest.mark.parametrize("call, bad, message", [
+        (lambda v: in_gamma_k(v, np.array([1, 4])), np.ones((2, 3)), "cone order k="),
+        (lambda v: in_gamma_k(v, 0), np.ones((2, 3)), "cone order k=0 out of range for n=3"),
+        (lambda v: in_gamma_k(v, 1), np.ones((2, 1)), "cone membership needs at least two"),
+        (lambda v: in_gamma_k(v, 1), np.array([[1.0, np.inf]]), "eigenvalue entries must be finite"),
+        (lambda v: in_sigma_delta(v, np.array([0.1, -0.1])), np.ones((2, 3)),
+         "delta must be nonnegative"),
+        (lambda v: in_sigma_delta(v, 0.1), np.array([[np.nan, 1.0]]),
+         "eigenvalue entries must be finite"),
+    ])
+    def test_validation_errors(self, call, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
 
 
 def symmetric_stacks(seed):
