@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -61,8 +60,8 @@ def _print_report(payload: dict, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _eigenvalues(args) -> np.ndarray:
-    """The eigenvalues of --lambda or --csv; a fault names the flag and the
-    entry (1-based) or the file."""
+    """The eigenvalues of --lambda or of --csv, one row or column; a fault
+    names the flag and the entry (1-based) or the file."""
     if args.lam is not None:
         lam = []
         for i, word in enumerate(args.lam.split(","), 1):
@@ -76,17 +75,16 @@ def _eigenvalues(args) -> np.ndarray:
     if args.csv is None:
         raise ValueError("supply eigenvalues with --lambda or --csv")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)    # no values: reported below
-            lam = np.loadtxt(args.csv, delimiter=",").ravel()
+        with open(args.csv, errors="replace") as fh:
+            table = radial.read_table(fh, ",")
     except ValueError as exc:
         raise ValueError(f"--csv file {args.csv}: {exc}") from None
-    if not lam.size:
+    if not table.size:
         raise ValueError(f"--csv file {args.csv}: no eigenvalues")
-    bad = np.flatnonzero(~np.isfinite(lam))
-    if bad.size:
-        raise ValueError(f"--csv file {args.csv}: entry {bad[0] + 1} is {lam[bad[0]]}")
-    return lam
+    if min(table.shape) > 1:
+        raise ValueError(f"--csv file {args.csv}: a table of {table.shape[0]} rows and "
+                         f"{table.shape[1]} columns; give the eigenvalues as one row or column")
+    return table.ravel()
 
 
 def cmd_sigma(args) -> int:

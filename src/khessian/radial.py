@@ -15,9 +15,7 @@ versus Holder with exponent 2 - n/k).
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
-import io
 import itertools
 import math
 import os
@@ -48,6 +46,7 @@ __all__ = [
     "write_csv",
     "save_profile_csv",
     "load_profile_csv",
+    "read_table",
 ]
 
 # Multiplier c_fd of the finite-difference inequality tolerances tau = c_fd * h.
@@ -367,35 +366,56 @@ def _read_archive(fh):
         return float(npz["spacing"]), npz["values"], npz["origin"]
 
 
-def _data_fault(lines):
-    """The first value or row of grid data lines that np.loadtxt cannot read,
-    or None if Python's float reads them all (rows counted as loadtxt counts
-    them: blank and comment lines skipped)."""
-    expected = None
-    row = 0
-    for line in lines:
-        words = line.split("#", 1)[0].split()
-        if not words:
-            continue
-        row += 1
-        for col, word in enumerate(words, start=1):
-            try:
-                float(word)
-            except ValueError:
-                return f"unparsable value {word!r} in data row {row}, column {col}"
-        if expected is None:
-            expected = len(words)
-        elif len(words) != expected:
-            return f"data row {row} has {len(words)} values, expected {expected}"
-    return None
+def read_table(lines, delimiter=None, names=None) -> np.ndarray:
+    """The numbers in lines of text (an open text file, from where it
+    stands, or any iterable of lines) as a 2-D float array, one row per data
+    line.  Text from `#` on is a comment, and a line blank without it is
+    skipped.  Values are split at delimiter, or at whitespace if it is None.
+    names, the columns of a header the caller read, fixes the width of every
+    row.  The lines are read once; np.loadtxt reads the rows, and a scan
+    names the first fault where it refuses them or their width is not the
+    header's.
 
-
-class _NonFinite(ValueError):
-    """A grid field value that is not finite, at flat index `index`."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+    Raises ValueError: "unparsable value 'x' in data row i, column c", "data
+    row i has m values, expected e" or "non-finite value v in data row i,
+    column c", rows counted from 1 among the data lines and a column named
+    from names, or else numbered from 1.  No data line gives no rows.
+    """
+    lines = list(lines)                        # a pipe is read once, as a file is
+    with warnings.catch_warnings():
+        # No data lines: np.loadtxt warns and returns an empty array.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            table = np.loadtxt(lines, delimiter=delimiter, ndmin=2)
+            refused = names is not None and len(table) and table.shape[1] != len(names)
+        except ValueError:
+            refused = True
+        if refused:
+            data = [text for text in (line.split("#", 1)[0] for line in lines) if text.strip()]
+            labels = names or range(1, 1 + len(data and data[0].split(delimiter)))
+            for row, text in enumerate(data, 1):
+                words = [word.strip() for word in text.split(delimiter)]
+                if len(words) != len(labels):
+                    raise ValueError(f"data row {row} has {len(words)} values, "
+                                     f"expected {len(labels)}")
+                for label, word in zip(labels, words):
+                    try:
+                        # np.loadtxt reads ASCII only, and no "1_0".
+                        if not word.isascii() or "_" in word:
+                            raise ValueError
+                        float(word)
+                    except ValueError:
+                        raise ValueError(f"unparsable value {word!r} in data row {row}, "
+                                         f"column {label}") from None
+            # No fault: np.loadtxt read a line of whitespace as a value, as it
+            # does when the delimiter is not whitespace.
+            table = np.loadtxt(data, delimiter=delimiter, ndmin=2)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = map(int, np.argwhere(~finite)[0])
+        raise ValueError(f"non-finite value {table[row, col]} in data row {row + 1}, "
+                         f"column {(names or range(1, table.shape[1] + 1))[col]}")
+    return table
 
 
 @dataclass
@@ -431,10 +451,9 @@ class GridField:
         """
         finite = np.isfinite(self.values)
         if not finite.all():
-            index = int(np.argmin(finite))
-            node = np.unravel_index(index, self.values.shape)
-            raise _NonFinite(f"grid field value {self.values[node]} at node "
-                             f"{tuple(map(int, node))} is not finite", index)
+            node = np.unravel_index(int(np.argmin(finite)), self.values.shape)
+            raise ValueError(f"grid field value {self.values[node]} at node "
+                             f"{tuple(map(int, node))} is not finite")
 
     @property
     def dims(self) -> int:
@@ -463,15 +482,15 @@ class GridField:
         read by np.load, whose members values, spacing and origin must have
         a real dtype and 2 or 3, 0 and 1 dimensions (see _read_archive).  Any
         other file is text: `dims`, `shape`, `spacing` and optional `origin`
-        header lines, then the values in row-major order, read by np.loadtxt.
+        header lines, then the values in row-major order, read by read_table.
 
         Raises ValueError naming the file and the fault: an archive zipfile
         cannot read, a missing or extra member, or a member of another dtype,
-        dimension or stored size; a missing or malformed header line, an
-        unparsable value or a data row of the wrong length, `dims`
-        disagreeing with `shape`, or a value count other than the product of
-        `shape`; and a non-finite value (in text, by its 1-based data row and
-        column), a spacing, dimension or origin GridField rejects.
+        dimension or stored size; a fault of read_table in the data text (by
+        its 1-based data row and column), a missing or malformed header line,
+        `dims` disagreeing with `shape`, or a value count other than the
+        product of `shape`; and a non-finite value, a spacing, dimension or
+        origin GridField rejects.
         """
         with open(path, "rb") as fh:
             if fh.read(4) == b"PK\x03\x04":
@@ -492,14 +511,11 @@ class GridField:
                 else:
                     fh.seek(pos)
                     break
-            with warnings.catch_warnings():
+            try:
                 # An empty data section is reported below by the value count.
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    data = np.loadtxt(fh, ndmin=2)
-                except ValueError as exc:
-                    fh.seek(pos)
-                    raise ValueError(f"grid file {path}: {_data_fault(fh) or exc}") from None
+                data = read_table(fh)
+            except ValueError as exc:
+                raise ValueError(f"grid file {path}: {exc}") from None
         for key in ("dims", "shape", "spacing"):
             if key not in header:
                 raise ValueError(f"grid file {path}: missing header line '{key}'")
@@ -520,11 +536,6 @@ class GridField:
                              f"shape {' '.join(map(str, shape))} needs {math.prod(shape)}")
         try:
             return cls(spacing, data.reshape(shape), origin)
-        except _NonFinite as exc:
-            # One finiteness scan, at construction; its flat index is the data's.
-            row, col = divmod(exc.index, data.shape[1])
-            raise ValueError(f"grid file {path}: non-finite value {data[row, col]} "
-                             f"in data row {row + 1}, column {col + 1}") from None
         except ValueError as exc:
             raise ValueError(f"grid file {path}: {exc}") from None
 
@@ -694,46 +705,35 @@ def save_profile_csv(p: RadialProfile, path):
 def load_profile_csv(path, n: int, k: int) -> RadialProfile:
     """Read a profile CSV with columns r, w and optionally both dw and d2w.
 
-    np.loadtxt reads the rows under a header of distinct identifiers;
-    np.genfromtxt reads any other text, and rows np.loadtxt refuses, with an
-    unparsable or missing value as NaN.  Every fault raises ValueError naming
-    the file: no header line, a missing column r or w, no data rows, text
-    np.genfromtxt cannot split, a non-finite or unparsable value (with its
-    column and 1-based data row), an r column that is not positive and
-    strictly increasing, and fewer than 3 rows without derivative columns
-    (RadialProfile.from_samples' own message).
+    The first line that is not blank or a comment is the header, naming the
+    columns; read_table reads the rows under it.  Every fault raises
+    ValueError naming the file: no header line, a header without column r or
+    w or naming a column it reads twice, a fault of read_table (an
+    unparsable or non-finite value, or a row of another width than the
+    header, each with its 1-based data row and column), no data rows, an r
+    column that is not positive and strictly increasing, and fewer than 3
+    rows without derivative columns (RadialProfile.from_samples' own
+    message).
     """
-    with open(path) as fh:
-        text = fh.read()
-    if not text.strip():
-        raise ValueError(f"profile {path}: no header line")
-    names = [name.strip() for name in text.partition("\n")[0].split(",")]
-    columns = None
-    if all(map(str.isidentifier, names)):                   # as np.genfromtxt keeps them
-        with warnings.catch_warnings(), contextlib.suppress(ValueError, UserWarning):
-            warnings.simplefilter("error")                  # a file without data rows
-            rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
-            columns = np.rec.fromarrays(rows.T, dtype=[(name, float) for name in names])
-    if columns is None:
+    with open(path, errors="replace") as fh:
+        lines = (line.split("#", 1)[0] for line in fh)
+        header = next((text for text in lines if text.strip()), None)
+        if header is None:
+            raise ValueError(f"profile {path}: no header line")
+        names = [name.strip() for name in header.split(",")]
+        wanted = ("r", "w", "dw", "d2w") if "dw" in names and "d2w" in names else ("r", "w")
+        for name in wanted:
+            if names.count(name) != 1:
+                raise ValueError(f"profile {path}: " + (f"no column {name}" if name not in names
+                                 else f"the header names column {name} {names.count(name)} times"))
         try:
-            columns = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
+            rows = read_table(fh, ",", names)
         except ValueError as exc:
             raise ValueError(f"profile {path}: {exc}") from None
-    names = columns.dtype.names
-    for name in ("r", "w"):
-        if name not in names:
-            raise ValueError(f"profile {path}: no column {name}")
-    wanted = ("r", "w", "dw", "d2w") if "dw" in names and "d2w" in names else ("r", "w")
-    samples = {}
-    for name in wanted:
-        samples[name] = np.atleast_1d(columns[name])
-        bad = np.flatnonzero(~np.isfinite(samples[name]))
-        if len(bad):
-            raise ValueError(f"profile {path}: column {name} must be finite, "
-                             f"data row {bad[0] + 1} is {samples[name][bad[0]]}")
-    r = samples["r"]
-    if len(r) == 0:
+    if not len(rows):
         raise ValueError(f"profile {path}: no data rows")
+    samples = {name: rows[:, names.index(name)] for name in wanted}
+    r = samples["r"]
     bad = np.flatnonzero(~((r >= 1e-50) & (r <= 1e50)))
     if len(bad):
         raise ValueError(f"profile {path}: column r must lie in [1e-50, 1e50], "

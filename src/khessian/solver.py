@@ -911,9 +911,10 @@ def _bordered_solve(band, kl, ku, col, row, corner, f, g):
     the scalars are Python floats, taken from the same dot products, in the
     same order.
 
-    An exactly zero pivot of the LU, which no radial solve meets, sends
-    the whole bordered matrix to a dense LU instead: O(n^3), but it raises
-    only when the bordered matrix itself is singular.
+    An exactly zero pivot of the LU sends the whole bordered matrix to a
+    dense LU instead: O(n^3), but it raises only when the bordered matrix
+    itself is singular.  Sphere fold refinement meets one where the 1x1
+    Jacobian -phi_w is exactly 0.0 (continue_sphere_435 does, once).
     """
     n = band.shape[1]
     if n == 1 and band[ku, 0] != 0.0:

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+import os
+import threading
 import warnings
 import zipfile
 
@@ -102,16 +104,18 @@ class TestSigmaCommand:
         assert capsys.readouterr().err == f"error: {named}\n"
 
     @pytest.mark.parametrize("text, named", [
-        ("1.0,x,3.0\n", "could not convert string 'x'"),
-        ("1.0,2.0\n3.0\n", "the number of columns changed"),
-        ("1.0,inf,3.0\n", "entry 2 is inf"),
-    ])
+        (b"1.0,x,3.0\n", "unparsable value 'x' in data row 1, column 2"),
+        (b"1.0,2.0\n3.0\n", "data row 2 has 1 values, expected 2"),
+        (b"1.0,inf,3.0\n", "non-finite value inf in data row 1, column 2"),
+        (b"1.0\n2.0\n\xff\n", "unparsable value '\ufffd' in data row 3, column 1"),
+        (b"1,2\n3,4\n", "a table of 2 rows and 2 columns; give the eigenvalues as one row "
+                        "or column"),
+    ], ids=["unparsable", "short-row", "inf", "undecodable", "matrix"])
     def test_bad_csv_names_the_file(self, tmp_path, capsys, text, named):
         path = tmp_path / "lam.csv"
-        path.write_text(text)
+        path.write_bytes(text)
         assert main(["sigma", "--csv", str(path), "--k", "2"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --csv file {path}: ") and named in err
+        assert capsys.readouterr().err == f"error: --csv file {path}: {named}\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["", "\n", "# no values\n"], ids=["empty", "blank", "comment"])
@@ -673,19 +677,23 @@ class TestHarnackCommand:
         lines = [f"{a:.17g},{b:.17g}\n" for a, b in zip(rows["r"], rows["w"])]
         path.write_text("r,w\n" + "".join(lines))
         assert main([command, "--profile", str(path), "--n", "3", "--k", "2"]) == 3
-        assert f"{column} must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: profile {path}: non-finite value nan "
+                                           f"in data row 18, column {column}\n")
 
     @pytest.mark.parametrize("command", ["harnack", "classify"])
     @pytest.mark.parametrize("column", ["dw", "d2w"])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "x"])
-    def test_bad_derivative_exits_3(self, fundamental_csv, capsys, command, column, bad):
+    @pytest.mark.parametrize("bad, fault", [("nan", "non-finite value nan"),
+                                            ("inf", "non-finite value inf"),
+                                            ("x", "unparsable value 'x'")])
+    def test_bad_derivative_exits_3(self, fundamental_csv, capsys, command, column, bad, fault):
         lines = fundamental_csv.read_text().splitlines()
         cells = lines[18].split(",")
         cells[lines[0].split(",").index(column)] = bad
         lines[18] = ",".join(cells)
         fundamental_csv.write_text("\n".join(lines) + "\n")
         assert main([command, "--profile", str(fundamental_csv), "--n", "3", "--k", "2"]) == 3
-        assert f"column {column} must be finite, data row 18" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: profile {fundamental_csv}: {fault} "
+                                           f"in data row 18, column {column}\n")
 
     @pytest.mark.parametrize("command", ["harnack", "classify"])
     @pytest.mark.parametrize("text, fault", [
@@ -702,11 +710,19 @@ class TestHarnackCommand:
         ("r,w\n1e-60,2\n2,3\n3,4\n", "column r must lie in [1e-50, 1e50], data row 1 is 1e-60"),
         ("r,w\n1,0\n1.0000000000000002,1e300\n3,0\n",
          "finite-difference derivatives overflow a float"),
-        ("r,w\n1,2,3\n2,3\n", "Some errors were detected !\n    Line #2 (got 3 columns instead of 2)"),
+        ("r,w\n1,2,3\n2,3\n", "data row 1 has 3 values, expected 2"),
+        ("r,w\n1,2,3\n2,3,4\n3,4,5\n", "data row 1 has 3 values, expected 2"),
+        ("# r,w\n\nr,w\n1,2\n2,3,4\n", "data row 2 has 3 values, expected 2"),
+        ("r,w,dw,d2w\n1,2,1,-1\n2,3,x,-1\n3,4,1,-1\n",
+         "unparsable value 'x' in data row 2, column dw"),
+        ("r,w\n1,2\n2,\xff\n3,4\n", "unparsable value '\ufffd' in data row 2, column w"),
+        ("r,\xff\n1,2\n2,3\n3,4\n", "no column w"),
+        ("r,w,w\n1,2,2\n2,3,3\n3,4,4\n", "the header names column w 2 times"),
+        ("r,r,w\n1,1,2\n2,2,3\n3,3,4\n", "the header names column r 2 times"),
     ])
     def test_profile_fault_names_the_file(self, tmp_path, capsys, command, text, fault):
         path = tmp_path / "profile.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))    # "\xff" is the undecodable byte 0xff
         assert main([command, "--profile", str(path), "--n", "3", "--k", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -878,6 +894,50 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --seed must be a non-negative integer, got {seed}\n"
+
+
+def fed_fifo(tmp_path, data: bytes):
+    """A FIFO under tmp_path, and the started thread that writes data into it."""
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    thread = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    thread.start()
+    return path, thread
+
+
+class TestInputThroughAPipe:
+    """--csv and --profile read a pipe, which cannot seek, as they read a file."""
+
+    def test_sigma_csv(self, tmp_path, capsys):
+        path, thread = fed_fifo(tmp_path, b"1.0,2.0,3.0\n")
+        assert main(["sigma", "--csv", str(path), "--k", "2"]) == 0
+        thread.join(5)
+        assert "sigma_2 = 11" in capsys.readouterr().out
+
+    def test_sigma_csv_fault(self, tmp_path, capsys):
+        path, thread = fed_fifo(tmp_path, b"1.0\n2.0\nx\n")
+        assert main(["sigma", "--csv", str(path), "--k", "2"]) == 3
+        thread.join(5)
+        assert capsys.readouterr().err == (f"error: --csv file {path}: "
+                                           "unparsable value 'x' in data row 3, column 1\n")
+
+    @pytest.mark.parametrize("command", ["classify", "harnack"])
+    def test_profile(self, holder_csv, tmp_path, capsys, command):
+        argv = [command, "--n", "3", "--k", "2", "--profile"]
+        assert main(argv + [str(holder_csv)]) == 0
+        want = json.loads(capsys.readouterr().out)
+        path, thread = fed_fifo(tmp_path, holder_csv.read_bytes())
+        assert main(argv + [str(path)]) == 0
+        thread.join(5)
+        got = json.loads(capsys.readouterr().out)
+        assert {**got, "manifest": None} == {**want, "manifest": None}
+
+    def test_profile_fault(self, tmp_path, capsys):
+        path, thread = fed_fifo(tmp_path, b"r,w,dw,d2w\n0.1,1,2,3\n0.2,1,x,3\n")
+        assert main(["harnack", "--n", "3", "--k", "2", "--profile", str(path)]) == 3
+        thread.join(5)
+        assert capsys.readouterr().err == (f"error: profile {path}: "
+                                           "unparsable value 'x' in data row 2, column dw\n")
 
 
 def sphere_spec():

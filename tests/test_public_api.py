@@ -257,3 +257,33 @@ def test_cli_reads_no_private_name_of_another_module():
     """The CLI calls the other modules through their public names only."""
     found = _private_names_read(PACKAGE / "cli.py")
     assert not found, "private names the CLI reads: " + ", ".join(found)
+
+
+def _text_parser_reads(path):
+    """(function, line) of each mention of numpy's text parsers, loadtxt and
+    genfromtxt, in the module at path, by its innermost enclosing function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}")
+                continue
+            name = getattr(child, "attr", None) or getattr(child, "id", None) \
+                or getattr(child, "name", None)
+            if isinstance(name, str) and name.rsplit(".", 1)[-1] in ("loadtxt", "genfromtxt"):
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def test_one_reader_of_numbers_in_text():
+    """Profile CSVs, text grid files and `sigma --csv` reach numpy's text
+    parsers through radial.read_table only, so they share its grammar and
+    its fault messages."""
+    found = [hit for path in SOURCES for hit in _text_parser_reads(path)]
+    outside = [f"{where} (line {line})" for where, line in found if where != "radial.read_table"]
+    assert found and not outside, "numpy text parser outside radial.read_table: " \
+        + ", ".join(outside)

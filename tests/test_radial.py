@@ -21,6 +21,7 @@ from khessian.radial import (
     load_profile_csv,
     radial_admissible,
     radial_envelope,
+    read_table,
     save_profile_csv,
     sigma_k_radial,
 )
@@ -883,6 +884,74 @@ class TestGridText:
         path.write_bytes(b"dims 2\nshape 30 2\nspacing 0.5\n" + savetxt_bytes(values))
         with pytest.raises(ValueError, match="62 values, shape 30 2 needs 60"):
             GridField.load_raw(path)
+
+
+class TestReadTable:
+    """The one reader of numbers in text: np.loadtxt's values, and each
+    fault by its data row and column."""
+
+    @pytest.mark.parametrize("text, delimiter", [
+        ("1 2\n3 4\n", None),
+        ("# head\n1\t2 # tail\n\n  \n3  4", None),
+        ("1,2\r\n3, 4\r\n", ","),
+        ("1,2\n\n# c\n3,4 # c\n", ","),
+        ("5\n6\n7\n", ","),
+        ("1.5 -2e-300 +3E2 .5\n", None),
+    ])
+    def test_values_are_loadtxts(self, text, delimiter):
+        want = np.loadtxt(io.StringIO(text), delimiter=delimiter, ndmin=2)
+        for lines in (io.StringIO(text), text.splitlines(keepends=True)):
+            got = read_table(lines, delimiter)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_reads_from_where_the_file_stands(self):
+        fh = io.StringIO("a,b\n1,2\n3,4\n")
+        fh.readline()
+        assert read_table(fh, ",", ["a", "b"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_whitespace_lines_are_blank_with_a_delimiter(self):
+        # np.loadtxt reads "  " as a value when the delimiter is ","; the
+        # scan skips it and np.loadtxt reads the data lines again.
+        text = "1,2\n  \n   # c\n\t\n3,4\n"
+        assert read_table(io.StringIO(text), ",").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n# only a comment\n", "  \n"])
+    @pytest.mark.parametrize("names", [None, ["r", "w"]])
+    def test_no_data_lines(self, text, names):
+        assert len(read_table(io.StringIO(text), ",", names)) == 0
+
+    @pytest.mark.parametrize("text, delimiter, names, message", [
+        ("1 2\n3 x\n", None, None, "unparsable value 'x' in data row 2, column 2"),
+        ("1,2\n\n3,\n", ",", None, "unparsable value '' in data row 2, column 2"),
+        ("1,2\n3,1_0\n", ",", None, "unparsable value '1_0' in data row 2, column 2"),
+        ("1,\uff12\n", ",", None, "unparsable value '\uff12' in data row 1, column 2"),
+        ("\u0661 2\n", None, None, "unparsable value '\u0661' in data row 1, column 1"),
+        ("1,2\n3,x\n", ",", ["r", "w"], "unparsable value 'x' in data row 2, column w"),
+        ("1 2\n3 4 5\n", None, None, "data row 2 has 3 values, expected 2"),
+        ("1,2,3\n4,5,6\n", ",", ["r", "w"], "data row 1 has 3 values, expected 2"),
+        ("1,2\n3\n", ",", ["r", "w"], "data row 2 has 1 values, expected 2"),
+        ("1 2\n3 nan\n", None, None, "non-finite value nan in data row 2, column 2"),
+        ("# c\n1,-inf\n", ",", ["r", "w"], "non-finite value -inf in data row 1, column w"),
+        ("1,2\n  \n3,inf\n", ",", ["r", "w"], "non-finite value inf in data row 2, column w"),
+    ])
+    def test_faults(self, text, delimiter, names, message):
+        for lines in (io.StringIO(text), text.splitlines(keepends=True)):
+            with pytest.raises(ValueError) as err:
+                read_table(lines, delimiter, names)
+            assert str(err.value) == message
+
+    def test_profile_header_after_comments_and_blank_lines(self, tmp_path):
+        p = holder_profile(np.geomspace(0.01, 1.0, 25), 0.5)
+        path = tmp_path / "prof.csv"
+        save_profile_csv(p, path)
+        plain = load_profile_csv(path, 3, 2)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("# written by hand\n\n  \n" + lines[0].replace(",", " , ")
+                        + "  # a comment\n" + "".join(lines[1:]))
+        q = load_profile_csv(path, 3, 2)
+        for name in ("r", "w", "dw", "d2w"):
+            assert getattr(q, name).tobytes() == getattr(plain, name).tobytes()
 
 
 @pytest.fixture(params=[1, 2, 3], ids=["one_worker", "two_workers", "three_workers"])

@@ -1817,6 +1817,18 @@ class TestScalarBorderedSolve:
             assert_same_outcome(outcome(_bordered_solve, *args),
                                 outcome(former_bordered_solve, *args))
 
+    def test_sphere_fold_refinement_takes_the_dense_route(self, monkeypatch):
+        # continue_sphere_435's problem: at the refined fold the 1x1 Jacobian
+        # -phi_w is exactly 0.0, so the fold system's band LU meets a zero
+        # pivot and the bordered matrix goes to the dense LU.
+        dense, calls = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or dense(*a))
+        problem = RadialProblem(ConeParams(4, 3), SphereConstant(), p=5.0, f=0.8)
+        config = SolverConfig(N=1, ds0=0.02, t_start=0.005, after_fold_frac=0.6)
+        branch = continuation_supercritical(problem, config)
+        assert [f.refined for f in branch.folds] == [True]
+        assert len(calls) >= 1
+
     def test_sphere_continuations_are_unchanged(self, monkeypatch):
         from khessian import solver
         for (n, k, p), f in {(3, 2, 4.0): 1.0, (4, 3, 5.0): 0.8, (5, 3, 4.0): 1.4,
